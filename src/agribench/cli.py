@@ -216,37 +216,35 @@ class RunConfig:
         )
 
     def synth_spec(self) -> SynthSpec:
-        kwargs = {}
-        if self.get("synth.n_counties") is not None:
-            kwargs["n_counties"] = self.get_int("synth.n_counties")
-        if self.get("synth.fields_per_county") is not None:
-            kwargs["fields_per_county"] = self.get_int("synth.fields_per_county")
-        if self.get("synth.years") is not None:
-            try:
-                kwargs["years"] = tuple(
-                    int(y) for y in self.get("synth.years").split(",") if y
-                )
-            except ValueError:
-                raise ConfigError("key 'synth.years': expected comma-separated integers") from None
-        if self.get("synth.tasks") is not None:
-            kwargs["tasks"] = tuple(t for t in self.get("synth.tasks").split(",") if t)
-        if self.get("synth.crop") is not None:
-            kwargs["crop"] = self.get("synth.crop")
-        if self.get("synth.dropout") is not None:
-            kwargs["dropout"] = self.get_float("synth.dropout")
-        if self.get("synth.sigma_obs") is not None:
-            kwargs["sigma_obs"] = self.get_float("synth.sigma_obs")
-        if self.get("synth.label_sigma") is not None:
-            kwargs["label_sigma"] = self.get_float("synth.label_sigma")
-        if self.get("synth.label_r2_ceiling") is not None:
-            kwargs["label_r2_ceiling"] = self.get_float("synth.label_r2_ceiling")
-        if self.get("synth.region_offset") is not None:
-            kwargs["region_offset"] = self.get_float("synth.region_offset")
-        if self.get("synth.label_feature") is not None:
-            kwargs["label_weights"] = {self.get("synth.label_feature"): 1.0}
-        if self.get("synth.label_intercept") is not None:
-            kwargs["label_intercept"] = self.get_float("synth.label_intercept")
-        return SynthSpec(**kwargs)
+        return SynthSpec(**{
+            name: parse(self, key)
+            for key, (name, parse) in SYNTH_KEYS.items()
+            if self.get(key) is not None
+        })
+
+
+def _get_years(cfg: RunConfig, key: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(y) for y in cfg.get(key).split(",") if y)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: expected comma-separated integers") from None
+
+
+# synth.* config key -> (SynthSpec field, parser of the key's value)
+SYNTH_KEYS = {
+    "synth.n_counties": ("n_counties", RunConfig.get_int),
+    "synth.fields_per_county": ("fields_per_county", RunConfig.get_int),
+    "synth.years": ("years", _get_years),
+    "synth.tasks": ("tasks", lambda cfg, key: tuple(t for t in cfg.get(key).split(",") if t)),
+    "synth.crop": ("crop", RunConfig.get),
+    "synth.dropout": ("dropout", RunConfig.get_float),
+    "synth.sigma_obs": ("sigma_obs", RunConfig.get_float),
+    "synth.label_sigma": ("label_sigma", RunConfig.get_float),
+    "synth.label_r2_ceiling": ("label_r2_ceiling", RunConfig.get_float),
+    "synth.region_offset": ("region_offset", RunConfig.get_float),
+    "synth.label_feature": ("label_weights", lambda cfg, key: {cfg.get(key): 1.0}),
+    "synth.label_intercept": ("label_intercept", RunConfig.get_float),
+}
 
 
 def _cmd_synth(cfg: RunConfig) -> int:

@@ -2,16 +2,19 @@
 
 GDD accumulates hourly thermal time between a base and a cap temperature,
 with hourly temperatures interpolated sinusoidally between the daily minimum
-and maximum. The double sum over days and hours 1..24 is implemented
-literally and yields degree-hours; set ``gdd_per_day`` to divide by 24 for
-conventional degree-day units.
+and maximum. The double sum over days and hours 1..24 is accumulated in
+loop order and yields degree-hours; set ``gdd_per_day`` to divide by 24 for
+conventional degree-day units. Every function takes one month of a unit's
+``ClimateSeries`` columns.
 """
 
 import calendar
 import math
 from dataclasses import dataclass
 
-from .dataset import ClimateDaily
+import numpy as np
+
+from .dataset import ClimateSeries
 
 
 class NoClimateDataError(ValueError):
@@ -43,17 +46,8 @@ GDD_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class MonthlyClimate:
-    """Per-unit monthly aggregates plus the fraction of days present."""
-
-    unit_id: str
-    year: int
-    month: int
-    gdd: float
-    ppt: float
-    tmean: float
-    coverage: float
+# sin(pi * (hour - 6) / 12) for hour = 1..24: the shape of the diurnal cycle.
+_HOURLY_SIN = tuple(math.sin(math.pi * (hour - 6) / 12.0) for hour in range(1, 25))
 
 
 def hourly_temp(tmin_c: float, tmax_c: float, hour: int) -> float:
@@ -68,84 +62,53 @@ def hourly_temp(tmin_c: float, tmax_c: float, hour: int) -> float:
         raise ValueError(f"hour must be in 1..24, got {hour}")
     mid = (tmax_c + tmin_c) / 2.0
     amp = (tmax_c - tmin_c) / 2.0
-    return mid + amp * math.sin(math.pi * (hour - 6) / 12.0)
+    return mid + amp * _HOURLY_SIN[hour - 1]
 
 
-def _check_month(days: list[ClimateDaily]) -> tuple[int, int]:
-    if not days:
+def _check_nonempty(days: ClimateSeries) -> None:
+    if not len(days):
         raise NoClimateDataError("no climate data for month")
-    year, month = days[0].day.year, days[0].day.month
-    seen = set()
-    for rec in days:
-        if (rec.day.year, rec.day.month) != (year, month):
-            raise ValueError(
-                f"day {rec.day} outside month {year}-{month:02d}"
-            )
-        if rec.day in seen:
-            raise ValueError(f"duplicate climate day {rec.day}")
-        seen.add(rec.day)
-    return year, month
 
 
 def monthly_gdd(
-    days: list[ClimateDaily], thresholds: GddThresholds, gdd_per_day: bool = False
+    days: ClimateSeries, thresholds: GddThresholds, gdd_per_day: bool = False
 ) -> float:
     """Accumulated thermal time for one month, in degree-hours.
 
-    Days are processed in date order; missing calendar days simply
-    contribute nothing (their absence shows up in ``month_coverage``).
+    ``days`` holds one month's columns, as ``ClimateSeries.month`` returns
+    them. Missing calendar days simply contribute nothing (their absence
+    shows up in ``month_coverage``). The hourly terms are summed in day, then
+    hour order with a sequential cumulative sum, so the total equals the
+    literal double loop bit for bit.
     """
-    _check_month(days)
-    span = thresholds.t_cap - thresholds.t_base
-    total = 0.0
-    for rec in sorted(days, key=lambda r: r.day):
-        for hour in range(1, 25):
-            t_h = hourly_temp(rec.tmin_c, rec.tmax_c, hour)
-            total += max(0.0, min(t_h - thresholds.t_base, span))
+    _check_nonempty(days)
+    mid = (days.tmax + days.tmin) / 2.0
+    amp = (days.tmax - days.tmin) / 2.0
+    hourly = mid[:, None] + amp[:, None] * np.array(_HOURLY_SIN)
+    terms = np.maximum(np.minimum(hourly - thresholds.t_base,
+                                  thresholds.t_cap - thresholds.t_base), 0.0)
+    # Adding 0.0 turns an all-(-0.0) sum into the loop's 0.0.
+    total = 0.0 + float(np.cumsum(terms.ravel())[-1])
     return total / 24.0 if gdd_per_day else total
 
 
-def monthly_ppt(days: list[ClimateDaily]) -> float:
+def monthly_ppt(days: ClimateSeries) -> float:
     """Sum of daily precipitation totals for one month, in mm.
 
     Uses exactly rounded (compensated) summation, so the result is
     independent of accumulation order.
     """
-    _check_month(days)
-    return math.fsum(rec.ppt_mm for rec in days)
+    _check_nonempty(days)
+    return math.fsum(days.ppt)
 
 
-def monthly_tmean(days: list[ClimateDaily]) -> float:
+def monthly_tmean(days: ClimateSeries) -> float:
     """Mean of the daily (tmin + tmax) / 2 midpoints, in deg C."""
-    _check_month(days)
-    return math.fsum((rec.tmin_c + rec.tmax_c) / 2.0 for rec in days) / len(days)
+    _check_nonempty(days)
+    return math.fsum((days.tmin + days.tmax) / 2.0) / len(days)
 
 
-def month_coverage(days: list[ClimateDaily], year: int, month: int) -> float:
+def month_coverage(days: ClimateSeries, year: int, month: int) -> float:
     """Fraction of the month's calendar days present in ``days``."""
     n_days = calendar.monthrange(year, month)[1]
-    present = {rec.day for rec in days if (rec.day.year, rec.day.month) == (year, month)}
-    return len(present) / n_days
-
-
-def summarize_month(
-    unit_id: str,
-    days: list[ClimateDaily],
-    year: int,
-    month: int,
-    thresholds: GddThresholds,
-    gdd_per_day: bool = False,
-) -> MonthlyClimate:
-    """Build the monthly aggregate record for one unit and month."""
-    in_month = [rec for rec in days if (rec.day.year, rec.day.month) == (year, month)]
-    if not in_month:
-        raise NoClimateDataError(f"no climate data for month {year}-{month:02d}")
-    return MonthlyClimate(
-        unit_id=unit_id,
-        year=year,
-        month=month,
-        gdd=monthly_gdd(in_month, thresholds, gdd_per_day=gdd_per_day),
-        ppt=monthly_ppt(in_month),
-        tmean=monthly_tmean(in_month),
-        coverage=month_coverage(in_month, year, month),
-    )
+    return len(days.month(year, month)) / n_days

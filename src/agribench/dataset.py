@@ -83,13 +83,6 @@ RAW_BANDS = (
     SpectralBand.SWIR1,
     SpectralBand.SWIR2,
 )
-DERIVED_BANDS = (
-    SpectralBand.NDVI,
-    SpectralBand.GCVI,
-    SpectralBand.NDTI,
-    SpectralBand.STI,
-    SpectralBand.CRC,
-)
 
 # Atmospheric correction can overshoot slightly; tolerate up to 1.5.
 RAW_REFLECTANCE_MAX = 1.5
@@ -136,21 +129,42 @@ class ObservationSeries:
         return len(self.dates)
 
 
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def _month_key(year: int, month: int) -> int:
+    """Months since January 1970, the key ``ClimateSeries.month_keys`` uses."""
+    return (year - 1970) * 12 + month - 1
+
+
 @dataclass(frozen=True)
-class ClimateDaily:
-    unit_id: str
-    day: date
-    tmin_c: float
-    tmax_c: float
-    ppt_mm: float
+class ClimateSeries:
+    """Daily climate of one unit as columns, in increasing day order.
+
+    ``days`` holds ``date.toordinal()`` values; ``tmin``, ``tmax`` (deg C)
+    and ``ppt`` (mm) are aligned with it. ``month_keys`` gives each day's
+    calendar month, so one month is a contiguous slice.
+    """
+
+    days: np.ndarray
+    tmin: np.ndarray
+    tmax: np.ndarray
+    ppt: np.ndarray
+    month_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.tmin_c) and math.isfinite(self.tmax_c) and math.isfinite(self.ppt_mm)):
-            raise ValueError("non-finite climate value")
-        if self.tmin_c > self.tmax_c:
-            raise ValueError(f"tmin {self.tmin_c} > tmax {self.tmax_c}")
-        if self.ppt_mm < 0:
-            raise ValueError(f"negative precipitation {self.ppt_mm}")
+        months = (self.days - _EPOCH_ORDINAL).astype("datetime64[D]").astype("datetime64[M]")
+        object.__setattr__(self, "month_keys", months.astype(np.int64))
+
+    def __len__(self) -> int:
+        return len(self.days)
+
+    def month(self, year: int, month: int) -> "ClimateSeries":
+        """The days of one calendar month (possibly none)."""
+        key = _month_key(year, month)
+        lo, hi = np.searchsorted(self.month_keys, (key, key + 1))
+        return ClimateSeries(self.days[lo:hi], self.tmin[lo:hi], self.tmax[lo:hi],
+                             self.ppt[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -208,7 +222,7 @@ class Dataset:
 
     units: dict[str, UnitMeta]
     observations: dict[tuple[str, SpectralBand], ObservationSeries]
-    climate: dict[str, list[ClimateDaily]]
+    climate: dict[str, ClimateSeries]
     embeddings: dict[tuple[str, int], EmbeddingVector]
     labels: list[LabelRecord]
     manifest: dict[str, dict] = field(default_factory=dict)
@@ -216,8 +230,8 @@ class Dataset:
     def series_for(self, unit_id: str, band: SpectralBand) -> ObservationSeries | None:
         return self.observations.get((unit_id, band))
 
-    def climate_for(self, unit_id: str) -> list[ClimateDaily]:
-        return self.climate.get(unit_id, [])
+    def climate_for(self, unit_id: str) -> ClimateSeries | None:
+        return self.climate.get(unit_id)
 
     def embedding_for(self, unit_id: str, year: int) -> EmbeddingVector | None:
         return self.embeddings.get((unit_id, year))
@@ -302,13 +316,19 @@ def _read_rows(path: Path, expected_header: tuple[str, ...]):
             yield line, row
 
 
+def _check_unit(units: dict[str, UnitMeta], unit_id: str, filename: str, line: int) -> None:
+    if unit_id not in units:
+        raise BundleValidationError(filename, line, f"unknown unit_id {unit_id!r}")
+
+
 def _load_units(path: Path) -> dict[str, UnitMeta]:
     header = ("unit_id", "level", "state", "county_id", "ecoregion", "elevation_m")
+    name = path.name
     units: dict[str, UnitMeta] = {}
     for line, row in _read_rows(path, header):
         unit_id, level, state, county_id, ecoregion, elevation = row
         if unit_id in units:
-            raise BundleValidationError(path.name, line, f"duplicate unit_id {unit_id!r}")
+            raise BundleValidationError(name, line, f"duplicate unit_id {unit_id!r}")
         if not ecoregion:
             ecoregion = default_ecoregion(state)
         try:
@@ -318,26 +338,30 @@ def _load_units(path: Path) -> dict[str, UnitMeta]:
                 state=state,
                 county_id=county_id,
                 ecoregion=ecoregion,
-                elevation_m=_parse_float(elevation, path.name, line, "elevation_m"),
+                elevation_m=_parse_float(elevation, name, line, "elevation_m"),
             )
         except ValueError as exc:
             if isinstance(exc, BundleValidationError):
                 raise
-            raise BundleValidationError(path.name, line, str(exc)) from None
+            raise BundleValidationError(name, line, str(exc)) from None
     return units
 
 
-def _load_observations(path: Path) -> dict[tuple[str, SpectralBand], ObservationSeries]:
+def _load_observations(
+    path: Path, units: dict[str, UnitMeta]
+) -> dict[tuple[str, SpectralBand], ObservationSeries]:
     header = ("unit_id", "band", "date", "value")
+    name = path.name
     samples: dict[tuple[str, SpectralBand], list] = {}
     for line, row in _read_rows(path, header):
         unit_id, band_name, date_text, value_text = row
+        _check_unit(units, unit_id, name, line)
         try:
             band = SpectralBand.from_name(band_name)
         except ValueError as exc:
-            raise BundleValidationError(path.name, line, str(exc)) from None
-        day = _parse_date(date_text, path.name, line, "date")
-        value = _parse_float(value_text, path.name, line, "value")
+            raise BundleValidationError(name, line, str(exc)) from None
+        day = _parse_date(date_text, name, line, "date")
+        value = _parse_float(value_text, name, line, "value")
         samples.setdefault((unit_id, band), []).append((day, value, line))
 
     series: dict[tuple[str, SpectralBand], ObservationSeries] = {}
@@ -346,7 +370,7 @@ def _load_observations(path: Path) -> dict[tuple[str, SpectralBand], Observation
         for (d1, _, _), (d2, _, line2) in zip(triples, triples[1:]):
             if d1 == d2:
                 raise BundleValidationError(
-                    path.name, line2,
+                    name, line2,
                     f"duplicate observation for unit {unit_id!r}, band {band.value}, date {d2}",
                 )
         try:
@@ -357,52 +381,56 @@ def _load_observations(path: Path) -> dict[tuple[str, SpectralBand], Observation
                 values=np.array([t[1] for t in triples], dtype=float),
             )
         except ValueError as exc:
-            raise BundleValidationError(path.name, triples[0][2], str(exc)) from None
+            raise BundleValidationError(name, triples[0][2], str(exc)) from None
     return series
 
 
-def _load_climate(path: Path) -> dict[str, list[ClimateDaily]]:
+def _load_climate(path: Path, units: dict[str, UnitMeta]) -> dict[str, ClimateSeries]:
     header = ("unit_id", "date", "tmin_c", "tmax_c", "ppt_mm")
-    seen: dict[tuple[str, date], int] = {}
-    climate: dict[str, list[ClimateDaily]] = {}
+    name = path.name
+    seen: set[tuple[str, date]] = set()
+    rows: dict[str, list[tuple[int, float, float, float]]] = {}
     for line, row in _read_rows(path, header):
-        unit_id, date_text, tmin, tmax, ppt = row
-        day = _parse_date(date_text, path.name, line, "date")
+        unit_id, date_text, tmin_text, tmax_text, ppt_text = row
+        _check_unit(units, unit_id, name, line)
+        day = _parse_date(date_text, name, line, "date")
         if (unit_id, day) in seen:
             raise BundleValidationError(
-                path.name, line, f"duplicate climate day for unit {unit_id!r}: {day}"
+                name, line, f"duplicate climate day for unit {unit_id!r}: {day}"
             )
-        seen[(unit_id, day)] = line
-        try:
-            record = ClimateDaily(
-                unit_id=unit_id,
-                day=day,
-                tmin_c=_parse_float(tmin, path.name, line, "tmin_c"),
-                tmax_c=_parse_float(tmax, path.name, line, "tmax_c"),
-                ppt_mm=_parse_float(ppt, path.name, line, "ppt_mm"),
-            )
-        except ValueError as exc:
-            if isinstance(exc, BundleValidationError):
-                raise
-            raise BundleValidationError(path.name, line, str(exc)) from None
-        climate.setdefault(unit_id, []).append(record)
-    for records in climate.values():
-        records.sort(key=lambda r: r.day)
+        seen.add((unit_id, day))
+        tmin = _parse_float(tmin_text, name, line, "tmin_c")
+        tmax = _parse_float(tmax_text, name, line, "tmax_c")
+        ppt = _parse_float(ppt_text, name, line, "ppt_mm")
+        if tmin > tmax:
+            raise BundleValidationError(name, line, f"tmin {tmin} > tmax {tmax}")
+        if ppt < 0:
+            raise BundleValidationError(name, line, f"negative precipitation {ppt}")
+        rows.setdefault(unit_id, []).append((day.toordinal(), tmin, tmax, ppt))
+    climate: dict[str, ClimateSeries] = {}
+    for unit_id, unit_rows in rows.items():
+        unit_rows.sort()  # day ordinals are unique per unit
+        days, tmin, tmax, ppt = np.array(unit_rows, dtype=float).T
+        climate[unit_id] = ClimateSeries(days.astype(np.int64), tmin, tmax, ppt)
     return climate
 
 
-def _load_embeddings(path: Path) -> dict[tuple[str, int], EmbeddingVector]:
+def _load_embeddings(
+    path: Path, units: dict[str, UnitMeta]
+) -> dict[tuple[str, int], EmbeddingVector]:
     header = ("unit_id", "year") + EMBEDDING_COLUMNS
+    name = path.name
     embeddings: dict[tuple[str, int], EmbeddingVector] = {}
     for line, row in _read_rows(path, header):
         unit_id = row[0]
-        year = _parse_int(row[1], path.name, line, "year")
+        _check_unit(units, unit_id, name, line)
+        year = _parse_int(row[1], name, line, "year")
         if (unit_id, year) in embeddings:
             raise BundleValidationError(
-                path.name, line, f"duplicate embedding for unit {unit_id!r}, year {year}"
+                name, line, f"duplicate embedding for unit {unit_id!r}, year {year}"
             )
         values = np.array(
-            [_parse_float(row[2 + i], path.name, line, EMBEDDING_COLUMNS[i])
+            [_parse_float(row[2 + i], name, line, EMBEDDING_COLUMNS[i])
              for i in range(EMBEDDING_DIM)],
             dtype=float,
         )
@@ -412,26 +440,24 @@ def _load_embeddings(path: Path) -> dict[tuple[str, int], EmbeddingVector]:
 
 def _load_labels(path: Path, units: dict[str, UnitMeta]) -> list[LabelRecord]:
     header = ("unit_id", "year", "task", "value")
+    name = path.name
     labels: list[LabelRecord] = []
     for line, row in _read_rows(path, header):
         unit_id, year_text, task, value_text = row
-        if unit_id not in units:
-            raise BundleValidationError(
-                path.name, line, f"label references unknown unit_id {unit_id!r}"
-            )
+        _check_unit(units, unit_id, name, line)
         try:
             labels.append(
                 LabelRecord(
                     unit_id=unit_id,
-                    year=_parse_int(year_text, path.name, line, "year"),
+                    year=_parse_int(year_text, name, line, "year"),
                     task=task,
-                    value=_parse_float(value_text, path.name, line, "value"),
+                    value=_parse_float(value_text, name, line, "value"),
                 )
             )
         except ValueError as exc:
             if isinstance(exc, BundleValidationError):
                 raise
-            raise BundleValidationError(path.name, line, str(exc)) from None
+            raise BundleValidationError(name, line, str(exc)) from None
     return labels
 
 
@@ -445,9 +471,9 @@ def load_dataset(bundle_dir: str | Path) -> Dataset:
     """
     bundle = Path(bundle_dir)
     units = _load_units(bundle / "units.csv")
-    observations = _load_observations(bundle / "observations.csv")
-    climate = _load_climate(bundle / "climate.csv")
-    embeddings = _load_embeddings(bundle / "embeddings.csv")
+    observations = _load_observations(bundle / "observations.csv", units)
+    climate = _load_climate(bundle / "climate.csv", units)
+    embeddings = _load_embeddings(bundle / "embeddings.csv", units)
     labels = _load_labels(bundle / "labels.csv", units)
 
     manifest = {
@@ -458,7 +484,7 @@ def load_dataset(bundle_dir: str | Path) -> Dataset:
         },
         "climate.csv": {
             "path": str(bundle / "climate.csv"),
-            "rows": int(sum(len(r) for r in climate.values())),
+            "rows": int(sum(len(c) for c in climate.values())),
         },
         "embeddings.csv": {"path": str(bundle / "embeddings.csv"), "rows": len(embeddings)},
         "labels.csv": {"path": str(bundle / "labels.csv"), "rows": len(labels)},

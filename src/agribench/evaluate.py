@@ -44,7 +44,6 @@ class SplitPlan:
     fold_labels: tuple[str, ...]
     folds: tuple[tuple[np.ndarray, np.ndarray], ...]
     seed: int
-    group_key: str
 
     def __post_init__(self):
         for train_ids, test_ids in self.folds:
@@ -97,7 +96,7 @@ def build_split_plan(
             test_mask = np.isin(group_arr, part)
             folds.append((all_rows[~test_mask], all_rows[test_mask]))
         labels = tuple(f"fold{i}" for i in range(k))
-        return SplitPlan("group_cv", labels, tuple(folds), seed, "state_or_county-year")
+        return SplitPlan("group_cv", labels, tuple(folds), seed)
 
     if scheme == "yearly_cv":
         years = sorted({year for _, year in table.unit_years})
@@ -107,7 +106,7 @@ def build_split_plan(
         folds = tuple(
             (all_rows[year_arr != year], all_rows[year_arr == year]) for year in years
         )
-        return SplitPlan("yearly_cv", tuple(str(y) for y in years), folds, seed, "year")
+        return SplitPlan("yearly_cv", tuple(str(y) for y in years), folds, seed)
 
     if scheme == "scale_transfer":
         levels = np.array([units[u].level for u, _ in table.unit_years])
@@ -118,9 +117,7 @@ def build_split_plan(
                 f"scale_transfer needs both county and field rows "
                 f"(county={train_ids.size}, field={test_ids.size})"
             )
-        return SplitPlan(
-            "scale_transfer", ("transfer",), ((train_ids, test_ids),), seed, "level"
-        )
+        return SplitPlan("scale_transfer", ("transfer",), ((train_ids, test_ids),), seed)
 
     if direction not in DIRECTIONS:
         raise SplitError(f"space_transfer direction must be one of {DIRECTIONS}")
@@ -133,9 +130,7 @@ def build_split_plan(
             f"space_transfer {direction}: empty side "
             f"(train={train_ids.size}, test={test_ids.size})"
         )
-    return SplitPlan(
-        "space_transfer", ("transfer",), ((train_ids, test_ids),), seed, "ecoregion"
-    )
+    return SplitPlan("space_transfer", ("transfer",), ((train_ids, test_ids),), seed)
 
 
 def regression_metrics(truth, pred) -> dict[str, float]:

@@ -51,7 +51,7 @@ from .harmonics import (
     monthly_extrema,
     phenology_metrics,
 )
-from .indices import derive_index_series
+from .indices import REQUIRED_BANDS, derive_index_series
 
 B = SpectralBand
 
@@ -260,21 +260,39 @@ def expected_feature_count(cfg: TaskConfig) -> int:
 
 
 def _band_series(dataset: Dataset, unit_id: str, band: SpectralBand, cfg: TaskConfig):
-    """Raw series straight from the bundle; derived series from co-temporal scenes."""
-    if band.is_raw:
-        return dataset.series_for(unit_id, band)
-    from .indices import REQUIRED_BANDS
+    """Raw series straight from the bundle; derived series from co-temporal scenes.
 
+    Returns ``(series, None)``, or ``(None, cause)`` when there is no series:
+    ``insufficient_observations`` for a missing raw band, ``index_undefined``
+    when the index cannot be derived (no co-temporal scenes or a zero
+    denominator).
+    """
+    missing = (None, "insufficient_observations")
+    if band.is_raw:
+        series = dataset.series_for(unit_id, band)
+        return missing if series is None else (series, None)
     raw = {}
     for required in REQUIRED_BANDS[band]:
         series = dataset.series_for(unit_id, required)
         if series is None:
-            return None
+            return missing
         raw[required] = series
     try:
-        return derive_index_series(raw, band, gcvi_minus_one=cfg.gcvi_minus_one)
+        return derive_index_series(raw, band, gcvi_minus_one=cfg.gcvi_minus_one), None
     except ValueError:
-        return None
+        return None, "index_undefined"
+
+
+def _band_fit(dataset: Dataset, unit_id: str, band: SpectralBand, cfg: TaskConfig,
+              window: SeasonWindow):
+    """Harmonic fit of one band over the season, or ``(None, cause)``."""
+    series, cause = _band_series(dataset, unit_id, band, cfg)
+    if series is None:
+        return None, cause
+    try:
+        return fit_harmonic(series, window), None
+    except (InsufficientObservationsError, DegenerateDesignError):
+        return None, "insufficient_observations"
 
 
 def _climate_cells(
@@ -287,12 +305,12 @@ def _climate_cells(
     """Monthly climate aggregates; low-coverage months count as missing."""
     values: dict[str, float] = {}
     causes: set[str] = set()
-    records = dataset.climate_for(unit_id)
+    climate = dataset.climate_for(unit_id)
     thresholds = cfg.resolved_thresholds() if "gdd" in metrics else None
     for year, month in months:
         abbr = MONTH_ABBREV[month - 1]
-        in_month = [r for r in records if (r.day.year, r.day.month) == (year, month)]
-        ok = bool(in_month)
+        in_month = climate.month(year, month) if climate is not None else None
+        ok = in_month is not None and len(in_month) > 0
         if ok and month_coverage(in_month, year, month) < MIN_CLIMATE_COVERAGE:
             ok = False
             causes.add("low_climate_coverage")
@@ -322,15 +340,9 @@ def build_yield_features(
     values: dict[str, float] = {}
     causes: set[str] = set()
     for band in HARMONIC_BANDS:
-        series = _band_series(dataset, unit_id, band, cfg)
-        fit = None
-        if series is not None:
-            try:
-                fit = fit_harmonic(series, window)
-            except (InsufficientObservationsError, DegenerateDesignError):
-                fit = None
+        fit, cause = _band_fit(dataset, unit_id, band, cfg, window)
         if fit is None:
-            causes.add("insufficient_observations")
+            causes.add(cause)
             for stat in HARMONIC_STATS:
                 values[f"{band.value}_{stat}"] = math.nan
             continue
@@ -357,7 +369,7 @@ def build_tillage_features(
     values: dict[str, float] = {}
     causes: set[str] = set()
     for band in TILLAGE_BANDS:
-        series = _band_series(dataset, unit_id, band, cfg)
+        series, cause = _band_series(dataset, unit_id, band, cfg)
         for month in TILLAGE_MONTHS:
             abbr = MONTH_ABBREV[month - 1]
             lo = hi = math.nan
@@ -367,7 +379,7 @@ def build_tillage_features(
                 except MissingMonthError:
                     causes.add("missing_month")
             else:
-                causes.add("insufficient_observations")
+                causes.add(cause)
             values[f"{band.value}_{abbr}_min"] = lo
             values[f"{band.value}_{abbr}_max"] = hi
     values["elev"] = dataset.units[unit_id].elevation_m
@@ -383,15 +395,9 @@ def build_covercrop_features(
     values: dict[str, float] = {}
     causes: set[str] = set()
     for band in HARMONIC_BANDS:
-        series = _band_series(dataset, unit_id, band, cfg)
-        fit = None
-        if series is not None:
-            try:
-                fit = fit_harmonic(series, window)
-            except (InsufficientObservationsError, DegenerateDesignError):
-                fit = None
+        fit, cause = _band_fit(dataset, unit_id, band, cfg, window)
         if fit is None:
-            causes.add("insufficient_observations")
+            causes.add(cause)
         for month_year, month in months:
             abbr = MONTH_ABBREV[month - 1]
             if fit is None:

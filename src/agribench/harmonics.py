@@ -157,20 +157,25 @@ def fit_harmonic(series: ObservationSeries, window: SeasonWindow) -> HarmonicFit
     )
 
 
-def _eval_t(fit: HarmonicFit, t: np.ndarray) -> np.ndarray:
+def curve_values(curve, t: np.ndarray) -> np.ndarray:
+    """The harmonic model at times ``t`` (fractional years since the origin).
+
+    ``curve`` is anything with ``c, a1, b1, a2, b2`` attributes: a
+    ``HarmonicFit`` or a synthetic generating curve.
+    """
     w = 2.0 * np.pi * np.asarray(t, dtype=float)
     return (
-        fit.c
-        + fit.a1 * np.cos(w)
-        + fit.b1 * np.sin(w)
-        + fit.a2 * np.cos(2 * w)
-        + fit.b2 * np.sin(2 * w)
+        curve.c
+        + curve.a1 * np.cos(w)
+        + curve.b1 * np.sin(w)
+        + curve.a2 * np.cos(2 * w)
+        + curve.b2 * np.sin(2 * w)
     )
 
 
 def eval_harmonic(fit: HarmonicFit, when: date | datetime) -> float:
     """Evaluate the fitted curve at a time point (defined for all t)."""
-    return float(_eval_t(fit, np.array(time_fraction(fit.t_origin, when))))
+    return float(curve_values(fit, np.array(time_fraction(fit.t_origin, when))))
 
 
 def _antiderivative(fit: HarmonicFit, t: float) -> float:
@@ -206,7 +211,7 @@ def phenology_metrics(fit: HarmonicFit) -> PhenologyMetrics:
     """
     grid = fit.window.grid_dates()
     t = np.array([time_fraction(fit.t_origin, d) for d in grid])
-    values = _eval_t(fit, t)
+    values = curve_values(fit, t)
     idx = int(np.argmax(values))  # first occurrence = earliest date
     peak_date = grid[idx]
     peak_value = float(values[idx])
@@ -261,7 +266,7 @@ def monthly_extrema(
                 f"{source.window.start}..{source.window.end}"
             )
         t = np.array([time_fraction(source.t_origin, d) for d in days])
-        values = _eval_t(source, t)
+        values = curve_values(source, t)
         return (float(values.min()), float(values.max()))
 
     raise TypeError(f"source must be ObservationSeries or HarmonicFit, got {type(source).__name__}")

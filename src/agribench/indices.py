@@ -24,10 +24,33 @@ class IndexDomainError(ValueError):
     """Raised when an index denominator is zero for the given inputs."""
 
 
-def _check_denominator(kind: SpectralBand, denom: float, inputs: dict) -> None:
-    if denom == 0.0:
-        shown = {b.value: v for b, v in inputs.items()}
+def index_values(
+    kind: SpectralBand,
+    columns: dict[SpectralBand, np.ndarray],
+    gcvi_minus_one: bool = False,
+) -> np.ndarray:
+    """Evaluate one derived index elementwise over aligned raw-band columns.
+
+    ``columns`` maps each band of ``REQUIRED_BANDS[kind]`` to an array of
+    values, one per scene (or per time point). ``gcvi_minus_one`` switches
+    GCVI to the conventional NIR/Green - 1 form; the default is the plain
+    ratio. Raises ``IndexDomainError`` naming the index if any denominator
+    is zero.
+    """
+    x, y = (np.asarray(columns[band], dtype=float) for band in REQUIRED_BANDS[kind])
+    if kind in (SpectralBand.GCVI, SpectralBand.STI):
+        numerator, denominator = x, y
+    else:
+        numerator, denominator = x - y, x + y
+    zero = np.flatnonzero(denominator == 0.0)
+    if zero.size:
+        i = zero[0]
+        shown = {band.value: float(np.ravel(col)[i]) for band, col in columns.items()}
         raise IndexDomainError(f"{kind.value}: zero denominator for inputs {shown}")
+    values = numerator / denominator
+    if kind is SpectralBand.GCVI and gcvi_minus_one:
+        values = values - 1.0
+    return values
 
 
 def compute_index(
@@ -35,42 +58,15 @@ def compute_index(
     inputs: dict[SpectralBand, float],
     gcvi_minus_one: bool = False,
 ) -> float:
-    """Evaluate one derived index from a single scene's raw-band values.
-
-    ``gcvi_minus_one`` switches GCVI to the conventional NIR/Green - 1 form;
-    the default is the plain ratio. The flag only shifts GCVI by a constant.
-    """
+    """Evaluate one derived index from a single scene's raw-band values."""
     if not kind.is_derived:
         raise ValueError(f"{kind.value} is a raw band, not a derived index")
-    required = REQUIRED_BANDS[kind]
-    for band in required:
+    for band in REQUIRED_BANDS[kind]:
         if band not in inputs:
             raise ValueError(f"{kind.value} requires band {band.value}")
         if not np.isfinite(inputs[band]):
             raise ValueError(f"{kind.value}: non-finite input for {band.value}")
-
-    if kind is SpectralBand.NDVI:
-        nir, red = inputs[SpectralBand.NIR], inputs[SpectralBand.RED]
-        _check_denominator(kind, nir + red, inputs)
-        return (nir - red) / (nir + red)
-    if kind is SpectralBand.GCVI:
-        nir, green = inputs[SpectralBand.NIR], inputs[SpectralBand.GREEN]
-        _check_denominator(kind, green, inputs)
-        ratio = nir / green
-        return ratio - 1.0 if gcvi_minus_one else ratio
-    if kind is SpectralBand.NDTI:
-        s1, s2 = inputs[SpectralBand.SWIR1], inputs[SpectralBand.SWIR2]
-        _check_denominator(kind, s1 + s2, inputs)
-        return (s1 - s2) / (s1 + s2)
-    if kind is SpectralBand.STI:
-        s1, s2 = inputs[SpectralBand.SWIR1], inputs[SpectralBand.SWIR2]
-        _check_denominator(kind, s2, inputs)
-        return s1 / s2
-    if kind is SpectralBand.CRC:
-        s1, blue = inputs[SpectralBand.SWIR1], inputs[SpectralBand.BLUE]
-        _check_denominator(kind, s1 + blue, inputs)
-        return (s1 - blue) / (s1 + blue)
-    raise AssertionError(f"unhandled index {kind}")
+    return float(index_values(kind, inputs, gcvi_minus_one=gcvi_minus_one))
 
 
 def derive_index_series(
@@ -99,17 +95,13 @@ def derive_index_series(
     if not common:
         raise ValueError(f"{kind.value}: no co-temporal observations")
 
-    dates = tuple(sorted(common))
-    lookup = {
-        band: dict(zip(raw_series[band].dates, raw_series[band].values))
+    # Each series is in date order, so its common dates come out aligned.
+    columns = {
+        band: raw_series[band].values[
+            np.fromiter((d in common for d in raw_series[band].dates), dtype=bool)
+        ]
         for band in required
     }
-    values = np.array(
-        [
-            compute_index(kind, {band: lookup[band][d] for band in required},
-                          gcvi_minus_one=gcvi_minus_one)
-            for d in dates
-        ],
-        dtype=float,
-    )
-    return ObservationSeries(unit_id=unit_id, band=kind, dates=dates, values=values)
+    values = index_values(kind, columns, gcvi_minus_one=gcvi_minus_one)
+    return ObservationSeries(unit_id=unit_id, band=kind, dates=tuple(sorted(common)),
+                             values=values)

@@ -30,7 +30,8 @@ import numpy as np
 
 from .dataset import EMBEDDING_COLUMNS, RAW_BANDS, SpectralBand
 from .featurize import SEASON_TEMPLATES, SeasonTemplate
-from .harmonics import time_fraction
+from .harmonics import curve_values, time_fraction
+from .indices import REQUIRED_BANDS, index_values
 from .seeding import spawn_rng
 
 B = SpectralBand
@@ -133,14 +134,7 @@ class Curve:
     t_origin: date
 
     def at(self, t: np.ndarray) -> np.ndarray:
-        w = 2.0 * np.pi * np.asarray(t, dtype=float)
-        return (
-            self.c
-            + self.a1 * np.cos(w)
-            + self.b1 * np.sin(w)
-            + self.a2 * np.cos(2 * w)
-            + self.b2 * np.sin(2 * w)
-        )
+        return curve_values(self, t)
 
 
 def _plan_units(spec: SynthSpec, seed: int) -> list[UnitPlan]:
@@ -221,24 +215,6 @@ def _band_value_name(name: str) -> tuple[SpectralBand, str]:
     return SpectralBand.from_name(band_name), stat
 
 
-def _true_band_curve(curves: dict[SpectralBand, Curve], band: SpectralBand,
-                     t: np.ndarray) -> np.ndarray:
-    if band.is_raw:
-        return curves[band].at(t)
-    if band is B.NDVI:
-        nir, red = curves[B.NIR].at(t), curves[B.RED].at(t)
-        return (nir - red) / (nir + red)
-    if band is B.GCVI:
-        return curves[B.NIR].at(t) / curves[B.GREEN].at(t)
-    if band is B.NDTI:
-        s1, s2 = curves[B.SWIR1].at(t), curves[B.SWIR2].at(t)
-        return (s1 - s2) / (s1 + s2)
-    if band is B.STI:
-        return curves[B.SWIR1].at(t) / curves[B.SWIR2].at(t)
-    s1, blue = curves[B.SWIR1].at(t), curves[B.BLUE].at(t)
-    return (s1 - blue) / (s1 + blue)
-
-
 def _true_feature(name: str, curves: dict[SpectralBand, Curve], window,
                   origin: date) -> float:
     band, stat = _band_value_name(name)
@@ -248,7 +224,10 @@ def _true_feature(name: str, curves: dict[SpectralBand, Curve], window,
         return curves[band].c
     grid = window.grid_dates()
     t = np.array([time_fraction(origin, d) for d in grid])
-    return float(_true_band_curve(curves, band, t).max())
+    if band.is_raw:
+        return float(curves[band].at(t).max())
+    columns = {raw: curves[raw].at(t) for raw in REQUIRED_BANDS[band]}
+    return float(index_values(band, columns).max())
 
 
 def _format(value: float) -> str:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agribench.dataset import EMBEDDING_COLUMNS, ObservationSeries, SpectralBand
+from agribench.dataset import ClimateSeries, EMBEDDING_COLUMNS, ObservationSeries, SpectralBand
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -51,6 +51,17 @@ def make_series(
     values = np.asarray(values, dtype=float)
     dates = tuple(start + timedelta(days=step_days * i) for i in range(len(values)))
     return ObservationSeries(unit_id=unit_id, band=band, dates=dates, values=values)
+
+
+def climate_series(rows) -> ClimateSeries:
+    """Climate columns from ``(date, tmin_c, tmax_c, ppt_mm)`` rows in day order."""
+    days, tmin, tmax, ppt = zip(*rows) if rows else ((), (), (), ())
+    return ClimateSeries(
+        days=np.array([d.toordinal() for d in days], dtype=np.int64),
+        tmin=np.array(tmin, dtype=float),
+        tmax=np.array(tmax, dtype=float),
+        ppt=np.array(ppt, dtype=float),
+    )
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ import pytest
 
 from agribench.climate import GDD_SOYBEAN, GDD_WINTER_WHEAT, monthly_gdd
 from agribench.dataset import (
-    ClimateDaily,
     EAST_STATES,
     ObservationSeries,
     SpectralBand,
@@ -45,6 +44,7 @@ from agribench.harmonics import (
 from agribench.models import ModelSpec, top_features, train
 from agribench.synth import SynthSpec, generate, read_truth
 from agribench.cli import execute
+from conftest import climate_series
 
 B = SpectralBand
 WINDOW = SeasonWindow(start=date(2020, 4, 1), end=date(2020, 10, 31))
@@ -159,9 +159,9 @@ def test_criterion_2_integral_oracle():
 
 def _gdd_loop_oracle(days, t_base, t_cap):
     total = 0.0
-    for rec in sorted(days, key=lambda r: r.day):
-        mid = (rec.tmax_c + rec.tmin_c) / 2.0
-        amp = (rec.tmax_c - rec.tmin_c) / 2.0
+    for _, tmin_c, tmax_c, _ in sorted(days):
+        mid = (tmax_c + tmin_c) / 2.0
+        amp = (tmax_c - tmin_c) / 2.0
         for h in range(1, 25):
             t_h = mid + amp * math.sin(math.pi * (h - 6) / 12.0)
             total += max(0.0, min(t_h - t_base, t_cap - t_base))
@@ -176,17 +176,16 @@ def test_criterion_3_gdd_oracle():
         days = []
         for k in range(n_days):
             tmin = float(rng.uniform(-15, 30))
-            days.append(ClimateDaily("u", date(2021, month, 1) + timedelta(days=k),
-                                     tmin, tmin + float(rng.uniform(0, 20)), 0.0))
+            days.append((date(2021, month, 1) + timedelta(days=k),
+                         tmin, tmin + float(rng.uniform(0, 20)), 0.0))
         th = GDD_SOYBEAN if rng.random() < 0.5 else GDD_WINTER_WHEAT
-        assert monthly_gdd(days, th) == _gdd_loop_oracle(days, th.t_base, th.t_cap), case
+        assert monthly_gdd(climate_series(days), th) == \
+            _gdd_loop_oracle(days, th.t_base, th.t_cap), case
     # Analytic fixtures hold exactly.
-    flat20 = [ClimateDaily("u", date(2021, 6, 1) + timedelta(days=k), 20.0, 20.0, 0.0)
-              for k in range(30)]
-    assert monthly_gdd(flat20, GDD_SOYBEAN) == 8640.0
-    flat8 = [ClimateDaily("u", date(2021, 6, 1) + timedelta(days=k), 8.0, 8.0, 0.0)
-             for k in range(30)]
-    assert monthly_gdd(flat8, GDD_SOYBEAN) == 0.0
+    flat20 = [(date(2021, 6, 1) + timedelta(days=k), 20.0, 20.0, 0.0) for k in range(30)]
+    assert monthly_gdd(climate_series(flat20), GDD_SOYBEAN) == 8640.0
+    flat8 = [(date(2021, 6, 1) + timedelta(days=k), 8.0, 8.0, 0.0) for k in range(30)]
+    assert monthly_gdd(climate_series(flat8), GDD_SOYBEAN) == 0.0
     _announce(3, "1000 random months equal the hourly-loop oracle exactly; "
                  "8640/0 degree-hour fixtures hold")
 

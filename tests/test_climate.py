@@ -16,26 +16,25 @@ from agribench.climate import (
     monthly_gdd,
     monthly_ppt,
     monthly_tmean,
-    summarize_month,
 )
-from agribench.dataset import ClimateDaily
+from conftest import climate_series
 
 
 def make_month(year, month, tmin, tmax, ppt=0.0, n_days=None):
     days = []
     d = date(year, month, 1)
     while d.month == month:
-        days.append(ClimateDaily(unit_id="u1", day=d, tmin_c=tmin, tmax_c=tmax, ppt_mm=ppt))
+        days.append((d, tmin, tmax, ppt))
         d += timedelta(days=1)
-    return days if n_days is None else days[:n_days]
+    return climate_series(days if n_days is None else days[:n_days])
 
 
 def gdd_oracle(days, t_base, t_cap):
     """Independent literal double sum over days and hours."""
     total = 0.0
-    for rec in sorted(days, key=lambda r: r.day):
-        mid = (rec.tmax_c + rec.tmin_c) / 2.0
-        amp = (rec.tmax_c - rec.tmin_c) / 2.0
+    for _, tmin_c, tmax_c, _ in sorted(days):
+        mid = (tmax_c + tmin_c) / 2.0
+        amp = (tmax_c - tmin_c) / 2.0
         for h in range(1, 25):
             t_h = mid + amp * math.sin(math.pi * (h - 6) / 12.0)
             total += max(0.0, min(t_h - t_base, t_cap - t_base))
@@ -73,11 +72,11 @@ class TestHourlyTemp:
 
 class TestMonthlyGdd:
     def test_constant_20c_soybean_month(self):
-        days = make_month(2020, 6, 20.0, 20.0)[:30]
+        days = make_month(2020, 6, 20.0, 20.0, n_days=30)
         assert monthly_gdd(days, GDD_SOYBEAN) == 30 * 24 * 12.0  # exactly 8640
 
     def test_at_base_is_zero(self):
-        days = make_month(2020, 6, 8.0, 8.0)[:30]
+        days = make_month(2020, 6, 8.0, 8.0, n_days=30)
         assert monthly_gdd(days, GDD_SOYBEAN) == 0.0
 
     def test_cap_binds(self):
@@ -85,22 +84,12 @@ class TestMonthlyGdd:
         assert monthly_gdd(days, GDD_SOYBEAN) == 24 * 22.0  # exactly 528
 
     def test_gdd_per_day_flag(self):
-        days = make_month(2020, 6, 20.0, 20.0)[:30]
+        days = make_month(2020, 6, 20.0, 20.0, n_days=30)
         assert monthly_gdd(days, GDD_SOYBEAN, gdd_per_day=True) == pytest.approx(8640 / 24)
 
     def test_empty_month_rejected(self):
         with pytest.raises(NoClimateDataError, match="no climate data"):
-            monthly_gdd([], GDD_SOYBEAN)
-
-    def test_mixed_month_rejected(self):
-        days = make_month(2020, 6, 15, 25, n_days=2) + make_month(2020, 7, 15, 25, n_days=1)
-        with pytest.raises(ValueError, match="outside month"):
-            monthly_gdd(days, GDD_SOYBEAN)
-
-    def test_duplicate_day_rejected(self):
-        days = make_month(2020, 6, 15, 25, n_days=1) * 2
-        with pytest.raises(ValueError, match="duplicate"):
-            monthly_gdd(days, GDD_SOYBEAN)
+            monthly_gdd(climate_series([]), GDD_SOYBEAN)
 
     def test_matches_hourly_loop_oracle_exactly(self):
         rng = np.random.default_rng(41)
@@ -111,16 +100,11 @@ class TestMonthlyGdd:
             for k in range(n_days):
                 tmin = float(rng.uniform(-15, 28))
                 days.append(
-                    ClimateDaily(
-                        unit_id="u1",
-                        day=date(2021, month, 1) + timedelta(days=k),
-                        tmin_c=tmin,
-                        tmax_c=tmin + float(rng.uniform(0, 18)),
-                        ppt_mm=0.0,
-                    )
+                    (date(2021, month, 1) + timedelta(days=k), tmin,
+                     tmin + float(rng.uniform(0, 18)), 0.0)
                 )
             th = GDD_SOYBEAN if rng.random() < 0.5 else GDD_WINTER_WHEAT
-            assert monthly_gdd(days, th) == gdd_oracle(days, th.t_base, th.t_cap)
+            assert monthly_gdd(climate_series(days), th) == gdd_oracle(days, th.t_base, th.t_cap)
 
     @settings(max_examples=50)
     @given(
@@ -129,8 +113,8 @@ class TestMonthlyGdd:
         bump=st.floats(0, 5),
     )
     def test_monotone_in_daily_temps(self, tmin, spread, bump):
-        base = [ClimateDaily("u1", date(2020, 6, 1), tmin, tmin + spread, 0.0)]
-        warmer = [ClimateDaily("u1", date(2020, 6, 1), tmin + bump, tmin + spread + bump, 0.0)]
+        base = climate_series([(date(2020, 6, 1), tmin, tmin + spread, 0.0)])
+        warmer = climate_series([(date(2020, 6, 1), tmin + bump, tmin + spread + bump, 0.0)])
         assert monthly_gdd(warmer, GDD_SOYBEAN) >= monthly_gdd(base, GDD_SOYBEAN)
 
     @given(
@@ -139,10 +123,10 @@ class TestMonthlyGdd:
         n_days=st.integers(1, 28),
     )
     def test_upper_bound(self, tmin, spread, n_days):
-        days = [
-            ClimateDaily("u1", date(2020, 6, 1) + timedelta(days=k), tmin, tmin + spread, 0.0)
+        days = climate_series([
+            (date(2020, 6, 1) + timedelta(days=k), tmin, tmin + spread, 0.0)
             for k in range(n_days)
-        ]
+        ])
         span = GDD_SOYBEAN.t_cap - GDD_SOYBEAN.t_base
         assert monthly_gdd(days, GDD_SOYBEAN) <= n_days * 24 * span + 1e-9
 
@@ -169,28 +153,28 @@ class TestMonthlyPpt:
             n = int(rng.integers(1, 31))
             ppts = rng.uniform(0, 40, n)
             days = [
-                ClimateDaily("u1", date(2020, 6, 1) + timedelta(days=int(k)), 10, 20, float(p))
+                (date(2020, 6, 1) + timedelta(days=int(k)), 10, 20, float(p))
                 for k, p in enumerate(ppts)
             ]
             shuffled = list(days)
             rng.shuffle(shuffled)
-            assert monthly_ppt(days) == math.fsum(r.ppt_mm for r in shuffled)
+            assert monthly_ppt(climate_series(days)) == math.fsum(r[3] for r in shuffled)
 
     def test_empty_rejected(self):
         with pytest.raises(NoClimateDataError):
-            monthly_ppt([])
+            monthly_ppt(climate_series([]))
 
 
 class TestMonthlyTmean:
     def test_one_day(self):
-        days = [ClimateDaily("u1", date(2020, 6, 1), 10, 20, 0)]
+        days = climate_series([(date(2020, 6, 1), 10, 20, 0)])
         assert monthly_tmean(days) == 15.0
 
     def test_two_days(self):
-        days = [
-            ClimateDaily("u1", date(2020, 6, 1), 10, 20, 0),
-            ClimateDaily("u1", date(2020, 6, 2), 20, 30, 0),
-        ]
+        days = climate_series([
+            (date(2020, 6, 1), 10, 20, 0),
+            (date(2020, 6, 2), 20, 30, 0),
+        ])
         assert monthly_tmean(days) == 20.0
 
     def test_matches_independent_mean(self):
@@ -199,11 +183,11 @@ class TestMonthlyTmean:
         for k in range(25):
             tmin = float(rng.uniform(-5, 20))
             days.append(
-                ClimateDaily("u1", date(2020, 6, 1) + timedelta(days=k),
-                             tmin, tmin + float(rng.uniform(0, 12)), 0.0)
+                (date(2020, 6, 1) + timedelta(days=k),
+                 tmin, tmin + float(rng.uniform(0, 12)), 0.0)
             )
-        oracle = np.mean([(r.tmin_c + r.tmax_c) / 2 for r in days])
-        assert monthly_tmean(days) == pytest.approx(float(oracle), rel=1e-12)
+        oracle = np.mean([(r[1] + r[2]) / 2 for r in days])
+        assert monthly_tmean(climate_series(days)) == pytest.approx(float(oracle), rel=1e-12)
 
 
 class TestCoverageAndSummary:
@@ -217,11 +201,10 @@ class TestCoverageAndSummary:
 
     def test_summary_record(self):
         days = make_month(2020, 6, 20, 20, ppt=1.0)
-        rec = summarize_month("u1", days, 2020, 6, GDD_SOYBEAN)
-        assert rec.gdd == 30 * 24 * 12.0
-        assert rec.ppt == 30.0
-        assert rec.tmean == 20.0
-        assert rec.coverage == 1.0
+        assert monthly_gdd(days, GDD_SOYBEAN) == 30 * 24 * 12.0
+        assert monthly_ppt(days) == 30.0
+        assert monthly_tmean(days) == 20.0
+        assert month_coverage(days, 2020, 6) == 1.0
 
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,31 @@ def test_tmin_above_tmax_rejected(tmp_bundle):
         load_dataset(bundle)
 
 
+CLIMATE_DAY = ["c1", "2020-06-01", "10.0", "25.0", "1.5"]
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ([["ghost", "2020-06-01", "10.0", "25.0", "1.5"]], 2, "unknown unit_id 'ghost'"),
+    ([CLIMATE_DAY, ["c1", "2020-06-01", "11.0", "24.0", "0.0"]], 3, "duplicate climate day"),
+    ([CLIMATE_DAY, ["c1", "2020-06-02", "10.0", "25.0", "-0.5"]], 3, "negative precipitation"),
+    ([CLIMATE_DAY, ["c1", "2020-06-02", "10.0", "inf", "0.0"]], 3, "'tmax_c': non-finite"),
+], ids=["unknown_unit", "duplicate_day", "negative_ppt", "non_finite"])
+def test_bad_climate_row_names_file_and_line(tmp_bundle, rows, line, message):
+    bundle = tmp_bundle(units=[UNIT_ROW], climate=rows)
+    with pytest.raises(BundleValidationError, match=rf"climate\.csv line {line}: .*{message}"):
+        load_dataset(bundle)
+
+
+@pytest.mark.parametrize("table, rows", [
+    ("observations", [["c1", "NIR", "2020-06-01", "0.5"], ["ghost", "NIR", "2020-06-01", "0.5"]]),
+    ("embeddings", [EMB_PREFIX + ["0.01"] * 64, ["ghost", "2020"] + ["0.01"] * 64]),
+], ids=["observations", "embeddings"])
+def test_unknown_unit_rejected(tmp_bundle, table, rows):
+    bundle = tmp_bundle(units=[UNIT_ROW], **{table: rows})
+    with pytest.raises(BundleValidationError, match=rf"{table}\.csv line 3: unknown unit_id 'ghost'"):
+        load_dataset(bundle)
+
+
 def test_reflectance_range_enforced(tmp_bundle):
     bundle = tmp_bundle(
         units=[UNIT_ROW],

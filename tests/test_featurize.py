@@ -1,7 +1,13 @@
+import random
+import tempfile
+from dataclasses import replace
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from agribench.dataset import SpectralBand, load_dataset
 from agribench.featurize import (
@@ -17,6 +23,7 @@ from agribench.featurize import (
     feature_names,
 )
 from agribench.harmonics import time_fraction
+from agribench.synth import SynthSpec, generate
 from conftest import write_bundle
 
 B = SpectralBand
@@ -307,6 +314,23 @@ class TestAssembly:
         export_feature_table(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_undefined_index_has_its_own_cause(self, tmp_path):
+        # Zero Green scenes leave GCVI (NIR / Green) undefined for c2.
+        def green_zero(band, day):
+            return 0.0 if band == "Green" and (day.year, day.month) == (2020, 5) else 0.4
+
+        bundle = write_bundle(
+            tmp_path / "b",
+            units=[["c1", "county", "IL", "c1", "", "120.0"],
+                   ["c2", "county", "IA", "c2", "", "300.0"]],
+            observations=obs_rows(["c1"]) + obs_rows(["c2"], curve=green_zero),
+            labels=[["c1", "2020", "tillage_ratio", "0.4"],
+                    ["c2", "2020", "tillage_ratio", "0.6"]],
+        )
+        table = assemble_table(load_dataset(bundle), TaskConfig(task="tillage_ratio"))
+        assert table.unit_years == (("c1", 2020),)
+        assert table.exclusion_log == {"index_undefined": 1}
+
     def test_every_cell_finite(self, complete_dataset):
         for cfg in (
             TaskConfig(task="yield", crop="corn"),
@@ -349,3 +373,51 @@ class TestTaskConfig:
         assert names[10] == "Green_c"
         assert names[80] == "gdd_may"
         assert names[-1] == "ppt_sep"
+
+
+BUNDLE_FILES = ("units.csv", "observations.csv", "climate.csv", "embeddings.csv", "labels.csv")
+ROW_ORDER_CASES = {
+    "calendar": (SynthSpec(n_counties=3, fields_per_county=1, years=(2019, 2020),
+                           tasks=("yield", "tillage_ratio", "tillage_class"), dropout=0.2),
+                 [TaskConfig(task="yield", crop="corn"), TaskConfig(task="tillage_ratio"),
+                  TaskConfig(task="tillage_class")]),
+    "covercrop": (SynthSpec(n_counties=2, fields_per_county=2, years=(2019, 2020),
+                            tasks=("covercrop_class",), dropout=0.2),
+                  [TaskConfig(task="covercrop_class")]),
+}
+
+
+def _all_tables(bundle, configs):
+    dataset = load_dataset(bundle)
+    tables = []
+    for cfg in configs:
+        for feature_set in ("RS", "AEF"):
+            table = assemble_table(dataset, replace(cfg, feature_set=feature_set))
+            tables.append((table.feature_names, table.unit_years, table.values.tobytes(),
+                           table.labels.tobytes(), table.exclusion_log))
+    return tables
+
+
+@pytest.fixture(scope="module")
+def row_order_bundles(tmp_path_factory):
+    root = tmp_path_factory.mktemp("row_order")
+    cases = {}
+    for name, (spec, configs) in ROW_ORDER_CASES.items():
+        generate(spec, seed=29, out_dir=root / name)
+        cases[name] = (root / name, configs, _all_tables(root / name, configs))
+    return cases
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tables_independent_of_bundle_row_order(row_order_bundles, seed):
+    rng = random.Random(seed)
+    for bundle, configs, expected in row_order_bundles.values():
+        with tempfile.TemporaryDirectory() as tmp:
+            for filename in BUNDLE_FILES:
+                header, *rows = (bundle / filename).read_text(encoding="utf-8").splitlines()
+                rng.shuffle(rows)
+                (Path(tmp) / filename).write_text("\n".join([header] + rows) + "\n",
+                                                  encoding="utf-8")
+            assert _all_tables(Path(tmp), configs) == expected
