@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .climate import GddThresholds
 from .dataset import load_dataset
-from .evaluate import run_benchmark
+from .evaluate import REPORT_COLUMNS, run_benchmark
 from .featurize import TaskConfig, assemble_table, export_feature_table
 from .models import ModelSpec, save_model, top_features, train
 from .synth import SynthSpec, generate
@@ -331,10 +331,18 @@ def _cmd_report(cfg: RunConfig, paths: list[str]) -> int:
         if not path.exists():
             raise ConfigError(f"report file does not exist: {path}")
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = []
+            for row in reader:
+                if None in row.values():
+                    raise ValueError(f"{path} line {reader.line_num}: too few cells")
+                rows.append(row)
         if not rows:
             print(f"{path}: empty report")
             continue
+        missing = [column for column in REPORT_COLUMNS if column not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{path}: missing column {', '.join(missing)}")
         ctx = rows[0]
         print(f"== {ctx['task']} ({ctx['crop']}) {ctx['feature_set']} "
               f"{ctx['model']} {ctx['scheme']} [{path}]")
@@ -385,7 +393,7 @@ def execute(command: str, config_path: str | None, overrides: list[str],
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
         return COMMANDS[command](cfg)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {stage}: {exc}", file=sys.stderr)
         return 1
 

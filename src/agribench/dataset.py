@@ -442,22 +442,29 @@ def _load_labels(path: Path, units: dict[str, UnitMeta]) -> list[LabelRecord]:
     header = ("unit_id", "year", "task", "value")
     name = path.name
     labels: list[LabelRecord] = []
+    seen: set[tuple[str, int, str]] = set()
     for line, row in _read_rows(path, header):
         unit_id, year_text, task, value_text = row
         _check_unit(units, unit_id, name, line)
         try:
-            labels.append(
-                LabelRecord(
-                    unit_id=unit_id,
-                    year=_parse_int(year_text, name, line, "year"),
-                    task=task,
-                    value=_parse_float(value_text, name, line, "value"),
-                )
+            record = LabelRecord(
+                unit_id=unit_id,
+                year=_parse_int(year_text, name, line, "year"),
+                task=task,
+                value=_parse_float(value_text, name, line, "value"),
             )
         except ValueError as exc:
             if isinstance(exc, BundleValidationError):
                 raise
             raise BundleValidationError(name, line, str(exc)) from None
+        key = (record.unit_id, record.year, record.task)
+        if key in seen:
+            raise BundleValidationError(
+                name, line,
+                f"duplicate label for unit {unit_id!r}, year {record.year}, task {task!r}",
+            )
+        seen.add(key)
+        labels.append(record)
     return labels
 
 

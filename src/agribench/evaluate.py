@@ -27,6 +27,8 @@ from .models import ModelSpec, predict, train
 from .seeding import derive_seed
 
 SCHEMES = ("group_cv", "yearly_cv", "scale_transfer", "space_transfer")
+REPORT_COLUMNS = ("task", "crop", "feature_set", "model", "scheme",
+                  "fold", "seed", "metric", "value")
 DIRECTIONS = ("East->West", "West->East")
 
 REGRESSION_TASKS = ("yield", "tillage_ratio")
@@ -219,7 +221,7 @@ class MetricReport:
         return self.value(AGGREGATE, AGGREGATE, metric)
 
     def to_csv(self, path) -> None:
-        header = "task,crop,feature_set,model,scheme,fold,seed,metric,value"
+        header = ",".join(REPORT_COLUMNS)
         prefix = ",".join(
             str(self.context.get(key, "")) or "-"
             for key in ("task", "crop", "feature_set", "model", "scheme")

@@ -12,8 +12,10 @@ the fit window. Time arguments may be ``datetime.date`` or
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from functools import cached_property
 
 import numpy as np
 
@@ -48,13 +50,14 @@ class SeasonWindow:
         if (self.end - self.start).days > 400:
             raise ValueError("window longer than 400 days")
 
-    def contains(self, day: date) -> bool:
-        return self.start <= day <= self.end
+    def day_times(self, origin: date) -> np.ndarray:
+        """Each day of the window, endpoints inclusive, in years since ``origin``.
 
-    def grid_dates(self) -> list[date]:
-        """Daily grid spanning the window, endpoints inclusive."""
-        n = (self.end - self.start).days
-        return [self.start + timedelta(days=k) for k in range(n + 1)]
+        Element ``k`` is ``start + k`` days, with the same value
+        ``time_fraction(origin, start + timedelta(days=k))`` gives.
+        """
+        first = (self.start - origin).days
+        return np.arange(first, first + (self.end - self.start).days + 1) / DAYS_PER_YEAR
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,17 @@ class HarmonicFit:
     @property
     def coefficients(self) -> tuple[float, float, float, float, float]:
         return (self.c, self.a1, self.b1, self.a2, self.b2)
+
+    @cached_property
+    def window_curve(self) -> np.ndarray:
+        """The fitted curve on the window's daily grid (``window.day_times``).
+
+        Element ``k`` is the value on ``window.start + k`` days. Computed once
+        per fit; phenology and every monthly extremum read slices of it.
+        """
+        values = curve_values(self, self.window.day_times(self.t_origin))
+        values.flags.writeable = False
+        return values
 
 
 @dataclass(frozen=True)
@@ -138,22 +152,21 @@ def fit_harmonic(series: ObservationSeries, window: SeasonWindow) -> HarmonicFit
         The design matrix is rank deficient (e.g. all samples on one date).
     """
     origin = date(window.start.year, 1, 1)
-    in_window = [
-        (d, v) for d, v in zip(series.dates, series.values) if window.contains(d)
-    ]
-    if len(in_window) < MIN_FIT_SAMPLES:
+    lo = bisect_left(series.dates, window.start)
+    hi = bisect_right(series.dates, window.end)
+    n_obs = hi - lo
+    if n_obs < MIN_FIT_SAMPLES:
         raise InsufficientObservationsError(
-            f"insufficient observations: {len(in_window)} in window "
+            f"insufficient observations: {n_obs} in window "
             f"{window.start}..{window.end} for band {series.band.value} "
             f"(need {MIN_FIT_SAMPLES})"
         )
-    t = np.array([time_fraction(origin, d) for d, _ in in_window])
-    y = np.array([v for _, v in in_window])
-    solution = _solve_ols(t, y, f"band {series.band.value}")
+    t = np.array([(d - origin).days for d in series.dates[lo:hi]]) / DAYS_PER_YEAR
+    solution = _solve_ols(t, series.values[lo:hi], f"band {series.band.value}")
     c, a1, b1, a2, b2 = (float(v) for v in solution)
     return HarmonicFit(
         c=c, a1=a1, b1=b1, a2=a2, b2=b2,
-        band=series.band, window=window, n_obs=len(in_window), t_origin=origin,
+        band=series.band, window=window, n_obs=n_obs, t_origin=origin,
     )
 
 
@@ -204,16 +217,14 @@ def harmonic_integral(
 def phenology_metrics(fit: HarmonicFit) -> PhenologyMetrics:
     """Peak and around-peak summary of the fitted curve.
 
-    The peak is located by evaluating the curve on the window's daily grid
-    (earliest date wins ties). Values 30 days before/after the peak and the
-    partial integrals over those 30-day spans are evaluated on the global
-    curve without clipping to the window.
+    The peak is the maximum of ``fit.window_curve``, the curve evaluated
+    once on the window's daily grid (earliest date wins ties). Values 30
+    days before/after the peak and the partial integrals over those 30-day
+    spans are evaluated on the global curve without clipping to the window.
     """
-    grid = fit.window.grid_dates()
-    t = np.array([time_fraction(fit.t_origin, d) for d in grid])
-    values = curve_values(fit, t)
+    values = fit.window_curve
     idx = int(np.argmax(values))  # first occurrence = earliest date
-    peak_date = grid[idx]
+    peak_date = fit.window.start + timedelta(days=idx)
     peak_value = float(values[idx])
     before = peak_date - timedelta(days=30)
     after = peak_date + timedelta(days=30)
@@ -227,15 +238,6 @@ def phenology_metrics(fit: HarmonicFit) -> PhenologyMetrics:
     )
 
 
-def _month_days(year: int, month: int) -> list[date]:
-    days = []
-    d = date(year, month, 1)
-    while d.month == month:
-        days.append(d)
-        d += timedelta(days=1)
-    return days
-
-
 def monthly_extrema(
     source: ObservationSeries | HarmonicFit, year: int, month: int
 ) -> tuple[float, float]:
@@ -243,30 +245,32 @@ def monthly_extrema(
 
     With an ``ObservationSeries`` the extrema are taken over the observed
     samples dated in the month; with a ``HarmonicFit`` they are taken over
-    the fitted curve on a daily grid restricted to the month's overlap with
-    the fit window.
+    the slice of ``fit.window_curve`` (the curve on the window's daily grid,
+    computed once per fit) that covers the month's overlap with the window.
     """
+    first = date(year, month, 1)
+    following = date(year + month // 12, month % 12 + 1, 1)  # first of next month
     if isinstance(source, ObservationSeries):
-        in_month = [
-            v for d, v in zip(source.dates, source.values)
-            if d.year == year and d.month == month
-        ]
-        if not in_month:
+        lo = bisect_left(source.dates, first)
+        hi = bisect_left(source.dates, following)
+        if lo == hi:
             raise MissingMonthError(
                 f"missing month: no observations in {year}-{month:02d} "
                 f"for band {source.band.value}"
             )
-        return (float(min(in_month)), float(max(in_month)))
+        in_month = source.values[lo:hi].tolist()
+        return (min(in_month), max(in_month))
 
     if isinstance(source, HarmonicFit):
-        days = [d for d in _month_days(year, month) if source.window.contains(d)]
-        if not days:
+        window, curve = source.window, source.window_curve
+        lo = max((first - window.start).days, 0)
+        hi = min((following - window.start).days, len(curve))
+        if lo >= hi:
             raise MissingMonthError(
                 f"missing month: {year}-{month:02d} does not overlap fit window "
-                f"{source.window.start}..{source.window.end}"
+                f"{window.start}..{window.end}"
             )
-        t = np.array([time_fraction(source.t_origin, d) for d in days])
-        values = curve_values(source, t)
-        return (float(values.min()), float(values.max()))
+        in_month = curve[lo:hi]
+        return (float(in_month.min()), float(in_month.max()))
 
     raise TypeError(f"source must be ObservationSeries or HarmonicFit, got {type(source).__name__}")

@@ -24,6 +24,16 @@ class IndexDomainError(ValueError):
     """Raised when an index denominator is zero for the given inputs."""
 
 
+def _ratio_terms(
+    kind: SpectralBand, columns: dict[SpectralBand, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(numerator, denominator) of ``kind`` over aligned raw-band columns."""
+    x, y = (np.asarray(columns[band], dtype=float) for band in REQUIRED_BANDS[kind])
+    if kind in (SpectralBand.GCVI, SpectralBand.STI):
+        return x, y
+    return x - y, x + y
+
+
 def index_values(
     kind: SpectralBand,
     columns: dict[SpectralBand, np.ndarray],
@@ -37,11 +47,7 @@ def index_values(
     ratio. Raises ``IndexDomainError`` naming the index if any denominator
     is zero.
     """
-    x, y = (np.asarray(columns[band], dtype=float) for band in REQUIRED_BANDS[kind])
-    if kind in (SpectralBand.GCVI, SpectralBand.STI):
-        numerator, denominator = x, y
-    else:
-        numerator, denominator = x - y, x + y
+    numerator, denominator = _ratio_terms(kind, columns)
     zero = np.flatnonzero(denominator == 0.0)
     if zero.size:
         i = zero[0]
@@ -77,7 +83,9 @@ def derive_index_series(
     """Build an index time series from raw-band series of one unit.
 
     Output has one sample per date present in every required raw-band
-    series; dates missing from any input are dropped.
+    series; dates missing from any input are dropped, and so are scenes
+    where the index denominator is zero. Raises ``IndexDomainError`` when
+    co-temporal scenes exist but every one of them has a zero denominator.
     """
     required = REQUIRED_BANDS[kind]
     for band in required:
@@ -102,6 +110,15 @@ def derive_index_series(
         ]
         for band in required
     }
+    dates = sorted(common)
+    defined = _ratio_terms(kind, columns)[1] != 0.0
+    if not defined.all():
+        if not defined.any():
+            raise IndexDomainError(
+                f"{kind.value}: zero denominator in all {len(dates)} co-temporal scenes"
+            )
+        columns = {band: column[defined] for band, column in columns.items()}
+        dates = [d for d, ok in zip(dates, defined) if ok]
     values = index_values(kind, columns, gcvi_minus_one=gcvi_minus_one)
-    return ObservationSeries(unit_id=unit_id, band=kind, dates=tuple(sorted(common)),
+    return ObservationSeries(unit_id=unit_id, band=kind, dates=tuple(dates),
                              values=values)

@@ -265,6 +265,14 @@ def _as_matrix(X) -> tuple[np.ndarray, tuple[str, ...] | None]:
     return arr, None
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` and the first non-finite entry."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        where = ", ".join(f"{axis} {int(i)}" for axis, i in zip(("row", "column"), bad[0]))
+        raise ValueError(f"non-finite {what} at {where}")
+
+
 def _train_rf(spec: ModelSpec, X: np.ndarray, y: np.ndarray, threads: int):
     n = X.shape[0]
     classification = spec.task == "classification"
@@ -335,6 +343,8 @@ def train(spec: ModelSpec, X, y, threads: int = 1) -> TrainedModel:
         )
     if matrix.shape[0] < 2:
         raise ValueError("training requires at least 2 rows")
+    _require_finite(matrix, "features")
+    _require_finite(y, "labels")
     if spec.task == "classification" and not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("classification labels must be 0 or 1")
 
@@ -378,6 +388,7 @@ def predict_scores(model: TrainedModel, X) -> np.ndarray:
     """Raw ensemble output: tree mean (RF) or boosted additive score (GBT)."""
     matrix, names = _as_matrix(X)
     _check_schema(model, names, matrix.shape[1])
+    _require_finite(matrix, "features")
     if model.spec.kind == "RF":
         outputs = np.stack([tree.apply(matrix) for tree in model.trees])
         if model.spec.task == "classification":

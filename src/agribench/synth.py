@@ -222,8 +222,7 @@ def _true_feature(name: str, curves: dict[SpectralBand, Curve], window,
         if not band.is_raw:
             raise ValueError(f"{name!r}: _c features exist for raw bands only")
         return curves[band].c
-    grid = window.grid_dates()
-    t = np.array([time_fraction(origin, d) for d in grid])
+    t = window.day_times(origin)
     if band.is_raw:
         return float(curves[band].at(t).max())
     columns = {raw: curves[raw].at(t) for raw in REQUIRED_BANDS[band]}

@@ -145,6 +145,25 @@ def test_report_command_summarizes(bundle, tmp_path, capsys):
     assert execute("report", None, [], report_paths=["/nope.csv"]) == 1
 
 
+def test_malformed_report_is_an_error_not_a_traceback(tmp_path, capsys):
+    no_metric = tmp_path / "no_metric.csv"
+    no_metric.write_text("task,crop,fold,value\nyield,corn,2019,0.5\n")
+    assert main(["report", str(no_metric)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report: {no_metric}: missing column "
+                          "feature_set, model, scheme, seed, metric")
+
+    short = tmp_path / "short.csv"
+    short.write_text("task,crop,feature_set,model,scheme,fold,seed,metric,value\n"
+                     "yield,corn,RS,RF,yearly_cv,2019,mean,R2,0.5\n"
+                     "yield,corn,RS,RF\n")
+    assert main(["report", str(short)]) == 1
+    assert capsys.readouterr().err == f"error: report: {short} line 3: too few cells\n"
+
+    assert main(["report", str(tmp_path)]) == 1  # a directory, not a file
+    assert capsys.readouterr().err.startswith("error: report: ")
+
+
 def test_report_shows_tillage_rmse_as_percent(bundle, tmp_path, capsys):
     out = tmp_path / "bm_till"
     execute("benchmark", None, [

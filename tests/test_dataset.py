@@ -116,6 +116,18 @@ def test_label_for_unknown_unit_rejected(tmp_bundle):
         load_dataset(bundle)
 
 
+def test_duplicate_label_rejected(tmp_bundle):
+    bundle = tmp_bundle(units=[UNIT_ROW], labels=[
+        ["c1", "2020", "yield", "9.0"],
+        ["c1", "2020", "tillage_ratio", "0.5"],
+        ["c1", "2020", "yield", "7.0"],
+    ])
+    with pytest.raises(BundleValidationError,
+                       match=r"labels\.csv line 4: duplicate label for unit 'c1', "
+                             r"year 2020, task 'yield'"):
+        load_dataset(bundle)
+
+
 def test_explicit_ecoregion_override_kept(tmp_bundle):
     bundle = tmp_bundle(units=[["c1", "county", "IL", "c1", "West", "88.0"]])
     assert load_dataset(bundle).units["c1"].ecoregion == "West"

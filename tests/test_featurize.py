@@ -1,3 +1,4 @@
+import math
 import random
 import tempfile
 from dataclasses import replace
@@ -315,9 +316,9 @@ class TestAssembly:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_undefined_index_has_its_own_cause(self, tmp_path):
-        # Zero Green scenes leave GCVI (NIR / Green) undefined for c2.
+        # Green is zero in every scene, so GCVI (NIR / Green) is undefined for c2.
         def green_zero(band, day):
-            return 0.0 if band == "Green" and (day.year, day.month) == (2020, 5) else 0.4
+            return 0.0 if band == "Green" else 0.4
 
         bundle = write_bundle(
             tmp_path / "b",
@@ -330,6 +331,22 @@ class TestAssembly:
         table = assemble_table(load_dataset(bundle), TaskConfig(task="tillage_ratio"))
         assert table.unit_years == (("c1", 2020),)
         assert table.exclusion_log == {"index_undefined": 1}
+
+    def test_zero_denominator_scene_blanks_only_its_month(self, tmp_path):
+        def green_zero_in_may(band, day):
+            return 0.0 if band == "Green" and (day.year, day.month) == (2020, 5) else 0.4
+
+        bundle = write_bundle(
+            tmp_path / "b",
+            units=[["c1", "county", "IL", "c1", "", "120.0"]],
+            observations=obs_rows(["c1"], curve=green_zero_in_may),
+            labels=[["c1", "2020", "tillage_ratio", "0.4"]],
+        )
+        values, causes = build_tillage_features(
+            load_dataset(bundle), "c1", 2020, TaskConfig(task="tillage_ratio"))
+        assert values["GCVI_apr_min"] == values["GCVI_jun_max"] == 1.0
+        assert math.isnan(values["GCVI_may_min"]) and math.isnan(values["GCVI_may_max"])
+        assert causes == {"missing_month"}
 
     def test_every_cell_finite(self, complete_dataset):
         for cfg in (

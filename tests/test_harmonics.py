@@ -33,6 +33,40 @@ def spread_dates(window, n):
     return [window.start + timedelta(days=round(i * span / (n - 1))) for i in range(n)]
 
 
+# Windows of each season shape the featurizer uses: in-year (corn), crossing
+# a year boundary through a leap February (cover crop), and starting and
+# ending mid-month (winter wheat, partial first and last months).
+GRID_WINDOWS = (
+    WINDOW,
+    SeasonWindow(start=date(2019, 10, 1), end=date(2020, 5, 31)),
+    SeasonWindow(start=date(2018, 9, 14), end=date(2019, 7, 15)),
+)
+
+
+def daily_scan(fit, first, last):
+    """Reference: (day, eval_harmonic) for every day in [first, last], one at a time."""
+    days = [first + timedelta(days=k) for k in range((last - first).days + 1)]
+    return days, [eval_harmonic(fit, d) for d in days]
+
+
+def window_months(window):
+    """(year, month, first, last) of each month the window touches, clipped to it."""
+    first = window.start
+    while first <= window.end:
+        following = (first.replace(day=1) + timedelta(days=32)).replace(day=1)
+        yield first.year, first.month, first, min(following - timedelta(days=1), window.end)
+        first = following
+
+
+def random_fits(seed, n):
+    rng = np.random.default_rng(seed)
+    for window in GRID_WINDOWS:
+        origin = date(window.start.year, 1, 1)
+        for _ in range(n):
+            yield HarmonicFit(*rng.normal(0, 0.5, 5), band=B.NDVI, window=window,
+                              n_obs=6, t_origin=origin)
+
+
 def model_values(t, coefs):
     c, a1, b1, a2, b2 = coefs
     w = 2 * np.pi * np.asarray(t)
@@ -250,8 +284,16 @@ class TestPhenology:
         fit = HarmonicFit(0.3, 0.2, 0.4, -0.1, 0.05, band=B.NDVI, window=WINDOW,
                           n_obs=6, t_origin=date(2020, 1, 1))
         m = phenology_metrics(fit)
-        grid_values = [eval_harmonic(fit, d) for d in WINDOW.grid_dates()]
+        _, grid_values = daily_scan(fit, WINDOW.start, WINDOW.end)
         assert m.peak_value == max(grid_values)
+
+    def test_peak_matches_daily_scan_exactly(self):
+        for fit in random_fits(31, 40):
+            m = phenology_metrics(fit)
+            days, values = daily_scan(fit, fit.window.start, fit.window.end)
+            best = max(values)
+            assert m.peak_value == best
+            assert m.peak_date == days[values.index(best)]  # earliest tie
 
     def test_interior_peak_dominates_neighbors(self):
         rng = np.random.default_rng(23)
@@ -304,16 +346,15 @@ class TestMonthlyExtrema:
             monthly_extrema(fit, 2020, 1)
 
     def test_fitted_random_matches_daily_scan(self):
-        rng = np.random.default_rng(29)
-        for _ in range(10):
-            coefs = rng.normal(0, 0.5, 5)
-            fit = HarmonicFit(*coefs, band=B.NDVI, window=WINDOW,
-                              n_obs=6, t_origin=date(2020, 1, 1))
-            lo, hi = monthly_extrema(fit, 2020, 6)
-            days = [date(2020, 6, 1) + timedelta(days=k) for k in range(30)]
-            values = [eval_harmonic(fit, d) for d in days]
-            assert lo == pytest.approx(min(values), rel=1e-12)
-            assert hi == pytest.approx(max(values), rel=1e-12)
+        checked = partial = 0
+        for fit in random_fits(29, 10):
+            for year, month, first, last in window_months(fit.window):
+                _, values = daily_scan(fit, first, last)
+                assert monthly_extrema(fit, year, month) == (min(values), max(values))
+                checked += 1
+                partial += (last - first).days + 1 < 28
+        assert checked == 10 * (7 + 8 + 11)
+        assert partial == 10 * 2  # wheat's mid-month start and end
 
 
 class TestSeasonWindow:
@@ -327,4 +368,7 @@ class TestSeasonWindow:
 
     def test_grid_is_inclusive_daily(self):
         w = SeasonWindow(start=date(2020, 1, 1), end=date(2020, 1, 5))
-        assert w.grid_dates() == [date(2020, 1, 1) + timedelta(days=k) for k in range(5)]
+        origin = date(2019, 1, 1)
+        expected = [time_fraction(origin, date(2020, 1, 1) + timedelta(days=k))
+                    for k in range(5)]
+        assert w.day_times(origin).tolist() == expected

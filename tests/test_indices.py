@@ -101,6 +101,19 @@ def test_identical_series_gives_zero_ndvi():
     assert np.all(out.values == 0.0)
 
 
+def test_zero_denominator_drops_only_that_scene():
+    start = date(2020, 5, 1)
+    nir = make_series(B.NIR, start, [0.6, 0.6, 0.6], step_days=10)
+    green = make_series(B.GREEN, start, [0.2, 0.0, 0.3], step_days=10)
+    out = derive_index_series({B.NIR: nir, B.GREEN: green}, B.GCVI)
+    assert out.dates == (nir.dates[0], nir.dates[2])
+    assert out.values.tolist() == [0.6 / 0.2, 0.6 / 0.3]
+
+    all_zero = make_series(B.GREEN, start, [0.0, 0.0, 0.0], step_days=10)
+    with pytest.raises(IndexDomainError, match="GCVI: zero denominator in all 3"):
+        derive_index_series({B.NIR: nir, B.GREEN: all_zero}, B.GCVI)
+
+
 def test_empty_intersection_errors():
     nir = make_series(B.NIR, date(2020, 5, 1), [0.5, 0.6])
     red = make_series(B.RED, date(2020, 7, 1), [0.1, 0.2])

@@ -89,6 +89,28 @@ class TestTrainBasics:
             train(ModelSpec(kind="RF", task="classification"),
                   np.ones((4, 2)), np.array([0.0, 1.0, 2.0, 0.0]))
 
+    @pytest.mark.parametrize("kind", ["RF", "GBT"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, kind, bad):
+        local = np.random.default_rng(5)
+        X = local.normal(size=(20, 3))
+        y = local.normal(size=20)
+        spec = ModelSpec(kind=kind, task="regression", n_trees=3, seed=1)
+        bad_y = y.copy()
+        bad_y[7] = bad
+        # GBT used to fit this and predict NaN for every row.
+        with pytest.raises(ValueError, match="non-finite labels at row 7"):
+            train(spec, X, bad_y)
+        bad_X = X.copy()
+        bad_X[4, 2] = bad
+        with pytest.raises(ValueError, match="non-finite features at row 4, column 2"):
+            train(spec, bad_X, y)
+        model = train(spec, X, y)
+        with pytest.raises(ValueError, match="non-finite features at row 4, column 2"):
+            predict(model, bad_X)
+        with pytest.raises(ValueError, match="non-finite features at row 4, column 2"):
+            predict_scores(model, bad_X)
+
     def test_deterministic_per_seed(self):
         X = rng.normal(size=(120, 6))
         y = rng.normal(size=120)
