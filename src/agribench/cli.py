@@ -19,7 +19,6 @@ execution-only keys (``threads``, ``out_dir``) never change artifact bytes.
 import argparse
 import csv
 import hashlib
-import os
 import sys
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .synth import SynthSpec, generate
 KNOWN_KEYS = {
     "bundle": "path to a dataset bundle directory",
     "out_dir": "output directory",
-    "threads": "parallelism degree (results are independent of it)",
+    "threads": "worker threads for random forests, default 1 (results are independent of it)",
     "base_seed": "single source of all randomness",
     "n_repeats": "benchmark repetitions under derived seeds",
     "scheme": "group_cv | yearly_cv | scale_transfer | space_transfer",
@@ -147,7 +146,9 @@ class RunConfig:
 
     @property
     def threads(self) -> int:
-        return self.get_int("threads", os.cpu_count() or 1)
+        # One thread by default: a second worker thread made random-forest
+        # fits slower, not faster (gradient boosting never uses threads).
+        return self.get_int("threads", 1)
 
     @property
     def base_seed(self) -> int:

@@ -1,18 +1,29 @@
 """Tree-ensemble learners: random forest and gradient-boosted trees.
 
-Both ensembles are built on the same greedy CART grower. Splits minimize
-variance (regression) or Gini impurity (classification); candidate
+Both ensembles grow exact greedy CART trees level by level over columns
+presorted once per fit, the exact greedy algorithm over presorted column
+blocks (Chen & Guestrin, XGBoost, KDD 2016, sections 3.1 and 4.1). Splits
+minimize variance (regression) or Gini impurity (classification); candidate
 thresholds are midpoints between consecutive distinct sorted values, and
 ties break to the lowest feature index, then the lowest threshold, which
-makes training fully deterministic for a fixed seed.
+makes training fully deterministic for a fixed seed. One level's nodes are
+searched together: one gather of their sorted rows, one cumulative sum down
+each node's slots and one feature-major argmin per node. The trees come out
+numbered, and their importances summed, as a depth-first grower that pops
+the left child first would build them.
+
+With ``max_features="sqrt"`` (the random-forest classification default) a
+tree draws, at each level and from its own generator, one key per (node,
+feature) for its nodes in creation order; a node searches the features of
+its smallest keys.
 
 Random forest trees are trained on bootstrap resamples whose randomness
-derives only from (seed, tree index), so tree construction can run in
-parallel with results independent of scheduling. Gradient boosting fits
-each tree to the negative gradient of squared loss (regression) or logistic
-loss (classification) and adds it with shrinkage; with mean-of-gradient
-leaf values the training loss is non-increasing for any learning rate in
-(0, 1].
+derives only from (seed, tree index). They grow in small batches; with
+``threads > 1`` batches run on worker threads, and the results do not depend
+on scheduling. Gradient boosting fits each tree to the negative gradient of
+squared loss (regression) or logistic loss (classification) and adds it with
+shrinkage; with mean-of-gradient leaf values the training loss is
+non-increasing for any learning rate in (0, 1].
 
 Feature importance is mean decrease in impurity: per-feature impurity
 decreases weighted by node size, summed within each tree, averaged across
@@ -111,149 +122,399 @@ class TrainedModel:
         self.n_features = len(self.feature_names)
 
 
-def _best_split(sub: np.ndarray, ys: np.ndarray, min_leaf: int, classification: bool):
-    """Vectorized search over all candidate columns and thresholds of a node.
+# Trees grown together hold at most this many (row, column) cells in their
+# root blocks, which bounds the grower's working memory.
+_BATCH_CELLS = 1 << 15
 
-    Returns (column, threshold, left_mask, impurity_decrease) or None when no
-    valid split exists. Columns must correspond to features sorted ascending
-    so that cost ties resolve to the lowest feature index, then the lowest
-    threshold. The impurity decrease is the node Gini/variance minus the
-    size-weighted child impurity, computed from the same split statistics.
+
+class _Presorted:
+    """A fit's training columns, stable-sorted once and shared by every tree.
+
+    ``columns_sorted[f]`` lists the row indices in ascending order of column
+    ``f``; rows with equal values keep ascending row order, and ``rank[f]``
+    is the inverse (each row's position), with a padding row ``n_rows`` that
+    comes last. ``x_flat`` is the matrix in column-major order.
     """
-    m = sub.shape[0]
-    # Default introsort: deterministic for identical input, and within-tie
-    # permutations never affect the chosen split (tie positions are invalid).
-    order = np.argsort(sub, axis=0)
-    x_sorted = np.take_along_axis(sub, order, axis=0)
-    y_sorted = ys[order]
 
-    left_cnt = np.arange(1, m, dtype=float)[:, None]
-    right_cnt = m - left_cnt
-    left_sum = np.cumsum(y_sorted, axis=0)[:-1]
-    total = float(ys.sum())
-    right_sum = total - left_sum
+    def __init__(self, X: np.ndarray):
+        self.n_rows, self.n_features = X.shape
+        n, columns = self.n_rows, np.arange(self.n_features)
+        self.columns_sorted = np.argsort(X, axis=0, kind="stable").T.copy()
+        self.rank = np.full((self.n_features, n + 1), n)
+        self.rank[columns[:, None], self.columns_sorted] = np.arange(n)
+        self.x_flat = X.T.ravel()
+        self.row_ids = np.arange(n)
+        self.all_columns = columns
+        # No column repeats a value: rows drawn once never tie.
+        x_sorted = self.x_flat.take(self.columns_sorted + (columns * n)[:, None])
+        self.distinct = not (x_sorted[:, 1:] == x_sorted[:, :-1]).any()
 
+    def root_block(self, counts: np.ndarray | None) -> np.ndarray:
+        """Each column's sorted rows, a row repeated as often as it is drawn."""
+        if counts is None:
+            return self.columns_sorted.ravel()
+        return self.columns_sorted.ravel().repeat(counts[self.columns_sorted].ravel())
+
+    def sort_rows(self, local_rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Sort each column of ``local_rows[slot, node]`` by ``columns[node]``.
+
+        Returns ``(slot, node, column)`` rows. Padding rows (``n_rows``)
+        sort last and come back as the column's last row.
+        """
+        at = columns * (self.n_rows + 1)
+        keys = self.rank.take(local_rows[:, :, None] + at)
+        keys.sort(axis=0)
+        keys = np.minimum(keys, self.n_rows - 1)
+        return self.columns_sorted.take(keys + columns * self.n_rows)
+
+
+def _slot_cumsum(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Cumulative sums down axis 0 of a ``(slot, node, column)`` array, in place.
+
+    Each sum is accumulated slot after slot, as ``np.cumsum`` does. Nodes
+    come in decreasing ``sizes``, and only the slots before a node's last
+    are summed. With many nodes and columns one vectorized add per slot is
+    faster than ``np.cumsum``, which runs down one column at a time.
+    """
+    width, n_nodes, n_columns = values.shape
+    if n_nodes * n_columns < 512:
+        return np.cumsum(values, axis=0, out=values)
+    live = np.searchsorted(-sizes, -np.arange(2, width), side="left")
+    for k, count in enumerate(live.tolist(), start=1):
+        np.add(values[k - 1, :count], values[k, :count], out=values[k, :count])
+    return values
+
+
+def _best_splits(ys, sizes, totals, ties, min_leaf, classification):
+    """Best split of each node from its rows sorted by each searched column.
+
+    ``ys[slot, node, c]`` holds the label of the node's row at that slot in
+    the order of its ``c``-th searched column, and ``ties`` (or ``None``
+    when no two rows tie) marks the slots whose value equals the next
+    slot's. Nodes come in decreasing ``sizes``; slots past a node's size
+    are padding, never valid. Returns per node the best cost (``inf`` or
+    ``-inf`` when no split is valid), ``c`` and the slot before the split.
+    Regression maximizes the bracket ``ls^2/lc + rs^2/rc``: children SSE =
+    sum(y^2) - bracket, so the bracket is the negated cost. ``ys`` is
+    overwritten.
+    """
+    width, n_nodes, n_columns = ys.shape
+    left_cnt = np.arange(1.0, width + 1.0)[:, None, None]
+    right_cnt = sizes[:, None] - left_cnt
+    cost = _slot_cumsum(ys, sizes)  # the left sums, then the cost in place
+    right_sum = totals[:, None] - cost
     if classification:
         # Sum of per-side pos*(cnt-pos)/cnt; weighted child Gini is 2*cost/m.
-        cost = (
-            left_sum * (left_cnt - left_sum) / left_cnt
-            + right_sum * (right_cnt - right_sum) / right_cnt
-        )
+        part = right_cnt - right_sum
+        right_sum *= part
+        right_sum /= right_cnt
+        np.subtract(left_cnt, cost, out=part)
+        cost *= part
+        del part
+        cost /= left_cnt
+        cost += right_sum
     else:
-        # Children SSE = sum(y^2) - (ls^2/lc + rs^2/rc): minimizing the
-        # negated bracket minimizes the total weighted variance.
-        cost = -(left_sum * left_sum / left_cnt + right_sum * right_sum / right_cnt)
-
-    valid = x_sorted[:-1] < x_sorted[1:]
+        cost *= cost
+        cost /= left_cnt
+        right_sum *= right_sum
+        right_sum /= right_cnt
+        cost += right_sum
+    del right_sum
+    invalid = right_cnt < min_leaf
     if min_leaf > 1:
-        positions = np.arange(1, m)[:, None]
-        valid &= (positions >= min_leaf) & (m - positions >= min_leaf)
-    if not valid.any():
-        return None
-    cost[~valid] = np.inf
-
-    flat = np.argmin(cost.T)  # feature-major scan fixes the tie order
-    column, split_pos = divmod(int(flat), m - 1)
-    best = float(cost[split_pos, column])
-    if not np.isfinite(best):
-        return None
-
+        invalid |= left_cnt < min_leaf
+    if ties is not None:
+        invalid = invalid | ties
+    np.copyto(cost, np.inf if classification else -np.inf, where=invalid)
+    del invalid
+    # Feature-major order: ties go to the lowest feature, then the lowest
+    # threshold.
+    nodes = np.arange(n_nodes)
     if classification:
-        node_imp = 2.0 * total * (m - total) / (m * m)
-        child_imp = 2.0 * best / m
+        per_column = cost.min(axis=0)
+        column = per_column.argmin(axis=1)
+        slot = cost[:, nodes, column].argmin(axis=0)
     else:
-        total_sq = float(ys @ ys)
-        node_imp = total_sq / m - (total / m) ** 2
-        child_imp = (total_sq + best) / m  # best is the negated bracket
-    decrease = max(0.0, node_imp - child_imp)
-
-    lo = float(x_sorted[split_pos, column])
-    hi = float(x_sorted[split_pos + 1, column])
-    threshold = (lo + hi) / 2.0
-    if threshold >= hi:  # midpoint rounded up; keep the intended partition
-        threshold = lo
-    left_mask = sub[:, column] <= threshold
-    return column, threshold, left_mask, decrease
+        per_column = cost.max(axis=0)
+        column = per_column.argmax(axis=1)
+        slot = cost[:, nodes, column].argmax(axis=0)
+    return per_column[nodes, column], column, slot
 
 
-def _leaf_value(y: np.ndarray) -> float:
-    return float(y.mean())
+def _size_groups(sizes: np.ndarray, n_columns: int) -> list[slice]:
+    """Split nodes sorted by decreasing size into one or two padded groups.
+
+    A second group pays for its fixed cost once it saves a few thousand
+    padded cells.
+    """
+    n_nodes = sizes.size
+    if n_nodes < 2 or n_nodes * int(sizes[0]) * n_columns < 8192:
+        return [slice(None)]
+    head = np.arange(1, n_nodes)
+    padded = head * sizes[0] + (n_nodes - head) * sizes[1:]
+    cut = int(padded.argmin())
+    if (n_nodes * sizes[0] - padded[cut]) * n_columns < 4096:
+        return [slice(None)]
+    return [slice(0, cut + 1), slice(cut + 1, None)]
 
 
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    root_idx: np.ndarray,
-    max_depth: int | None,
-    min_leaf: int,
-    max_features: str,
-    classification: bool,
-    rng: np.random.Generator | None,
-    importance_acc: np.ndarray,
-) -> Tree:
-    n_features = X.shape[1]
+def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classification):
+    """Grow one CART tree per entry of ``counts``, all together, level by level.
+
+    ``counts[t]`` gives each row's multiplicity in tree ``t``'s sample (a
+    bootstrap); ``None`` takes every row once. ``rngs[t]`` draws tree
+    ``t``'s candidate features when ``max_features`` is ``"sqrt"``: at each
+    level one key per (node, feature) for its nodes in creation order, a
+    node's candidates being its smallest keys. Returns ``(Tree, importance)``
+    per tree; each tree comes out as if grown alone.
+
+    ``rows`` holds, node after node, the node's rows in ascending order.
+    With every feature searched, ``block`` holds each column's rows in
+    ascending order of that column, and the children's block is a stable
+    partition of the parent's by boolean masks: nothing is sorted after the
+    fit's presort. A sqrt search reads a few columns per node, so it sorts
+    just those by their presort ranks instead of partitioning every column.
+    All nodes of a level are searched together (``_best_splits``). Node ids
+    follow creation order: level by level, each split's left child before
+    its right.
+    """
+    n_features = data.n_features
     if max_features == "sqrt":
         n_candidates = max(1, int(math.sqrt(n_features)))
     else:
         n_candidates = n_features
-    all_features = np.arange(n_features)
-    n_root = root_idx.size
+    partition = n_candidates == n_features
+    # Sorted neighbours can tie only where a row repeats (a bootstrap draw)
+    # or a column repeats a value; otherwise the tie check is skipped.
+    may_tie = counts[0] is not None or not data.distinct
+    # Tree t's row r is row t * n_rows + r of the batch.
+    n_trees = len(counts)
+    n = n_trees * data.n_rows
+    x_flat = data.x_flat
+    if n_trees > 1:
+        x_flat = np.tile(x_flat.reshape(n_features, -1), n_trees).ravel()
+        y = np.tile(y, n_trees)
+    offsets = range(0, n, data.n_rows)
+    if counts[0] is None:
+        rows = data.row_ids
+        sizes = np.array([data.n_rows])
+    else:
+        rows = np.concatenate(
+            [(data.row_ids + at).repeat(c) for at, c in zip(offsets, counts)]
+        )
+        sizes = np.array([int(c.sum()) for c in counts])
+    if partition:
+        block = data.root_block(counts[0])
+        if n_trees > 1:
+            block = np.concatenate([data.root_block(c) + at for at, c in zip(offsets, counts)])
+    n_root = int(sizes[0])  # every tree draws the same number of rows
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+    capacity = n_trees * (2 * n_root - 1)  # binary trees over n_root samples
+    feature = np.full(capacity, -1, dtype=np.intp)
+    threshold = np.zeros(capacity)
+    left = np.full(capacity, -1, dtype=np.intp)
+    value = np.zeros(capacity)
+    gain = np.zeros(capacity)
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
+    def settle(rows, sizes, ids, depth):
+        """Set leaf values; returns which nodes may split, and the node sums."""
+        ys = y[rows]
+        starts = sizes.cumsum() - sizes
+        may_split = (sizes >= 2 * min_leaf) & (
+            np.minimum.reduceat(ys, starts) != np.maximum.reduceat(ys, starts)
+        )
+        if max_depth is not None and depth >= max_depth:
+            may_split[:] = False
+        # Sums in ascending row order fix the leaf values' rounding.
+        totals = np.array([
+            np.add.reduce(ys[s : s + m]) for s, m in zip(starts.tolist(), sizes.tolist())
+        ])
+        value[ids] = totals / sizes
+        return may_split, totals
 
-    root = new_node()
-    stack = [(root, root_idx, 0)]
+    ids = np.arange(n_trees)
+    tree_of = ids
+    n_made = n_trees
+    depth = 0
+    may_split, totals = settle(rows, sizes, ids, depth)
+    if not may_split.all():
+        rows = rows.compress(may_split.repeat(sizes))
+        if partition:
+            block = block.compress(may_split.repeat(sizes * n_features))
+        sizes, ids, tree_of, totals = (
+            sizes[may_split], ids[may_split], tree_of[may_split], totals[may_split]
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while sizes.size:
+            n_nodes = sizes.size
+            starts = sizes.cumsum() - sizes
+            columns = None  # every node searches every column
+            if not partition:
+                # Each tree draws for its nodes in creation (id) order.
+                per_tree = np.bincount(tree_of, minlength=n_trees).tolist()
+                keys = np.empty((n_nodes, n_features))
+                keys[np.argsort(ids)] = np.concatenate([
+                    rngs[t].random((k, n_features)) for t, k in enumerate(per_tree) if k
+                ])
+                columns = np.sort(np.argsort(keys, axis=1)[:, :n_candidates], axis=1)
+            best = np.empty(n_nodes)
+            chosen = np.empty(n_nodes, dtype=np.intp)
+            cut = np.empty(n_nodes)
+            by_size = np.argsort(-sizes, kind="stable")
+            for group in _size_groups(sizes[by_size], n_candidates):
+                sel = by_size[group]
+                m = sizes[sel]
+                # Slot k of node j holds its row k; later slots repeat its
+                # last row (padding, never a valid split).
+                slot_row = np.minimum(np.arange(int(m[0]))[:, None], m - 1)
+                if partition:
+                    searched = data.all_columns
+                    if depth == 0 and counts[0] is None:  # every row, once
+                        search = data.columns_sorted.T[:, None, :]
+                    else:
+                        # Column f of node j starts at starts[j] * n_features + f * m[j].
+                        first = (starts[sel] * n_features)[:, None] + searched * m[:, None]
+                        search = block.take(first + slot_row[:, :, None])
+                else:
+                    searched = columns[sel]
+                    local = rows.take(starts[sel] + slot_row) - tree_of[sel] * data.n_rows
+                    local[slot_row < np.arange(m[0])[:, None]] = data.n_rows
+                    search = data.sort_rows(local, searched)
+                    search += (tree_of[sel] * data.n_rows)[:, None]
+                ties = None
+                if may_tie:
+                    xs = x_flat.take(search + searched * n)
+                    ties = np.zeros(xs.shape, dtype=bool)
+                    np.greater_equal(xs[:-1], xs[1:], out=ties[:-1])
+                    del xs
+                best[sel], column, slot = _best_splits(
+                    y.take(search), m, totals[sel], ties, min_leaf, classification
+                )
+                del ties
+                # Threshold: the midpoint of the values around the split,
+                # or the lower one when the midpoint rounds up to the upper.
+                nodes = np.arange(sel.size)
+                chosen[sel] = column if partition else searched[nodes, column]
+                lo = x_flat[chosen[sel] * n + search[slot, nodes, column]]
+                hi = x_flat[chosen[sel] * n + search[slot + 1, nodes, column]]
+                del search
+                cut[sel] = np.where((lo + hi) / 2.0 >= hi, lo, (lo + hi) / 2.0)
+            split = np.isfinite(best)
+            split_nodes = np.flatnonzero(split)
+            n_split = split_nodes.size
+            if n_split == 0:
+                break
+
+            # Impurity decrease from the node's own sums, as scalars.
+            ys = y[rows]
+            split_ids = ids[split_nodes]
+            for node, start, m, total, cost in zip(
+                split_ids.tolist(), starts[split_nodes].tolist(),
+                sizes[split_nodes].tolist(), totals[split_nodes].tolist(),
+                best[split_nodes].tolist(),
+            ):
+                if classification:
+                    node_imp = 2.0 * total * (m - total) / (m * m)
+                    child_imp = 2.0 * cost / m
+                else:
+                    part = ys[start : start + m]
+                    total_sq = float(part @ part)
+                    node_imp = total_sq / m - (total / m) ** 2
+                    child_imp = (total_sq - cost) / m  # cost holds the bracket
+                gain[node] = m / n_root * max(0.0, node_imp - child_imp)
+            feature[split_ids] = chosen[split_nodes]
+            threshold[split_ids] = cut[split_nodes]
+            value[split_ids] = 0.0
+
+            # Children get ids in their parents' id order, left then right.
+            left_ids = np.empty(n_split, dtype=np.intp)
+            left_ids[np.argsort(split_ids)] = n_made + 2 * np.arange(n_split)
+            n_made += 2 * n_split
+            left[split_ids] = left_ids
+
+            # Route rows; the children come as all left ones, then all right.
+            node_of = np.arange(n_nodes).repeat(sizes)
+            go_left = x_flat[chosen[node_of] * n + rows] <= cut[node_of]
+            in_split = split[node_of]
+            to_left = go_left & in_split
+            n_left = np.bincount(node_of[to_left], minlength=n_nodes)[split_nodes]
+            child_sizes = np.concatenate([n_left, sizes[split_nodes] - n_left])
+            child_ids = np.concatenate([left_ids, left_ids + 1])
+            child_rows = np.concatenate([
+                rows.compress(to_left), rows.compress(~go_left & in_split)
+            ])
+            depth += 1
+            may_split, totals = settle(child_rows, child_sizes, child_ids, depth)
+            if not may_split.any():
+                break
+
+            if partition:
+                # Stable partition of the block, keeping only the children
+                # that may split, in the order of the node arrays.
+                keep_left = np.zeros(n_nodes, dtype=bool)
+                keep_left[split_nodes] = may_split[:n_split]
+                keep_right = np.zeros(n_nodes, dtype=bool)
+                keep_right[split_nodes] = may_split[n_split:]
+                row_left = np.zeros(n, dtype=bool)
+                row_left[rows] = go_left
+                block_left = row_left.take(block)
+                span = sizes * n_features
+                block = np.concatenate([
+                    block.compress(block_left & keep_left.repeat(span)),
+                    block.compress(~block_left & keep_right.repeat(span)),
+                ])
+            rows = child_rows.compress(may_split.repeat(child_sizes))
+            child_trees = np.concatenate([tree_of[split_nodes]] * 2)
+            sizes, ids, tree_of, totals = (
+                child_sizes[may_split], child_ids[may_split],
+                child_trees[may_split], totals[may_split],
+            )
+
+    number = np.empty(n_made, dtype=np.intp)
+    return [
+        _renumber(root, feature, threshold, left, value, gain, number, n_features)
+        for root in range(n_trees)
+    ]
+
+
+def _renumber(root, feature, threshold, left, value, gain, number, n_features):
+    """One tree's arrays, numbered as a depth-first grower popping left first.
+
+    That grower numbers a split node's children (``left``, ``left + 1`` in
+    creation order) when it pops the node, so the numbers follow the split
+    nodes' pre-order; importance is summed in that order too, which fixes
+    its rounding. ``number`` is scratch space over all node ids.
+    """
+    order = []
+    stack = [root]
+    left_of = left.tolist()
     while stack:
-        node, idx, depth = stack.pop()
-        ys = y[idx]
-        if (
-            (max_depth is not None and depth >= max_depth)
-            or idx.size < 2 * min_leaf
-            or np.all(ys == ys[0])
-        ):
-            value[node] = _leaf_value(ys)
-            continue
-        if n_candidates < n_features:
-            candidates = np.sort(rng.choice(all_features, size=n_candidates, replace=False))
-            sub = X.take(idx, axis=0).take(candidates, axis=1)
-        else:
-            candidates = all_features
-            sub = X.take(idx, axis=0)
-        split = _best_split(sub, ys, min_leaf, classification)
-        if split is None:
-            value[node] = _leaf_value(ys)
-            continue
-        column, thr, left_mask, decrease = split
-        importance_acc[candidates[column]] += idx.size / n_root * decrease
-
-        feature[node] = int(candidates[column])
-        threshold[node] = thr
-        left_node = new_node()
-        right_node = new_node()
-        left[node] = left_node
-        right[node] = right_node
-        stack.append((right_node, idx[~left_mask], depth + 1))
-        stack.append((left_node, idx[left_mask], depth + 1))
-
-    return Tree(
-        feature=np.array(feature, dtype=np.intp),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.intp),
-        right=np.array(right, dtype=np.intp),
-        value=np.array(value, dtype=float),
+        node = stack.pop()
+        child = left_of[node]
+        if child >= 0:
+            order.append(node)
+            stack.append(child + 1)
+            stack.append(child)
+    split_nodes = np.array(order, dtype=np.intp)
+    pairs = 2 * np.arange(split_nodes.size)
+    at = np.empty(2 * split_nodes.size + 1, dtype=np.intp)
+    at[0] = root
+    at[1::2] = left[split_nodes]
+    at[2::2] = left[split_nodes] + 1
+    number[at] = np.arange(at.size)
+    new_left = np.full(at.size, -1, dtype=np.intp)
+    new_left[number[split_nodes]] = pairs + 1
+    importance = np.zeros(n_features)
+    for f, g in zip(feature[split_nodes].tolist(), gain[split_nodes].tolist()):
+        importance[f] += g
+    tree = Tree(
+        feature=feature[at],
+        threshold=threshold[at],
+        left=new_left,
+        right=np.where(new_left >= 0, new_left + 1, -1),
+        value=value[at],
     )
+    return tree, importance
 
 
 def _as_matrix(X) -> tuple[np.ndarray, tuple[str, ...] | None]:
@@ -278,22 +539,27 @@ def _train_rf(spec: ModelSpec, X: np.ndarray, y: np.ndarray, threads: int):
     classification = spec.task == "classification"
     max_depth = spec.resolved_max_depth()
     max_features = spec.resolved_max_features()
+    data = _Presorted(X)
+    batch = max(1, _BATCH_CELLS // X.size)
 
-    def build(tree_index: int):
-        rng = np.random.default_rng(derive_seed(spec.seed, tree_index))
-        bootstrap = rng.integers(0, n, size=n)
-        acc = np.zeros(X.shape[1])
-        tree = _grow_tree(
-            X, y, np.sort(bootstrap), max_depth, spec.min_samples_leaf,
-            max_features, classification, rng, acc,
+    def grow(first: int):
+        rngs = [
+            np.random.default_rng(derive_seed(spec.seed, tree_index))
+            for tree_index in range(first, min(first + batch, spec.n_trees))
+        ]
+        counts = [np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs]
+        return _grow_trees(
+            data, y, counts, rngs, max_depth, spec.min_samples_leaf,
+            max_features, classification,
         )
-        return tree, acc
 
+    firsts = range(0, spec.n_trees, batch)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(build, range(spec.n_trees)))
+            batches = list(pool.map(grow, firsts))
     else:
-        results = [build(i) for i in range(spec.n_trees)]
+        batches = [grow(first) for first in firsts]
+    results = [result for grown in batches for result in grown]
     trees = [tree for tree, _ in results]
     per_tree = np.stack([acc for _, acc in results])
     return trees, per_tree.mean(axis=0), 0.0
@@ -308,7 +574,7 @@ def _train_gbt(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
     max_depth = spec.resolved_max_depth()
     max_features = spec.resolved_max_features()
     rng = np.random.default_rng(derive_seed(spec.seed, "gbt"))
-    all_idx = np.arange(X.shape[0])
+    data = _Presorted(X)
 
     if classification:
         p = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
@@ -321,11 +587,10 @@ def _train_gbt(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
     accs = []
     for _ in range(spec.n_trees):
         residual = y - _sigmoid(scores) if classification else y - scores
-        acc = np.zeros(X.shape[1])
         # Trees are fit to the gradient with the regression criterion.
-        tree = _grow_tree(
-            X, residual, all_idx, max_depth, spec.min_samples_leaf,
-            max_features, False, rng, acc,
+        [(tree, acc)] = _grow_trees(
+            data, residual, [None], [rng], max_depth, spec.min_samples_leaf,
+            max_features, False,
         )
         trees.append(tree)
         accs.append(acc)
@@ -456,27 +721,83 @@ def save_model(model: TrainedModel, path) -> None:
         json.dump(payload, fh)
 
 
+def _tree_defect(tree: Tree, n_features: int) -> str | None:
+    """The first structural defect of a tree, or ``None`` if it is sound.
+
+    A sound tree has equal-length arrays; leaves (feature -1) have no
+    children; every other node tests a column below ``n_features`` and has
+    children after itself in the arrays (so prediction cannot cycle); every
+    node but the root has exactly one parent; thresholds and values are
+    finite.
+    """
+    n = tree.feature.size
+    lengths = [a.size for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)]
+    if any(a.ndim != 1 for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)):
+        return "arrays must be flat lists"
+    if len(set(lengths)) != 1:
+        return f"arrays differ in length {lengths}"
+    if n == 0:
+        return "has no nodes"
+    nodes = np.arange(n)
+    leaf = tree.feature == -1
+    checks = (
+        ((tree.feature < -1) | (tree.feature >= n_features),
+         lambda j: f"feature {tree.feature[j]} is not a column below {n_features}"),
+        (leaf & ((tree.left != -1) | (tree.right != -1)),
+         lambda j: "is a leaf (feature -1) but has children"),
+        (~leaf & ((tree.left <= nodes) | (tree.left >= n)),
+         lambda j: f"left child {tree.left[j]} is not a later node"),
+        (~leaf & ((tree.right <= nodes) | (tree.right >= n)),
+         lambda j: f"right child {tree.right[j]} is not a later node"),
+        (~np.isfinite(tree.threshold), lambda j: "threshold is not finite"),
+        (~np.isfinite(tree.value), lambda j: "value is not finite"),
+    )
+    for bad, message in checks:
+        if bad.any():
+            j = int(np.argmax(bad))
+            return f"node {j}: {message(j)}"
+    parents = np.bincount(np.concatenate([tree.left[~leaf], tree.right[~leaf]]), minlength=n)
+    orphan = parents[1:] != 1
+    if orphan.any():
+        j = int(np.argmax(orphan)) + 1
+        return f"node {j}: has {parents[j]} parents"
+    return None
+
+
 def load_model(path) -> TrainedModel:
+    """Read a model file, rejecting any tree that is not a sound binary tree."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     if payload.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {payload.get('version')}")
-    trees = [
-        Tree(
-            feature=np.array(t["feature"], dtype=np.intp),
-            threshold=np.array(t["threshold"], dtype=float),
-            left=np.array(t["left"], dtype=np.intp),
-            right=np.array(t["right"], dtype=np.intp),
-            value=np.array(t["value"], dtype=float),
+    feature_names = tuple(payload["feature_names"])
+    trees = []
+    for index, t in enumerate(payload["trees"]):
+        try:
+            tree = Tree(
+                feature=np.array(t["feature"], dtype=np.intp),
+                threshold=np.array(t["threshold"], dtype=float),
+                left=np.array(t["left"], dtype=np.intp),
+                right=np.array(t["right"], dtype=np.intp),
+                value=np.array(t["value"], dtype=float),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: tree {index}: malformed arrays ({exc})") from None
+        defect = _tree_defect(tree, len(feature_names))
+        if defect is not None:
+            raise ValueError(f"{path}: tree {index}: {defect}")
+        trees.append(tree)
+    importance = np.array(payload["importance"], dtype=float)
+    if importance.shape != (len(feature_names),):
+        raise ValueError(
+            f"{path}: {importance.size} importance values for {len(feature_names)} features"
         )
-        for t in payload["trees"]
-    ]
     return TrainedModel(
         spec=ModelSpec(**payload["spec"]),
-        feature_names=tuple(payload["feature_names"]),
+        feature_names=feature_names,
         trees=trees,
-        importance=np.array(payload["importance"], dtype=float),
+        importance=importance,
         base_score=float(payload["base_score"]),
     )

@@ -188,3 +188,16 @@ def test_config_hash_excludes_execution_keys(bundle, tmp_path):
     hash_b = [l for l in (tmp_path / "b" / "features.csv.config").read_text().splitlines()
               if l.startswith("config_hash=")]
     assert hash_a == hash_b
+
+
+@pytest.mark.parametrize("task", [["task.name=yield", "task.crop=corn"],
+                                  ["task.name=tillage_class"]])
+def test_model_bytes_independent_of_threads(bundle, tmp_path, task):
+    # Random-forest regression, and classification with sqrt candidate draws.
+    base = [f"bundle={bundle}", *task, "task.feature_set=RS", "model.kind=RF",
+            "model.n_trees=24"]
+    for threads in (1, 8):
+        out = tmp_path / f"t{threads}"
+        assert execute("train", None, base + [f"out_dir={out}", f"threads={threads}"]) == 0
+    for name in ("model.json", "importance.csv"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()

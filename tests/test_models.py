@@ -1,10 +1,19 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agribench.featurize import FeatureTable
 from agribench.models import (
     ModelSpec,
     SchemaError,
+    Tree,
+    TrainedModel,
+    _grow_trees,
+    _Presorted,
     _sigmoid,
     feature_importance,
     load_model,
@@ -298,3 +307,416 @@ class TestSerialization:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a"):
             load_model(path)
+
+
+class TestModelFile:
+    """``load_model`` accepts sound trees only, so ``predict`` always ends."""
+
+    def _saved_rf(self, tmp_path):
+        local = np.random.default_rng(21)
+        X = local.normal(size=(40, 3))
+        model = train(ModelSpec(kind="RF", task="regression", n_trees=1, seed=2),
+                      X, local.normal(size=40))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        return path
+
+    def _edit(self, path, field, index, value):
+        payload = json.loads(path.read_text())
+        payload["trees"][0][field][index] = value
+        path.write_text(json.dumps(payload))
+
+    def test_cycle_rejected(self, tmp_path):
+        path = self._saved_rf(tmp_path)
+        self._edit(path, "left", 0, 0)
+        self._edit(path, "right", 0, 0)
+        # This file used to load, and predict on it never returned.
+        with pytest.raises(ValueError, match="tree 0: node 0: left child 0 is not a later node"):
+            load_model(path)
+
+    def test_out_of_range_feature_rejected(self, tmp_path):
+        path = self._saved_rf(tmp_path)
+        self._edit(path, "feature", 0, 99)
+        # This used to load and then fail in predict with a raw IndexError.
+        with pytest.raises(ValueError, match="tree 0: node 0: feature 99 is not a column below 3"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, index, value, message", [
+        ("right", 0, 10_000, "right child 10000 is not a later node"),
+        ("threshold", 0, float("nan"), "threshold is not finite"),
+        ("value", -1, float("inf"), "value is not finite"),
+        ("feature", 0, -2, "feature -2 is not a column below 3"),
+    ])
+    def test_bad_field_rejected(self, tmp_path, field, index, value, message):
+        path = self._saved_rf(tmp_path)
+        self._edit(path, field, index, value)
+        with pytest.raises(ValueError, match=f"tree 0: node \\d+: {message}"):
+            load_model(path)
+
+    def test_length_mismatch_rejected(self, tmp_path):
+        path = self._saved_rf(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["trees"][0]["value"].pop()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="tree 0: arrays differ in length"):
+            load_model(path)
+
+    def test_leaf_with_children_rejected(self, tmp_path):
+        path = self._saved_rf(tmp_path)
+        payload = json.loads(path.read_text())
+        tree = payload["trees"][0]
+        leaf = tree["feature"].index(-1)
+        tree["left"][leaf] = len(tree["feature"]) - 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"node {leaf}: is a leaf"):
+            load_model(path)
+
+    def test_shared_child_rejected(self, tmp_path):
+        path = self._saved_rf(tmp_path)
+        payload = json.loads(path.read_text())
+        tree = payload["trees"][0]
+        tree["right"][0] = tree["left"][0]  # two edges into one node
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="has 2 parents|has 0 parents"):
+            load_model(path)
+
+
+@st.composite
+def sound_trees(draw, n_features=3, max_nodes=31):
+    """A random sound tree: nodes numbered so that children follow parents."""
+    feature, threshold, left, right, value = [], [], [], [], []
+    pending = [0]
+    count = 1
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    while pending:
+        node = pending.pop(0)
+        for array in (feature, threshold, left, right, value):
+            array.append(None)
+        if count + 2 <= max_nodes and draw(st.booleans()):
+            feature[node] = draw(st.integers(0, n_features - 1))
+            threshold[node] = draw(finite)
+            left[node], right[node] = count, count + 1
+            pending += [count, count + 1]
+            count += 2
+            value[node] = 0.0
+        else:
+            feature[node], threshold[node], left[node], right[node] = -1, 0.0, -1, -1
+            value[node] = draw(finite)
+    return Tree(
+        feature=np.array(feature, dtype=np.intp), threshold=np.array(threshold),
+        left=np.array(left, dtype=np.intp), right=np.array(right, dtype=np.intp),
+        value=np.array(value),
+    )
+
+
+def _model_of(trees, n_features=3):
+    return TrainedModel(
+        spec=ModelSpec(kind="RF", task="regression", n_trees=len(trees)),
+        feature_names=tuple(f"x{i}" for i in range(n_features)),
+        trees=list(trees), importance=np.full(n_features, 1.0 / n_features),
+    )
+
+
+class TestModelFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(trees=st.lists(sound_trees(), min_size=1, max_size=3), seed=st.integers(0, 99))
+    def test_round_trip_keeps_predictions(self, tmp_path_factory, trees, seed):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        model = _model_of(trees)
+        save_model(model, path)
+        loaded = load_model(path)
+        probe = np.random.default_rng(seed).normal(scale=1e6, size=(50, 3))
+        assert np.array_equal(predict_scores(loaded, probe), predict_scores(model, probe))
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree=sound_trees(), data=st.data())
+    def test_every_single_field_defect_rejected(self, tmp_path_factory, tree, data):
+        n = tree.feature.size
+        node = data.draw(st.integers(0, n - 1))
+        split_nodes = np.flatnonzero(tree.feature >= 0).tolist()
+        kinds = ["nan_threshold", "nan_value", "feature_range", "length"]
+        if split_nodes:
+            kinds += ["cycle", "child_range"]
+        kind = data.draw(st.sampled_from(kinds))
+        arrays = {k: getattr(tree, k).tolist() for k in
+                  ("feature", "threshold", "left", "right", "value")}
+        if kind == "nan_threshold":
+            arrays["threshold"][node] = float("nan")
+        elif kind == "nan_value":
+            arrays["value"][node] = data.draw(st.sampled_from([float("nan"), float("inf")]))
+        elif kind == "feature_range":
+            arrays["feature"][node] = data.draw(st.sampled_from([3, 50, -2]))
+        elif kind == "length":
+            field = data.draw(st.sampled_from(sorted(arrays)))
+            arrays[field] = arrays[field][:-1] if n > 1 else arrays[field] + [0]
+        else:
+            parent = data.draw(st.sampled_from(split_nodes))
+            side = data.draw(st.sampled_from(["left", "right"]))
+            if kind == "cycle":
+                arrays[side][parent] = data.draw(st.integers(0, parent))
+            else:
+                arrays[side][parent] = data.draw(st.sampled_from([n, n + 7, -1]))
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(_model_of([tree]), path)
+        payload = json.loads(path.read_text())
+        payload["trees"][0] = arrays
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="tree 0"):
+            load_model(path)
+
+
+# Reference: the depth-first per-node grower that the level-wise grower
+# replaced, kept verbatim (its only change is the module it lives in).
+
+def _best_split(sub: np.ndarray, ys: np.ndarray, min_leaf: int, classification: bool):
+    """Vectorized search over all candidate columns and thresholds of a node.
+
+    Returns (column, threshold, left_mask, impurity_decrease) or None when no
+    valid split exists. Columns must correspond to features sorted ascending
+    so that cost ties resolve to the lowest feature index, then the lowest
+    threshold. The impurity decrease is the node Gini/variance minus the
+    size-weighted child impurity, computed from the same split statistics.
+    """
+    m = sub.shape[0]
+    # Default introsort: deterministic for identical input, and within-tie
+    # permutations never affect the chosen split (tie positions are invalid).
+    order = np.argsort(sub, axis=0)
+    x_sorted = np.take_along_axis(sub, order, axis=0)
+    y_sorted = ys[order]
+
+    left_cnt = np.arange(1, m, dtype=float)[:, None]
+    right_cnt = m - left_cnt
+    left_sum = np.cumsum(y_sorted, axis=0)[:-1]
+    total = float(ys.sum())
+    right_sum = total - left_sum
+
+    if classification:
+        # Sum of per-side pos*(cnt-pos)/cnt; weighted child Gini is 2*cost/m.
+        cost = (
+            left_sum * (left_cnt - left_sum) / left_cnt
+            + right_sum * (right_cnt - right_sum) / right_cnt
+        )
+    else:
+        # Children SSE = sum(y^2) - (ls^2/lc + rs^2/rc): minimizing the
+        # negated bracket minimizes the total weighted variance.
+        cost = -(left_sum * left_sum / left_cnt + right_sum * right_sum / right_cnt)
+
+    valid = x_sorted[:-1] < x_sorted[1:]
+    if min_leaf > 1:
+        positions = np.arange(1, m)[:, None]
+        valid &= (positions >= min_leaf) & (m - positions >= min_leaf)
+    if not valid.any():
+        return None
+    cost[~valid] = np.inf
+
+    flat = np.argmin(cost.T)  # feature-major scan fixes the tie order
+    column, split_pos = divmod(int(flat), m - 1)
+    best = float(cost[split_pos, column])
+    if not np.isfinite(best):
+        return None
+
+    if classification:
+        node_imp = 2.0 * total * (m - total) / (m * m)
+        child_imp = 2.0 * best / m
+    else:
+        total_sq = float(ys @ ys)
+        node_imp = total_sq / m - (total / m) ** 2
+        child_imp = (total_sq + best) / m  # best is the negated bracket
+    decrease = max(0.0, node_imp - child_imp)
+
+    lo = float(x_sorted[split_pos, column])
+    hi = float(x_sorted[split_pos + 1, column])
+    threshold = (lo + hi) / 2.0
+    if threshold >= hi:  # midpoint rounded up; keep the intended partition
+        threshold = lo
+    left_mask = sub[:, column] <= threshold
+    return column, threshold, left_mask, decrease
+
+
+def _leaf_value(y: np.ndarray) -> float:
+    return float(y.mean())
+
+
+def _grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    root_idx: np.ndarray,
+    max_depth: int | None,
+    min_leaf: int,
+    max_features: str,
+    classification: bool,
+    rng: np.random.Generator | None,
+    importance_acc: np.ndarray,
+) -> Tree:
+    n_features = X.shape[1]
+    if max_features == "sqrt":
+        n_candidates = max(1, int(math.sqrt(n_features)))
+    else:
+        n_candidates = n_features
+    all_features = np.arange(n_features)
+    n_root = root_idx.size
+
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(root, root_idx, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        ys = y[idx]
+        if (
+            (max_depth is not None and depth >= max_depth)
+            or idx.size < 2 * min_leaf
+            or np.all(ys == ys[0])
+        ):
+            value[node] = _leaf_value(ys)
+            continue
+        if n_candidates < n_features:
+            candidates = np.sort(rng.choice(all_features, size=n_candidates, replace=False))
+            sub = X.take(idx, axis=0).take(candidates, axis=1)
+        else:
+            candidates = all_features
+            sub = X.take(idx, axis=0)
+        split = _best_split(sub, ys, min_leaf, classification)
+        if split is None:
+            value[node] = _leaf_value(ys)
+            continue
+        column, thr, left_mask, decrease = split
+        importance_acc[candidates[column]] += idx.size / n_root * decrease
+
+        feature[node] = int(candidates[column])
+        threshold[node] = thr
+        left_node = new_node()
+        right_node = new_node()
+        left[node] = left_node
+        right[node] = right_node
+        stack.append((right_node, idx[~left_mask], depth + 1))
+        stack.append((left_node, idx[left_mask], depth + 1))
+
+    return Tree(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        value=np.array(value, dtype=float),
+    )
+
+
+def _same_tree(a: Tree, b: Tree) -> bool:
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("feature", "threshold", "left", "right", "value"))
+
+
+class TestLevelWiseGrower:
+    """The level-wise grower builds the reference grower's trees bit for bit."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("max_depth", [None, 2, 3])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_matches_depth_first_reference(self, min_leaf, max_depth, ties):
+        local = np.random.default_rng([min_leaf, max_depth or 0, ties])
+        for _ in range(8):
+            n = int(local.integers(6, 70))
+            n_features = int(local.integers(1, 7))
+            if ties:
+                # Equal values across distinct rows; integer labels keep every
+                # sum exact, whatever order a tie block is summed in.
+                X = local.integers(0, 4, size=(n, n_features)).astype(float)
+                y = local.integers(-3, 4, size=n).astype(float)
+            else:
+                X = local.normal(size=(n, n_features))
+                y = local.normal(size=n) * 10.0 ** local.integers(-3, 4)
+            data = _Presorted(X)
+            # Random forest: three bootstrap trees (rows repeat) grown together.
+            draws = [local.integers(0, n, size=n) for _ in range(3)]
+            grown = _grow_trees(data, y, [np.bincount(d, minlength=n) for d in draws],
+                                [None] * 3, max_depth, min_leaf, "all", False)
+            # Gradient boosting: one tree over every row once.
+            grown += _grow_trees(data, y, [None], [None], max_depth, min_leaf, "all", False)
+            for rows, (tree, importance) in zip([np.sort(d) for d in draws] + [np.arange(n)],
+                                                grown):
+                acc = np.zeros(n_features)
+                reference = _grow_tree(X, y, rows, max_depth, min_leaf, "all", False, None, acc)
+                assert _same_tree(tree, reference)
+                assert np.array_equal(importance, acc)
+
+    def test_batched_trees_equal_trees_grown_alone(self):
+        local = np.random.default_rng(8)
+        X = local.normal(size=(50, 16))
+        y = (X[:, 0] + local.normal(size=50) > 0).astype(float)
+        data = _Presorted(X)
+        counts = [np.bincount(local.integers(0, 50, size=50), minlength=50) for _ in range(4)]
+        together = _grow_trees(data, y, counts, [np.random.default_rng(s) for s in range(4)],
+                               None, 1, "sqrt", True)
+        for s, c in enumerate(counts):
+            [alone] = _grow_trees(data, y, [c], [np.random.default_rng(s)], None, 1, "sqrt", True)
+            assert _same_tree(alone[0], together[s][0])
+            assert np.array_equal(alone[1], together[s][1])
+
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    def test_sqrt_candidates_drawn_per_level(self, min_leaf):
+        """Per level, a tree draws one key per (node, feature) for its nodes
+        in creation order; a node searches its smallest keys' features."""
+        local = np.random.default_rng(30 + min_leaf)
+        for _ in range(6):
+            n, n_features = int(local.integers(10, 60)), int(local.integers(4, 20))
+            X = local.normal(size=(n, n_features))
+            y = (X[:, 0] + local.normal(size=n) > 0).astype(float)
+            counts = np.bincount(local.integers(0, n, size=n), minlength=n)
+            [(tree, _)] = _grow_trees(_Presorted(X), y, [counts], [np.random.default_rng(7)],
+                                      None, min_leaf, "sqrt", True)
+            reference = _reference_sqrt_tree(X, y, np.repeat(np.arange(n), counts),
+                                             np.random.default_rng(7), min_leaf)
+            assert _same_tree(tree, reference)
+
+
+def _reference_sqrt_tree(X, y, rows, rng, min_leaf):
+    """Level by level with the reference ``_best_split`` on drawn candidates,
+    numbered as the depth-first grower numbers its nodes."""
+    n_candidates = max(1, int(math.sqrt(X.shape[1])))
+    nodes, level, made = {}, [(0, rows)], 1
+    while level:
+        open_nodes = []
+        for node, idx in level:
+            nodes[node] = (-1, 0.0, None, float(y[idx].mean()))
+            if idx.size >= 2 * min_leaf and not np.all(y[idx] == y[idx][0]):
+                open_nodes.append((node, idx))
+        keys = rng.random((len(open_nodes), X.shape[1])) if open_nodes else []
+        level = []
+        for (node, idx), key in zip(open_nodes, keys):
+            candidates = np.sort(np.argsort(key)[:n_candidates])
+            split = _best_split(X[idx][:, candidates], y[idx], min_leaf, True)
+            if split is None:
+                continue
+            column, threshold, left_mask, _ = split
+            nodes[node] = (int(candidates[column]), threshold, made, 0.0)
+            level += [(made, idx[left_mask]), (made + 1, idx[~left_mask])]
+            made += 2
+    number, order, stack = {0: 0}, [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        child = nodes[node][2]
+        if child is not None:
+            number[child], number[child + 1] = len(number), len(number) + 1
+            stack += [child + 1, child]
+    at = sorted(order, key=number.get)
+    left = [number[nodes[k][2]] if nodes[k][2] is not None else -1 for k in at]
+    return Tree(
+        feature=np.array([nodes[k][0] for k in at], dtype=np.intp),
+        threshold=np.array([nodes[k][1] for k in at]),
+        left=np.array(left, dtype=np.intp),
+        right=np.array([c + 1 if c >= 0 else -1 for c in left], dtype=np.intp),
+        value=np.array([nodes[k][3] for k in at]),
+    )
