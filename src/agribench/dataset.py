@@ -168,19 +168,6 @@ class ClimateSeries:
 
 
 @dataclass(frozen=True)
-class EmbeddingVector:
-    unit_id: str
-    year: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (EMBEDDING_DIM,):
-            raise ValueError(f"embedding must have exactly {EMBEDDING_DIM} values")
-        if not np.isfinite(self.values).all():
-            raise ValueError("non-finite embedding value")
-
-
-@dataclass(frozen=True)
 class UnitMeta:
     unit_id: str
     level: str  # "county" | "field"
@@ -223,7 +210,7 @@ class Dataset:
     units: dict[str, UnitMeta]
     observations: dict[tuple[str, SpectralBand], ObservationSeries]
     climate: dict[str, ClimateSeries]
-    embeddings: dict[tuple[str, int], EmbeddingVector]
+    embeddings: dict[tuple[str, int], np.ndarray]  # EMBEDDING_DIM finite floats each
     labels: list[LabelRecord]
     manifest: dict[str, dict] = field(default_factory=dict)
 
@@ -233,7 +220,7 @@ class Dataset:
     def climate_for(self, unit_id: str) -> ClimateSeries | None:
         return self.climate.get(unit_id)
 
-    def embedding_for(self, unit_id: str, year: int) -> EmbeddingVector | None:
+    def embedding_for(self, unit_id: str, year: int) -> np.ndarray | None:
         return self.embeddings.get((unit_id, year))
 
 
@@ -417,10 +404,10 @@ def _load_climate(path: Path, units: dict[str, UnitMeta]) -> dict[str, ClimateSe
 
 def _load_embeddings(
     path: Path, units: dict[str, UnitMeta]
-) -> dict[tuple[str, int], EmbeddingVector]:
+) -> dict[tuple[str, int], np.ndarray]:
     header = ("unit_id", "year") + EMBEDDING_COLUMNS
     name = path.name
-    embeddings: dict[tuple[str, int], EmbeddingVector] = {}
+    embeddings: dict[tuple[str, int], np.ndarray] = {}
     for line, row in _read_rows(path, header):
         unit_id = row[0]
         _check_unit(units, unit_id, name, line)
@@ -429,12 +416,11 @@ def _load_embeddings(
             raise BundleValidationError(
                 name, line, f"duplicate embedding for unit {unit_id!r}, year {year}"
             )
-        values = np.array(
+        embeddings[(unit_id, year)] = np.array(
             [_parse_float(row[2 + i], name, line, EMBEDDING_COLUMNS[i])
              for i in range(EMBEDDING_DIM)],
             dtype=float,
         )
-        embeddings[(unit_id, year)] = EmbeddingVector(unit_id=unit_id, year=year, values=values)
     return embeddings
 
 

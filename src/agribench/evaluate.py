@@ -45,7 +45,6 @@ class SplitPlan:
     scheme: str
     fold_labels: tuple[str, ...]
     folds: tuple[tuple[np.ndarray, np.ndarray], ...]
-    seed: int
 
     def __post_init__(self):
         for train_ids, test_ids in self.folds:
@@ -98,7 +97,7 @@ def build_split_plan(
             test_mask = np.isin(group_arr, part)
             folds.append((all_rows[~test_mask], all_rows[test_mask]))
         labels = tuple(f"fold{i}" for i in range(k))
-        return SplitPlan("group_cv", labels, tuple(folds), seed)
+        return SplitPlan("group_cv", labels, tuple(folds))
 
     if scheme == "yearly_cv":
         years = sorted({year for _, year in table.unit_years})
@@ -108,7 +107,7 @@ def build_split_plan(
         folds = tuple(
             (all_rows[year_arr != year], all_rows[year_arr == year]) for year in years
         )
-        return SplitPlan("yearly_cv", tuple(str(y) for y in years), folds, seed)
+        return SplitPlan("yearly_cv", tuple(str(y) for y in years), folds)
 
     if scheme == "scale_transfer":
         levels = np.array([units[u].level for u, _ in table.unit_years])
@@ -119,7 +118,7 @@ def build_split_plan(
                 f"scale_transfer needs both county and field rows "
                 f"(county={train_ids.size}, field={test_ids.size})"
             )
-        return SplitPlan("scale_transfer", ("transfer",), ((train_ids, test_ids),), seed)
+        return SplitPlan("scale_transfer", ("transfer",), ((train_ids, test_ids),))
 
     if direction not in DIRECTIONS:
         raise SplitError(f"space_transfer direction must be one of {DIRECTIONS}")
@@ -132,7 +131,7 @@ def build_split_plan(
             f"space_transfer {direction}: empty side "
             f"(train={train_ids.size}, test={test_ids.size})"
         )
-    return SplitPlan("space_transfer", ("transfer",), ((train_ids, test_ids),), seed)
+    return SplitPlan("space_transfer", ("transfer",), ((train_ids, test_ids),))
 
 
 def regression_metrics(truth, pred) -> dict[str, float]:
@@ -282,6 +281,8 @@ def run_benchmark(
     threads: int = 1,
 ) -> MetricReport:
     """Run the repeated evaluation protocol and assemble the metric report."""
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be at least 1, got {n_repeats}")
     expected = model_task_for(task_cfg.task)
     if model_spec.task != expected:
         raise ValueError(

@@ -88,13 +88,12 @@ class SeasonTemplate:
     start_day: int
     end_month: int
     end_day: int
-    start_year_offset: int = 0
-    end_year_offset: int = 0
+    start_year_offset: int = 0  # every window ends in the label year
 
     def window(self, year: int) -> SeasonWindow:
         return SeasonWindow(
             start=date(year + self.start_year_offset, self.start_month, self.start_day),
-            end=date(year + self.end_year_offset, self.end_month, self.end_day),
+            end=date(year, self.end_month, self.end_day),
         )
 
 
@@ -115,8 +114,6 @@ class TaskConfig:
     crop: str | None = None
     feature_set: str = "RS"
     missing_policy: str = "drop"
-    season: SeasonTemplate | None = None
-    climate_months: tuple[int, ...] | None = None
     gdd_thresholds: GddThresholds | None = None
     gcvi_minus_one: bool = False
     gdd_per_day: bool = False
@@ -128,19 +125,10 @@ class TaskConfig:
             raise ValueError(f"unknown feature_set {self.feature_set!r}")
         if self.missing_policy not in ("drop", "impute_mean"):
             raise ValueError(f"unknown missing_policy {self.missing_policy!r}")
-        if self.task == "yield":
-            if self.crop not in CLIMATE_MONTHS:
-                raise ValueError(f"yield task requires crop in {sorted(CLIMATE_MONTHS)}")
-            if self.climate_months is not None and \
-                    tuple(self.climate_months) != CLIMATE_MONTHS[self.crop]:
-                raise ValueError(
-                    f"climate months {self.climate_months} inconsistent with "
-                    f"crop {self.crop!r} (expected {CLIMATE_MONTHS[self.crop]})"
-                )
+        if self.task == "yield" and self.crop not in CLIMATE_MONTHS:
+            raise ValueError(f"yield task requires crop in {sorted(CLIMATE_MONTHS)}")
 
     def season_template(self) -> SeasonTemplate:
-        if self.season is not None:
-            return self.season
         key = "covercrop" if self.task == "covercrop_class" else self.crop
         if key not in SEASON_TEMPLATES:
             raise ValueError(f"no default season window for task {self.task!r}")
@@ -150,11 +138,6 @@ class TaskConfig:
         if self.gdd_thresholds is not None:
             return self.gdd_thresholds
         return GDD_DEFAULTS[self.crop]
-
-    def resolved_climate_months(self) -> tuple[int, ...]:
-        if self.climate_months is not None:
-            return tuple(self.climate_months)
-        return CLIMATE_MONTHS[self.crop]
 
     def flagged_defaults(self) -> list[str]:
         """Assumptions baked into this run that reports must surface."""
@@ -210,7 +193,7 @@ class FeatureTable:
 
 def yield_feature_names(cfg: TaskConfig) -> tuple[str, ...]:
     names = [f"{band.value}_{stat}" for band in HARMONIC_BANDS for stat in HARMONIC_STATS]
-    for month in cfg.resolved_climate_months():
+    for month in CLIMATE_MONTHS[cfg.crop]:
         abbr = MONTH_ABBREV[month - 1]
         names += [f"gdd_{abbr}", f"ppt_{abbr}"]
     return tuple(names)
@@ -353,7 +336,7 @@ def build_yield_features(
         )))
         for stat, value in cells.items():
             values[f"{band.value}_{stat}"] = value
-    months = [(year, m) for m in cfg.resolved_climate_months()]
+    months = [(year, m) for m in CLIMATE_MONTHS[cfg.crop]]
     climate_values, climate_causes = _climate_cells(
         dataset, unit_id, months, cfg, ("gdd", "ppt")
     )
@@ -423,13 +406,11 @@ def build_aef_features(
     wanted = [("py_", year - 1), ("", year)] if task == "covercrop_class" else [("", year)]
     for prefix, emb_year in wanted:
         embedding = dataset.embedding_for(unit_id, emb_year)
-        for i, column in enumerate(EMBEDDING_COLUMNS):
-            if embedding is None:
-                values[f"{prefix}{column}"] = math.nan
-            else:
-                values[f"{prefix}{column}"] = float(embedding.values[i])
         if embedding is None:
+            embedding = np.full(len(EMBEDDING_COLUMNS), math.nan)
             causes.add("missing_embedding")
+        for column, value in zip(EMBEDDING_COLUMNS, embedding.tolist()):
+            values[f"{prefix}{column}"] = value
     return values, causes
 
 

@@ -220,21 +220,23 @@ def phenology_metrics(fit: HarmonicFit) -> PhenologyMetrics:
     The peak is the maximum of ``fit.window_curve``, the curve evaluated
     once on the window's daily grid (earliest date wins ties). Values 30
     days before/after the peak and the partial integrals over those 30-day
-    spans are evaluated on the global curve without clipping to the window.
+    spans are evaluated on the global curve without clipping to the window;
+    they equal ``eval_harmonic`` and ``harmonic_integral`` at those dates.
     """
     values = fit.window_curve
     idx = int(np.argmax(values))  # first occurrence = earliest date
     peak_date = fit.window.start + timedelta(days=idx)
-    peak_value = float(values[idx])
-    before = peak_date - timedelta(days=30)
-    after = peak_date + timedelta(days=30)
+    peak_days = (peak_date - fit.t_origin).days
+    t_before, t_peak, t_after = ((peak_days + d) / DAYS_PER_YEAR for d in (-30, 0, 30))
+    before, peak, after = (_antiderivative(fit, t) for t in (t_before, t_peak, t_after))
+    # Two 0-d evaluations: on numpy scalars they cost less than one 2-element array.
     return PhenologyMetrics(
-        peak_value=peak_value,
+        peak_value=float(values[idx]),
         peak_date=peak_date,
-        b30=eval_harmonic(fit, before),
-        a30=eval_harmonic(fit, after),
-        b30_int=harmonic_integral(fit, before, peak_date),
-        a30_int=harmonic_integral(fit, peak_date, after),
+        b30=float(curve_values(fit, np.array(t_before))),
+        a30=float(curve_values(fit, np.array(t_after))),
+        b30_int=peak - before,
+        a30_int=after - peak,
     )
 
 

@@ -66,6 +66,8 @@ class ModelSpec:
             raise ValueError(f"unknown model task {self.task!r}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be at least 1")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError(f"max_depth must be at least 1 (or unset), got {self.max_depth}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.max_features not in (None, "all", "sqrt"):

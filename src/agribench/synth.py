@@ -28,15 +28,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import EMBEDDING_COLUMNS, RAW_BANDS, SpectralBand
-from .featurize import SEASON_TEMPLATES, SeasonTemplate
+from .dataset import EMBEDDING_COLUMNS, RAW_BANDS, SpectralBand, UnitMeta, default_ecoregion
+from .featurize import CLIMATE_MONTHS, SEASON_TEMPLATES, SeasonTemplate
 from .harmonics import curve_values, time_fraction
 from .indices import REQUIRED_BANDS, index_values
 from .seeding import spawn_rng
 
 B = SpectralBand
 
-DEFAULT_STATES = ("IL", "IN", "MI", "OH", "WI", "IA", "KS", "MN", "MO", "ND", "NE", "SD")
+# Counties cycle through these states: five East, then seven West Corn Belt
+# states (see ``dataset.default_ecoregion``).
+STATES = ("IL", "IN", "MI", "OH", "WI", "IA", "KS", "MN", "MO", "ND", "NE", "SD")
+
+# Each unit-year draws its mean revisit interval (days) from this range.
+REVISIT_DAYS = (8.0, 16.0)
 
 CALENDAR_TASKS = ("yield", "tillage_ratio", "tillage_class")
 
@@ -52,7 +57,7 @@ class BandModel:
 
 
 # Ranges keep every curve inside the valid reflectance range [0, 1.5].
-DEFAULT_BAND_MODELS: dict[SpectralBand, BandModel] = {
+BAND_MODELS: dict[SpectralBand, BandModel] = {
     B.RED: BandModel(0.08, 0.25, 0.05, 0.02),
     B.GREEN: BandModel(0.30, 0.40, 0.004, 0.002),
     B.BLUE: BandModel(0.05, 0.15, 0.03, 0.01),
@@ -66,16 +71,11 @@ DEFAULT_BAND_MODELS: dict[SpectralBand, BandModel] = {
 class SynthSpec:
     n_counties: int = 40
     fields_per_county: int = 0
-    states: tuple[str, ...] = DEFAULT_STATES
     years: tuple[int, ...] = (2018, 2019, 2020, 2021)
     tasks: tuple[str, ...] = ("yield",)
     crop: str = "corn"
-    revisit_days: tuple[float, float] = (8.0, 16.0)
     dropout: float = 0.0
     sigma_obs: float = 0.0
-    band_models: dict[SpectralBand, BandModel] = field(
-        default_factory=lambda: dict(DEFAULT_BAND_MODELS)
-    )
     label_weights: dict[str, float] = field(default_factory=lambda: {"GCVI_peak": 1.0})
     label_intercept: float = 8.0
     label_sigma: float = 0.0
@@ -87,6 +87,12 @@ class SynthSpec:
             raise ValueError("n_counties must be at least 1")
         if not self.years:
             raise ValueError("years must be nonempty")
+        if len(set(self.years)) != len(self.years):
+            raise ValueError(f"years must not repeat, got {list(self.years)}")
+        if self.crop not in CLIMATE_MONTHS:
+            raise ValueError(
+                f"unknown crop {self.crop!r} (use one of {', '.join(CLIMATE_MONTHS)})"
+            )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.sigma_obs < 0 or self.label_sigma < 0:
@@ -113,67 +119,40 @@ class SynthSpec:
 
 
 @dataclass(frozen=True)
-class UnitPlan:
-    unit_id: str
-    level: str
-    state: str
-    county_id: str
-    ecoregion: str
-    elevation_m: float
-
-
-@dataclass(frozen=True)
 class Curve:
-    """One unit-year-band generating harmonic, t measured from t_origin."""
+    """One unit-year-band generating harmonic, t in years from January 1 of
+    the season window's start year (evaluated with ``curve_values``)."""
 
     c: float
     a1: float
     b1: float
     a2: float
     b2: float
-    t_origin: date
-
-    def at(self, t: np.ndarray) -> np.ndarray:
-        return curve_values(self, t)
 
 
-def _plan_units(spec: SynthSpec, seed: int) -> list[UnitPlan]:
-    from .dataset import default_ecoregion
-
+def _plan_units(spec: SynthSpec, seed: int) -> list[UnitMeta]:
+    """Each county, followed by its fields."""
     units = []
     for i in range(spec.n_counties):
-        state = spec.states[i % len(spec.states)]
+        state = STATES[i % len(STATES)]
         county_id = f"{state}{i:03d}"
-        rng = spawn_rng(seed, "elev", county_id)
-        units.append(
-            UnitPlan(
-                unit_id=county_id,
-                level="county",
+        members = [(county_id, "county")]
+        members += [(f"{county_id}_f{j:02d}", "field") for j in range(spec.fields_per_county)]
+        for unit_id, level in members:
+            rng = spawn_rng(seed, "elev", unit_id)
+            units.append(UnitMeta(
+                unit_id=unit_id,
+                level=level,
                 state=state,
                 county_id=county_id,
                 ecoregion=default_ecoregion(state),
                 elevation_m=round(float(rng.uniform(150, 550)), 1),
-            )
-        )
-        for j in range(spec.fields_per_county):
-            field_id = f"{county_id}_f{j:02d}"
-            rng = spawn_rng(seed, "elev", field_id)
-            units.append(
-                UnitPlan(
-                    unit_id=field_id,
-                    level="field",
-                    state=state,
-                    county_id=county_id,
-                    ecoregion=default_ecoregion(state),
-                    elevation_m=round(float(rng.uniform(150, 550)), 1),
-                )
-            )
+            ))
     return units
 
 
-def _draw_curve(spec: SynthSpec, seed: int, unit_id: str, year: int,
-                band: SpectralBand, origin: date) -> Curve:
-    model = spec.band_models[band]
+def _draw_curve(seed: int, unit_id: str, year: int, band: SpectralBand) -> Curve:
+    model = BAND_MODELS[band]
     rng = spawn_rng(seed, "coef", unit_id, year, band.value)
     c = float(rng.uniform(model.c_low, model.c_high))
     r1 = float(rng.uniform(0.2 * model.amp1, model.amp1))
@@ -186,14 +165,13 @@ def _draw_curve(spec: SynthSpec, seed: int, unit_id: str, year: int,
         b1=r1 * math.sin(th1),
         a2=r2 * math.cos(th2),
         b2=r2 * math.sin(th2),
-        t_origin=origin,
     )
 
 
 def _observation_dates(spec: SynthSpec, seed: int, unit_id: str, year: int,
                        window) -> list[date]:
     rng = spawn_rng(seed, "dates", unit_id, year)
-    mean_revisit = float(rng.uniform(*spec.revisit_days))
+    mean_revisit = float(rng.uniform(*REVISIT_DAYS))
     span = (window.end - window.start).days
     offsets = []
     position = float(rng.uniform(0, mean_revisit))
@@ -224,8 +202,8 @@ def _true_feature(name: str, curves: dict[SpectralBand, Curve], window,
         return curves[band].c
     t = window.day_times(origin)
     if band.is_raw:
-        return float(curves[band].at(t).max())
-    columns = {raw: curves[raw].at(t) for raw in REQUIRED_BANDS[band]}
+        return float(curve_values(curves[band], t).max())
+    columns = {raw: curve_values(curves[raw], t) for raw in REQUIRED_BANDS[band]}
     return float(index_values(band, columns).max())
 
 
@@ -255,8 +233,7 @@ def generate(spec: SynthSpec, seed: int, out_dir: str | Path) -> dict:
             window = template.window(year)
             origin = date(window.start.year, 1, 1)
             unit_curves = {
-                band: _draw_curve(spec, seed, unit.unit_id, year, band, origin)
-                for band in RAW_BANDS
+                band: _draw_curve(seed, unit.unit_id, year, band) for band in RAW_BANDS
             }
             curves[(unit.unit_id, year)] = unit_curves
             feats = {
@@ -298,7 +275,7 @@ def generate(spec: SynthSpec, seed: int, out_dir: str | Path) -> dict:
             t = np.array([time_fraction(origin, d) for d in dates])
             noise_rng = spawn_rng(seed, "obsnoise", unit.unit_id, year)
             for band in RAW_BANDS:
-                values = curves[(unit.unit_id, year)][band].at(t)
+                values = curve_values(curves[(unit.unit_id, year)][band], t)
                 if spec.sigma_obs > 0:
                     values = values + spec.sigma_obs * noise_rng.standard_normal(len(t))
                     values = np.clip(values, 0.001, 1.499)
@@ -356,7 +333,6 @@ def generate(spec: SynthSpec, seed: int, out_dir: str | Path) -> dict:
 
     lines_emb = ["unit_id,year," + ",".join(EMBEDDING_COLUMNS)]
     n_emb = 0
-    unit_by_id = {u.unit_id: u for u in units}
     for unit in units:
         for year in emb_years:
             key = (unit.unit_id, year)
@@ -368,7 +344,7 @@ def generate(spec: SynthSpec, seed: int, out_dir: str | Path) -> dict:
                 pre_rng = spawn_rng(seed, "prelatent", unit.unit_id, year)
                 z = pre_rng.normal(0, 1, n_latent)
             vec = weight @ z + bias
-            if spec.region_offset != 0.0 and unit_by_id[unit.unit_id].ecoregion == "West":
+            if spec.region_offset != 0.0 and unit.ecoregion == "West":
                 vec = vec + spec.region_offset * shift_dir
             lines_emb.append(
                 f"{unit.unit_id},{year}," + ",".join(_format(v) for v in vec)

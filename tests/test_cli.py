@@ -1,8 +1,10 @@
 import csv
 import json
+from dataclasses import MISSING, fields
+
 import pytest
 
-from agribench.cli import ConfigError, execute, main, parse_config_file
+from agribench.cli import KNOWN_KEYS, ConfigError, RunConfig, execute, main, parse_config_file
 
 BUNDLE_CFG = """
 # synthetic bundle for CLI tests
@@ -201,3 +203,63 @@ def test_model_bytes_independent_of_threads(bundle, tmp_path, task):
         assert execute("train", None, base + [f"out_dir={out}", f"threads={threads}"]) == 0
     for name in ("model.json", "importance.csv"):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
+
+
+def test_bad_synth_settings_are_named_errors(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    for setting, message in (("synth.crop=rice", "unknown crop 'rice'"),
+                             ("synth.years=2020,2020", "years must not repeat")):
+        assert main(["synth", "--set", setting, "--set", f"out_dir={out}"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: synth: {message}")
+        assert not out.exists()
+
+
+def test_bad_run_settings_are_named_errors(bundle, tmp_path, capsys):
+    base = [f"bundle={bundle}", "task.name=yield", "task.crop=corn", "task.feature_set=AEF",
+            "model.n_trees=4", f"out_dir={tmp_path}"]
+    for n_repeats in ("0", "-2"):
+        assert execute("benchmark", None, base + [f"n_repeats={n_repeats}"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: benchmark: n_repeats must be at least 1, got {n_repeats}")
+    assert not (tmp_path / "report.csv").exists()
+    assert execute("train", None, base + ["model.max_depth=-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: train: max_depth must be at least 1")
+    assert not (tmp_path / "model.json").exists()
+
+
+# A valid value for every config key, each different from its default.
+NON_DEFAULT_SETTINGS = {
+    "bundle": "bundle", "out_dir": "elsewhere", "threads": "2", "base_seed": "5",
+    "n_repeats": "2", "scheme": "space_transfer", "scheme.k": "3",
+    "scheme.direction": "West->East",
+    "task.name": "tillage_class", "task.crop": "soybean", "task.feature_set": "AEF",
+    "task.missing_policy": "impute_mean", "task.gcvi_minus_one": "true",
+    "task.gdd_per_day": "true", "task.gdd_base": "8", "task.gdd_cap": "29",
+    "model.kind": "GBT", "model.n_trees": "7", "model.max_depth": "3",
+    "model.learning_rate": "0.3", "model.max_features": "sqrt",
+    "model.min_samples_leaf": "2",
+    "synth.n_counties": "9", "synth.fields_per_county": "2", "synth.years": "2020,2021",
+    "synth.tasks": "yield,tillage_class", "synth.crop": "soybean", "synth.dropout": "0.1",
+    "synth.sigma_obs": "0.01", "synth.label_sigma": "0.2", "synth.label_r2_ceiling": "0.8",
+    "synth.region_offset": "1.5", "synth.label_feature": "NDVI_peak",
+    "synth.label_intercept": "3",
+}
+
+
+def test_every_config_field_has_a_key():
+    # A field that no key reaches is a setting no run can change.
+    assert set(NON_DEFAULT_SETTINGS) == set(KNOWN_KEYS)
+    cfg = RunConfig(NON_DEFAULT_SETTINGS)
+    task_cfg = cfg.task_config()
+    unreached = []
+    for built in (task_cfg, cfg.model_spec(task_cfg.task), cfg.synth_spec()):
+        for f in fields(built):
+            if f.default is not MISSING:
+                default = f.default
+            elif f.default_factory is not MISSING:
+                default = f.default_factory()
+            else:
+                continue  # required: always set
+            if getattr(built, f.name) == default:
+                unreached.append(f"{type(built).__name__}.{f.name}")
+    assert unreached == []

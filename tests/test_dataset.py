@@ -155,7 +155,7 @@ def test_load_is_deterministic(tmp_bundle):
     assert sa.dates[0].day == 1
     assert a.labels == b.labels
     assert np.array_equal(
-        a.embedding_for("c1", 2020).values, b.embedding_for("c1", 2020).values
+        a.embedding_for("c1", 2020), b.embedding_for("c1", 2020)
     )
 
 

@@ -260,6 +260,12 @@ class TestRunBenchmark:
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("n_repeats", [0, -2])
+    def test_n_repeats_below_one_rejected(self, small_bundle, n_repeats):
+        with pytest.raises(ValueError, match="n_repeats must be at least 1"):
+            run_benchmark(small_bundle, self.CFG, self.MODEL, "group_cv", k=3,
+                          n_repeats=n_repeats)
+
     def test_model_task_must_match(self, small_bundle):
         bad = ModelSpec(kind="RF", task="classification")
         with pytest.raises(ValueError, match="does not fit"):

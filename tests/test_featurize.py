@@ -125,7 +125,7 @@ class TestColumnContracts:
         assert len(values) == 128
         names = feature_names(TaskConfig(task="covercrop_class", feature_set="AEF"))
         assert names[0] == "py_A00" and names[64] == "A00"
-        prior = complete_dataset.embedding_for("f1", 2019).values
+        prior = complete_dataset.embedding_for("f1", 2019)
         assert values["py_A00"] == prior[0]
 
     def test_all_contract_counts(self):
@@ -282,8 +282,8 @@ class TestAssembly:
         table = assemble_table(ds, cfg)
         assert table.n_rows == 3
         complete = np.array([
-            ds.embedding_for("c1", 2020).values,
-            ds.embedding_for("c2", 2020).values,
+            ds.embedding_for("c1", 2020),
+            ds.embedding_for("c2", 2020),
         ])
         expected_means = complete.mean(axis=0)  # independent recomputation
         row_c3 = table.values[list(table.unit_years).index(("c3", 2020))]
@@ -372,12 +372,6 @@ class TestTaskConfig:
     def test_yield_requires_crop(self):
         with pytest.raises(ValueError, match="requires crop"):
             TaskConfig(task="yield")
-
-    def test_climate_months_must_match_crop(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            TaskConfig(task="yield", crop="corn", climate_months=(1, 2, 3))
-        cfg = TaskConfig(task="yield", crop="corn", climate_months=(5, 6, 7, 8, 9))
-        assert cfg.resolved_climate_months() == (5, 6, 7, 8, 9)
 
     def test_corn_default_thresholds_flagged(self):
         assert TaskConfig(task="yield", crop="corn").flagged_defaults()

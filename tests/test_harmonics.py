@@ -295,6 +295,16 @@ class TestPhenology:
             assert m.peak_value == best
             assert m.peak_date == days[values.index(best)]  # earliest tie
 
+    def test_around_peak_values_equal_point_evaluations(self):
+        for fit in random_fits(37, 200):
+            m = phenology_metrics(fit)
+            before = m.peak_date - timedelta(days=30)
+            after = m.peak_date + timedelta(days=30)
+            assert m.b30 == eval_harmonic(fit, before)
+            assert m.a30 == eval_harmonic(fit, after)
+            assert m.b30_int == harmonic_integral(fit, before, m.peak_date)
+            assert m.a30_int == harmonic_integral(fit, m.peak_date, after)
+
     def test_interior_peak_dominates_neighbors(self):
         rng = np.random.default_rng(23)
         checked = 0

@@ -57,6 +57,13 @@ class TestSpec:
         with pytest.raises(ValueError):
             ModelSpec(kind="GBT", task="regression", learning_rate=0.0)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_max_depth_below_one_rejected(self, depth):
+        for kind in ("RF", "GBT"):
+            with pytest.raises(ValueError, match="max_depth must be at least 1"):
+                ModelSpec(kind=kind, task="regression", max_depth=depth)
+        assert ModelSpec(kind="RF", task="regression", max_depth=1).resolved_max_depth() == 1
+
 
 class TestTrainBasics:
     def test_constant_target(self):

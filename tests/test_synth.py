@@ -28,6 +28,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown tasks"):
             SynthSpec(tasks=("grazing",))
 
+    def test_unknown_crop(self):
+        with pytest.raises(ValueError, match="unknown crop 'rice'"):
+            SynthSpec(crop="rice")
+        with pytest.raises(ValueError, match="unknown crop 'covercrop'"):
+            SynthSpec(crop="covercrop")  # a season template, not a crop
+
+    def test_repeated_years(self):
+        with pytest.raises(ValueError, match="years must not repeat"):
+            SynthSpec(years=(2020, 2019, 2020))
+
 
 class TestGeneration:
     def test_round_trip_counts(self, tmp_path):
@@ -106,7 +116,7 @@ class TestGeneration:
         east, west = [], []
         for (unit, _), emb in ds.embeddings.items():
             region = ds.units[unit].ecoregion
-            (east if region == "East" else west).append(emb.values)
+            (east if region == "East" else west).append(emb)
         gap = np.abs(np.mean(east, axis=0) - np.mean(west, axis=0))
         pooled_sd = np.std(np.vstack([east, west]), axis=0)
         # Identical in law: per-dim mean gap stays within sampling noise.
@@ -120,11 +130,11 @@ class TestGeneration:
         a = load_dataset(tmp_path / "a")
         b = load_dataset(tmp_path / "b")
         for (unit, year), emb in a.embeddings.items():
-            other = b.embedding_for(unit, year).values
+            other = b.embedding_for(unit, year)
             if a.units[unit].ecoregion == "West":
-                assert not np.allclose(emb.values, other)
+                assert not np.allclose(emb, other)
             else:
-                assert np.array_equal(emb.values, other)
+                assert np.array_equal(emb, other)
 
     def test_every_bundle_passes_validation(self, tmp_path):
         specs = [
