@@ -7,6 +7,6 @@ on synthetic or user-supplied data bundles.
 
 __version__ = "0.1.0"
 
-from .dataset import Dataset, SpectralBand, load_dataset, masked_mean
+from .dataset import Dataset, SpectralBand, load_dataset
 
-__all__ = ["Dataset", "SpectralBand", "load_dataset", "masked_mean", "__version__"]
+__all__ = ["Dataset", "SpectralBand", "load_dataset", "__version__"]

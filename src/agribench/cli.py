@@ -25,7 +25,7 @@ from pathlib import Path
 from .climate import GddThresholds
 from .dataset import load_dataset
 from .evaluate import REPORT_COLUMNS, run_benchmark
-from .featurize import TaskConfig, assemble_table, export_feature_table
+from .featurize import FEATURE_SET_FILES, TaskConfig, assemble_table, export_feature_table
 from .models import ModelSpec, save_model, top_features, train
 from .synth import SynthSpec, generate
 
@@ -260,8 +260,9 @@ def _cmd_synth(cfg: RunConfig) -> int:
 
 
 def _cmd_featurize(cfg: RunConfig) -> int:
-    dataset = load_dataset(cfg.bundle_path())
-    table = assemble_table(dataset, cfg.task_config())
+    task_cfg = cfg.task_config()
+    dataset = load_dataset(cfg.bundle_path(), FEATURE_SET_FILES[task_cfg.feature_set])
+    table = assemble_table(dataset, task_cfg)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     path = out / "features.csv"
@@ -275,8 +276,8 @@ def _cmd_featurize(cfg: RunConfig) -> int:
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    dataset = load_dataset(cfg.bundle_path())
     task_cfg = cfg.task_config()
+    dataset = load_dataset(cfg.bundle_path(), FEATURE_SET_FILES[task_cfg.feature_set])
     table = assemble_table(dataset, task_cfg)
     spec = cfg.model_spec(task_cfg.task)
     model = train(spec, table, table.labels, threads=cfg.threads)
@@ -296,8 +297,8 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 
 def _cmd_benchmark(cfg: RunConfig) -> int:
-    dataset = load_dataset(cfg.bundle_path())
     task_cfg = cfg.task_config()
+    dataset = load_dataset(cfg.bundle_path(), FEATURE_SET_FILES[task_cfg.feature_set])
     scheme = cfg.get("scheme", "group_cv")
     report = run_benchmark(
         dataset,

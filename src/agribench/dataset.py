@@ -10,13 +10,15 @@ mandatory, "." decimal separator):
 - ``labels.csv``:       unit_id,year,task,value
 
 Observations are long format (one row per unit/band/date), which tolerates
-the irregular revisit cadence of satellite exports. All validation errors
-identify the offending file and line. A loaded ``Dataset`` is treated as
-immutable and may be shared across threads.
+the irregular revisit cadence of satellite exports. All five files must
+exist; ``load_dataset`` parses and validates in full the ones it is asked
+for. All validation errors identify the offending file and line. A loaded
+``Dataset`` is treated as immutable and may be shared across threads.
 """
 
 import csv
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -95,10 +97,6 @@ class BundleValidationError(ValueError):
         self.filename = filename
         self.line = line
         super().__init__(f"{filename} line {line}: {message}")
-
-
-class MaskError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -224,29 +222,6 @@ class Dataset:
         return self.embeddings.get((unit_id, year))
 
 
-def masked_mean(pixel_values, keep_mask) -> float:
-    """Mean of the values whose mask element is 1.
-
-    This is the aggregation step applied to exported per-pixel vectors after
-    upstream cloud/crop masking; masked-out pixels carry mask 0.
-    """
-    if len(pixel_values) != len(keep_mask):
-        raise ValueError(
-            f"values ({len(pixel_values)}) and mask ({len(keep_mask)}) lengths differ"
-        )
-    total = 0.0
-    count = 0
-    for v, m in zip(pixel_values, keep_mask):
-        if m not in (0, 1):
-            raise ValueError(f"mask elements must be 0 or 1, got {m!r}")
-        if m == 1:
-            total += float(v)
-            count += 1
-    if count == 0:
-        raise MaskError("no valid pixels")
-    return total / count
-
-
 def _parse_float(text: str, filename: str, line: int, column: str) -> float:
     try:
         value = float(text)
@@ -280,8 +255,6 @@ def _parse_date(text: str, filename: str, line: int, column: str) -> date:
 def _read_rows(path: Path, expected_header: tuple[str, ...]):
     """Yield (line_number, row) after checking the header row."""
     filename = path.name
-    if not path.exists():
-        raise FileNotFoundError(f"missing bundle file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -306,6 +279,89 @@ def _read_rows(path: Path, expected_header: tuple[str, ...]):
 def _check_unit(units: dict[str, UnitMeta], unit_id: str, filename: str, line: int) -> None:
     if unit_id not in units:
         raise BundleValidationError(filename, line, f"unknown unit_id {unit_id!r}")
+
+
+# Every band name a bundle may use, sorted for np.searchsorted.
+_BAND_NAMES = np.array(sorted(band.value for band in SpectralBand))
+_BAND_IS_RAW = np.array([SpectralBand(name).is_raw for name in _BAND_NAMES])
+# The days date.fromisoformat can return.
+_FIRST_DAY, _LAST_DAY = np.datetime64(date.min, "D"), np.datetime64(date.max, "D")
+
+
+def _text_dtype(names) -> str:
+    """A string dtype one character wider than the longest of ``names``.
+
+    np.loadtxt cuts text to the dtype's width; the extra character keeps a
+    longer unknown value (``c1x`` against ``c1``) from matching a name.
+    """
+    return f"U{max(map(len, names), default=0) + 1}"
+
+
+def _read_table(path: Path, header: tuple[str, ...], columns: list) -> np.ndarray | None:
+    """The data rows of a bundle file as one structured array (one np.loadtxt call).
+
+    Returns None when the row-wise reader must decide the file instead: a
+    header other than ``header``, no data rows, a NUL byte (numpy drops
+    trailing NULs from text, so ``c1\\0`` would read as ``c1``) or a row
+    np.loadtxt refuses. np.loadtxt does no CSV quoting and, with
+    ``comments=None``, keeps ``#`` rows, so a quoted or commented cell stays
+    as written and fails a later check.
+    """
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        body = fh.read()
+    if (first.rstrip(b"\r\n") != ",".join(header).encode()
+            or not body or body.isspace() or b"\0" in body):
+        return None
+    del body
+    try:
+        return np.loadtxt(path, dtype=columns, delimiter=",", comments=None,
+                          skiprows=1, ndmin=1, encoding="utf-8")
+    except ValueError:
+        return None
+
+
+def _codes(column: np.ndarray, names: np.ndarray) -> np.ndarray | None:
+    """Each cell's index in the sorted ``names``, or None if a cell is not a name."""
+    if not len(names):
+        return None
+    codes = np.minimum(np.searchsorted(names, column), len(names) - 1)
+    return codes if (names[codes] == column).all() else None
+
+
+def _iso_days(column: np.ndarray) -> np.ndarray | None:
+    """Days of ``YYYY-MM-DD`` cells, or None unless every cell is exactly that form.
+
+    ``datetime64`` also reads other forms (``2020-1-01`` fails, but ``2020``
+    or ``today`` parse), so each cell must equal its day written back. Each
+    distinct cell is parsed once: bundle rows share few dates.
+    """
+    text, rows = np.unique(column, return_inverse=True)
+    try:
+        days = text.astype("datetime64[D]")
+    except ValueError:
+        return None
+    if not ((days >= _FIRST_DAY) & (days <= _LAST_DAY)).all():  # also refuses NaT
+        return None
+    return days[rows] if (days.astype("U10") == text).all() else None
+
+
+def _groups(keys: np.ndarray, days: np.ndarray):
+    """Sort rows by key, then day; find each key's run of rows.
+
+    Returns ``(order, runs)``: ``order`` sorts the rows, and ``runs`` lists
+    ``(key, start, stop)`` slices of the sorted rows in order of each key's
+    first row in the file, as the row-wise readers fill their dicts. None if
+    a key repeats a day.
+    """
+    order = np.lexsort((days, keys))
+    sorted_keys, sorted_days = keys[order], days[order]
+    if ((sorted_keys[1:] == sorted_keys[:-1]) & (sorted_days[1:] == sorted_days[:-1])).any():
+        return None
+    unique, first = np.unique(keys, return_index=True)
+    starts = np.searchsorted(sorted_keys, unique)
+    stops = np.searchsorted(sorted_keys, unique, side="right")
+    return order, [(unique[i], starts[i], stops[i]) for i in np.argsort(first)]
 
 
 def _load_units(path: Path) -> dict[str, UnitMeta]:
@@ -334,10 +390,58 @@ def _load_units(path: Path) -> dict[str, UnitMeta]:
     return units
 
 
+_OBSERVATIONS_HEADER = ("unit_id", "band", "date", "value")
+
+
 def _load_observations(
     path: Path, units: dict[str, UnitMeta]
 ) -> dict[tuple[str, SpectralBand], ObservationSeries]:
-    header = ("unit_id", "band", "date", "value")
+    series = _observation_columns(path, units)
+    return _load_observation_rows(path, units) if series is None else series
+
+
+def _observation_columns(
+    path: Path, units: dict[str, UnitMeta]
+) -> dict[tuple[str, SpectralBand], ObservationSeries] | None:
+    """``observations.csv`` from one np.loadtxt call, or None to use the row-wise reader."""
+    table = _read_table(path, _OBSERVATIONS_HEADER, [
+        ("unit_id", _text_dtype(units)), ("band", _text_dtype(_BAND_NAMES)),
+        ("date", "U11"), ("value", "f8"),
+    ])
+    if table is None:
+        return None
+    unit_ids = np.array(sorted(units))
+    unit_codes = _codes(table["unit_id"], unit_ids)
+    band_codes = _codes(table["band"], _BAND_NAMES)
+    days = _iso_days(table["date"])
+    values = table["value"]
+    if unit_codes is None or band_codes is None or days is None:
+        return None
+    raw = _BAND_IS_RAW[band_codes]
+    if not np.isfinite(values).all() or (
+            raw & ((values < 0.0) | (values > RAW_REFLECTANCE_MAX))).any():
+        return None
+    grouped = _groups(unit_codes * len(_BAND_NAMES) + band_codes, days)
+    if grouped is None:
+        return None
+    order, runs = grouped
+    dates, values = days[order].astype(object), values[order]
+    series: dict[tuple[str, SpectralBand], ObservationSeries] = {}
+    for key, start, stop in runs:
+        unit_id = str(unit_ids[key // len(_BAND_NAMES)])
+        band = SpectralBand(_BAND_NAMES[key % len(_BAND_NAMES)])
+        series[(unit_id, band)] = ObservationSeries(
+            unit_id=unit_id, band=band,
+            dates=tuple(dates[start:stop]), values=values[start:stop],
+        )
+    return series
+
+
+def _load_observation_rows(
+    path: Path, units: dict[str, UnitMeta]
+) -> dict[tuple[str, SpectralBand], ObservationSeries]:
+    """Row-wise reader of ``observations.csv``; its errors name file and line."""
+    header = _OBSERVATIONS_HEADER
     name = path.name
     samples: dict[tuple[str, SpectralBand], list] = {}
     for line, row in _read_rows(path, header):
@@ -372,8 +476,47 @@ def _load_observations(
     return series
 
 
+_CLIMATE_HEADER = ("unit_id", "date", "tmin_c", "tmax_c", "ppt_mm")
+
+
 def _load_climate(path: Path, units: dict[str, UnitMeta]) -> dict[str, ClimateSeries]:
-    header = ("unit_id", "date", "tmin_c", "tmax_c", "ppt_mm")
+    climate = _climate_columns(path, units)
+    return _load_climate_rows(path, units) if climate is None else climate
+
+
+def _climate_columns(path: Path, units: dict[str, UnitMeta]) -> dict[str, ClimateSeries] | None:
+    """``climate.csv`` from one np.loadtxt call, or None to use the row-wise reader."""
+    table = _read_table(path, _CLIMATE_HEADER, [
+        ("unit_id", _text_dtype(units)), ("date", "U11"),
+        ("tmin_c", "f8"), ("tmax_c", "f8"), ("ppt_mm", "f8"),
+    ])
+    if table is None:
+        return None
+    unit_ids = np.array(sorted(units))
+    unit_codes = _codes(table["unit_id"], unit_ids)
+    days = _iso_days(table["date"])
+    tmin, tmax, ppt = table["tmin_c"], table["tmax_c"], table["ppt_mm"]
+    if unit_codes is None or days is None:
+        return None
+    if not (np.isfinite(tmin) & np.isfinite(tmax) & np.isfinite(ppt)).all() or (
+            (tmin > tmax) | (ppt < 0)).any():
+        return None
+    days = days.astype(np.int64) + _EPOCH_ORDINAL
+    grouped = _groups(unit_codes, days)
+    if grouped is None:
+        return None
+    order, runs = grouped
+    days, tmin, tmax, ppt = days[order], tmin[order], tmax[order], ppt[order]
+    return {
+        str(unit_ids[code]): ClimateSeries(days[start:stop], tmin[start:stop],
+                                           tmax[start:stop], ppt[start:stop])
+        for code, start, stop in runs
+    }
+
+
+def _load_climate_rows(path: Path, units: dict[str, UnitMeta]) -> dict[str, ClimateSeries]:
+    """Row-wise reader of ``climate.csv``; its errors name file and line."""
+    header = _CLIMATE_HEADER
     name = path.name
     seen: set[tuple[str, date]] = set()
     rows: dict[str, list[tuple[int, float, float, float]]] = {}
@@ -454,33 +597,50 @@ def _load_labels(path: Path, units: dict[str, UnitMeta]) -> list[LabelRecord]:
     return labels
 
 
-def load_dataset(bundle_dir: str | Path) -> Dataset:
-    """Load and validate a five-file bundle directory.
+BUNDLE_FILES = ("units.csv", "observations.csv", "climate.csv", "embeddings.csv", "labels.csv")
+
+
+def load_dataset(bundle_dir: str | Path, files: Collection[str] = BUNDLE_FILES) -> Dataset:
+    """Load and validate a bundle directory, parsing only ``files``.
+
+    All five files must exist, but only those named in ``files`` are parsed
+    and validated; ``units.csv`` is always parsed, because every other file
+    is checked against it. A file left out reads as empty in the returned
+    ``Dataset``, and its ``manifest`` lists the parsed files only.
 
     Loading is deterministic: two loads of the same bundle produce identical
     in-memory contents. Raises ``FileNotFoundError`` for missing files and
     ``BundleValidationError`` (with file and line) for malformed rows or
     invariant violations.
     """
+    unknown = sorted(set(files) - set(BUNDLE_FILES))
+    if unknown:
+        raise ValueError(f"unknown bundle files {unknown} (use {', '.join(BUNDLE_FILES)})")
     bundle = Path(bundle_dir)
-    units = _load_units(bundle / "units.csv")
-    observations = _load_observations(bundle / "observations.csv", units)
-    climate = _load_climate(bundle / "climate.csv", units)
-    embeddings = _load_embeddings(bundle / "embeddings.csv", units)
-    labels = _load_labels(bundle / "labels.csv", units)
+    for filename in BUNDLE_FILES:
+        if not (bundle / filename).exists():
+            raise FileNotFoundError(f"missing bundle file: {bundle / filename}")
 
+    def parse(filename, loader, empty):
+        return loader(bundle / filename, units) if filename in files else empty
+
+    units = _load_units(bundle / "units.csv")
+    observations = parse("observations.csv", _load_observations, {})
+    climate = parse("climate.csv", _load_climate, {})
+    embeddings = parse("embeddings.csv", _load_embeddings, {})
+    labels = parse("labels.csv", _load_labels, [])
+
+    rows = {
+        "units.csv": len(units),
+        "observations.csv": int(sum(len(s) for s in observations.values())),
+        "climate.csv": int(sum(len(c) for c in climate.values())),
+        "embeddings.csv": len(embeddings),
+        "labels.csv": len(labels),
+    }
     manifest = {
-        "units.csv": {"path": str(bundle / "units.csv"), "rows": len(units)},
-        "observations.csv": {
-            "path": str(bundle / "observations.csv"),
-            "rows": int(sum(len(s) for s in observations.values())),
-        },
-        "climate.csv": {
-            "path": str(bundle / "climate.csv"),
-            "rows": int(sum(len(c) for c in climate.values())),
-        },
-        "embeddings.csv": {"path": str(bundle / "embeddings.csv"), "rows": len(embeddings)},
-        "labels.csv": {"path": str(bundle / "labels.csv"), "rows": len(labels)},
+        filename: {"path": str(bundle / filename), "rows": rows[filename]}
+        for filename in BUNDLE_FILES
+        if filename == "units.csv" or filename in files
     }
     return Dataset(
         units=units,

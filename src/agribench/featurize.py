@@ -73,7 +73,11 @@ TILLAGE_MONTHS = (4, 5, 6)
 # A month with less than this fraction of days present is treated as missing.
 MIN_CLIMATE_COVERAGE = 0.8
 
-FEATURE_SETS = ("RS", "AEF")
+# The feature sets and the bundle files each reads; commands parse only these.
+FEATURE_SET_FILES = {
+    "RS": ("units.csv", "observations.csv", "climate.csv", "labels.csv"),
+    "AEF": ("units.csv", "embeddings.csv", "labels.csv"),
+}
 
 
 class FeatureAssemblyError(ValueError):
@@ -121,7 +125,7 @@ class TaskConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.feature_set not in FEATURE_SETS:
+        if self.feature_set not in FEATURE_SET_FILES:
             raise ValueError(f"unknown feature_set {self.feature_set!r}")
         if self.missing_policy not in ("drop", "impute_mean"):
             raise ValueError(f"unknown missing_policy {self.missing_policy!r}")

@@ -85,6 +85,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_counties < 1:
             raise ValueError("n_counties must be at least 1")
+        if self.fields_per_county < 0:
+            raise ValueError(f"fields_per_county must be nonnegative, got {self.fields_per_county}")
         if not self.years:
             raise ValueError("years must be nonempty")
         if len(set(self.years)) != len(self.years):
@@ -99,6 +101,8 @@ class SynthSpec:
             raise ValueError("noise sigmas must be nonnegative")
         if self.label_r2_ceiling is not None and not 0.0 < self.label_r2_ceiling <= 1.0:
             raise ValueError("label_r2_ceiling must be in (0, 1]")
+        if not self.tasks:
+            raise ValueError("tasks must be nonempty")
         unknown = set(self.tasks) - {"yield", "tillage_ratio", "tillage_class", "covercrop_class"}
         if unknown:
             raise ValueError(f"unknown tasks {sorted(unknown)}")
@@ -111,6 +115,8 @@ class SynthSpec:
         needs_fields = {"tillage_class", "covercrop_class"} & set(self.tasks)
         if needs_fields and self.fields_per_county < 1:
             raise ValueError(f"tasks {sorted(needs_fields)} require fields_per_county >= 1")
+        for name in self.label_weights:
+            _band_value_name(name)
 
     def season_template(self) -> SeasonTemplate:
         if "covercrop_class" in self.tasks:
@@ -187,18 +193,20 @@ def _observation_dates(spec: SynthSpec, seed: int, unit_id: str, year: int,
 
 
 def _band_value_name(name: str) -> tuple[SpectralBand, str]:
-    band_name, stat = name.rsplit("_", 1)
-    if stat not in ("peak", "c"):
-        raise ValueError(f"unsupported true feature {name!r} (use <Band>_peak or <Band>_c)")
-    return SpectralBand.from_name(band_name), stat
+    """Band and statistic of a true feature: ``<Band>_peak``, or ``<Band>_c`` for a raw band."""
+    band_name, _, stat = name.rpartition("_")
+    band = next((band for band in SpectralBand if band.value == band_name), None)
+    if band is None or stat not in ("peak", "c") or (stat == "c" and not band.is_raw):
+        raise ValueError(
+            f"synth.label_feature {name!r}: expected <Band>_peak, or <Band>_c for a raw band"
+        )
+    return band, stat
 
 
 def _true_feature(name: str, curves: dict[SpectralBand, Curve], window,
                   origin: date) -> float:
     band, stat = _band_value_name(name)
     if stat == "c":
-        if not band.is_raw:
-            raise ValueError(f"{name!r}: _c features exist for raw bands only")
         return curves[band].c
     t = window.day_times(origin)
     if band.is_raw:

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from dataclasses import MISSING, fields
 
 import pytest
@@ -208,10 +209,35 @@ def test_model_bytes_independent_of_threads(bundle, tmp_path, task):
 def test_bad_synth_settings_are_named_errors(tmp_path, capsys):
     out = tmp_path / "bundle"
     for setting, message in (("synth.crop=rice", "unknown crop 'rice'"),
-                             ("synth.years=2020,2020", "years must not repeat")):
+                             ("synth.years=2020,2020", "years must not repeat"),
+                             ("synth.label_feature=NDVI",
+                              "synth.label_feature 'NDVI': expected <Band>_peak"),
+                             ("synth.label_feature=NDVI_c",
+                              "synth.label_feature 'NDVI_c': expected <Band>_peak"),
+                             ("synth.tasks=,", "tasks must be nonempty"),
+                             ("synth.fields_per_county=-3",
+                              "fields_per_county must be nonnegative, got -3")):
         assert main(["synth", "--set", setting, "--set", f"out_dir={out}"]) == 1
         assert capsys.readouterr().err.startswith(f"error: synth: {message}")
         assert not out.exists()
+
+
+def test_aef_commands_do_not_read_climate(bundle, tmp_path, capsys):
+    broken = tmp_path / "bundle"
+    shutil.copytree(bundle, broken)
+    climate = broken / "climate.csv"
+    line = climate.read_text().count("\n") + 1
+    with open(climate, "a", encoding="utf-8") as fh:
+        fh.write("ghost,2020-06-01,10.0,25.0,1.5\n")
+    base = [f"bundle={broken}", "task.name=yield", "task.crop=corn", f"out_dir={tmp_path}"]
+    assert execute("featurize", None, base + ["task.feature_set=AEF"]) == 0
+    capsys.readouterr()
+    assert execute("featurize", None, base + ["task.feature_set=RS"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: featurize: climate.csv line {line}: unknown unit_id 'ghost'\n")
+    climate.unlink()
+    assert execute("featurize", None, base + ["task.feature_set=AEF"]) == 1
+    assert capsys.readouterr().err.startswith("error: featurize: missing bundle file:")
 
 
 def test_bad_run_settings_are_named_errors(bundle, tmp_path, capsys):

@@ -1,14 +1,22 @@
+import tempfile
+from datetime import date
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from conftest import write_bundle
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agribench.dataset import (
     BundleValidationError,
-    MaskError,
     SpectralBand,
+    _climate_columns,
+    _load_climate_rows,
+    _load_observation_rows,
+    _load_units,
+    _observation_columns,
     load_dataset,
-    masked_mean,
 )
 
 UNIT_ROW = ["c1", "county", "IL", "c1", "", "120.0"]
@@ -159,26 +167,158 @@ def test_load_is_deterministic(tmp_bundle):
     )
 
 
-class TestMaskedMean:
-    def test_basic(self):
-        assert masked_mean([1, 2, 3], [1, 0, 1]) == 2.0
+# climate.csv and observations.csv are parsed by one np.loadtxt call each;
+# any row that call or its checks refuse goes to the row-wise reader, which
+# words every error. These pin the row-wise reader's exact messages.
+OBS_DAY = ["c1", "NIR", "2020-06-01", "0.5"]
 
-    def test_singleton(self):
-        assert masked_mean([5], [1]) == 5.0
 
-    def test_all_masked(self):
-        with pytest.raises(MaskError, match="no valid pixels"):
-            masked_mean([1, 2, 3], [0, 0, 0])
+@pytest.mark.parametrize("table, row, message", [
+    ("climate", ["c1", "2020-06-02", "nan", "25.0", "0.0"], "column 'tmin_c': non-finite value"),
+    ("climate", ["c1", "2020-06-02", "25.0", "10.0", "0.0"], "tmin 25.0 > tmax 10.0"),
+    ("climate", ["c1", "2020-06-02", "10.0", "25.0", "-0.5"], "negative precipitation -0.5"),
+    ("climate", ["c2", "2020-06-02", "10.0", "25.0", "0.0"], "unknown unit_id 'c2'"),
+    ("climate", ["c1x", "2020-06-02", "10.0", "25.0", "0.0"], "unknown unit_id 'c1x'"),
+    ("climate", ["c1xyz", "2020-06-02", "10.0", "25.0", "0.0"], "unknown unit_id 'c1xyz'"),
+    ("climate", ["c1\0", "2020-06-02", "10.0", "25.0", "0.0"], "unknown unit_id 'c1\\x00'"),
+    ("climate", ["c1", "2020-06-01", "11.0", "24.0", "0.0"],
+     "duplicate climate day for unit 'c1': 2020-06-01"),
+    ("climate", ["c1", "2020-1-01", "10.0", "25.0", "0.0"],
+     "column 'date': not an ISO date: '2020-1-01'"),
+    ("climate", ["c1", "2020-06", "10.0", "25.0", "0.0"],
+     "column 'date': not an ISO date: '2020-06'"),
+    ("climate", ["#c1", "2020-06-02", "10.0", "25.0", "0.0"], "unknown unit_id '#c1'"),
+    ("observations", ["c1", "NIR", "2020-06-02", "inf"], "column 'value': non-finite value"),
+    ("observations", ["c2", "NIR", "2020-06-02", "0.5"], "unknown unit_id 'c2'"),
+    ("observations", ["c1x", "NIR", "2020-06-02", "0.5"], "unknown unit_id 'c1x'"),
+    ("observations", ["c1", "NIR", "2020-06-01", "0.6"],
+     "duplicate observation for unit 'c1', band NIR, date 2020-06-01"),
+    ("observations", ["c1", "NIRX", "2020-06-02", "0.5"], "unknown band name: 'NIRX'"),
+    ("observations", ["c1", "Red", "2020-06-02", "1.6"], "raw band Red value outside [0, 1.5]"),
+    ("observations", ["c1", "NIR", "2020-1-01", "0.5"],
+     "column 'date': not an ISO date: '2020-1-01'"),
+    ("observations", ["c1", "NIR", "today", "0.5"], "column 'date': not an ISO date: 'today'"),
+    ("observations", ["#c1", "NIR", "2020-06-02", "0.5"], "unknown unit_id '#c1'"),
+], ids=[
+    "climate-non_finite", "climate-tmin_above_tmax", "climate-negative_ppt",
+    "climate-unknown_unit", "climate-extended_unit", "climate-long_unit", "climate-nul_unit",
+    "climate-duplicate_day", "climate-short_month", "climate-month_only", "climate-comment_row",
+    "observations-non_finite", "observations-unknown_unit", "observations-extended_unit",
+    "observations-duplicate", "observations-unknown_band", "observations-raw_above_max",
+    "observations-short_month", "observations-today", "observations-comment_row",
+])
+def test_bad_row_keeps_row_reader_message(tmp_bundle, table, row, message):
+    first = CLIMATE_DAY if table == "climate" else OBS_DAY
+    bundle = tmp_bundle(units=[UNIT_ROW], **{table: [first, row]})
+    with pytest.raises(BundleValidationError) as info:
+        load_dataset(bundle)
+    assert str(info.value) == f"{table}.csv line 3: {message}"
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="lengths differ"):
-            masked_mean([1, 2], [1])
 
-    def test_bad_mask_element(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            masked_mean([1.0], [2])
+def _climate_arrays(climate):
+    return [(unit_id, name, getattr(series, name).dtype.str, getattr(series, name).tobytes())
+            for unit_id, series in climate.items()
+            for name in ("days", "tmin", "tmax", "ppt", "month_keys")]
 
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-    def test_all_ones_mask_is_plain_mean(self, values):
-        result = masked_mean(values, [1] * len(values))
-        assert result == pytest.approx(sum(values) / len(values), rel=1e-12, abs=1e-12)
+
+def _observation_arrays(observations):
+    return [(key, series.dates, [type(d) for d in series.dates], series.values.tobytes())
+            for key, series in observations.items()]
+
+
+@pytest.mark.parametrize("table, row", [
+    ("climate", ["c1", "20200101", "10.0", "25.0", "0.0"]),
+    ("climate", ['"c1"', "2020-06-02", "10.0", "25.0", "0.0"]),
+    ("observations", ["c1", "NIR", "20200101", "0.5"]),
+    ("observations", ['"c1"', "NIR", "2020-06-02", "0.5"]),
+], ids=["climate-basic_date", "climate-quoted_unit",
+        "observations-basic_date", "observations-quoted_unit"])
+def test_row_reader_decides_what_loadtxt_refuses(tmp_bundle, table, row):
+    """``20200101`` (read by date.fromisoformat from Python 3.11) and a quoted
+    cell are not parsed by np.loadtxt; the row-wise reader decides them."""
+    first = CLIMATE_DAY if table == "climate" else OBS_DAY
+    bundle = tmp_bundle(units=[UNIT_ROW], **{table: [first, row]})
+    units = _load_units(bundle / "units.csv")
+    columns, rows, arrays = {
+        "climate": (_climate_columns, _load_climate_rows, _climate_arrays),
+        "observations": (_observation_columns, _load_observation_rows, _observation_arrays),
+    }[table]
+    path = bundle / f"{table}.csv"
+    assert columns(path, units) is None
+
+    def outcome(load):
+        try:
+            return arrays(load())
+        except BundleValidationError as exc:
+            return str(exc)
+
+    assert outcome(lambda: getattr(load_dataset(bundle), table)) == \
+        outcome(lambda: rows(path, units))
+
+
+UNIT_IDS = ("c1", "c1x", "c10", "f", "county_17_f03")
+DAYS = st.integers(date(2019, 1, 1).toordinal(), date(2021, 12, 31).toordinal())
+CELLS = st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def bundle_rows(draw):
+    """Valid climate and observation rows over a few units, in random order."""
+    unit_ids = draw(st.lists(st.sampled_from(UNIT_IDS), min_size=1, max_size=4, unique=True))
+    climate = []
+    for unit_id in unit_ids:
+        for day in draw(st.sets(DAYS, max_size=12)):
+            low, high = sorted(draw(st.tuples(CELLS, CELLS)))
+            ppt = draw(st.floats(0.0, 80.0))
+            climate.append([unit_id, date.fromordinal(day).isoformat(),
+                            repr(low), repr(high), repr(ppt)])
+    observations = []
+    for unit_id in unit_ids:
+        for band in draw(st.sets(st.sampled_from(list(SpectralBand)), max_size=4)):
+            values = st.floats(0.0, 1.5) if band.is_raw else CELLS
+            for day in draw(st.sets(DAYS, min_size=1, max_size=8)):
+                observations.append([unit_id, band.value, date.fromordinal(day).isoformat(),
+                                     repr(draw(values))])
+    return (unit_ids, draw(st.permutations(climate)), draw(st.permutations(observations)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle_rows())
+def test_one_call_parse_equals_row_reader(rows):
+    unit_ids, climate, observations = rows
+    units = [[unit_id, "county", "IL", unit_id, "", "1.0"] for unit_id in unit_ids]
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = write_bundle(Path(tmp) / "b", units=units, climate=climate,
+                              observations=observations)
+        unit_meta = _load_units(bundle / "units.csv")
+        fast = _climate_columns(bundle / "climate.csv", unit_meta)
+        if climate:
+            assert fast is not None
+            assert _climate_arrays(fast) == \
+                _climate_arrays(_load_climate_rows(bundle / "climate.csv", unit_meta))
+        fast = _observation_columns(bundle / "observations.csv", unit_meta)
+        if observations:
+            assert fast is not None
+            assert _observation_arrays(fast) == _observation_arrays(
+                _load_observation_rows(bundle / "observations.csv", unit_meta))
+
+
+def test_load_parses_only_the_named_files(tmp_bundle):
+    bundle = tmp_bundle(
+        units=[UNIT_ROW],
+        observations=[["c1", "NIR", "2020-06-01", "oops"]],
+        climate=[["ghost", "2020-06-01", "10.0", "25.0", "1.5"]],
+        embeddings=[EMB_PREFIX + ["0.01"] * 64],
+        labels=[["c1", "2020", "yield", "9.1"]],
+    )
+    ds = load_dataset(bundle, ("units.csv", "embeddings.csv", "labels.csv"))
+    assert list(ds.manifest) == ["units.csv", "embeddings.csv", "labels.csv"]
+    assert ds.observations == {} and ds.climate == {}
+    assert ds.embedding_for("c1", 2020).shape == (64,)
+    with pytest.raises(BundleValidationError, match=r"climate\.csv line 2"):
+        load_dataset(bundle, ("units.csv", "climate.csv"))
+    with pytest.raises(ValueError, match="unknown bundle files"):
+        load_dataset(bundle, ("units.csv", "weather.csv"))
+    (bundle / "observations.csv").unlink()
+    with pytest.raises(FileNotFoundError, match="observations.csv"):
+        load_dataset(bundle, ("units.csv", "embeddings.csv", "labels.csv"))
