@@ -8,13 +8,12 @@ conventional degree-day units. Every function takes one month of a unit's
 ``ClimateSeries`` columns.
 """
 
-import calendar
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ClimateSeries
+from .dataset import ClimateSeries, month_span
 
 
 class NoClimateDataError(ValueError):
@@ -47,22 +46,9 @@ GDD_DEFAULTS = {
 
 
 # sin(pi * (hour - 6) / 12) for hour = 1..24: the shape of the diurnal cycle.
+# The hourly temperature is mid + amp * _HOURLY_SIN[hour - 1], with its maximum
+# at hour 12; any fixed phase gives the same daily GDD sum.
 _HOURLY_SIN = tuple(math.sin(math.pi * (hour - 6) / 12.0) for hour in range(1, 25))
-
-
-def hourly_temp(tmin_c: float, tmax_c: float, hour: int) -> float:
-    """Sinusoidal hourly temperature between the daily min and max.
-
-    The phase puts the maximum at hour 12 and the minimum at the
-    hour-24-adjacent trough; any fixed phase gives the same daily GDD sum.
-    """
-    if tmin_c > tmax_c:
-        raise ValueError(f"tmin {tmin_c} > tmax {tmax_c}")
-    if not 1 <= hour <= 24:
-        raise ValueError(f"hour must be in 1..24, got {hour}")
-    mid = (tmax_c + tmin_c) / 2.0
-    amp = (tmax_c - tmin_c) / 2.0
-    return mid + amp * _HOURLY_SIN[hour - 1]
 
 
 def _check_nonempty(days: ClimateSeries) -> None:
@@ -110,5 +96,5 @@ def monthly_tmean(days: ClimateSeries) -> float:
 
 def month_coverage(days: ClimateSeries, year: int, month: int) -> float:
     """Fraction of the month's calendar days present in ``days``."""
-    n_days = calendar.monthrange(year, month)[1]
-    return len(days.month(year, month)) / n_days
+    first, following = month_span(year, month)
+    return len(days.month(year, month)) / (following - first)

@@ -65,10 +65,6 @@ class SpectralBand(Enum):
     def is_raw(self) -> bool:
         return self in RAW_BANDS
 
-    @property
-    def is_derived(self) -> bool:
-        return not self.is_raw
-
     @classmethod
     def from_name(cls, name: str) -> "SpectralBand":
         try:
@@ -99,21 +95,35 @@ class BundleValidationError(ValueError):
         super().__init__(f"{filename} line {line}: {message}")
 
 
+def month_span(year: int, month: int) -> tuple[int, int]:
+    """Day ordinals of the first day of the month and of the month after it."""
+    return (date(year, month, 1).toordinal(),
+            date(year + month // 12, month % 12 + 1, 1).toordinal())
+
+
 @dataclass(frozen=True)
 class ObservationSeries:
-    """Dated samples of one band for one spatial unit, dates strictly increasing."""
+    """Samples of one band for one spatial unit on strictly increasing days.
+
+    ``days`` holds ``date.toordinal()`` values as a 1-D integer array;
+    ``values`` is aligned with it.
+    """
 
     unit_id: str
     band: SpectralBand
-    dates: tuple[date, ...]
+    days: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.dates) != len(self.values):
-            raise ValueError("dates and values must have equal length")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise ValueError(f"dates not strictly increasing at {b}")
+        days = self.days
+        if not (isinstance(days, np.ndarray) and days.ndim == 1 and days.dtype.kind == "i"):
+            raise ValueError("days must be a 1-D integer array")
+        if len(days) != len(self.values):
+            raise ValueError("days and values must have equal length")
+        repeated = np.flatnonzero(days[1:] <= days[:-1])
+        if repeated.size:
+            day = date.fromordinal(int(days[repeated[0] + 1]))
+            raise ValueError(f"days not strictly increasing at {day}")
         if len(self.values) and not np.isfinite(self.values).all():
             raise ValueError("non-finite observation value")
         if self.band.is_raw and len(self.values):
@@ -124,15 +134,7 @@ class ObservationSeries:
                 )
 
     def __len__(self) -> int:
-        return len(self.dates)
-
-
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-
-
-def _month_key(year: int, month: int) -> int:
-    """Months since January 1970, the key ``ClimateSeries.month_keys`` uses."""
-    return (year - 1970) * 12 + month - 1
+        return len(self.days)
 
 
 @dataclass(frozen=True)
@@ -140,27 +142,20 @@ class ClimateSeries:
     """Daily climate of one unit as columns, in increasing day order.
 
     ``days`` holds ``date.toordinal()`` values; ``tmin``, ``tmax`` (deg C)
-    and ``ppt`` (mm) are aligned with it. ``month_keys`` gives each day's
-    calendar month, so one month is a contiguous slice.
+    and ``ppt`` (mm) are aligned with it.
     """
 
     days: np.ndarray
     tmin: np.ndarray
     tmax: np.ndarray
     ppt: np.ndarray
-    month_keys: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        months = (self.days - _EPOCH_ORDINAL).astype("datetime64[D]").astype("datetime64[M]")
-        object.__setattr__(self, "month_keys", months.astype(np.int64))
 
     def __len__(self) -> int:
         return len(self.days)
 
     def month(self, year: int, month: int) -> "ClimateSeries":
         """The days of one calendar month (possibly none)."""
-        key = _month_key(year, month)
-        lo, hi = np.searchsorted(self.month_keys, (key, key + 1))
+        lo, hi = self.days.searchsorted(month_span(year, month))
         return ClimateSeries(self.days[lo:hi], self.tmin[lo:hi], self.tmax[lo:hi],
                              self.ppt[lo:hi])
 
@@ -244,12 +239,14 @@ def _parse_int(text: str, filename: str, line: int, column: str) -> int:
 
 
 def _parse_date(text: str, filename: str, line: int, column: str) -> date:
+    """The day written exactly ``YYYY-MM-DD``; other forms Python reads are refused."""
     try:
-        return date.fromisoformat(text)
+        day = date.fromisoformat(text)
+        if day.isoformat() == text:
+            return day
     except ValueError:
-        raise BundleValidationError(
-            filename, line, f"column {column!r}: not an ISO date: {text!r}"
-        ) from None
+        pass
+    raise BundleValidationError(filename, line, f"column {column!r}: not an ISO date: {text!r}")
 
 
 def _read_rows(path: Path, expected_header: tuple[str, ...]):
@@ -284,7 +281,8 @@ def _check_unit(units: dict[str, UnitMeta], unit_id: str, filename: str, line: i
 # Every band name a bundle may use, sorted for np.searchsorted.
 _BAND_NAMES = np.array(sorted(band.value for band in SpectralBand))
 _BAND_IS_RAW = np.array([SpectralBand(name).is_raw for name in _BAND_NAMES])
-# The days date.fromisoformat can return.
+# The ordinal of datetime64's day 0, and the days a ``date`` can hold.
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _FIRST_DAY, _LAST_DAY = np.datetime64(date.min, "D"), np.datetime64(date.max, "D")
 
 
@@ -330,7 +328,7 @@ def _codes(column: np.ndarray, names: np.ndarray) -> np.ndarray | None:
 
 
 def _iso_days(column: np.ndarray) -> np.ndarray | None:
-    """Days of ``YYYY-MM-DD`` cells, or None unless every cell is exactly that form.
+    """Day ordinals of ``YYYY-MM-DD`` cells, or None unless every cell is exactly that form.
 
     ``datetime64`` also reads other forms (``2020-1-01`` fails, but ``2020``
     or ``today`` parse), so each cell must equal its day written back. Each
@@ -343,7 +341,9 @@ def _iso_days(column: np.ndarray) -> np.ndarray | None:
         return None
     if not ((days >= _FIRST_DAY) & (days <= _LAST_DAY)).all():  # also refuses NaT
         return None
-    return days[rows] if (days.astype("U10") == text).all() else None
+    if not (days.astype("U10") == text).all():
+        return None
+    return (days.astype(np.int64) + _EPOCH_ORDINAL)[rows]
 
 
 def _groups(keys: np.ndarray, days: np.ndarray):
@@ -425,14 +425,14 @@ def _observation_columns(
     if grouped is None:
         return None
     order, runs = grouped
-    dates, values = days[order].astype(object), values[order]
+    days, values = days[order], values[order]
     series: dict[tuple[str, SpectralBand], ObservationSeries] = {}
     for key, start, stop in runs:
         unit_id = str(unit_ids[key // len(_BAND_NAMES)])
         band = SpectralBand(_BAND_NAMES[key % len(_BAND_NAMES)])
         series[(unit_id, band)] = ObservationSeries(
             unit_id=unit_id, band=band,
-            dates=tuple(dates[start:stop]), values=values[start:stop],
+            days=days[start:stop], values=values[start:stop],
         )
     return series
 
@@ -468,7 +468,7 @@ def _load_observation_rows(
             series[(unit_id, band)] = ObservationSeries(
                 unit_id=unit_id,
                 band=band,
-                dates=tuple(t[0] for t in triples),
+                days=np.array([t[0].toordinal() for t in triples], dtype=np.int64),
                 values=np.array([t[1] for t in triples], dtype=float),
             )
         except ValueError as exc:
@@ -501,7 +501,6 @@ def _climate_columns(path: Path, units: dict[str, UnitMeta]) -> dict[str, Climat
     if not (np.isfinite(tmin) & np.isfinite(tmax) & np.isfinite(ppt)).all() or (
             (tmin > tmax) | (ppt < 0)).any():
         return None
-    days = days.astype(np.int64) + _EPOCH_ORDINAL
     grouped = _groups(unit_codes, days)
     if grouped is None:
         return None

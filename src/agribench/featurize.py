@@ -167,7 +167,6 @@ class FeatureTable:
     unit_years: tuple[tuple[str, int], ...]
     values: np.ndarray
     labels: np.ndarray
-    config_hash: str
     exclusion_log: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -190,7 +189,6 @@ class FeatureTable:
             unit_years=tuple(self.unit_years[i] for i in idx),
             values=self.values[idx],
             labels=self.labels[idx],
-            config_hash=self.config_hash,
             exclusion_log=dict(self.exclusion_log),
         )
 
@@ -440,8 +438,15 @@ def assemble_table(dataset: Dataset, cfg: TaskConfig) -> FeatureTable:
     Rows are ordered by (unit_id, year). Under the ``drop`` policy, rows with
     any missing cell are removed and their causes counted in the exclusion
     log; under ``impute_mean``, missing cells are filled with the column mean
-    over complete rows.
+    over complete rows. ``dataset`` must have been loaded with every file of
+    ``FEATURE_SET_FILES[cfg.feature_set]``.
     """
+    unloaded = [f for f in FEATURE_SET_FILES[cfg.feature_set] if f not in dataset.manifest]
+    if unloaded:
+        raise FeatureAssemblyError(
+            f"feature set {cfg.feature_set!r} reads {', '.join(unloaded)}, "
+            "which the dataset was loaded without"
+        )
     names = feature_names(cfg)
     keyed = sorted(
         (rec for rec in dataset.labels if rec.task == cfg.task),
@@ -503,7 +508,6 @@ def assemble_table(dataset: Dataset, cfg: TaskConfig) -> FeatureTable:
         unit_years=tuple(unit_years),
         values=matrix,
         labels=label_vec,
-        config_hash=config_fingerprint(cfg),
         exclusion_log=exclusion_log,
     )
 

@@ -12,14 +12,13 @@ the fit window. Time arguments may be ``datetime.date`` or
 """
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import cached_property
 
 import numpy as np
 
-from .dataset import ObservationSeries, SpectralBand
+from .dataset import ObservationSeries, SpectralBand, month_span
 
 DAYS_PER_YEAR = 365.25
 MIN_FIT_SAMPLES = 6  # 5 parameters plus one degree of freedom of slack
@@ -152,8 +151,8 @@ def fit_harmonic(series: ObservationSeries, window: SeasonWindow) -> HarmonicFit
         The design matrix is rank deficient (e.g. all samples on one date).
     """
     origin = date(window.start.year, 1, 1)
-    lo = bisect_left(series.dates, window.start)
-    hi = bisect_right(series.dates, window.end)
+    lo = int(series.days.searchsorted(window.start.toordinal()))
+    hi = int(series.days.searchsorted(window.end.toordinal(), side="right"))
     n_obs = hi - lo
     if n_obs < MIN_FIT_SAMPLES:
         raise InsufficientObservationsError(
@@ -161,7 +160,7 @@ def fit_harmonic(series: ObservationSeries, window: SeasonWindow) -> HarmonicFit
             f"{window.start}..{window.end} for band {series.band.value} "
             f"(need {MIN_FIT_SAMPLES})"
         )
-    t = np.array([(d - origin).days for d in series.dates[lo:hi]]) / DAYS_PER_YEAR
+    t = (series.days[lo:hi] - origin.toordinal()) / DAYS_PER_YEAR
     solution = _solve_ols(t, series.values[lo:hi], f"band {series.band.value}")
     c, a1, b1, a2, b2 = (float(v) for v in solution)
     return HarmonicFit(
@@ -250,11 +249,10 @@ def monthly_extrema(
     the slice of ``fit.window_curve`` (the curve on the window's daily grid,
     computed once per fit) that covers the month's overlap with the window.
     """
-    first = date(year, month, 1)
-    following = date(year + month // 12, month % 12 + 1, 1)  # first of next month
+    first, following = month_span(year, month)
     if isinstance(source, ObservationSeries):
-        lo = bisect_left(source.dates, first)
-        hi = bisect_left(source.dates, following)
+        lo = source.days.searchsorted(first)
+        hi = source.days.searchsorted(following)
         if lo == hi:
             raise MissingMonthError(
                 f"missing month: no observations in {year}-{month:02d} "
@@ -265,8 +263,9 @@ def monthly_extrema(
 
     if isinstance(source, HarmonicFit):
         window, curve = source.window, source.window_curve
-        lo = max((first - window.start).days, 0)
-        hi = min((following - window.start).days, len(curve))
+        start = window.start.toordinal()
+        lo = max(first - start, 0)
+        hi = min(following - start, len(curve))
         if lo >= hi:
             raise MissingMonthError(
                 f"missing month: {year}-{month:02d} does not overlap fit window "

@@ -1,8 +1,8 @@
 """Derived spectral indices computed from co-temporal raw-band reflectance.
 
 Two vegetation indices (NDVI, GCVI) and three crop-residue/tillage
-indices (NDTI, STI, CRC). Index series are derived only at dates where all
-required raw bands were observed (scene exports share dates, so exact-date
+indices (NDTI, STI, CRC). Index series are derived only on days where all
+required raw bands were observed (scene exports share days, so exact-day
 matching is used with no tolerance window).
 """
 
@@ -59,22 +59,6 @@ def index_values(
     return values
 
 
-def compute_index(
-    kind: SpectralBand,
-    inputs: dict[SpectralBand, float],
-    gcvi_minus_one: bool = False,
-) -> float:
-    """Evaluate one derived index from a single scene's raw-band values."""
-    if not kind.is_derived:
-        raise ValueError(f"{kind.value} is a raw band, not a derived index")
-    for band in REQUIRED_BANDS[kind]:
-        if band not in inputs:
-            raise ValueError(f"{kind.value} requires band {band.value}")
-        if not np.isfinite(inputs[band]):
-            raise ValueError(f"{kind.value}: non-finite input for {band.value}")
-    return float(index_values(kind, inputs, gcvi_minus_one=gcvi_minus_one))
-
-
 def derive_index_series(
     raw_series: dict[SpectralBand, ObservationSeries],
     kind: SpectralBand,
@@ -82,8 +66,8 @@ def derive_index_series(
 ) -> ObservationSeries:
     """Build an index time series from raw-band series of one unit.
 
-    Output has one sample per date present in every required raw-band
-    series; dates missing from any input are dropped, and so are scenes
+    Output has one sample per day present in every required raw-band
+    series; days missing from any input are dropped, and so are scenes
     where the index denominator is zero. Raises ``IndexDomainError`` when
     co-temporal scenes exist but every one of them has a zero denominator.
     """
@@ -97,28 +81,20 @@ def derive_index_series(
         raise ValueError(f"input series mix units: {sorted(unit_ids)}")
     (unit_id,) = unit_ids
 
-    common = set(raw_series[required[0]].dates)
-    for band in required[1:]:
-        common &= set(raw_series[band].dates)
-    if not common:
+    x, y = (raw_series[band] for band in required)
+    days, x_rows, y_rows = np.intersect1d(x.days, y.days, assume_unique=True,
+                                          return_indices=True)
+    if not len(days):
         raise ValueError(f"{kind.value}: no co-temporal observations")
 
-    # Each series is in date order, so its common dates come out aligned.
-    columns = {
-        band: raw_series[band].values[
-            np.fromiter((d in common for d in raw_series[band].dates), dtype=bool)
-        ]
-        for band in required
-    }
-    dates = sorted(common)
+    columns = {required[0]: x.values[x_rows], required[1]: y.values[y_rows]}
     defined = _ratio_terms(kind, columns)[1] != 0.0
     if not defined.all():
         if not defined.any():
             raise IndexDomainError(
-                f"{kind.value}: zero denominator in all {len(dates)} co-temporal scenes"
+                f"{kind.value}: zero denominator in all {len(days)} co-temporal scenes"
             )
         columns = {band: column[defined] for band, column in columns.items()}
-        dates = [d for d, ok in zip(dates, defined) if ok]
+        days = days[defined]
     values = index_values(kind, columns, gcvi_minus_one=gcvi_minus_one)
-    return ObservationSeries(unit_id=unit_id, band=kind, dates=tuple(dates),
-                             values=values)
+    return ObservationSeries(unit_id=unit_id, band=kind, days=days, values=values)

@@ -1,4 +1,4 @@
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +49,8 @@ def make_series(
     unit_id: str = "u1",
 ) -> ObservationSeries:
     values = np.asarray(values, dtype=float)
-    dates = tuple(start + timedelta(days=step_days * i) for i in range(len(values)))
-    return ObservationSeries(unit_id=unit_id, band=band, dates=dates, values=values)
+    days = start.toordinal() + step_days * np.arange(len(values), dtype=np.int64)
+    return ObservationSeries(unit_id=unit_id, band=band, days=days, values=values)
 
 
 def climate_series(rows) -> ClimateSeries:

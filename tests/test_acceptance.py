@@ -82,9 +82,9 @@ def _normal_equations_oracle(t, y):
 def _random_series(rng, values):
     n = len(values)
     offsets = np.sort(rng.choice(np.arange(0, 214), size=n, replace=False))
-    dates = tuple(WINDOW.start + timedelta(days=int(k)) for k in offsets)
+    days = WINDOW.start.toordinal() + offsets.astype(np.int64)
     return ObservationSeries(unit_id="u", band=B.NIR,
-                             dates=dates, values=np.asarray(values, float))
+                             days=days, values=np.asarray(values, float))
 
 
 def test_criterion_1_harmonic_oracle():
@@ -95,7 +95,7 @@ def test_criterion_1_harmonic_oracle():
         n = int(rng.integers(8, 30))
         series = _random_series(rng, rng.uniform(0.1, 1.2, n))
         fit = fit_harmonic(series, WINDOW)
-        t = [time_fraction(origin, d) for d in series.dates]
+        t = [time_fraction(origin, date.fromordinal(int(d))) for d in series.days]
         expected = _normal_equations_oracle(t, series.values)
         for got, want in zip(fit.coefficients, expected):
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), case
@@ -111,7 +111,8 @@ def test_criterion_1_harmonic_oracle():
         w = 2 * np.pi * t
         y = (coefs[0] + coefs[1] * np.cos(w) + coefs[2] * np.sin(w)
              + coefs[3] * np.cos(2 * w) + coefs[4] * np.sin(2 * w))
-        series = ObservationSeries(unit_id="u", band=B.NIR, dates=dates, values=y)
+        days = np.array([d.toordinal() for d in dates], dtype=np.int64)
+        series = ObservationSeries(unit_id="u", band=B.NIR, days=days, values=y)
         fit = fit_harmonic(series, WINDOW)
         for got, want in zip(fit.coefficients, coefs):
             assert abs(got - want) <= 1e-9, case
@@ -235,7 +236,6 @@ def _toy_units_table(rng):
         unit_years=tuple(unit_years),
         values=np.zeros((len(unit_years), 1)),
         labels=np.zeros(len(unit_years)),
-        config_hash="leakage",
     )
     return table, units
 
@@ -278,7 +278,7 @@ def test_criterion_5_leakage_suite():
     table = FeatureTable(
         task="yield", feature_set="RS", feature_names=("x0",),
         unit_years=tuple(unit_years), values=np.zeros((len(unit_years), 1)),
-        labels=np.zeros(len(unit_years)), config_hash="space",
+        labels=np.zeros(len(unit_years)),
     )
     for direction, train_exp, test_exp in (
         ("East->West", EAST_STATES, WEST_STATES),

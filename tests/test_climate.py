@@ -11,7 +11,7 @@ from agribench.climate import (
     GDD_WINTER_WHEAT,
     GddThresholds,
     NoClimateDataError,
-    hourly_temp,
+    _HOURLY_SIN,
     month_coverage,
     monthly_gdd,
     monthly_ppt,
@@ -42,32 +42,30 @@ def gdd_oracle(days, t_base, t_cap):
 
 
 class TestHourlyTemp:
+    """The diurnal cycle, hour 1..24 at mid + amp * _HOURLY_SIN[hour - 1]."""
+
     def test_zero_amplitude(self):
-        for h in range(1, 25):
-            assert hourly_temp(20.0, 20.0, h) == 20.0
+        # Every hour of a day at 20 deg C adds exactly 20 above a base of 0.
+        day = make_month(2020, 6, 20.0, 20.0, n_days=1)
+        assert monthly_gdd(day, GddThresholds(t_base=0.0, t_cap=30.0)) == 24 * 20.0
 
     def test_max_at_noon(self):
-        assert hourly_temp(10.0, 30.0, 12) == pytest.approx(30.0)
+        assert max(_HOURLY_SIN) == _HOURLY_SIN[12 - 1] == pytest.approx(1.0)
 
     def test_midpoint_at_six(self):
-        assert hourly_temp(10.0, 30.0, 6) == pytest.approx(20.0)
-
-    def test_inverted_rejected(self):
-        with pytest.raises(ValueError):
-            hourly_temp(30.0, 10.0, 12)
-
-    def test_bad_hour_rejected(self):
-        with pytest.raises(ValueError):
-            hourly_temp(10.0, 30.0, 0)
+        assert _HOURLY_SIN[6 - 1] == 0.0
 
     @given(
         tmin=st.floats(-30, 25),
         spread=st.floats(0, 25),
-        hour=st.integers(1, 24),
     )
-    def test_bounded_by_daily_extremes(self, tmin, spread, hour):
-        value = hourly_temp(tmin, tmin + spread, hour)
-        assert tmin - 1e-9 <= value <= tmin + spread + 1e-9
+    def test_bounded_by_daily_extremes(self, tmin, spread):
+        day = make_month(2020, 6, tmin, tmin + spread, n_days=1)
+        # No hour rises above tmax: nothing accumulates over a base at tmax.
+        above = monthly_gdd(day, GddThresholds(t_base=tmin + spread, t_cap=tmin + spread + 1.0))
+        assert above <= 24 * 1e-9
+        # No hour falls below tmin: every hour reaches a cap 1 deg C above tmin - 1.
+        assert monthly_gdd(day, GddThresholds(t_base=tmin - 1.0, t_cap=tmin)) >= 24 * (1 - 1e-9)
 
 
 class TestMonthlyGdd:

@@ -1,3 +1,4 @@
+import calendar
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from agribench.dataset import (
     BundleValidationError,
+    ClimateSeries,
+    ObservationSeries,
     SpectralBand,
     _climate_columns,
     _load_climate_rows,
@@ -17,6 +20,7 @@ from agribench.dataset import (
     _load_units,
     _observation_columns,
     load_dataset,
+    month_span,
 )
 
 UNIT_ROW = ["c1", "county", "IL", "c1", "", "120.0"]
@@ -25,8 +29,7 @@ EMB_PREFIX = ["c1", "2020"]
 
 def test_band_raw_derived_split():
     assert SpectralBand.NIR.is_raw
-    assert not SpectralBand.NIR.is_derived
-    assert SpectralBand.NDVI.is_derived
+    assert not SpectralBand.NDVI.is_raw
     assert SpectralBand.from_name("SWIR1") is SpectralBand.SWIR1
     with pytest.raises(ValueError, match="unknown band"):
         SpectralBand.from_name("B42")
@@ -157,10 +160,10 @@ def test_load_is_deterministic(tmp_bundle):
     assert a.manifest == b.manifest
     sa = a.series_for("c1", SpectralBand.NIR)
     sb = b.series_for("c1", SpectralBand.NIR)
-    assert sa.dates == sb.dates
+    assert np.array_equal(sa.days, sb.days)
     assert np.array_equal(sa.values, sb.values)
     # Out-of-order rows are canonicalized to date order.
-    assert sa.dates[0].day == 1
+    assert sa.days.tolist() == [date(2020, 6, 1).toordinal(), date(2020, 6, 11).toordinal()]
     assert a.labels == b.labels
     assert np.array_equal(
         a.embedding_for("c1", 2020), b.embedding_for("c1", 2020)
@@ -187,6 +190,12 @@ OBS_DAY = ["c1", "NIR", "2020-06-01", "0.5"]
      "column 'date': not an ISO date: '2020-1-01'"),
     ("climate", ["c1", "2020-06", "10.0", "25.0", "0.0"],
      "column 'date': not an ISO date: '2020-06'"),
+    # date.fromisoformat reads these two from Python 3.11 (the week date as
+    # 2019-12-30); a bundle date is written exactly YYYY-MM-DD on every Python.
+    ("climate", ["c1", "20200101", "10.0", "25.0", "0.0"],
+     "column 'date': not an ISO date: '20200101'"),
+    ("climate", ["c1", "2020-W01-1", "10.0", "25.0", "0.0"],
+     "column 'date': not an ISO date: '2020-W01-1'"),
     ("climate", ["#c1", "2020-06-02", "10.0", "25.0", "0.0"], "unknown unit_id '#c1'"),
     ("observations", ["c1", "NIR", "2020-06-02", "inf"], "column 'value': non-finite value"),
     ("observations", ["c2", "NIR", "2020-06-02", "0.5"], "unknown unit_id 'c2'"),
@@ -198,14 +207,20 @@ OBS_DAY = ["c1", "NIR", "2020-06-01", "0.5"]
     ("observations", ["c1", "NIR", "2020-1-01", "0.5"],
      "column 'date': not an ISO date: '2020-1-01'"),
     ("observations", ["c1", "NIR", "today", "0.5"], "column 'date': not an ISO date: 'today'"),
+    ("observations", ["c1", "NIR", "20200101", "0.5"],
+     "column 'date': not an ISO date: '20200101'"),
+    ("observations", ["c1", "NIR", "2020-W01-1", "0.5"],
+     "column 'date': not an ISO date: '2020-W01-1'"),
     ("observations", ["#c1", "NIR", "2020-06-02", "0.5"], "unknown unit_id '#c1'"),
 ], ids=[
     "climate-non_finite", "climate-tmin_above_tmax", "climate-negative_ppt",
     "climate-unknown_unit", "climate-extended_unit", "climate-long_unit", "climate-nul_unit",
-    "climate-duplicate_day", "climate-short_month", "climate-month_only", "climate-comment_row",
+    "climate-duplicate_day", "climate-short_month", "climate-month_only",
+    "climate-basic_date", "climate-week_date", "climate-comment_row",
     "observations-non_finite", "observations-unknown_unit", "observations-extended_unit",
     "observations-duplicate", "observations-unknown_band", "observations-raw_above_max",
-    "observations-short_month", "observations-today", "observations-comment_row",
+    "observations-short_month", "observations-today", "observations-basic_date",
+    "observations-week_date", "observations-comment_row",
 ])
 def test_bad_row_keeps_row_reader_message(tmp_bundle, table, row, message):
     first = CLIMATE_DAY if table == "climate" else OBS_DAY
@@ -218,11 +233,11 @@ def test_bad_row_keeps_row_reader_message(tmp_bundle, table, row, message):
 def _climate_arrays(climate):
     return [(unit_id, name, getattr(series, name).dtype.str, getattr(series, name).tobytes())
             for unit_id, series in climate.items()
-            for name in ("days", "tmin", "tmax", "ppt", "month_keys")]
+            for name in ("days", "tmin", "tmax", "ppt")]
 
 
 def _observation_arrays(observations):
-    return [(key, series.dates, [type(d) for d in series.dates], series.values.tobytes())
+    return [(key, series.days.dtype.str, series.days.tobytes(), series.values.tobytes())
             for key, series in observations.items()]
 
 
@@ -234,8 +249,8 @@ def _observation_arrays(observations):
 ], ids=["climate-basic_date", "climate-quoted_unit",
         "observations-basic_date", "observations-quoted_unit"])
 def test_row_reader_decides_what_loadtxt_refuses(tmp_bundle, table, row):
-    """``20200101`` (read by date.fromisoformat from Python 3.11) and a quoted
-    cell are not parsed by np.loadtxt; the row-wise reader decides them."""
+    """The one-call parse leaves ``20200101`` and a quoted cell to the row-wise
+    reader, which refuses the first as not an ISO date."""
     first = CLIMATE_DAY if table == "climate" else OBS_DAY
     bundle = tmp_bundle(units=[UNIT_ROW], **{table: [first, row]})
     units = _load_units(bundle / "units.csv")
@@ -322,3 +337,39 @@ def test_load_parses_only_the_named_files(tmp_bundle):
     (bundle / "observations.csv").unlink()
     with pytest.raises(FileNotFoundError, match="observations.csv"):
         load_dataset(bundle, ("units.csv", "embeddings.csv", "labels.csv"))
+
+
+@given(st.integers(1900, 2100), st.integers(1, 12))
+def test_month_span_agrees_with_calendar(year, month):
+    first, following = month_span(year, month)
+    assert date.fromordinal(first) == date(year, month, 1)
+    assert following - first == calendar.monthrange(year, month)[1]
+
+
+@settings(max_examples=60)
+@given(st.sets(DAYS, max_size=60), st.integers(2019, 2021), st.integers(1, 12))
+def test_climate_month_equals_per_day_filter(days, year, month):
+    days = np.array(sorted(days), dtype=np.int64)
+    values = np.arange(len(days), dtype=float)
+    series = ClimateSeries(days, values, values + 1.0, values)
+    in_month = series.month(year, month)
+    wanted = [i for i, d in enumerate(days.tolist())
+              if (date.fromordinal(d).year, date.fromordinal(d).month) == (year, month)]
+    assert in_month.days.tolist() == days[wanted].tolist()
+    assert in_month.tmin.tolist() == values[wanted].tolist()
+
+
+NEW_YEAR = date(2021, 1, 1).toordinal()
+
+
+@pytest.mark.parametrize("days, message", [
+    ([NEW_YEAR, NEW_YEAR], "days not strictly increasing at 2021-01-01"),
+    ([NEW_YEAR, NEW_YEAR - 1], "days not strictly increasing at 2020-12-31"),
+    ([NEW_YEAR - 1.0, NEW_YEAR + 0.0], "days must be a 1-D integer array"),
+    ([[NEW_YEAR - 1, NEW_YEAR]], "days must be a 1-D integer array"),
+], ids=["repeated", "decreasing", "float", "two_dimensional"])
+def test_observation_series_rejects_bad_days(days, message):
+    with pytest.raises(ValueError) as info:
+        ObservationSeries(unit_id="c1", band=SpectralBand.NIR, days=np.array(days),
+                          values=np.array([0.1, 0.2]))
+    assert str(info.value) == message

@@ -37,7 +37,6 @@ def toy_table(unit_years, n_features=3):
         unit_years=tuple(unit_years),
         values=rng.normal(size=(n, n_features)),
         labels=rng.normal(size=n),
-        config_hash="toy",
     )
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from agribench.dataset import SpectralBand, load_dataset
 from agribench.featurize import (
+    FEATURE_SET_FILES,
     FeatureAssemblyError,
     TaskConfig,
     assemble_table,
@@ -264,6 +265,26 @@ class TestAssembly:
         assert table.n_rows == 1
         assert table.unit_years == (("c1", 2020),)
         assert table.exclusion_log == {"missing_month": 1}
+
+    @pytest.mark.parametrize("policy", ["drop", "impute_mean"])
+    def test_load_without_the_feature_sets_files_is_named(self, tmp_path, policy):
+        bundle = write_bundle(
+            tmp_path / "b",
+            units=[["c1", "county", "IL", "c1", "", "120.0"]],
+            observations=obs_rows(["c1"]),
+            climate=climate_rows(["c1"]),
+            embeddings=emb_rows(["c1"], [2020]),
+            labels=[["c1", "2020", "yield", "9.0"]],
+        )
+        rs = TaskConfig(task="yield", crop="corn", missing_policy=policy)
+        with pytest.raises(FeatureAssemblyError) as info:
+            assemble_table(load_dataset(bundle, FEATURE_SET_FILES["AEF"]), rs)
+        assert str(info.value) == ("feature set 'RS' reads observations.csv, climate.csv, "
+                                   "which the dataset was loaded without")
+        aef = replace(rs, feature_set="AEF")
+        with pytest.raises(FeatureAssemblyError, match="'AEF' reads embeddings.csv,"):
+            assemble_table(load_dataset(bundle, FEATURE_SET_FILES["RS"]), aef)
+        assert assemble_table(load_dataset(bundle, FEATURE_SET_FILES["RS"]), rs).n_rows == 1
 
     def test_impute_mean_fills_with_complete_row_means(self, tmp_path):
         bundle = write_bundle(

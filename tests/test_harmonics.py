@@ -3,12 +3,15 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agribench.dataset import ObservationSeries, SpectralBand
 from agribench.harmonics import (
     DegenerateDesignError,
     HarmonicFit,
     InsufficientObservationsError,
+    MissingMonthError,
     SeasonWindow,
     _solve_ols,
     eval_harmonic,
@@ -25,7 +28,8 @@ YEAR_WINDOW = SeasonWindow(start=date(2020, 1, 1), end=date(2020, 12, 31))
 
 
 def series_at(dates, values, band=B.NDVI, unit="u1"):
-    return ObservationSeries(unit_id=unit, band=band, dates=tuple(dates), values=np.asarray(values, float))
+    days = np.array([d.toordinal() for d in dates], dtype=np.int64)
+    return ObservationSeries(unit_id=unit, band=band, days=days, values=np.asarray(values, float))
 
 
 def spread_dates(window, n):
@@ -365,6 +369,24 @@ class TestMonthlyExtrema:
                 partial += (last - first).days + 1 < 28
         assert checked == 10 * (7 + 8 + 11)
         assert partial == 10 * 2  # wheat's mid-month start and end
+
+
+@settings(max_examples=60)
+@given(st.sets(st.integers(date(2019, 1, 1).toordinal(), date(2021, 12, 31).toordinal()),
+               max_size=60),
+       st.integers(2019, 2021), st.integers(1, 12))
+def test_series_extrema_equal_per_day_filter(days, year, month):
+    days = sorted(days)
+    values = np.random.default_rng(len(days)).uniform(0.0, 1.0, len(days))
+    in_month = [v for d, v in zip(days, values.tolist())
+                if (date.fromordinal(d).year, date.fromordinal(d).month) == (year, month)]
+    series = ObservationSeries(unit_id="u1", band=B.NDVI,
+                               days=np.array(days, dtype=np.int64), values=values)
+    if in_month:
+        assert monthly_extrema(series, year, month) == (min(in_month), max(in_month))
+    else:
+        with pytest.raises(MissingMonthError):
+            monthly_extrema(series, year, month)
 
 
 class TestSeasonWindow:

@@ -6,62 +6,68 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agribench.dataset import SpectralBand
-from agribench.indices import IndexDomainError, compute_index, derive_index_series
+from agribench.indices import IndexDomainError, derive_index_series, index_values
 from conftest import make_series
 
 B = SpectralBand
 reflectance = st.floats(0.01, 1.5)
 
 
+def index_at(kind, inputs, gcvi_minus_one=False):
+    """One scene's index value, from raw-band values given as scalars."""
+    return float(index_values(kind, inputs, gcvi_minus_one=gcvi_minus_one))
+
+
 def test_ndvi_direct():
-    assert compute_index(B.NDVI, {B.NIR: 0.5, B.RED: 0.1}) == pytest.approx(0.4 / 0.6)
+    assert index_at(B.NDVI, {B.NIR: 0.5, B.RED: 0.1}) == pytest.approx(0.4 / 0.6)
 
 
 def test_ndvi_symmetry():
-    assert compute_index(B.NDVI, {B.NIR: 0.3, B.RED: 0.3}) == 0.0
+    assert index_at(B.NDVI, {B.NIR: 0.3, B.RED: 0.3}) == 0.0
 
 
 def test_gcvi_plain_ratio():
-    assert compute_index(B.GCVI, {B.NIR: 0.6, B.GREEN: 0.2}) == pytest.approx(3.0)
+    assert index_at(B.GCVI, {B.NIR: 0.6, B.GREEN: 0.2}) == pytest.approx(3.0)
 
 
 def test_gcvi_minus_one_flag_shifts_by_constant():
-    plain = compute_index(B.GCVI, {B.NIR: 0.6, B.GREEN: 0.2})
-    shifted = compute_index(B.GCVI, {B.NIR: 0.6, B.GREEN: 0.2}, gcvi_minus_one=True)
+    plain = index_at(B.GCVI, {B.NIR: 0.6, B.GREEN: 0.2})
+    shifted = index_at(B.GCVI, {B.NIR: 0.6, B.GREEN: 0.2}, gcvi_minus_one=True)
     assert shifted == pytest.approx(plain - 1.0)
 
 
 def test_tillage_indices_direct():
-    assert compute_index(B.NDTI, {B.SWIR1: 0.3, B.SWIR2: 0.2}) == pytest.approx(0.2)
-    assert compute_index(B.STI, {B.SWIR1: 0.3, B.SWIR2: 0.2}) == pytest.approx(1.5)
-    assert compute_index(B.CRC, {B.SWIR1: 0.3, B.BLUE: 0.1}) == pytest.approx(0.5)
+    assert index_at(B.NDTI, {B.SWIR1: 0.3, B.SWIR2: 0.2}) == pytest.approx(0.2)
+    assert index_at(B.STI, {B.SWIR1: 0.3, B.SWIR2: 0.2}) == pytest.approx(1.5)
+    assert index_at(B.CRC, {B.SWIR1: 0.3, B.BLUE: 0.1}) == pytest.approx(0.5)
 
 
 def test_zero_denominator_names_index():
     with pytest.raises(IndexDomainError, match="GCVI"):
-        compute_index(B.GCVI, {B.NIR: 0.6, B.GREEN: 0.0})
+        index_at(B.GCVI, {B.NIR: 0.6, B.GREEN: 0.0})
     with pytest.raises(IndexDomainError, match="NDVI"):
-        compute_index(B.NDVI, {B.NIR: 0.0, B.RED: 0.0})
+        index_at(B.NDVI, {B.NIR: 0.0, B.RED: 0.0})
 
 
 def test_missing_band_rejected():
-    with pytest.raises(ValueError, match="requires band"):
-        compute_index(B.NDVI, {B.NIR: 0.5})
+    nir = make_series(B.NIR, date(2020, 5, 1), [0.5, 0.6])
+    with pytest.raises(ValueError, match="NDVI requires a series for band Red"):
+        derive_index_series({B.NIR: nir}, B.NDVI)
 
 
 @given(nir=reflectance, red=reflectance)
 def test_ndvi_bounded(nir, red):
-    assert -1.0 <= compute_index(B.NDVI, {B.NIR: nir, B.RED: red}) <= 1.0
+    assert -1.0 <= index_at(B.NDVI, {B.NIR: nir, B.RED: red}) <= 1.0
 
 
 @given(s1=reflectance, s2=reflectance)
 def test_ndti_bounded(s1, s2):
-    assert -1.0 <= compute_index(B.NDTI, {B.SWIR1: s1, B.SWIR2: s2}) <= 1.0
+    assert -1.0 <= index_at(B.NDTI, {B.SWIR1: s1, B.SWIR2: s2}) <= 1.0
 
 
 @given(s1=reflectance, blue=reflectance)
 def test_crc_bounded(s1, blue):
-    assert -1.0 <= compute_index(B.CRC, {B.SWIR1: s1, B.BLUE: blue}) <= 1.0
+    assert -1.0 <= index_at(B.CRC, {B.SWIR1: s1, B.BLUE: blue}) <= 1.0
 
 
 @given(
@@ -76,8 +82,8 @@ def test_scale_invariance(kind, x, y, scale):
     bands = REQUIRED_BANDS[kind]
     inputs = {bands[0]: x, bands[1]: y}
     scaled = {b: v * scale for b, v in inputs.items()}
-    assert compute_index(kind, scaled) == pytest.approx(
-        compute_index(kind, inputs), rel=1e-9
+    assert index_at(kind, scaled) == pytest.approx(
+        index_at(kind, inputs), rel=1e-9
     )
 
 
@@ -106,7 +112,7 @@ def test_zero_denominator_drops_only_that_scene():
     nir = make_series(B.NIR, start, [0.6, 0.6, 0.6], step_days=10)
     green = make_series(B.GREEN, start, [0.2, 0.0, 0.3], step_days=10)
     out = derive_index_series({B.NIR: nir, B.GREEN: green}, B.GCVI)
-    assert out.dates == (nir.dates[0], nir.dates[2])
+    assert out.days.tolist() == [nir.days[0], nir.days[2]]
     assert out.values.tolist() == [0.6 / 0.2, 0.6 / 0.3]
 
     all_zero = make_series(B.GREEN, start, [0.0, 0.0, 0.0], step_days=10)
@@ -127,11 +133,11 @@ def test_series_values_match_per_date_recomputation():
     nir = make_series(B.NIR, start, rng.uniform(0.2, 0.9, 12), step_days=9)
     red = make_series(B.RED, start, rng.uniform(0.05, 0.4, 12), step_days=9)
     out = derive_index_series({B.NIR: nir, B.RED: red}, B.NDVI)
-    assert out.dates == nir.dates
-    for d, v in zip(out.dates, out.values):
-        i = nir.dates.index(d)
-        expected = compute_index(B.NDVI, {B.NIR: nir.values[i], B.RED: red.values[i]})
-        assert v == pytest.approx(expected, rel=1e-12)
-    # output dates are a subset of every input and strictly increasing
-    assert set(out.dates) <= set(nir.dates) and set(out.dates) <= set(red.dates)
-    assert all(a < b for a, b in zip(out.dates, out.dates[1:]))
+    assert out.days.tolist() == nir.days.tolist()
+    for d, v in zip(out.days.tolist(), out.values):
+        i = nir.days.tolist().index(d)
+        n, r = nir.values[i], red.values[i]
+        assert v == pytest.approx((n - r) / (n + r), rel=1e-12)
+    # output days are a subset of every input and strictly increasing
+    assert set(out.days) <= set(nir.days) and set(out.days) <= set(red.days)
+    assert all(a < b for a, b in zip(out.days, out.days[1:]))

@@ -34,7 +34,6 @@ def make_table(X, y, names=None):
         task="yield", feature_set="RS", feature_names=tuple(names),
         unit_years=tuple((f"u{i}", 2020) for i in range(X.shape[0])),
         values=np.asarray(X, float), labels=np.asarray(y, float),
-        config_hash="test",
     )
 
 
