@@ -95,6 +95,10 @@ def monthly_tmean(days: ClimateSeries) -> float:
 
 
 def month_coverage(days: ClimateSeries, year: int, month: int) -> float:
-    """Fraction of the month's calendar days present in ``days``."""
+    """Fraction of the month's calendar days present in ``days``.
+
+    ``days`` may hold any span of days; only those inside the month count.
+    """
     first, following = month_span(year, month)
-    return len(days.month(year, month)) / (following - first)
+    present = int(days.days.searchsorted(following)) - int(days.days.searchsorted(first))
+    return present / (following - first)

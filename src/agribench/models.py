@@ -18,12 +18,17 @@ feature) for its nodes in creation order; a node searches the features of
 its smallest keys.
 
 Random forest trees are trained on bootstrap resamples whose randomness
-derives only from (seed, tree index). They grow in small batches; with
-``threads > 1`` batches run on worker threads, and the results do not depend
-on scheduling. Gradient boosting fits each tree to the negative gradient of
-squared loss (regression) or logistic loss (classification) and adds it with
-shrinkage; with mean-of-gradient leaf values the training loss is
-non-increasing for any learning rate in (0, 1].
+derives only from (seed, tree index). They grow in batches sized so that one
+level of a batch searches at most ``_BATCH_CELLS`` (drawn row, searched
+column) cells; the trees of a batch read the fit's one presorted matrix
+through their row ids, with no per-tree copy of X or y. With ``threads > 1``
+batches run on worker threads, and the results do not depend on scheduling.
+
+Gradient boosting fits each tree to the negative gradient of squared loss
+(regression) or logistic loss (classification) and adds it with shrinkage,
+taking each training row's leaf value from the grower; with
+mean-of-gradient leaf values the training loss is non-increasing for any
+learning rate in (0, 1].
 
 Feature importance is mean decrease in impurity: per-feature impurity
 decreases weighted by node size, summed within each tree, averaged across
@@ -124,9 +129,17 @@ class TrainedModel:
         self.n_features = len(self.feature_names)
 
 
-# Trees grown together hold at most this many (row, column) cells in their
-# root blocks, which bounds the grower's working memory.
-_BATCH_CELLS = 1 << 15
+# Trees grown together search at most this many (drawn row, searched column)
+# cells per level, about 1 MiB per float64 level array; values are read from
+# the fit's one presorted matrix, never from a per-tree copy of X or y.
+_BATCH_CELLS = 1 << 17
+
+
+def _n_searched(max_features: str, n_features: int) -> int:
+    """Columns each node searches: the sqrt draw's candidates, or every column."""
+    if max_features == "sqrt":
+        return max(1, int(math.sqrt(n_features)))
+    return n_features
 
 
 class _Presorted:
@@ -264,47 +277,45 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     """Grow one CART tree per entry of ``counts``, all together, level by level.
 
     ``counts[t]`` gives each row's multiplicity in tree ``t``'s sample (a
-    bootstrap); ``None`` takes every row once. ``rngs[t]`` draws tree
-    ``t``'s candidate features when ``max_features`` is ``"sqrt"``: at each
-    level one key per (node, feature) for its nodes in creation order, a
-    node's candidates being its smallest keys. Returns ``(Tree, importance)``
-    per tree; each tree comes out as if grown alone.
+    bootstrap); ``[None]`` grows one tree over every row once. ``rngs[t]``
+    draws tree ``t``'s candidate features when ``max_features`` is
+    ``"sqrt"``: at each level one key per (node, feature) for its nodes in
+    creation order, a node's candidates being its smallest keys. Returns
+    ``(Tree, importance, fitted)`` per tree; each tree comes out as if grown
+    alone. ``fitted`` is each row's leaf value for a tree over every row
+    once, ``None`` for a bootstrap tree.
 
-    ``rows`` holds, node after node, the node's rows in ascending order.
-    With every feature searched, ``block`` holds each column's rows in
-    ascending order of that column, and the children's block is a stable
-    partition of the parent's by boolean masks: nothing is sorted after the
-    fit's presort. A sqrt search reads a few columns per node, so it sorts
-    just those by their presort ranks instead of partitioning every column.
+    ``rows`` holds, node after node, the node's row ids in ascending order;
+    every value is looked up in ``data`` by row id, so trees share one copy
+    of X and y. With every feature searched, ``block`` holds each column's
+    rows in ascending order of that column, tree ``t``'s offset by
+    ``t * n_rows`` so that one mask routes every tree's rows, and the
+    children's block is a stable partition of the parent's by boolean
+    masks: nothing is sorted after the fit's presort. A sqrt search reads a
+    few columns per node, so it sorts just those by their presort ranks
+    instead of partitioning every column.
     All nodes of a level are searched together (``_best_splits``). Node ids
     follow creation order: level by level, each split's left child before
     its right.
     """
-    n_features = data.n_features
-    if max_features == "sqrt":
-        n_candidates = max(1, int(math.sqrt(n_features)))
-    else:
-        n_candidates = n_features
+    n_features, n_rows = data.n_features, data.n_rows
+    n_candidates = _n_searched(max_features, n_features)
     partition = n_candidates == n_features
     # Sorted neighbours can tie only where a row repeats (a bootstrap draw)
     # or a column repeats a value; otherwise the tie check is skipped.
     may_tie = counts[0] is not None or not data.distinct
-    # Tree t's row r is row t * n_rows + r of the batch.
-    n_trees = len(counts)
-    n = n_trees * data.n_rows
     x_flat = data.x_flat
-    if n_trees > 1:
-        x_flat = np.tile(x_flat.reshape(n_features, -1), n_trees).ravel()
-        y = np.tile(y, n_trees)
-    offsets = range(0, n, data.n_rows)
+    n_trees = len(counts)
+    # Block entries of tree t are t * n_rows + its row ids.
+    offsets = range(0, n_trees * n_rows, n_rows)
     if counts[0] is None:
         rows = data.row_ids
-        sizes = np.array([data.n_rows])
+        sizes = np.array([n_rows])
+        leaf = np.empty(n_rows, dtype=np.intp)  # each row's deepest node so far
     else:
-        rows = np.concatenate(
-            [(data.row_ids + at).repeat(c) for at, c in zip(offsets, counts)]
-        )
+        rows = np.concatenate([data.row_ids.repeat(c) for c in counts])
         sizes = np.array([int(c.sum()) for c in counts])
+        leaf = None
     if partition:
         block = data.root_block(counts[0])
         if n_trees > 1:
@@ -332,6 +343,8 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             np.add.reduce(ys[s : s + m]) for s, m in zip(starts.tolist(), sizes.tolist())
         ])
         value[ids] = totals / sizes
+        if leaf is not None:
+            leaf[rows] = ids.repeat(sizes)
         return may_split, totals
 
     ids = np.arange(n_trees)
@@ -377,15 +390,16 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                         # Column f of node j starts at starts[j] * n_features + f * m[j].
                         first = (starts[sel] * n_features)[:, None] + searched * m[:, None]
                         search = block.take(first + slot_row[:, :, None])
+                        if n_trees > 1:
+                            search -= (tree_of[sel] * n_rows)[:, None]
                 else:
                     searched = columns[sel]
-                    local = rows.take(starts[sel] + slot_row) - tree_of[sel] * data.n_rows
-                    local[slot_row < np.arange(m[0])[:, None]] = data.n_rows
+                    local = rows.take(starts[sel] + slot_row)
+                    local[slot_row < np.arange(m[0])[:, None]] = n_rows
                     search = data.sort_rows(local, searched)
-                    search += (tree_of[sel] * data.n_rows)[:, None]
                 ties = None
                 if may_tie:
-                    xs = x_flat.take(search + searched * n)
+                    xs = x_flat.take(search + searched * n_rows)
                     ties = np.zeros(xs.shape, dtype=bool)
                     np.greater_equal(xs[:-1], xs[1:], out=ties[:-1])
                     del xs
@@ -397,8 +411,8 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 # or the lower one when the midpoint rounds up to the upper.
                 nodes = np.arange(sel.size)
                 chosen[sel] = column if partition else searched[nodes, column]
-                lo = x_flat[chosen[sel] * n + search[slot, nodes, column]]
-                hi = x_flat[chosen[sel] * n + search[slot + 1, nodes, column]]
+                lo = x_flat[chosen[sel] * n_rows + search[slot, nodes, column]]
+                hi = x_flat[chosen[sel] * n_rows + search[slot + 1, nodes, column]]
                 del search
                 cut[sel] = np.where((lo + hi) / 2.0 >= hi, lo, (lo + hi) / 2.0)
             split = np.isfinite(best)
@@ -436,7 +450,7 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
 
             # Route rows; the children come as all left ones, then all right.
             node_of = np.arange(n_nodes).repeat(sizes)
-            go_left = x_flat[chosen[node_of] * n + rows] <= cut[node_of]
+            go_left = x_flat[chosen[node_of] * n_rows + rows] <= cut[node_of]
             in_split = split[node_of]
             to_left = go_left & in_split
             n_left = np.bincount(node_of[to_left], minlength=n_nodes)[split_nodes]
@@ -457,8 +471,8 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 keep_left[split_nodes] = may_split[:n_split]
                 keep_right = np.zeros(n_nodes, dtype=bool)
                 keep_right[split_nodes] = may_split[n_split:]
-                row_left = np.zeros(n, dtype=bool)
-                row_left[rows] = go_left
+                row_left = np.zeros(n_trees * n_rows, dtype=bool)
+                row_left[rows + (tree_of * n_rows)[node_of]] = go_left
                 block_left = row_left.take(block)
                 span = sizes * n_features
                 block = np.concatenate([
@@ -473,8 +487,9 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             )
 
     number = np.empty(n_made, dtype=np.intp)
+    fitted = None if leaf is None else value[leaf]
     return [
-        _renumber(root, feature, threshold, left, value, gain, number, n_features)
+        (*_renumber(root, feature, threshold, left, value, gain, number, n_features), fitted)
         for root in range(n_trees)
     ]
 
@@ -542,7 +557,7 @@ def _train_rf(spec: ModelSpec, X: np.ndarray, y: np.ndarray, threads: int):
     max_depth = spec.resolved_max_depth()
     max_features = spec.resolved_max_features()
     data = _Presorted(X)
-    batch = max(1, _BATCH_CELLS // X.size)
+    batch = max(1, _BATCH_CELLS // (n * _n_searched(max_features, X.shape[1])))
 
     def grow(first: int):
         rngs = [
@@ -562,8 +577,8 @@ def _train_rf(spec: ModelSpec, X: np.ndarray, y: np.ndarray, threads: int):
     else:
         batches = [grow(first) for first in firsts]
     results = [result for grown in batches for result in grown]
-    trees = [tree for tree, _ in results]
-    per_tree = np.stack([acc for _, acc in results])
+    trees = [tree for tree, _, _ in results]
+    per_tree = np.stack([acc for _, acc, _ in results])
     return trees, per_tree.mean(axis=0), 0.0
 
 
@@ -590,13 +605,13 @@ def _train_gbt(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
     for _ in range(spec.n_trees):
         residual = y - _sigmoid(scores) if classification else y - scores
         # Trees are fit to the gradient with the regression criterion.
-        [(tree, acc)] = _grow_trees(
+        [(tree, acc, fitted)] = _grow_trees(
             data, residual, [None], [rng], max_depth, spec.min_samples_leaf,
             max_features, False,
         )
         trees.append(tree)
         accs.append(acc)
-        scores = scores + spec.learning_rate * tree.apply(X)
+        scores = scores + spec.learning_rate * fitted  # equals tree.apply(X)
     return trees, np.stack(accs).mean(axis=0), base
 
 

@@ -197,6 +197,20 @@ class TestCoverageAndSummary:
         days = make_month(2020, 6, 10, 20, n_days=15)
         assert month_coverage(days, 2020, 6) == pytest.approx(0.5)
 
+    def test_full_series_same_as_month_slice(self):
+        rng = np.random.default_rng(11)
+        rows = []
+        for month in (5, 6, 7):
+            series = make_month(2020, month, 10, 20)
+            keep = rng.random(len(series)) < 0.7
+            rows += [(date.fromordinal(int(d)), 10.0, 20.0, 0.0) for d in series.days[keep]]
+        full = climate_series(rows)
+        for month in (4, 5, 6, 7, 8):
+            assert month_coverage(full, 2020, month) == month_coverage(
+                full.month(2020, month), 2020, month
+            )
+        assert month_coverage(full, 2020, 6) == len(full.month(2020, 6)) / 30
+
     def test_summary_record(self):
         days = make_month(2020, 6, 20, 20, ppt=1.0)
         assert monthly_gdd(days, GDD_SOYBEAN) == 30 * 24 * 12.0

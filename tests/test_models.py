@@ -1,11 +1,14 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agribench import models
 from agribench.featurize import FeatureTable
 from agribench.models import (
     ModelSpec,
@@ -650,23 +653,28 @@ class TestLevelWiseGrower:
                                 [None] * 3, max_depth, min_leaf, "all", False)
             # Gradient boosting: one tree over every row once.
             grown += _grow_trees(data, y, [None], [None], max_depth, min_leaf, "all", False)
-            for rows, (tree, importance) in zip([np.sort(d) for d in draws] + [np.arange(n)],
-                                                grown):
+            for rows, (tree, importance, _) in zip([np.sort(d) for d in draws] + [np.arange(n)],
+                                                   grown):
                 acc = np.zeros(n_features)
                 reference = _grow_tree(X, y, rows, max_depth, min_leaf, "all", False, None, acc)
                 assert _same_tree(tree, reference)
                 assert np.array_equal(importance, acc)
 
-    def test_batched_trees_equal_trees_grown_alone(self):
+    @pytest.mark.parametrize("classification", [False, True])
+    @pytest.mark.parametrize("max_features", ["all", "sqrt"])
+    def test_batched_trees_equal_trees_grown_alone(self, max_features, classification):
         local = np.random.default_rng(8)
         X = local.normal(size=(50, 16))
-        y = (X[:, 0] + local.normal(size=50) > 0).astype(float)
+        y = X[:, 0] + local.normal(size=50)
+        if classification:
+            y = (y > 0).astype(float)
         data = _Presorted(X)
         counts = [np.bincount(local.integers(0, 50, size=50), minlength=50) for _ in range(4)]
         together = _grow_trees(data, y, counts, [np.random.default_rng(s) for s in range(4)],
-                               None, 1, "sqrt", True)
+                               None, 1, max_features, classification)
         for s, c in enumerate(counts):
-            [alone] = _grow_trees(data, y, [c], [np.random.default_rng(s)], None, 1, "sqrt", True)
+            [alone] = _grow_trees(data, y, [c], [np.random.default_rng(s)], None, 1,
+                                  max_features, classification)
             assert _same_tree(alone[0], together[s][0])
             assert np.array_equal(alone[1], together[s][1])
 
@@ -680,11 +688,91 @@ class TestLevelWiseGrower:
             X = local.normal(size=(n, n_features))
             y = (X[:, 0] + local.normal(size=n) > 0).astype(float)
             counts = np.bincount(local.integers(0, n, size=n), minlength=n)
-            [(tree, _)] = _grow_trees(_Presorted(X), y, [counts], [np.random.default_rng(7)],
-                                      None, min_leaf, "sqrt", True)
+            [(tree, _, _)] = _grow_trees(_Presorted(X), y, [counts], [np.random.default_rng(7)],
+                                         None, min_leaf, "sqrt", True)
             reference = _reference_sqrt_tree(X, y, np.repeat(np.arange(n), counts),
                                              np.random.default_rng(7), min_leaf)
             assert _same_tree(tree, reference)
+
+
+class TestBatching:
+    """Batch size changes how many trees grow per pass, never the model."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_model_bytes_independent_of_batch_size(self, monkeypatch, tmp_path, task, threads):
+        local = np.random.default_rng(21)
+        X = local.normal(size=(40, 9))
+        y = X[:, 0] + local.normal(size=40)
+        if task == "classification":
+            y = (y > 0).astype(float)
+        spec = ModelSpec(kind="RF", task=task, n_trees=7, seed=5)
+        saved = []
+        for cells in (1, 1 << 30):  # one tree per pass; every tree in one pass
+            monkeypatch.setattr(models, "_BATCH_CELLS", cells)
+            path = tmp_path / f"{cells}.json"
+            save_model(train(spec, X, y, threads=threads), path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+
+    def test_sqrt_forest_holds_no_per_tree_copy_of_x(self):
+        """A batch's working set is bounded by the budget, not by the trees
+        times the width of X: 200 sqrt trees on 95 x 144 grow 114 per pass,
+        and a per-tree copy of X alone would take about 12 MiB. Without it
+        the peak measured 6.3 MiB."""
+        local = np.random.default_rng(0)
+        X = local.normal(size=(95, 144))
+        y = (X[:, 0] + local.normal(size=95) > 0).astype(float)
+        spec = ModelSpec(kind="RF", task="classification", n_trees=200)
+        tracemalloc.start()
+        try:
+            train(spec, X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Eight float64 arrays of the per-level cell budget.
+        assert peak < 8 * 8 * models._BATCH_CELLS
+
+
+@st.composite
+def gbt_problems(draw):
+    """A small table, with tied values when drawn from few levels."""
+    n = draw(st.integers(4, 40))
+    n_features = draw(st.integers(1, 6))
+    levels = draw(st.sampled_from([3, 1000]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    local = np.random.default_rng(seed)
+    X = local.integers(0, levels, size=(n, n_features)) / levels
+    y = X[:, 0] + local.normal(size=n)
+    return X, y
+
+
+class TestGbtFittedValues:
+    @settings(max_examples=40, deadline=None)
+    @given(problem=gbt_problems(), classification=st.booleans(),
+           max_depth=st.sampled_from([1, 3, None]), min_leaf=st.integers(1, 3),
+           max_features=st.sampled_from(["all", "sqrt"]))
+    def test_fitted_values_equal_apply(self, problem, classification, max_depth, min_leaf,
+                                       max_features):
+        """Each round's fitted values are ``tree.apply(X)`` bit for bit."""
+        X, y = problem
+        if classification:
+            y = (y > np.median(y)).astype(float)
+        grown = []
+
+        def spy(*args):
+            result = _grow_trees(*args)
+            grown.extend(result)
+            return result
+
+        spec = ModelSpec(kind="GBT", task="classification" if classification else "regression",
+                         n_trees=4, max_depth=max_depth, min_samples_leaf=min_leaf,
+                         max_features=max_features, seed=3)
+        with mock.patch.object(models, "_grow_trees", spy):
+            train(spec, X, y)
+        assert len(grown) == spec.n_trees
+        for tree, _, fitted in grown:
+            assert np.array_equal(fitted.view(np.int64), tree.apply(X).view(np.int64))
 
 
 def _reference_sqrt_tree(X, y, rows, rng, min_leaf):
