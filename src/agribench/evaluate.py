@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, UnitMeta
+from .dataset import CLASSIFICATION_TASKS, Dataset, UnitMeta
 from .featurize import FeatureTable, TaskConfig, assemble_table, config_fingerprint
 from .models import ModelSpec, predict, train
 from .seeding import derive_seed
@@ -30,8 +30,6 @@ SCHEMES = ("group_cv", "yearly_cv", "scale_transfer", "space_transfer")
 REPORT_COLUMNS = ("task", "crop", "feature_set", "model", "scheme",
                   "fold", "seed", "metric", "value")
 DIRECTIONS = ("East->West", "West->East")
-
-REGRESSION_TASKS = ("yield", "tillage_ratio")
 
 AGGREGATE = "mean"  # fold/seed label used for aggregate rows
 
@@ -190,13 +188,13 @@ def classification_metrics(truth, pred) -> dict[str, float]:
 
 
 def metrics_for_task(task: str, truth, pred) -> dict[str, float]:
-    if task in REGRESSION_TASKS:
-        return regression_metrics(truth, pred)
-    return classification_metrics(truth, pred)
+    if task in CLASSIFICATION_TASKS:
+        return classification_metrics(truth, pred)
+    return regression_metrics(truth, pred)
 
 
 def model_task_for(task: str) -> str:
-    return "regression" if task in REGRESSION_TASKS else "classification"
+    return "classification" if task in CLASSIFICATION_TASKS else "regression"
 
 
 @dataclass

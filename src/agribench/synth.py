@@ -23,14 +23,16 @@ The ``truth.csv`` sidecar is long format with columns
 
 import math
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import EMBEDDING_COLUMNS, RAW_BANDS, SpectralBand, UnitMeta, default_ecoregion
+from .dataset import (
+    EMBEDDING_COLUMNS, RAW_BANDS, TASKS, SpectralBand, UnitMeta, default_ecoregion,
+)
 from .featurize import CLIMATE_MONTHS, SEASON_TEMPLATES, SeasonTemplate
-from .harmonics import curve_values, time_fraction
+from .harmonics import DAYS_PER_YEAR, curve_values
 from .indices import REQUIRED_BANDS, index_values
 from .seeding import spawn_rng
 
@@ -44,6 +46,8 @@ STATES = ("IL", "IN", "MI", "OH", "WI", "IA", "KS", "MN", "MO", "ND", "NE", "SD"
 REVISIT_DAYS = (8.0, 16.0)
 
 CALENDAR_TASKS = ("yield", "tillage_ratio", "tillage_class")
+
+_EPOCH = date(1970, 1, 1).toordinal()  # day ordinal of numpy's datetime64 zero
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class SynthSpec:
             raise ValueError("label_r2_ceiling must be in (0, 1]")
         if not self.tasks:
             raise ValueError("tasks must be nonempty")
-        unknown = set(self.tasks) - {"yield", "tillage_ratio", "tillage_class", "covercrop_class"}
+        unknown = set(self.tasks) - set(TASKS)
         if unknown:
             raise ValueError(f"unknown tasks {sorted(unknown)}")
         has_calendar = any(t in CALENDAR_TASKS for t in self.tasks)
@@ -174,8 +178,9 @@ def _draw_curve(seed: int, unit_id: str, year: int, band: SpectralBand) -> Curve
     )
 
 
-def _observation_dates(spec: SynthSpec, seed: int, unit_id: str, year: int,
-                       window) -> list[date]:
+def _observation_days(spec: SynthSpec, seed: int, unit_id: str, year: int,
+                      window) -> np.ndarray:
+    """Day ordinals of one unit-year's observations within ``window``."""
     rng = spawn_rng(seed, "dates", unit_id, year)
     mean_revisit = float(rng.uniform(*REVISIT_DAYS))
     span = (window.end - window.start).days
@@ -184,12 +189,15 @@ def _observation_dates(spec: SynthSpec, seed: int, unit_id: str, year: int,
     while position <= span:
         offsets.append(int(round(position)))
         position += max(1.0, float(rng.exponential(mean_revisit)))
-    kept = []
-    for off in sorted(set(offsets)):
-        if spec.dropout > 0 and rng.random() < spec.dropout:
-            continue
-        kept.append(window.start + timedelta(days=off))
-    return kept
+    # Dropout draws one number per distinct offset, in order.
+    kept = [off for off in sorted(set(offsets))
+            if not (spec.dropout > 0 and rng.random() < spec.dropout)]
+    return window.start.toordinal() + np.array(kept, dtype=np.int64)
+
+
+def _iso_days(ordinals: np.ndarray) -> list[str]:
+    """``YYYY-MM-DD`` of each day ordinal."""
+    return np.datetime_as_string((ordinals - _EPOCH).astype("datetime64[D]")).tolist()
 
 
 def _band_value_name(name: str) -> tuple[SpectralBand, str]:
@@ -203,12 +211,11 @@ def _band_value_name(name: str) -> tuple[SpectralBand, str]:
     return band, stat
 
 
-def _true_feature(name: str, curves: dict[SpectralBand, Curve], window,
-                  origin: date) -> float:
+def _true_feature(name: str, curves: dict[SpectralBand, Curve], t: np.ndarray) -> float:
+    """Feature ``name`` of the curves, peaks taken over the window's days ``t``."""
     band, stat = _band_value_name(name)
     if stat == "c":
         return curves[band].c
-    t = window.day_times(origin)
     if band.is_raw:
         return float(curve_values(curves[band], t).max())
     columns = {raw: curve_values(curves[raw], t) for raw in REQUIRED_BANDS[band]}
@@ -222,100 +229,97 @@ def _format(value: float) -> str:
 def generate(spec: SynthSpec, seed: int, out_dir: str | Path) -> dict:
     """Write the five bundle CSVs plus ``truth.csv``; returns row counts.
 
-    Fully deterministic for a fixed (spec, seed): same bytes every run.
+    Observations, labels and truth cover each year of ``spec.years``.
+    Embeddings cover each label year and, for cover crop, each prior year
+    too (the AEF two-year concatenation reads it). Climate runs daily from
+    January 1 of the first embedding year to December 31 of the last label
+    year. Fully deterministic for a fixed (spec, seed): same bytes every run.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     units = _plan_units(spec, seed)
     template = spec.season_template()
     years = tuple(sorted(spec.years))
-    emb_years = years if "covercrop_class" not in spec.tasks else (years[0] - 1,) + years
-
-    # Per unit-year generating curves and their true features.
-    curves: dict[tuple[str, int], dict[SpectralBand, Curve]] = {}
-    features: dict[tuple[str, int], dict[str, float]] = {}
-    latents: dict[tuple[str, int], list[float]] = {}
+    prior_years = {year - 1 for year in years} if "covercrop_class" in spec.tasks else set()
+    emb_years = tuple(sorted(set(years) | prior_years))
     feature_names = sorted(spec.label_weights)
+    lines = {
+        "units": ["unit_id,level,state,county_id,ecoregion,elevation_m"],
+        "observations": ["unit_id,band,date,value"],
+        "climate": ["unit_id,date,tmin_c,tmax_c,ppt_mm"],
+        "embeddings": ["unit_id,year," + ",".join(EMBEDDING_COLUMNS)],
+        "labels": ["unit_id,year,task,value"],
+        "truth": ["kind,unit_id,year,band,name,value"],
+    }
+
+    # Per unit-year: curves, their observations and truth rows, and the
+    # latent vector [label signal, raw band levels].
+    latents: dict[tuple[str, int], list[float]] = {}
     for unit in units:
-        for year in years:
-            window = template.window(year)
-            origin = date(window.start.year, 1, 1)
-            unit_curves = {
-                band: _draw_curve(seed, unit.unit_id, year, band) for band in RAW_BANDS
-            }
-            curves[(unit.unit_id, year)] = unit_curves
-            feats = {
-                name: _true_feature(name, unit_curves, window, origin)
-                for name in feature_names
-            }
-            features[(unit.unit_id, year)] = feats
-            signal = spec.label_intercept + sum(
-                spec.label_weights[name] * feats[name] for name in feature_names
-            )
-            latents[(unit.unit_id, year)] = [signal] + [
-                unit_curves[band].c for band in RAW_BANDS
-            ]
-
-    # Resolve the label noise scale.
-    signals = {key: lat[0] for key, lat in latents.items()}
-    signal_values = np.array([signals[key] for key in sorted(signals)])
-    if spec.label_r2_ceiling is not None:
-        signal_var = float(signal_values.var())
-        sigma_label = math.sqrt(signal_var * (1.0 / spec.label_r2_ceiling - 1.0))
-    else:
-        sigma_label = spec.label_sigma
-
-    lines_units = ["unit_id,level,state,county_id,ecoregion,elevation_m"]
-    for u in units:
-        lines_units.append(
-            f"{u.unit_id},{u.level},{u.state},{u.county_id},{u.ecoregion},{u.elevation_m}"
+        uid = unit.unit_id
+        lines["units"].append(
+            f"{uid},{unit.level},{unit.state},{unit.county_id},{unit.ecoregion},{unit.elevation_m}"
         )
-
-    lines_obs = ["unit_id,band,date,value"]
-    n_obs = 0
-    for unit in units:
         for year in years:
             window = template.window(year)
             origin = date(window.start.year, 1, 1)
-            dates = _observation_dates(spec, seed, unit.unit_id, year, window)
-            if not dates:
-                continue
-            t = np.array([time_fraction(origin, d) for d in dates])
-            noise_rng = spawn_rng(seed, "obsnoise", unit.unit_id, year)
-            for band in RAW_BANDS:
-                values = curve_values(curves[(unit.unit_id, year)][band], t)
+            curves = {band: _draw_curve(seed, uid, year, band) for band in RAW_BANDS}
+            days = _observation_days(spec, seed, uid, year, window)
+            t = (days - origin.toordinal()) / DAYS_PER_YEAR
+            day_names = _iso_days(days)
+            noise_rng = spawn_rng(seed, "obsnoise", uid, year)
+            for band, curve in curves.items():
+                values = curve_values(curve, t)
                 if spec.sigma_obs > 0:
                     values = values + spec.sigma_obs * noise_rng.standard_normal(len(t))
                     values = np.clip(values, 0.001, 1.499)
-                for d, v in zip(dates, values):
-                    lines_obs.append(f"{unit.unit_id},{band.value},{d.isoformat()},{_format(v)}")
-                    n_obs += 1
+                prefix = f"{uid},{band.value}"
+                lines["observations"].extend(
+                    f"{prefix},{day},{v!r}" for day, v in zip(day_names, values.tolist())
+                )
+                lines["truth"].extend(
+                    f"coef,{uid},{year},{band.value},{name},{_format(getattr(curve, name))}"
+                    for name in ("c", "a1", "b1", "a2", "b2")
+                )
+            window_t = window.day_times(origin)
+            feats = {name: _true_feature(name, curves, window_t) for name in feature_names}
+            lines["truth"].extend(
+                f"feature,{uid},{year},,{name},{_format(feats[name])}" for name in feature_names
+            )
+            # One sum, then the intercept: adding term by term changes label bits.
+            signal = spec.label_intercept + sum(
+                spec.label_weights[name] * feats[name] for name in feature_names
+            )
+            latents[(uid, year)] = [signal] + [curve.c for curve in curves.values()]
 
-    lines_climate = ["unit_id,date,tmin_c,tmax_c,ppt_mm"]
-    n_climate = 0
-    climate_start = date(years[0] - (1 if "covercrop_class" in spec.tasks else 0), 1, 1)
-    climate_end = date(years[-1], 12, 31)
-    n_days = (climate_end - climate_start).days + 1
+    # Climate: one calendar per bundle, one generator per unit.
+    first = date(emb_years[0], 1, 1).toordinal()
+    calendar = np.arange(first, date(years[-1], 12, 31).toordinal() + 1)
+    day_names = _iso_days(calendar)
+    days = (calendar - _EPOCH).astype("datetime64[D]")
+    doy = (days - days.astype("datetime64[Y]")).astype(np.int64) + 1
+    seasonal = 10.0 + 14.0 * np.sin(2 * np.pi * (doy - 105) / 365.25)
+    n_days = len(calendar)
     for unit in units:
         rng = spawn_rng(seed, "climate", unit.unit_id)
-        day_offsets = np.arange(n_days)
-        doy = np.array([
-            (climate_start + timedelta(days=int(k))).timetuple().tm_yday
-            for k in day_offsets
-        ])
-        tmean = 10.0 + 14.0 * np.sin(2 * np.pi * (doy - 105) / 365.25)
-        tmean = tmean + rng.normal(0, 2.0, n_days)
+        tmean = seasonal + rng.normal(0, 2.0, n_days)
         diurnal = rng.uniform(6.0, 12.0, n_days)
         wet = rng.random(n_days) < 0.35
         ppt = np.where(wet, rng.exponential(6.0, n_days), 0.0)
-        for k in range(n_days):
-            day = climate_start + timedelta(days=k)
-            tmin = tmean[k] - diurnal[k] / 2.0
-            tmax = tmean[k] + diurnal[k] / 2.0
-            lines_climate.append(
-                f"{unit.unit_id},{day.isoformat()},{_format(tmin)},{_format(tmax)},{_format(ppt[k])}"
-            )
-            n_climate += 1
+        tmin = tmean - diurnal / 2.0
+        tmax = tmean + diurnal / 2.0
+        lines["climate"].extend(
+            f"{unit.unit_id},{day},{lo!r},{hi!r},{wet_mm!r}"
+            for day, lo, hi, wet_mm in zip(day_names, tmin.tolist(), tmax.tolist(), ppt.tolist())
+        )
+
+    # Resolve the label noise scale.
+    keys = sorted(latents)
+    signal_values = np.array([latents[key][0] for key in keys])
+    if spec.label_r2_ceiling is not None:
+        sigma_label = math.sqrt(float(signal_values.var()) * (1.0 / spec.label_r2_ceiling - 1.0))
+    else:
+        sigma_label = spec.label_sigma
 
     # Embeddings: fixed linear map of the standardized latents, plus the
     # optional West-side offset emulating a geographic shift.
@@ -334,13 +338,11 @@ def generate(spec: SynthSpec, seed: int, out_dir: str | Path) -> dict:
     beacon[beacon_dims] = 1.0
     shift_dir = 0.5 * (weight[:, 0] + beacon)
 
-    latent_matrix = np.array([latents[key] for key in sorted(latents)])
+    latent_matrix = np.array([latents[key] for key in keys])
     latent_mean = latent_matrix.mean(axis=0)
     latent_std = latent_matrix.std(axis=0)
     latent_std[latent_std == 0] = 1.0
 
-    lines_emb = ["unit_id,year," + ",".join(EMBEDDING_COLUMNS)]
-    n_emb = 0
     for unit in units:
         for year in emb_years:
             key = (unit.unit_id, year)
@@ -354,29 +356,19 @@ def generate(spec: SynthSpec, seed: int, out_dir: str | Path) -> dict:
             vec = weight @ z + bias
             if spec.region_offset != 0.0 and unit.ecoregion == "West":
                 vec = vec + spec.region_offset * shift_dir
-            lines_emb.append(
-                f"{unit.unit_id},{year}," + ",".join(_format(v) for v in vec)
+            lines["embeddings"].append(
+                f"{unit.unit_id},{year}," + ",".join(map(repr, vec.tolist()))
             )
-            n_emb += 1
 
-    # Labels.
-    lines_labels = ["unit_id,year,task,value"]
-    truth_rows: list[str] = []
-    n_labels = 0
     label_values: list[float] = []
     median_signal = float(np.median(signal_values))
     for task in spec.tasks:
-        if task == "yield":
-            levels = ("county", "field")
-        elif task == "tillage_ratio":
-            levels = ("county",)
-        else:
-            levels = ("field",)
+        levels = {"yield": ("county", "field"), "tillage_ratio": ("county",)}.get(task, ("field",))
         for unit in units:
             if unit.level not in levels:
                 continue
             for year in years:
-                signal = signals[(unit.unit_id, year)]
+                signal = latents[(unit.unit_id, year)][0]
                 rng = spawn_rng(seed, "label", task, unit.unit_id, year)
                 noise = sigma_label * float(rng.standard_normal()) if sigma_label else 0.0
                 if task == "yield":
@@ -386,30 +378,10 @@ def generate(spec: SynthSpec, seed: int, out_dir: str | Path) -> dict:
                     value = 1.0 / (1.0 + math.exp(-(signal + noise - median_signal)))
                 else:
                     value = 1.0 if signal + noise > median_signal else 0.0
-                lines_labels.append(f"{unit.unit_id},{year},{task},{_format(value)}")
-                n_labels += 1
+                lines["labels"].append(f"{unit.unit_id},{year},{task},{_format(value)}")
 
-    # Truth sidecar.
-    truth_rows.append("kind,unit_id,year,band,name,value")
-    for unit in units:
-        for year in years:
-            for band in RAW_BANDS:
-                curve = curves[(unit.unit_id, year)][band]
-                for name, value in zip(("c", "a1", "b1", "a2", "b2"),
-                                       (curve.c, curve.a1, curve.b1, curve.a2, curve.b2)):
-                    truth_rows.append(
-                        f"coef,{unit.unit_id},{year},{band.value},{name},{_format(value)}"
-                    )
-            for name in feature_names:
-                truth_rows.append(
-                    f"feature,{unit.unit_id},{year},,{name},"
-                    f"{_format(features[(unit.unit_id, year)][name])}"
-                )
     label_var = float(np.var(np.array(label_values))) if label_values else float("nan")
-    if label_values and label_var > 0:
-        r2_ceiling = 1.0 - sigma_label**2 / label_var
-    else:
-        r2_ceiling = float("nan")
+    r2_ceiling = 1.0 - sigma_label**2 / label_var if label_var > 0 else float("nan")
     meta = {
         "label_sigma": sigma_label,
         "label_variance": label_var,
@@ -418,25 +390,12 @@ def generate(spec: SynthSpec, seed: int, out_dir: str | Path) -> dict:
         "region_offset": spec.region_offset,
         "sigma_obs": spec.sigma_obs,
     }
-    for name in sorted(meta):
-        truth_rows.append(f"meta,,,,{name},{_format(meta[name])}")
+    lines["truth"].extend(f"meta,,,,{name},{_format(meta[name])}" for name in sorted(meta))
 
-    (out / "units.csv").write_text("\n".join(lines_units) + "\n", encoding="utf-8")
-    (out / "observations.csv").write_text("\n".join(lines_obs) + "\n", encoding="utf-8")
-    (out / "climate.csv").write_text("\n".join(lines_climate) + "\n", encoding="utf-8")
-    (out / "embeddings.csv").write_text("\n".join(lines_emb) + "\n", encoding="utf-8")
-    (out / "labels.csv").write_text("\n".join(lines_labels) + "\n", encoding="utf-8")
-    (out / "truth.csv").write_text("\n".join(truth_rows) + "\n", encoding="utf-8")
-
-    return {
-        "units": len(units),
-        "observations": n_obs,
-        "climate": n_climate,
-        "embeddings": n_emb,
-        "labels": n_labels,
-        "label_sigma": sigma_label,
-        "r2_ceiling": r2_ceiling,
-    }
+    for stem, rows in lines.items():
+        (out / f"{stem}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    counts = {stem: len(lines[stem]) - 1 for stem in lines if stem != "truth"}
+    return {**counts, "label_sigma": sigma_label, "r2_ceiling": r2_ceiling}
 
 
 def read_truth(bundle_dir: str | Path) -> dict:

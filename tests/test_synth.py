@@ -40,8 +40,14 @@ class TestSpecValidation:
 
 
 class TestGeneration:
-    def test_round_trip_counts(self, tmp_path):
-        spec = SynthSpec(n_counties=8, years=(2019, 2020))
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(n_counties=8, years=(2019, 2020)),
+        SynthSpec(n_counties=3, fields_per_county=2, years=(2019, 2020), dropout=0.5,
+                  tasks=("yield", "tillage_ratio", "tillage_class")),
+        SynthSpec(n_counties=3, fields_per_county=2, years=(2020, 2021),
+                  tasks=("covercrop_class",)),
+    ], ids=["counties", "tillage-fields", "covercrop"])
+    def test_round_trip_counts(self, tmp_path, spec):
         summary = generate(spec, seed=3, out_dir=tmp_path / "b")
         ds = load_dataset(tmp_path / "b")
         assert ds.manifest["units.csv"]["rows"] == summary["units"]
@@ -160,6 +166,30 @@ class TestGeneration:
         assert rs.values.shape[1] == 144
         aef = assemble_table(ds, TaskConfig(task="covercrop_class", feature_set="AEF"))
         assert aef.values.shape[1] == 128
+
+    def test_covercrop_gap_years_keep_every_labelled_row(self, tmp_path):
+        # Each label year needs its prior year's embedding, not only the first.
+        spec = SynthSpec(n_counties=3, fields_per_county=2, years=(2019, 2021),
+                         tasks=("covercrop_class",))
+        generate(spec, seed=4, out_dir=tmp_path / "b")
+        ds = load_dataset(tmp_path / "b")
+        assert sorted({year for _, year in ds.embeddings}) == [2018, 2019, 2020, 2021]
+        for feature_set in ("RS", "AEF"):
+            table = assemble_table(ds, TaskConfig(task="covercrop_class", feature_set=feature_set))
+            assert table.n_rows == len(ds.labels), (feature_set, table.exclusion_log)
+
+    def test_noise_free_labels_sum_weighted_truth_features(self, tmp_path):
+        weights = {"GCVI_peak": 1.3, "NIR_c": -2.5, "NDVI_peak": 0.7}
+        spec = SynthSpec(n_counties=6, years=(2020, 2021), label_weights=weights,
+                         label_intercept=7.25, label_sigma=0.0)
+        generate(spec, seed=11, out_dir=tmp_path / "b")
+        ds = load_dataset(tmp_path / "b")
+        features = read_truth(tmp_path / "b")["features"]
+        assert len(ds.labels) == 12
+        for rec in ds.labels:
+            feats = features[(rec.unit_id, rec.year)]
+            expected = 7.25 + sum(weights[name] * feats[name] for name in sorted(weights))
+            assert rec.value == expected, (rec.unit_id, rec.year)
 
     def test_dropout_exercises_missing_policy(self, tmp_path):
         spec = SynthSpec(n_counties=30, years=(2020,), dropout=0.75)
