@@ -148,7 +148,10 @@ class RunConfig:
     def threads(self) -> int:
         # One thread by default: a second worker thread made random-forest
         # fits slower, not faster (gradient boosting never uses threads).
-        return self.get_int("threads", 1)
+        threads = self.get_int("threads", 1)
+        if threads < 1:
+            raise ConfigError(f"key 'threads': expected at least 1, got {threads}")
+        return threads
 
     @property
     def base_seed(self) -> int:

@@ -14,10 +14,22 @@ the irregular revisit cadence of satellite exports. All five files must
 exist; ``load_dataset`` parses and validates in full the ones it is asked
 for. All validation errors identify the offending file and line. A loaded
 ``Dataset`` is treated as immutable and may be shared across threads.
+
+The three bulk files (observations, climate, embeddings) have two
+tokenizers and one set of checks. One ``np.loadtxt`` call reads a file into
+columns; if it refuses the file, or a check refuses its cells, ``csv.reader``
+reads the file again and the same checks run on its cells to word the
+error. Errors come in two passes: format errors first (bad header, field
+count, a cell that does not parse), then the first line any rule flags,
+each rule being one vectorized row mask. ``units.csv`` and ``labels.csv``
+are small and read row by row, their rules living in ``UnitMeta`` and
+``LabelRecord``.
 """
 
 import csv
+import io
 import math
+import warnings
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from datetime import date
@@ -70,7 +82,7 @@ class SpectralBand(Enum):
         try:
             return cls(name)
         except ValueError:
-            raise ValueError(f"unknown band name: {name!r}") from None
+            raise ValueError(_unknown_band(name)) from None
 
 
 RAW_BANDS = (
@@ -84,6 +96,14 @@ RAW_BANDS = (
 
 # Atmospheric correction can overshoot slightly; tolerate up to 1.5.
 RAW_REFLECTANCE_MAX = 1.5
+
+
+def _unknown_band(name: str) -> str:
+    return f"unknown band name: {name!r}"
+
+
+def _outside_raw_range(band_name: str) -> str:
+    return f"raw band {band_name} value outside [0, {RAW_REFLECTANCE_MAX}]"
 
 
 class BundleValidationError(ValueError):
@@ -129,9 +149,7 @@ class ObservationSeries:
         if self.band.is_raw and len(self.values):
             lo, hi = self.values.min(), self.values.max()
             if lo < 0.0 or hi > RAW_REFLECTANCE_MAX:
-                raise ValueError(
-                    f"raw band {self.band.value} value outside [0, {RAW_REFLECTANCE_MAX}]"
-                )
+                raise ValueError(_outside_raw_range(self.band.value))
 
     def __len__(self) -> int:
         return len(self.days)
@@ -217,73 +235,84 @@ class Dataset:
         return self.embeddings.get((unit_id, year))
 
 
-def _parse_float(text: str, filename: str, line: int, column: str) -> float:
+def _unknown_unit(unit_id: str) -> str:
+    return f"unknown unit_id {unit_id!r}"
+
+
+def _non_finite(column: str) -> str:
+    return f"column {column!r}: non-finite value"
+
+
+def _parse_number(text: str, filename: str, line: int, column: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise BundleValidationError(
             filename, line, f"column {column!r}: not a number: {text!r}"
         ) from None
+
+
+def _parse_float(text: str, filename: str, line: int, column: str) -> float:
+    value = _parse_number(text, filename, line, column)
     if not math.isfinite(value):
-        raise BundleValidationError(filename, line, f"column {column!r}: non-finite value")
+        raise BundleValidationError(filename, line, _non_finite(column))
     return value
 
 
 def _parse_int(text: str, filename: str, line: int, column: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise BundleValidationError(
             filename, line, f"column {column!r}: not an integer: {text!r}"
         ) from None
-
-
-def _parse_date(text: str, filename: str, line: int, column: str) -> date:
-    """The day written exactly ``YYYY-MM-DD``; other forms Python reads are refused."""
-    try:
-        day = date.fromisoformat(text)
-        if day.isoformat() == text:
-            return day
-    except ValueError:
-        pass
-    raise BundleValidationError(filename, line, f"column {column!r}: not an ISO date: {text!r}")
+    if not -2**63 <= value < 2**63:
+        raise BundleValidationError(filename, line, f"column {column!r}: integer out of range")
+    return value
 
 
 def _read_rows(path: Path, expected_header: tuple[str, ...]):
     """Yield (line_number, row) after checking the header row."""
     filename = path.name
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BundleValidationError(filename, 1, "empty file, header row required") from None
-        if tuple(header) != expected_header:
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BundleValidationError(
+            filename, data.count(b"\n", 0, exc.start) + 1,
+            f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}",
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise BundleValidationError(filename, 1, "empty file, header row required") from None
+    if tuple(header) != expected_header:
+        raise BundleValidationError(
+            filename, 1, f"bad header: expected {','.join(expected_header)}"
+        )
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num  # a quoted cell may span lines
+        if len(row) != len(expected_header):
             raise BundleValidationError(
-                filename, 1, f"bad header: expected {','.join(expected_header)}"
+                filename, line,
+                f"expected {len(expected_header)} fields, got {len(row)}",
             )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise BundleValidationError(
-                    filename, line,
-                    f"expected {len(expected_header)} fields, got {len(row)}",
-                )
-            yield line, row
+        yield line, row
 
 
 def _check_unit(units: dict[str, UnitMeta], unit_id: str, filename: str, line: int) -> None:
     if unit_id not in units:
-        raise BundleValidationError(filename, line, f"unknown unit_id {unit_id!r}")
+        raise BundleValidationError(filename, line, _unknown_unit(unit_id))
 
 
 # Every band name a bundle may use, sorted for np.searchsorted.
 _BAND_NAMES = np.array(sorted(band.value for band in SpectralBand))
 _BAND_IS_RAW = np.array([SpectralBand(name).is_raw for name in _BAND_NAMES])
-# The ordinal of datetime64's day 0, and the days a ``date`` can hold.
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-_FIRST_DAY, _LAST_DAY = np.datetime64(date.min, "D"), np.datetime64(date.max, "D")
+# Parsers of the number columns of the bulk files, keyed by np.loadtxt dtype.
+_PARSERS = {"f8": _parse_number, "i8": _parse_int}
 
 
 def _text_dtype(names) -> str:
@@ -295,73 +324,149 @@ def _text_dtype(names) -> str:
     return f"U{max(map(len, names), default=0) + 1}"
 
 
-def _read_table(path: Path, header: tuple[str, ...], columns: list) -> np.ndarray | None:
+def _read_table(path: Path, columns: list) -> np.ndarray | None:
     """The data rows of a bundle file as one structured array (one np.loadtxt call).
 
-    Returns None when the row-wise reader must decide the file instead: a
-    header other than ``header``, no data rows, a NUL byte (numpy drops
-    trailing NULs from text, so ``c1\\0`` would read as ``c1``) or a row
-    np.loadtxt refuses. np.loadtxt does no CSV quoting and, with
+    ``columns`` lists ``(name, dtype)`` in header order. Returns None when
+    csv.reader must tokenize the file instead: a header other than the
+    column names, no data rows, a NUL byte (numpy drops trailing NULs from
+    text, so ``c1\\0`` would read as ``c1``), bytes that are not UTF-8 or a
+    row np.loadtxt refuses. np.loadtxt does no CSV quoting and, with
     ``comments=None``, keeps ``#`` rows, so a quoted or commented cell stays
     as written and fails a later check.
     """
     with open(path, "rb") as fh:
         first = fh.readline()
         body = fh.read()
-    if (first.rstrip(b"\r\n") != ",".join(header).encode()
+    if (first.rstrip(b"\r\n") != ",".join(name for name, _ in columns).encode()
             or not body or body.isspace() or b"\0" in body):
         return None
     del body
     try:
-        return np.loadtxt(path, dtype=columns, delimiter=",", comments=None,
-                          skiprows=1, ndmin=1, encoding="utf-8")
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy before 2.0 reads "2020.5" into an integer column as 2020,
+            # with only this warning; as an error it refuses the file.
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(path, dtype=columns, delimiter=",", comments=None,
+                              skiprows=1, ndmin=1, encoding="utf-8")
+    except (ValueError, DeprecationWarning):  # UnicodeDecodeError included
         return None
 
 
-def _codes(column: np.ndarray, names: np.ndarray) -> np.ndarray | None:
-    """Each cell's index in the sorted ``names``, or None if a cell is not a name."""
+def _read_cells(path: Path, columns: list) -> tuple[list[int], dict[str, np.ndarray]]:
+    """The line of each data row and the cells of each column, read by csv.reader.
+
+    Text cells stay whole in object arrays, so ``c1xyz`` is not cut to the
+    dtype's width and ``c1\\0`` keeps its NUL. Number cells are parsed row
+    by row, so the first cell that is not a number names its line.
+    """
+    lines, rows = [], []
+    for line, row in _read_rows(path, tuple(name for name, _ in columns)):
+        lines.append(line)
+        rows.append([_PARSERS[kind](cell, path.name, line, name) if kind in _PARSERS else cell
+                     for cell, (name, kind) in zip(row, columns)])
+    cells = {name: np.array([row[i] for row in rows], dtype=kind if kind in _PARSERS else object)
+             for i, (name, kind) in enumerate(columns)}
+    return lines, cells
+
+
+def _load_columns(path: Path, columns: list, build):
+    """Tokenize a bulk bundle file, then check and build its contents with ``build``.
+
+    ``columns`` lists ``(name, np.loadtxt dtype)`` in header order.
+    ``build(cells, lines)`` gets the parsed cells by column name and the
+    line of each row, and raises ``BundleValidationError`` at the first
+    line one of its rules flags. np.loadtxt tokenizes the file in one call;
+    if it or ``build`` refuses those cells, csv.reader tokenizes the file
+    again and ``build`` runs on its cells. Those carry the true lines
+    (np.loadtxt skips blank rows) and text as CSV reads it: unquoted, whole
+    and with NULs.
+    """
+    table = _read_table(path, columns)
+    if table is not None:
+        try:
+            return build(table, range(2, len(table) + 2))
+        except BundleValidationError:
+            pass
+    lines, cells = _read_cells(path, columns)
+    return build(cells, lines)
+
+
+def _check(filename: str, lines, rules: list) -> None:
+    """Raise ``BundleValidationError`` at the first line any rule flags.
+
+    ``rules`` lists ``(mask, message)`` pairs in the order a row's checks
+    run: ``mask`` flags the rows that break the rule and ``message(row)``
+    words it. Of the rules that flag one row, the first listed is reported.
+    """
+    flagged = [(int(mask.argmax()), order, message)
+               for order, (mask, message) in enumerate(rules) if mask.any()]
+    if flagged:
+        row, _, message = min(flagged)
+        raise BundleValidationError(filename, int(lines[row]), message(row))
+
+
+def _lookup(column: np.ndarray, names: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's index in the sorted ``names`` (a valid index even for an
+    unknown cell) and the mask of cells that are one of ``names``."""
     if not len(names):
-        return None
+        return np.zeros(len(column), dtype=np.intp), np.zeros(len(column), dtype=bool)
     codes = np.minimum(np.searchsorted(names, column), len(names) - 1)
-    return codes if (names[codes] == column).all() else None
+    return codes, names[codes] == column
 
 
-def _iso_days(column: np.ndarray) -> np.ndarray | None:
-    """Day ordinals of ``YYYY-MM-DD`` cells, or None unless every cell is exactly that form.
+def _unit_rule(column: np.ndarray, units: dict[str, UnitMeta]):
+    """The sorted unit ids, each cell's index in them, and the unknown-unit rule."""
+    unit_ids = np.array(sorted(units))
+    codes, known = _lookup(column, unit_ids)
+    return unit_ids, codes, (~known, lambda row: _unknown_unit(column[row]))
 
-    ``datetime64`` also reads other forms (``2020-1-01`` fails, but ``2020``
-    or ``today`` parse), so each cell must equal its day written back. Each
-    distinct cell is parsed once: bundle rows share few dates.
+
+def _iso_ordinal(text: str) -> int:
+    """The day ordinal of ``text`` written exactly ``YYYY-MM-DD``, else 0.
+
+    ``date.fromisoformat`` reads other forms too from Python 3.11
+    (``20200101``, the week date ``2020-W01-1``), so the day written back
+    must equal the cell.
+    """
+    try:
+        day = date.fromisoformat(text)
+    except ValueError:
+        return 0
+    return day.toordinal() if day.isoformat() == text else 0
+
+
+def _date_rule(column: np.ndarray):
+    """Day ordinals of the cells (0 where a cell is no date) and the date rule.
+
+    Each distinct cell is parsed once: bundle rows share few dates.
     """
     text, rows = np.unique(column, return_inverse=True)
-    try:
-        days = text.astype("datetime64[D]")
-    except ValueError:
-        return None
-    if not ((days >= _FIRST_DAY) & (days <= _LAST_DAY)).all():  # also refuses NaT
-        return None
-    if not (days.astype("U10") == text).all():
-        return None
-    return (days.astype(np.int64) + _EPOCH_ORDINAL)[rows]
+    days = np.array([_iso_ordinal(cell) for cell in text.tolist()], dtype=np.int64)[rows]
+    return days, (days == 0, lambda row: f"column 'date': not an ISO date: {column[row]!r}")
 
 
-def _groups(keys: np.ndarray, days: np.ndarray):
-    """Sort rows by key, then day; find each key's run of rows.
+def _finite_rule(cells, column: str):
+    return ~np.isfinite(cells[column]), lambda row: _non_finite(column)
 
-    Returns ``(order, runs)``: ``order`` sorts the rows, and ``runs`` lists
-    ``(key, start, stop)`` slices of the sorted rows in order of each key's
-    first row in the file, as the row-wise readers fill their dicts. None if
-    a key repeats a day.
+
+def _groups(keys: np.ndarray, times: np.ndarray):
+    """Sort rows by key, then time; find each key's run of rows and the repeats.
+
+    Returns ``(order, runs, repeats)``: ``order`` sorts the rows (stably),
+    ``runs`` lists ``(key, start, stop)`` slices of the sorted rows in order
+    of each key's first row in the file, and ``repeats`` flags every row
+    whose key and time an earlier row of the file has.
     """
-    order = np.lexsort((days, keys))
-    sorted_keys, sorted_days = keys[order], days[order]
-    if ((sorted_keys[1:] == sorted_keys[:-1]) & (sorted_days[1:] == sorted_days[:-1])).any():
-        return None
+    order = np.lexsort((times, keys))
+    sorted_keys, sorted_times = keys[order], times[order]
+    repeats = np.zeros(len(keys), dtype=bool)
+    repeats[order[1:]] = ((sorted_keys[1:] == sorted_keys[:-1])
+                          & (sorted_times[1:] == sorted_times[:-1]))
     unique, first = np.unique(keys, return_index=True)
     starts = np.searchsorted(sorted_keys, unique)
     stops = np.searchsorted(sorted_keys, unique, side="right")
-    return order, [(unique[i], starts[i], stops[i]) for i in np.argsort(first)]
+    return order, [(unique[i], starts[i], stops[i]) for i in np.argsort(first)], repeats
 
 
 def _load_units(path: Path) -> dict[str, UnitMeta]:
@@ -390,180 +495,93 @@ def _load_units(path: Path) -> dict[str, UnitMeta]:
     return units
 
 
-_OBSERVATIONS_HEADER = ("unit_id", "band", "date", "value")
-
-
 def _load_observations(
     path: Path, units: dict[str, UnitMeta]
 ) -> dict[tuple[str, SpectralBand], ObservationSeries]:
-    series = _observation_columns(path, units)
-    return _load_observation_rows(path, units) if series is None else series
+    def build(cells, lines):
+        unit_id, band, day = cells["unit_id"], cells["band"], cells["date"]
+        unit_ids, unit_codes, unit_rule = _unit_rule(unit_id, units)
+        band_codes, band_known = _lookup(band, _BAND_NAMES)
+        days, date_rule = _date_rule(day)
+        values = cells["value"]
+        order, runs, repeats = _groups(unit_codes * len(_BAND_NAMES) + band_codes, days)
+        _check(path.name, lines, [
+            unit_rule,
+            (~band_known, lambda row: _unknown_band(band[row])),
+            date_rule,
+            _finite_rule(cells, "value"),
+            (repeats, lambda row: f"duplicate observation for unit {unit_id[row]!r}, "
+                                  f"band {band[row]}, date {day[row]}"),
+            (_BAND_IS_RAW[band_codes] & ((values < 0.0) | (values > RAW_REFLECTANCE_MAX)),
+             lambda row: _outside_raw_range(band[row])),
+        ])
+        days, values = days[order], values[order]
+        series: dict[tuple[str, SpectralBand], ObservationSeries] = {}
+        for key, start, stop in runs:
+            unit = str(unit_ids[key // len(_BAND_NAMES)])
+            spectral_band = SpectralBand(_BAND_NAMES[key % len(_BAND_NAMES)])
+            series[(unit, spectral_band)] = ObservationSeries(
+                unit_id=unit, band=spectral_band,
+                days=days[start:stop], values=values[start:stop],
+            )
+        return series
 
-
-def _observation_columns(
-    path: Path, units: dict[str, UnitMeta]
-) -> dict[tuple[str, SpectralBand], ObservationSeries] | None:
-    """``observations.csv`` from one np.loadtxt call, or None to use the row-wise reader."""
-    table = _read_table(path, _OBSERVATIONS_HEADER, [
+    return _load_columns(path, [
         ("unit_id", _text_dtype(units)), ("band", _text_dtype(_BAND_NAMES)),
         ("date", "U11"), ("value", "f8"),
-    ])
-    if table is None:
-        return None
-    unit_ids = np.array(sorted(units))
-    unit_codes = _codes(table["unit_id"], unit_ids)
-    band_codes = _codes(table["band"], _BAND_NAMES)
-    days = _iso_days(table["date"])
-    values = table["value"]
-    if unit_codes is None or band_codes is None or days is None:
-        return None
-    raw = _BAND_IS_RAW[band_codes]
-    if not np.isfinite(values).all() or (
-            raw & ((values < 0.0) | (values > RAW_REFLECTANCE_MAX))).any():
-        return None
-    grouped = _groups(unit_codes * len(_BAND_NAMES) + band_codes, days)
-    if grouped is None:
-        return None
-    order, runs = grouped
-    days, values = days[order], values[order]
-    series: dict[tuple[str, SpectralBand], ObservationSeries] = {}
-    for key, start, stop in runs:
-        unit_id = str(unit_ids[key // len(_BAND_NAMES)])
-        band = SpectralBand(_BAND_NAMES[key % len(_BAND_NAMES)])
-        series[(unit_id, band)] = ObservationSeries(
-            unit_id=unit_id, band=band,
-            days=days[start:stop], values=values[start:stop],
-        )
-    return series
-
-
-def _load_observation_rows(
-    path: Path, units: dict[str, UnitMeta]
-) -> dict[tuple[str, SpectralBand], ObservationSeries]:
-    """Row-wise reader of ``observations.csv``; its errors name file and line."""
-    header = _OBSERVATIONS_HEADER
-    name = path.name
-    samples: dict[tuple[str, SpectralBand], list] = {}
-    for line, row in _read_rows(path, header):
-        unit_id, band_name, date_text, value_text = row
-        _check_unit(units, unit_id, name, line)
-        try:
-            band = SpectralBand.from_name(band_name)
-        except ValueError as exc:
-            raise BundleValidationError(name, line, str(exc)) from None
-        day = _parse_date(date_text, name, line, "date")
-        value = _parse_float(value_text, name, line, "value")
-        samples.setdefault((unit_id, band), []).append((day, value, line))
-
-    series: dict[tuple[str, SpectralBand], ObservationSeries] = {}
-    for (unit_id, band), triples in samples.items():
-        triples.sort(key=lambda t: (t[0], t[2]))
-        for (d1, _, _), (d2, _, line2) in zip(triples, triples[1:]):
-            if d1 == d2:
-                raise BundleValidationError(
-                    name, line2,
-                    f"duplicate observation for unit {unit_id!r}, band {band.value}, date {d2}",
-                )
-        try:
-            series[(unit_id, band)] = ObservationSeries(
-                unit_id=unit_id,
-                band=band,
-                days=np.array([t[0].toordinal() for t in triples], dtype=np.int64),
-                values=np.array([t[1] for t in triples], dtype=float),
-            )
-        except ValueError as exc:
-            raise BundleValidationError(name, triples[0][2], str(exc)) from None
-    return series
-
-
-_CLIMATE_HEADER = ("unit_id", "date", "tmin_c", "tmax_c", "ppt_mm")
+    ], build)
 
 
 def _load_climate(path: Path, units: dict[str, UnitMeta]) -> dict[str, ClimateSeries]:
-    climate = _climate_columns(path, units)
-    return _load_climate_rows(path, units) if climate is None else climate
+    def build(cells, lines):
+        unit_id, day = cells["unit_id"], cells["date"]
+        tmin, tmax, ppt = cells["tmin_c"], cells["tmax_c"], cells["ppt_mm"]
+        unit_ids, unit_codes, unit_rule = _unit_rule(unit_id, units)
+        days, date_rule = _date_rule(day)
+        order, runs, repeats = _groups(unit_codes, days)
+        _check(path.name, lines, [
+            unit_rule,
+            date_rule,
+            (repeats, lambda row: f"duplicate climate day for unit {unit_id[row]!r}: {day[row]}"),
+            _finite_rule(cells, "tmin_c"),
+            _finite_rule(cells, "tmax_c"),
+            _finite_rule(cells, "ppt_mm"),
+            (tmin > tmax, lambda row: f"tmin {tmin[row]} > tmax {tmax[row]}"),
+            (ppt < 0, lambda row: f"negative precipitation {ppt[row]}"),
+        ])
+        days, tmin, tmax, ppt = days[order], tmin[order], tmax[order], ppt[order]
+        return {
+            str(unit_ids[code]): ClimateSeries(days[start:stop], tmin[start:stop],
+                                               tmax[start:stop], ppt[start:stop])
+            for code, start, stop in runs
+        }
 
-
-def _climate_columns(path: Path, units: dict[str, UnitMeta]) -> dict[str, ClimateSeries] | None:
-    """``climate.csv`` from one np.loadtxt call, or None to use the row-wise reader."""
-    table = _read_table(path, _CLIMATE_HEADER, [
+    return _load_columns(path, [
         ("unit_id", _text_dtype(units)), ("date", "U11"),
         ("tmin_c", "f8"), ("tmax_c", "f8"), ("ppt_mm", "f8"),
-    ])
-    if table is None:
-        return None
-    unit_ids = np.array(sorted(units))
-    unit_codes = _codes(table["unit_id"], unit_ids)
-    days = _iso_days(table["date"])
-    tmin, tmax, ppt = table["tmin_c"], table["tmax_c"], table["ppt_mm"]
-    if unit_codes is None or days is None:
-        return None
-    if not (np.isfinite(tmin) & np.isfinite(tmax) & np.isfinite(ppt)).all() or (
-            (tmin > tmax) | (ppt < 0)).any():
-        return None
-    grouped = _groups(unit_codes, days)
-    if grouped is None:
-        return None
-    order, runs = grouped
-    days, tmin, tmax, ppt = days[order], tmin[order], tmax[order], ppt[order]
-    return {
-        str(unit_ids[code]): ClimateSeries(days[start:stop], tmin[start:stop],
-                                           tmax[start:stop], ppt[start:stop])
-        for code, start, stop in runs
-    }
-
-
-def _load_climate_rows(path: Path, units: dict[str, UnitMeta]) -> dict[str, ClimateSeries]:
-    """Row-wise reader of ``climate.csv``; its errors name file and line."""
-    header = _CLIMATE_HEADER
-    name = path.name
-    seen: set[tuple[str, date]] = set()
-    rows: dict[str, list[tuple[int, float, float, float]]] = {}
-    for line, row in _read_rows(path, header):
-        unit_id, date_text, tmin_text, tmax_text, ppt_text = row
-        _check_unit(units, unit_id, name, line)
-        day = _parse_date(date_text, name, line, "date")
-        if (unit_id, day) in seen:
-            raise BundleValidationError(
-                name, line, f"duplicate climate day for unit {unit_id!r}: {day}"
-            )
-        seen.add((unit_id, day))
-        tmin = _parse_float(tmin_text, name, line, "tmin_c")
-        tmax = _parse_float(tmax_text, name, line, "tmax_c")
-        ppt = _parse_float(ppt_text, name, line, "ppt_mm")
-        if tmin > tmax:
-            raise BundleValidationError(name, line, f"tmin {tmin} > tmax {tmax}")
-        if ppt < 0:
-            raise BundleValidationError(name, line, f"negative precipitation {ppt}")
-        rows.setdefault(unit_id, []).append((day.toordinal(), tmin, tmax, ppt))
-    climate: dict[str, ClimateSeries] = {}
-    for unit_id, unit_rows in rows.items():
-        unit_rows.sort()  # day ordinals are unique per unit
-        days, tmin, tmax, ppt = np.array(unit_rows, dtype=float).T
-        climate[unit_id] = ClimateSeries(days.astype(np.int64), tmin, tmax, ppt)
-    return climate
+    ], build)
 
 
 def _load_embeddings(
     path: Path, units: dict[str, UnitMeta]
 ) -> dict[tuple[str, int], np.ndarray]:
-    header = ("unit_id", "year") + EMBEDDING_COLUMNS
-    name = path.name
-    embeddings: dict[tuple[str, int], np.ndarray] = {}
-    for line, row in _read_rows(path, header):
-        unit_id = row[0]
-        _check_unit(units, unit_id, name, line)
-        year = _parse_int(row[1], name, line, "year")
-        if (unit_id, year) in embeddings:
-            raise BundleValidationError(
-                name, line, f"duplicate embedding for unit {unit_id!r}, year {year}"
-            )
-        embeddings[(unit_id, year)] = np.array(
-            [_parse_float(row[2 + i], name, line, EMBEDDING_COLUMNS[i])
-             for i in range(EMBEDDING_DIM)],
-            dtype=float,
-        )
-    return embeddings
+    def build(cells, lines):
+        unit_id, years = cells["unit_id"], cells["year"]
+        unit_ids, unit_codes, unit_rule = _unit_rule(unit_id, units)
+        _, _, repeats = _groups(unit_codes, years)
+        matrix = np.column_stack([cells[column] for column in EMBEDDING_COLUMNS])
+        bad = ~np.isfinite(matrix)
+        _check(path.name, lines, [
+            unit_rule,
+            (repeats, lambda row: f"duplicate embedding for unit {unit_id[row]!r}, "
+                                  f"year {years[row]}"),
+            (bad.any(axis=1), lambda row: _non_finite(EMBEDDING_COLUMNS[bad[row].argmax()])),
+        ])
+        return {(str(unit_ids[code]), int(year)): vector
+                for code, year, vector in zip(unit_codes, years, matrix)}
+
+    return _load_columns(path, [("unit_id", _text_dtype(units)), ("year", "i8")]
+                         + [(column, "f8") for column in EMBEDDING_COLUMNS], build)
 
 
 def _load_labels(path: Path, units: dict[str, UnitMeta]) -> list[LabelRecord]:

@@ -617,6 +617,8 @@ def _train_gbt(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
 
 def train(spec: ModelSpec, X, y, threads: int = 1) -> TrainedModel:
     """Fit the configured ensemble; deterministic for a fixed spec seed."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     matrix, names = _as_matrix(X)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != matrix.shape[0]:
@@ -781,17 +783,63 @@ def _tree_defect(tree: Tree, n_features: int) -> str | None:
     return None
 
 
+def _finite_float(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{number} is not finite")
+    return number
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _name_tuple(value) -> tuple[str, ...]:
+    names = tuple(_json_list(value))
+    if not all(isinstance(name, str) for name in names):
+        raise TypeError("expected a list of strings")
+    return names
+
+
+# Each field of a model file and the conversion that must accept it.
+_MODEL_FIELDS = (
+    ("spec", lambda spec: ModelSpec(**spec)),
+    ("feature_names", _name_tuple),
+    ("trees", _json_list),
+    ("importance", lambda values: np.array(values, dtype=float)),
+    ("base_score", _finite_float),
+)
+
+
 def load_model(path) -> TrainedModel:
-    """Read a model file, rejecting any tree that is not a sound binary tree."""
+    """Read a model file, rejecting any tree that is not a sound binary tree.
+
+    Every malformed file raises ``ValueError`` naming ``path``.
+    """
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     if payload.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {payload.get('version')}")
-    feature_names = tuple(payload["feature_names"])
+        raise ValueError(f"{path}: unsupported model format version {payload.get('version')}")
+    fields = {}
+    for key, convert in _MODEL_FIELDS:
+        if key not in payload:
+            raise ValueError(f"{path}: missing {key!r}")
+        try:
+            fields[key] = convert(payload[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad {key!r} ({exc})") from None
+    spec, feature_names = fields["spec"], fields["feature_names"]
+    if len(fields["trees"]) != spec.n_trees:
+        raise ValueError(f"{path}: {len(fields['trees'])} trees, but n_trees is {spec.n_trees}")
     trees = []
-    for index, t in enumerate(payload["trees"]):
+    for index, t in enumerate(fields["trees"]):
         try:
             tree = Tree(
                 feature=np.array(t["feature"], dtype=np.intp),
@@ -806,15 +854,15 @@ def load_model(path) -> TrainedModel:
         if defect is not None:
             raise ValueError(f"{path}: tree {index}: {defect}")
         trees.append(tree)
-    importance = np.array(payload["importance"], dtype=float)
+    importance = fields["importance"]
     if importance.shape != (len(feature_names),):
         raise ValueError(
             f"{path}: {importance.size} importance values for {len(feature_names)} features"
         )
     return TrainedModel(
-        spec=ModelSpec(**payload["spec"]),
+        spec=spec,
         feature_names=feature_names,
         trees=trees,
         importance=importance,
-        base_score=float(payload["base_score"]),
+        base_score=fields["base_score"],
     )

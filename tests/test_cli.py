@@ -251,6 +251,12 @@ def test_bad_run_settings_are_named_errors(bundle, tmp_path, capsys):
     assert execute("train", None, base + ["model.max_depth=-1"]) == 1
     assert capsys.readouterr().err.startswith("error: train: max_depth must be at least 1")
     assert not (tmp_path / "model.json").exists()
+    for command in ("train", "benchmark"):
+        assert execute(command, None, base + ["threads=-4"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {command}: key 'threads': expected at least 1, got -4\n")
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "report.csv").exists()
 
 
 # A valid value for every config key, each different from its default.

@@ -265,6 +265,12 @@ class TestRunBenchmark:
             run_benchmark(small_bundle, self.CFG, self.MODEL, "group_cv", k=3,
                           n_repeats=n_repeats)
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, small_bundle, threads):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            run_benchmark(small_bundle, self.CFG, self.MODEL, "group_cv", k=3,
+                          threads=threads)
+
     def test_model_task_must_match(self, small_bundle):
         bad = ModelSpec(kind="RF", task="classification")
         with pytest.raises(ValueError, match="does not fit"):

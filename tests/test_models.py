@@ -102,6 +102,12 @@ class TestTrainBasics:
         with pytest.raises(ValueError, match="at least 2"):
             train(ModelSpec(kind="RF", task="regression"), np.ones((1, 2)), np.ones(1))
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            train(ModelSpec(kind="RF", task="regression"), np.ones((4, 2)), np.arange(4.0),
+                  threads=threads)
+
     def test_classification_labels_checked(self):
         with pytest.raises(ValueError, match="0 or 1"):
             train(ModelSpec(kind="RF", task="classification"),
@@ -334,6 +340,36 @@ class TestModelFile:
         payload = json.loads(path.read_text())
         payload["trees"][0][field][index] = value
         path.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: "{", "not JSON"),
+        (lambda p: json.dumps([p]), "not a agribench-model file"),
+        (lambda p: json.dumps({k: v for k, v in p.items() if k != "feature_names"}),
+         "missing 'feature_names'"),
+        (lambda p: json.dumps({**p, "spec": {**p["spec"], "colour": "red"}}),
+         "bad 'spec' (ModelSpec.__init__() got an unexpected keyword argument 'colour')"),
+        (lambda p: json.dumps({**p, "spec": "RF"}), "bad 'spec'"),
+        (lambda p: json.dumps({**p, "base_score": None}), "bad 'base_score'"),
+        (lambda p: json.dumps({**p, "base_score": float("nan")}),
+         "bad 'base_score' (nan is not finite)"),
+        (lambda p: json.dumps({**p, "trees": []}), "0 trees, but n_trees is 1"),
+        (lambda p: json.dumps({**p, "feature_names": "abc"}),
+         "bad 'feature_names' (expected a list, got str)"),
+        (lambda p: json.dumps({**p, "feature_names": ["a", 2, "c"]}),
+         "bad 'feature_names' (expected a list of strings)"),
+        (lambda p: json.dumps({**p, "trees": {"0": p["trees"][0]}}),
+         "bad 'trees' (expected a list, got dict)"),
+    ], ids=["not_json", "json_array", "no_feature_names", "spec_unknown_field",
+            "spec_not_object", "null_base_score", "nan_base_score", "no_trees",
+            "feature_names_string", "feature_names_not_strings", "trees_object"])
+    def test_malformed_file_named(self, tmp_path, edit, message):
+        path = self._saved_rf(tmp_path)
+        path.write_text(edit(json.loads(path.read_text())))
+        # Most of these used to raise KeyError, AttributeError or TypeError;
+        # the file without trees loaded, and predict failed inside np.stack.
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(path) in str(info.value) and message in str(info.value)
 
     def test_cycle_rejected(self, tmp_path):
         path = self._saved_rf(tmp_path)
