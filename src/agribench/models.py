@@ -165,10 +165,11 @@ class _Presorted:
         self.distinct = not (x_sorted[:, 1:] == x_sorted[:, :-1]).any()
 
     def root_block(self, counts: np.ndarray | None) -> np.ndarray:
-        """Each column's sorted rows, a row repeated as often as it is drawn."""
+        """Each column's sorted rows; with ``counts``, only the rows drawn."""
+        block = self.columns_sorted.ravel()
         if counts is None:
-            return self.columns_sorted.ravel()
-        return self.columns_sorted.ravel().repeat(counts[self.columns_sorted].ravel())
+            return block
+        return block.compress(counts[block] > 0)
 
     def sort_rows(self, local_rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """Sort each column of ``local_rows[slot, node]`` by ``columns[node]``.
@@ -200,22 +201,29 @@ def _slot_cumsum(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return values
 
 
-def _best_splits(ys, sizes, totals, ties, min_leaf, classification):
+def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification):
     """Best split of each node from its rows sorted by each searched column.
 
     ``ys[slot, node, c]`` holds the label of the node's row at that slot in
-    the order of its ``c``-th searched column, and ``ties`` (or ``None``
+    the order of its ``c``-th searched column, ``ws`` (or ``None`` when
+    every row counts once) that row's weight, and ``ties`` (or ``None``
     when no two rows tie) marks the slots whose value equals the next
-    slot's. Nodes come in decreasing ``sizes``; slots past a node's size
-    are padding, never valid. Returns per node the best cost (``inf`` or
-    ``-inf`` when no split is valid), ``c`` and the slot before the split.
-    Regression maximizes the bracket ``ls^2/lc + rs^2/rc``: children SSE =
-    sum(y^2) - bracket, so the bracket is the negated cost. ``ys`` is
-    overwritten.
+    slot's. Nodes come in decreasing ``sizes`` (rows, not weights), with
+    weight sums ``weights`` and weighted label sums ``totals``; slots at or
+    past a node's last row are never valid, so padding is never read.
+    Returns per node the best cost (``inf`` or ``-inf`` when no split is
+    valid), ``c`` and the slot before the split. Regression maximizes the
+    bracket ``ls^2/lc + rs^2/rc`` over weighted sums and counts: children
+    SSE = sum(w*y^2) - bracket, so the bracket is the negated cost. ``ys``
+    and ``ws`` are overwritten.
     """
     width, n_nodes, n_columns = ys.shape
-    left_cnt = np.arange(1.0, width + 1.0)[:, None, None]
-    right_cnt = sizes[:, None] - left_cnt
+    if ws is None:
+        left_cnt = np.arange(1.0, width + 1.0)[:, None, None]
+    else:
+        ys *= ws
+        left_cnt = _slot_cumsum(ws, sizes)
+    right_cnt = weights[:, None] - left_cnt
     cost = _slot_cumsum(ys, sizes)  # the left sums, then the cost in place
     right_sum = totals[:, None] - cost
     if classification:
@@ -235,9 +243,9 @@ def _best_splits(ys, sizes, totals, ties, min_leaf, classification):
         right_sum /= right_cnt
         cost += right_sum
     del right_sum
-    invalid = right_cnt < min_leaf
+    invalid = np.arange(width)[:, None, None] >= sizes[:, None] - 1
     if min_leaf > 1:
-        invalid |= left_cnt < min_leaf
+        invalid = invalid | (left_cnt < min_leaf) | (right_cnt < min_leaf)
     if ties is not None:
         invalid = invalid | ties
     np.copyto(cost, np.inf if classification else -np.inf, where=invalid)
@@ -277,18 +285,23 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     """Grow one CART tree per entry of ``counts``, all together, level by level.
 
     ``counts[t]`` gives each row's multiplicity in tree ``t``'s sample (a
-    bootstrap); ``[None]`` grows one tree over every row once. ``rngs[t]``
-    draws tree ``t``'s candidate features when ``max_features`` is
-    ``"sqrt"``: at each level one key per (node, feature) for its nodes in
-    creation order, a node's candidates being its smallest keys. Returns
-    ``(Tree, importance, fitted)`` per tree; each tree comes out as if grown
-    alone. ``fitted`` is each row's leaf value for a tree over every row
-    once, ``None`` for a bootstrap tree.
+    bootstrap). The tree holds each drawn row once, weighted by its count:
+    leaf values, node totals, split counts, impurities and the
+    ``min_leaf`` tests are all over weights, so a tree with integer labels
+    is the tree grown on the rows repeated. ``[None]`` grows one tree over
+    every row once, unweighted. ``rngs[t]`` draws tree ``t``'s candidate
+    features when ``max_features`` is ``"sqrt"``: at each level one key per
+    (node, feature) for its nodes in creation order, a node's candidates
+    being its smallest keys. Returns ``(Tree, importance, fitted)`` per
+    tree; each tree comes out as if grown alone. ``fitted`` is each row's
+    leaf value for a tree over every row once, ``None`` for a bootstrap
+    tree.
 
     ``rows`` holds, node after node, the node's row ids in ascending order;
     every value is looked up in ``data`` by row id, so trees share one copy
-    of X and y. With every feature searched, ``block`` holds each column's
-    rows in ascending order of that column, tree ``t``'s offset by
+    of X and y, and ``draws`` holds tree ``t``'s weight of row ``r`` at
+    ``t * n_rows + r``. With every feature searched, ``block`` holds each
+    column's rows in ascending order of that column, tree ``t``'s offset by
     ``t * n_rows`` so that one mask routes every tree's rows, and the
     children's block is a stable partition of the parent's by boolean
     masks: nothing is sorted after the fit's presort. A sqrt search reads a
@@ -301,63 +314,75 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     n_features, n_rows = data.n_features, data.n_rows
     n_candidates = _n_searched(max_features, n_features)
     partition = n_candidates == n_features
-    # Sorted neighbours can tie only where a row repeats (a bootstrap draw)
-    # or a column repeats a value; otherwise the tie check is skipped.
-    may_tie = counts[0] is not None or not data.distinct
+    # A tree holds each row once, so sorted neighbours tie only where a
+    # column repeats a value; otherwise the tie check is skipped.
+    may_tie = not data.distinct
     x_flat = data.x_flat
     n_trees = len(counts)
     # Block entries of tree t are t * n_rows + its row ids.
     offsets = range(0, n_trees * n_rows, n_rows)
     if counts[0] is None:
-        rows = data.row_ids
-        sizes = np.array([n_rows])
+        rows, sizes, draws = data.row_ids, np.array([n_rows]), None
         leaf = np.empty(n_rows, dtype=np.intp)  # each row's deepest node so far
     else:
-        rows = np.concatenate([data.row_ids.repeat(c) for c in counts])
-        sizes = np.array([int(c.sum()) for c in counts])
+        drawn = [np.flatnonzero(c) for c in counts]
+        rows, sizes = np.concatenate(drawn), np.array([r.size for r in drawn])
+        draws = np.concatenate(counts).astype(float)
         leaf = None
     if partition:
         block = data.root_block(counts[0])
         if n_trees > 1:
             block = np.concatenate([data.root_block(c) + at for at, c in zip(offsets, counts)])
-    n_root = int(sizes[0])  # every tree draws the same number of rows
 
-    capacity = n_trees * (2 * n_root - 1)  # binary trees over n_root samples
+    capacity = 2 * int(sizes.sum()) - n_trees  # binary trees over their rows
     feature = np.full(capacity, -1, dtype=np.intp)
     threshold = np.zeros(capacity)
     left = np.full(capacity, -1, dtype=np.intp)
     value = np.zeros(capacity)
     gain = np.zeros(capacity)
 
-    def settle(rows, sizes, ids, depth):
-        """Set leaf values; returns which nodes may split, and the node sums."""
+    def row_weights(rows, sizes, trees):
+        """Each row's weight in its node's tree; ``None`` when all count once."""
+        if draws is None:
+            return None
+        return draws.take(rows + (trees * n_rows).repeat(sizes))
+
+    def settle(rows, sizes, ids, trees, depth):
+        """Set leaf values; returns which nodes may split, their weights and
+        their weighted label sums."""
         ys = y[rows]
         starts = sizes.cumsum() - sizes
-        may_split = (sizes >= 2 * min_leaf) & (
+        row_w = row_weights(rows, sizes, trees)
+        if row_w is None:
+            weights, weighted = sizes.astype(float), ys
+        else:
+            weights, weighted = np.add.reduceat(row_w, starts), row_w * ys
+        may_split = (weights >= 2 * min_leaf) & (
             np.minimum.reduceat(ys, starts) != np.maximum.reduceat(ys, starts)
         )
         if max_depth is not None and depth >= max_depth:
             may_split[:] = False
         # Sums in ascending row order fix the leaf values' rounding.
         totals = np.array([
-            np.add.reduce(ys[s : s + m]) for s, m in zip(starts.tolist(), sizes.tolist())
+            np.add.reduce(weighted[s : s + m]) for s, m in zip(starts.tolist(), sizes.tolist())
         ])
-        value[ids] = totals / sizes
+        value[ids] = totals / weights
         if leaf is not None:
             leaf[rows] = ids.repeat(sizes)
-        return may_split, totals
+        return may_split, weights, totals
 
     ids = np.arange(n_trees)
     tree_of = ids
     n_made = n_trees
     depth = 0
-    may_split, totals = settle(rows, sizes, ids, depth)
+    may_split, weights, totals = settle(rows, sizes, ids, tree_of, depth)
     if not may_split.all():
         rows = rows.compress(may_split.repeat(sizes))
         if partition:
             block = block.compress(may_split.repeat(sizes * n_features))
-        sizes, ids, tree_of, totals = (
-            sizes[may_split], ids[may_split], tree_of[may_split], totals[may_split]
+        sizes, ids, tree_of, weights, totals = (
+            sizes[may_split], ids[may_split], tree_of[may_split], weights[may_split],
+            totals[may_split],
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         while sizes.size:
@@ -382,14 +407,17 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 # Slot k of node j holds its row k; later slots repeat its
                 # last row (padding, never a valid split).
                 slot_row = np.minimum(np.arange(int(m[0]))[:, None], m - 1)
+                ws = None
                 if partition:
                     searched = data.all_columns
-                    if depth == 0 and counts[0] is None:  # every row, once
+                    if depth == 0 and draws is None:  # every row, once
                         search = data.columns_sorted.T[:, None, :]
                     else:
                         # Column f of node j starts at starts[j] * n_features + f * m[j].
                         first = (starts[sel] * n_features)[:, None] + searched * m[:, None]
                         search = block.take(first + slot_row[:, :, None])
+                        if draws is not None:
+                            ws = draws.take(search)
                         if n_trees > 1:
                             search -= (tree_of[sel] * n_rows)[:, None]
                 else:
@@ -397,6 +425,8 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     local = rows.take(starts[sel] + slot_row)
                     local[slot_row < np.arange(m[0])[:, None]] = n_rows
                     search = data.sort_rows(local, searched)
+                    if draws is not None:
+                        ws = draws.take(search + (tree_of[sel] * n_rows)[:, None])
                 ties = None
                 if may_tie:
                     xs = x_flat.take(search + searched * n_rows)
@@ -404,9 +434,10 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     np.greater_equal(xs[:-1], xs[1:], out=ties[:-1])
                     del xs
                 best[sel], column, slot = _best_splits(
-                    y.take(search), m, totals[sel], ties, min_leaf, classification
+                    y.take(search), ws, m, weights[sel], totals[sel], ties, min_leaf,
+                    classification,
                 )
-                del ties
+                del ties, ws
                 # Threshold: the midpoint of the values around the split,
                 # or the lower one when the midpoint rounds up to the upper.
                 nodes = np.arange(sel.size)
@@ -423,21 +454,22 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
 
             # Impurity decrease from the node's own sums, as scalars.
             ys = y[rows]
+            row_w = row_weights(rows, sizes, tree_of)
+            weighted = ys if row_w is None else row_w * ys
             split_ids = ids[split_nodes]
-            for node, start, m, total, cost in zip(
+            for node, start, m, w, total, cost in zip(
                 split_ids.tolist(), starts[split_nodes].tolist(),
-                sizes[split_nodes].tolist(), totals[split_nodes].tolist(),
-                best[split_nodes].tolist(),
+                sizes[split_nodes].tolist(), weights[split_nodes].tolist(),
+                totals[split_nodes].tolist(), best[split_nodes].tolist(),
             ):
                 if classification:
-                    node_imp = 2.0 * total * (m - total) / (m * m)
-                    child_imp = 2.0 * cost / m
+                    node_imp = 2.0 * total * (w - total) / (w * w)
+                    child_imp = 2.0 * cost / w
                 else:
-                    part = ys[start : start + m]
-                    total_sq = float(part @ part)
-                    node_imp = total_sq / m - (total / m) ** 2
-                    child_imp = (total_sq - cost) / m  # cost holds the bracket
-                gain[node] = m / n_root * max(0.0, node_imp - child_imp)
+                    total_sq = float(weighted[start : start + m] @ ys[start : start + m])
+                    node_imp = total_sq / w - (total / w) ** 2
+                    child_imp = (total_sq - cost) / w  # cost holds the bracket
+                gain[node] = w / n_rows * max(0.0, node_imp - child_imp)
             feature[split_ids] = chosen[split_nodes]
             threshold[split_ids] = cut[split_nodes]
             value[split_ids] = 0.0
@@ -456,11 +488,14 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             n_left = np.bincount(node_of[to_left], minlength=n_nodes)[split_nodes]
             child_sizes = np.concatenate([n_left, sizes[split_nodes] - n_left])
             child_ids = np.concatenate([left_ids, left_ids + 1])
+            child_trees = np.concatenate([tree_of[split_nodes]] * 2)
             child_rows = np.concatenate([
                 rows.compress(to_left), rows.compress(~go_left & in_split)
             ])
             depth += 1
-            may_split, totals = settle(child_rows, child_sizes, child_ids, depth)
+            may_split, weights, totals = settle(
+                child_rows, child_sizes, child_ids, child_trees, depth
+            )
             if not may_split.any():
                 break
 
@@ -480,10 +515,9 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     block.compress(~block_left & keep_right.repeat(span)),
                 ])
             rows = child_rows.compress(may_split.repeat(child_sizes))
-            child_trees = np.concatenate([tree_of[split_nodes]] * 2)
-            sizes, ids, tree_of, totals = (
-                child_sizes[may_split], child_ids[may_split],
-                child_trees[may_split], totals[may_split],
+            sizes, ids, tree_of, weights, totals = (
+                child_sizes[may_split], child_ids[may_split], child_trees[may_split],
+                weights[may_split], totals[may_split],
             )
 
     number = np.empty(n_made, dtype=np.intp)

@@ -511,9 +511,11 @@ class TestModelFileProperties:
 
 
 # Reference: the depth-first per-node grower that the level-wise grower
-# replaced, kept verbatim (its only change is the module it lives in).
+# replaced, kept as it was but for optional row weights (a bootstrap's draw
+# counts); unit weights give its old arithmetic bit for bit.
 
-def _best_split(sub: np.ndarray, ys: np.ndarray, min_leaf: int, classification: bool):
+def _best_split(sub: np.ndarray, ys: np.ndarray, min_leaf: int, classification: bool,
+                ws: np.ndarray):
     """Vectorized search over all candidate columns and thresholds of a node.
 
     Returns (column, threshold, left_mask, impurity_decrease) or None when no
@@ -521,6 +523,7 @@ def _best_split(sub: np.ndarray, ys: np.ndarray, min_leaf: int, classification: 
     so that cost ties resolve to the lowest feature index, then the lowest
     threshold. The impurity decrease is the node Gini/variance minus the
     size-weighted child impurity, computed from the same split statistics.
+    Counts and sums are over the rows' weights ``ws``.
     """
     m = sub.shape[0]
     # Default introsort: deterministic for identical input, and within-tie
@@ -528,11 +531,13 @@ def _best_split(sub: np.ndarray, ys: np.ndarray, min_leaf: int, classification: 
     order = np.argsort(sub, axis=0)
     x_sorted = np.take_along_axis(sub, order, axis=0)
     y_sorted = ys[order]
+    w_sorted = ws[order]
 
-    left_cnt = np.arange(1, m, dtype=float)[:, None]
-    right_cnt = m - left_cnt
-    left_sum = np.cumsum(y_sorted, axis=0)[:-1]
-    total = float(ys.sum())
+    count = float(ws.sum())
+    left_cnt = np.cumsum(w_sorted, axis=0)[:-1]
+    right_cnt = count - left_cnt
+    left_sum = np.cumsum(y_sorted * w_sorted, axis=0)[:-1]
+    total = float((ws * ys).sum())
     right_sum = total - left_sum
 
     if classification:
@@ -548,8 +553,7 @@ def _best_split(sub: np.ndarray, ys: np.ndarray, min_leaf: int, classification: 
 
     valid = x_sorted[:-1] < x_sorted[1:]
     if min_leaf > 1:
-        positions = np.arange(1, m)[:, None]
-        valid &= (positions >= min_leaf) & (m - positions >= min_leaf)
+        valid &= (left_cnt >= min_leaf) & (right_cnt >= min_leaf)
     if not valid.any():
         return None
     cost[~valid] = np.inf
@@ -561,12 +565,12 @@ def _best_split(sub: np.ndarray, ys: np.ndarray, min_leaf: int, classification: 
         return None
 
     if classification:
-        node_imp = 2.0 * total * (m - total) / (m * m)
-        child_imp = 2.0 * best / m
+        node_imp = 2.0 * total * (count - total) / (count * count)
+        child_imp = 2.0 * best / count
     else:
-        total_sq = float(ys @ ys)
-        node_imp = total_sq / m - (total / m) ** 2
-        child_imp = (total_sq + best) / m  # best is the negated bracket
+        total_sq = float((ws * ys) @ ys)
+        node_imp = total_sq / count - (total / count) ** 2
+        child_imp = (total_sq + best) / count  # best is the negated bracket
     decrease = max(0.0, node_imp - child_imp)
 
     lo = float(x_sorted[split_pos, column])
@@ -578,8 +582,8 @@ def _best_split(sub: np.ndarray, ys: np.ndarray, min_leaf: int, classification: 
     return column, threshold, left_mask, decrease
 
 
-def _leaf_value(y: np.ndarray) -> float:
-    return float(y.mean())
+def _leaf_value(y: np.ndarray, w: np.ndarray) -> float:
+    return float((w * y).sum() / w.sum())
 
 
 def _grow_tree(
@@ -592,14 +596,17 @@ def _grow_tree(
     classification: bool,
     rng: np.random.Generator | None,
     importance_acc: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> Tree:
+    """Grow on ``X[root_idx]``, each row weighted by ``weights[row]`` (default 1)."""
+    w = np.ones(X.shape[0]) if weights is None else weights.astype(float)
     n_features = X.shape[1]
     if max_features == "sqrt":
         n_candidates = max(1, int(math.sqrt(n_features)))
     else:
         n_candidates = n_features
     all_features = np.arange(n_features)
-    n_root = root_idx.size
+    n_root = float(w[root_idx].sum())
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -619,13 +626,13 @@ def _grow_tree(
     stack = [(root, root_idx, 0)]
     while stack:
         node, idx, depth = stack.pop()
-        ys = y[idx]
+        ys, ws = y[idx], w[idx]
         if (
             (max_depth is not None and depth >= max_depth)
-            or idx.size < 2 * min_leaf
+            or ws.sum() < 2 * min_leaf
             or np.all(ys == ys[0])
         ):
-            value[node] = _leaf_value(ys)
+            value[node] = _leaf_value(ys, ws)
             continue
         if n_candidates < n_features:
             candidates = np.sort(rng.choice(all_features, size=n_candidates, replace=False))
@@ -633,12 +640,12 @@ def _grow_tree(
         else:
             candidates = all_features
             sub = X.take(idx, axis=0)
-        split = _best_split(sub, ys, min_leaf, classification)
+        split = _best_split(sub, ys, min_leaf, classification, ws)
         if split is None:
-            value[node] = _leaf_value(ys)
+            value[node] = _leaf_value(ys, ws)
             continue
         column, thr, left_mask, decrease = split
-        importance_acc[candidates[column]] += idx.size / n_root * decrease
+        importance_acc[candidates[column]] += ws.sum() / n_root * decrease
 
         feature[node] = int(candidates[column])
         threshold[node] = thr
@@ -670,6 +677,9 @@ class TestLevelWiseGrower:
     @pytest.mark.parametrize("max_depth", [None, 2, 3])
     @pytest.mark.parametrize("min_leaf", [1, 3])
     def test_matches_depth_first_reference(self, min_leaf, max_depth, ties):
+        """Float labels: a bootstrap tree is the reference grown on the drawn
+        rows, weighted by their counts. Integer labels keep every sum exact,
+        so it is also the reference grown on the rows repeated."""
         local = np.random.default_rng([min_leaf, max_depth or 0, ties])
         for _ in range(8):
             n = int(local.integers(6, 70))
@@ -683,16 +693,20 @@ class TestLevelWiseGrower:
                 X = local.normal(size=(n, n_features))
                 y = local.normal(size=n) * 10.0 ** local.integers(-3, 4)
             data = _Presorted(X)
-            # Random forest: three bootstrap trees (rows repeat) grown together.
-            draws = [local.integers(0, n, size=n) for _ in range(3)]
-            grown = _grow_trees(data, y, [np.bincount(d, minlength=n) for d in draws],
-                                [None] * 3, max_depth, min_leaf, "all", False)
+            # Random forest: three bootstrap trees grown together.
+            counts = [np.bincount(local.integers(0, n, size=n), minlength=n) for _ in range(3)]
+            grown = _grow_trees(data, y, counts, [None] * 3, max_depth, min_leaf, "all", False)
+            if ties:
+                samples = [(np.repeat(np.arange(n), c), None) for c in counts]
+            else:
+                samples = [(np.flatnonzero(c), c) for c in counts]
             # Gradient boosting: one tree over every row once.
             grown += _grow_trees(data, y, [None], [None], max_depth, min_leaf, "all", False)
-            for rows, (tree, importance, _) in zip([np.sort(d) for d in draws] + [np.arange(n)],
-                                                   grown):
+            samples.append((np.arange(n), None))
+            for (rows, weights), (tree, importance, _) in zip(samples, grown):
                 acc = np.zeros(n_features)
-                reference = _grow_tree(X, y, rows, max_depth, min_leaf, "all", False, None, acc)
+                reference = _grow_tree(X, y, rows, max_depth, min_leaf, "all", False, None, acc,
+                                       weights)
                 assert _same_tree(tree, reference)
                 assert np.array_equal(importance, acc)
 
@@ -729,6 +743,45 @@ class TestLevelWiseGrower:
             reference = _reference_sqrt_tree(X, y, np.repeat(np.arange(n), counts),
                                              np.random.default_rng(7), min_leaf)
             assert _same_tree(tree, reference)
+
+
+@st.composite
+def bootstrap_problems(draw):
+    """A small table with integer labels and one bootstrap's draw counts."""
+    n = draw(st.integers(4, 40))
+    n_features = draw(st.integers(1, 9))
+    levels = draw(st.sampled_from([3, 1000]))
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = local.integers(0, levels, size=(n, n_features)) / levels
+    y = local.integers(-3, 4, size=n).astype(float)
+    return X, y, np.bincount(local.integers(0, n, size=n), minlength=n)
+
+
+class TestWeightedBootstrap:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=bootstrap_problems(), classification=st.booleans(),
+           max_features=st.sampled_from(["all", "sqrt"]), min_leaf=st.integers(1, 4))
+    def test_weighted_tree_equals_tree_on_repeated_rows(self, problem, classification,
+                                                        max_features, min_leaf):
+        """With integer labels every weighted sum is exact, so a tree over the
+        drawn rows weighted by their counts is the tree over the rows repeated."""
+        X, y, counts = problem
+        if classification:
+            y = (y > 0).astype(float)
+        [(tree, importance, _)] = _grow_trees(
+            _Presorted(X), y, [counts], [np.random.default_rng(7)], None, min_leaf,
+            max_features, classification,
+        )
+        repeated = np.repeat(np.arange(X.shape[0]), counts)
+        if max_features == "sqrt":
+            reference = _reference_sqrt_tree(X, y, repeated, np.random.default_rng(7), min_leaf,
+                                             classification)
+        else:
+            acc = np.zeros(X.shape[1])
+            reference = _grow_tree(X, y, repeated, None, min_leaf, "all", classification, None,
+                                   acc)
+            assert np.array_equal(importance, acc)
+        assert _same_tree(tree, reference)
 
 
 class TestBatching:
@@ -811,7 +864,7 @@ class TestGbtFittedValues:
             assert np.array_equal(fitted.view(np.int64), tree.apply(X).view(np.int64))
 
 
-def _reference_sqrt_tree(X, y, rows, rng, min_leaf):
+def _reference_sqrt_tree(X, y, rows, rng, min_leaf, classification=True):
     """Level by level with the reference ``_best_split`` on drawn candidates,
     numbered as the depth-first grower numbers its nodes."""
     n_candidates = max(1, int(math.sqrt(X.shape[1])))
@@ -826,7 +879,8 @@ def _reference_sqrt_tree(X, y, rows, rng, min_leaf):
         level = []
         for (node, idx), key in zip(open_nodes, keys):
             candidates = np.sort(np.argsort(key)[:n_candidates])
-            split = _best_split(X[idx][:, candidates], y[idx], min_leaf, True)
+            split = _best_split(X[idx][:, candidates], y[idx], min_leaf, classification,
+                                np.ones(idx.size))
             if split is None:
                 continue
             column, threshold, left_mask, _ = split
