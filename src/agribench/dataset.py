@@ -32,7 +32,7 @@ import math
 import warnings
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from datetime import date
+from datetime import MAXYEAR, MINYEAR, date
 from enum import Enum
 from pathlib import Path
 
@@ -76,13 +76,6 @@ class SpectralBand(Enum):
     @property
     def is_raw(self) -> bool:
         return self in RAW_BANDS
-
-    @classmethod
-    def from_name(cls, name: str) -> "SpectralBand":
-        try:
-            return cls(name)
-        except ValueError:
-            raise ValueError(_unknown_band(name)) from None
 
 
 RAW_BANDS = (
@@ -206,6 +199,13 @@ class LabelRecord:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
+        # Winter wheat and cover-crop seasons start in the prior year, and
+        # every day a season reads must be a date.
+        if not MINYEAR < self.year <= MAXYEAR:
+            raise ValueError(
+                f"year {self.year} outside [{MINYEAR + 1}, {MAXYEAR}]: "
+                "its season and the year before it must be calendar years"
+            )
         if not math.isfinite(self.value):
             raise ValueError("non-finite label value")
         if self.task == "tillage_ratio" and not 0.0 <= self.value <= 1.0:

@@ -240,6 +240,27 @@ def test_aef_commands_do_not_read_climate(bundle, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: featurize: missing bundle file:")
 
 
+@pytest.mark.parametrize("feature_set", ["RS", "AEF"])
+@pytest.mark.parametrize("row", ["10000,yield,1.0", "1,covercrop_class,1.0"])
+def test_label_year_off_the_calendar_names_its_line(bundle, tmp_path, capsys, feature_set, row):
+    """A label year whose season or prior year is no calendar year is a load
+    error: RS featurize failed without file or line, AEF dropped the row."""
+    broken = tmp_path / "bundle"
+    shutil.copytree(bundle, broken)
+    labels = broken / "labels.csv"
+    line = labels.read_text().count("\n") + 1
+    unit = labels.read_text().splitlines()[1].split(",")[0]
+    with open(labels, "a", encoding="utf-8") as fh:
+        fh.write(f"{unit},{row}\n")
+    status = execute("featurize", None, [f"bundle={broken}", "task.name=yield", "task.crop=corn",
+                                         f"task.feature_set={feature_set}", f"out_dir={tmp_path}"])
+    assert status == 1
+    year = row.split(",")[0]
+    assert capsys.readouterr().err == (
+        f"error: featurize: labels.csv line {line}: year {year} outside [2, 9999]: "
+        "its season and the year before it must be calendar years\n")
+
+
 def test_bad_run_settings_are_named_errors(bundle, tmp_path, capsys):
     base = [f"bundle={bundle}", "task.name=yield", "task.crop=corn", "task.feature_set=AEF",
             "model.n_trees=4", f"out_dir={tmp_path}"]

@@ -26,6 +26,7 @@ from agribench.dataset import (
     _parse_float,
     _parse_int,
     _read_rows,
+    _unknown_band,
     load_dataset,
     month_span,
 )
@@ -34,12 +35,14 @@ UNIT_ROW = ["c1", "county", "IL", "c1", "", "120.0"]
 EMB_PREFIX = ["c1", "2020"]
 
 
-def test_band_raw_derived_split():
+def test_band_raw_derived_split(tmp_bundle):
     assert SpectralBand.NIR.is_raw
     assert not SpectralBand.NDVI.is_raw
-    assert SpectralBand.from_name("SWIR1") is SpectralBand.SWIR1
-    with pytest.raises(ValueError, match="unknown band"):
-        SpectralBand.from_name("B42")
+    assert SpectralBand("SWIR1") is SpectralBand.SWIR1
+    bundle = tmp_bundle(units=[UNIT_ROW], observations=[["c1", "B42", "2020-06-01", "0.5"]])
+    with pytest.raises(BundleValidationError,
+                       match=r"^observations.csv line 2: unknown band name: 'B42'$"):
+        load_dataset(bundle)
 
 
 def test_load_empty_labels_ok(tmp_bundle):
@@ -146,6 +149,17 @@ def test_duplicate_label_rejected(tmp_bundle):
         load_dataset(bundle)
 
 
+@pytest.mark.parametrize("task", ["yield", "tillage_class", "covercrop_class"])
+def test_label_years_span_the_calendar_less_its_first_year(tmp_bundle, task):
+    rows = [["c1", year, task, "1.0"] for year in (2, 9999)]
+    assert [rec.year for rec in load_dataset(tmp_bundle(units=[UNIT_ROW], labels=rows)).labels] \
+        == [2, 9999]
+    for year in (1, 10000, 0, -2020):
+        bundle = tmp_bundle(units=[UNIT_ROW], labels=rows + [["c1", year, task, "1.0"]])
+        with pytest.raises(BundleValidationError, match=rf"^labels.csv line 4: year {year} "):
+            load_dataset(bundle)
+
+
 def test_explicit_ecoregion_override_kept(tmp_bundle):
     bundle = tmp_bundle(units=[["c1", "county", "IL", "c1", "West", "88.0"]])
     assert load_dataset(bundle).units["c1"].ecoregion == "West"
@@ -209,9 +223,9 @@ def _load_observation_rows(
         unit_id, band_name, date_text, value_text = row
         _check_unit(units, unit_id, name, line)
         try:
-            band = SpectralBand.from_name(band_name)
-        except ValueError as exc:
-            raise BundleValidationError(name, line, str(exc)) from None
+            band = SpectralBand(band_name)
+        except ValueError:
+            raise BundleValidationError(name, line, _unknown_band(band_name)) from None
         day = _parse_date(date_text, name, line, "date")
         value = _parse_float(value_text, name, line, "value")
         samples.setdefault((unit_id, band), []).append((day, value, line))

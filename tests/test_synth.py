@@ -80,7 +80,7 @@ class TestGeneration:
         checked = 0
         for (unit, year, band), coefs in truth["coefficients"].items():
             window = SEASON_TEMPLATES["corn"].window(year)
-            series = ds.series_for(unit, SpectralBand.from_name(band))
+            series = ds.series_for(unit, SpectralBand(band))
             fit = fit_harmonic(series, window)
             for name, got in zip(("c", "a1", "b1", "a2", "b2"), fit.coefficients):
                 assert got == pytest.approx(coefs[name], abs=1e-8)
