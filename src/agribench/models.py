@@ -18,11 +18,18 @@ feature) for its nodes in creation order; a node searches the features of
 its smallest keys.
 
 Random forest trees are trained on bootstrap resamples whose randomness
-derives only from (seed, tree index). They grow in batches sized so that one
-level of a batch searches at most ``_BATCH_CELLS`` (drawn row, searched
-column) cells; the trees of a batch read the fit's one presorted matrix
-through their row ids, with no per-tree copy of X or y. With ``threads > 1``
-batches run on worker threads, and the results do not depend on scheduling.
+derives only from (seed, tree index). A tree holds each drawn row once,
+weighted by its draw count (the weighted form of Breiman's bootstrap,
+Random Forests, 2001): leaf values, split statistics and impurity
+decreases are weighted sums, and ``min_samples_leaf`` counts drawn rows.
+With 0/1 labels every such sum is exact, so a classification tree is the
+tree grown on the rows repeated, bit for bit; a regression tree's sums
+round differently. Gradient boosting grows on every row once, unweighted.
+Random forest trees grow in batches sized so that one level of a batch
+searches at most ``_BATCH_CELLS`` (drawn row, searched column) cells; the
+trees of a batch read the fit's one presorted matrix through their row
+ids, with no per-tree copy of X or y. With ``threads > 1`` batches run on
+worker threads, and the results do not depend on scheduling.
 
 Gradient boosting fits each tree to the negative gradient of squared loss
 (regression) or logistic loss (classification) and adds it with shrinkage,
@@ -31,8 +38,8 @@ mean-of-gradient leaf values the training loss is non-increasing for any
 learning rate in (0, 1].
 
 Feature importance is mean decrease in impurity: per-feature impurity
-decreases weighted by node size, summed within each tree, averaged across
-trees, and normalized to sum one.
+decreases weighted by node size (drawn rows), summed within each tree,
+averaged across trees, and normalized to sum one.
 """
 
 import json
@@ -243,9 +250,14 @@ def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification)
         right_sum /= right_cnt
         cost += right_sum
     del right_sum
-    invalid = np.arange(width)[:, None, None] >= sizes[:, None] - 1
+    if ws is None:  # the last slot and padding leave no row on the right
+        invalid = right_cnt < min_leaf
+    else:  # padding holds no cumulative weight: mark it by position
+        invalid = np.arange(width)[:, None, None] >= sizes[:, None] - 1
+        if min_leaf > 1:
+            invalid = invalid | (right_cnt < min_leaf)
     if min_leaf > 1:
-        invalid = invalid | (left_cnt < min_leaf) | (right_cnt < min_leaf)
+        invalid = invalid | (left_cnt < min_leaf)
     if ties is not None:
         invalid = invalid | ties
     np.copyto(cost, np.inf if classification else -np.inf, where=invalid)
@@ -354,7 +366,7 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
         starts = sizes.cumsum() - sizes
         row_w = row_weights(rows, sizes, trees)
         if row_w is None:
-            weights, weighted = sizes.astype(float), ys
+            weights, weighted = sizes, ys
         else:
             weights, weighted = np.add.reduceat(row_w, starts), row_w * ys
         may_split = (weights >= 2 * min_leaf) & (
