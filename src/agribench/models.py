@@ -309,10 +309,10 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     leaf value for a tree over every row once, ``None`` for a bootstrap
     tree.
 
-    ``rows`` holds, node after node, the node's row ids in ascending order;
-    every value is looked up in ``data`` by row id, so trees share one copy
-    of X and y, and ``draws`` holds tree ``t``'s weight of row ``r`` at
-    ``t * n_rows + r``. With every feature searched, ``block`` holds each
+    ``rows`` holds, node after node, the node's row ids in ascending order,
+    and ``row_w`` their weights; every value is looked up in ``data`` by row
+    id, so trees share one copy of X and y, and ``draws`` holds tree ``t``'s
+    weight of row ``r`` at ``t * n_rows + r``. With every feature searched, ``block`` holds each
     column's rows in ascending order of that column, tree ``t``'s offset by
     ``t * n_rows`` so that one mask routes every tree's rows, and the
     children's block is a stable partition of the parent's by boolean
@@ -334,12 +334,13 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     # Block entries of tree t are t * n_rows + its row ids.
     offsets = range(0, n_trees * n_rows, n_rows)
     if counts[0] is None:
-        rows, sizes, draws = data.row_ids, np.array([n_rows]), None
+        rows, sizes, draws, row_w = data.row_ids, np.array([n_rows]), None, None
         leaf = np.empty(n_rows, dtype=np.intp)  # each row's deepest node so far
     else:
         drawn = [np.flatnonzero(c) for c in counts]
         rows, sizes = np.concatenate(drawn), np.array([r.size for r in drawn])
         draws = np.concatenate(counts).astype(float)
+        row_w = np.concatenate([c[r] for c, r in zip(counts, drawn)]).astype(float)
         leaf = None
     if partition:
         block = data.root_block(counts[0])
@@ -353,18 +354,11 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     value = np.zeros(capacity)
     gain = np.zeros(capacity)
 
-    def row_weights(rows, sizes, trees):
-        """Each row's weight in its node's tree; ``None`` when all count once."""
-        if draws is None:
-            return None
-        return draws.take(rows + (trees * n_rows).repeat(sizes))
-
-    def settle(rows, sizes, ids, trees, depth):
+    def settle(rows, row_w, sizes, ids, depth):
         """Set leaf values; returns which nodes may split, their weights and
         their weighted label sums."""
         ys = y[rows]
         starts = sizes.cumsum() - sizes
-        row_w = row_weights(rows, sizes, trees)
         if row_w is None:
             weights, weighted = sizes, ys
         else:
@@ -387,9 +381,12 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     tree_of = ids
     n_made = n_trees
     depth = 0
-    may_split, weights, totals = settle(rows, sizes, ids, tree_of, depth)
+    may_split, weights, totals = settle(rows, row_w, sizes, ids, depth)
     if not may_split.all():
-        rows = rows.compress(may_split.repeat(sizes))
+        keep = may_split.repeat(sizes)
+        rows = rows.compress(keep)
+        if row_w is not None:
+            row_w = row_w.compress(keep)
         if partition:
             block = block.compress(may_split.repeat(sizes * n_features))
         sizes, ids, tree_of, weights, totals = (
@@ -466,7 +463,6 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
 
             # Impurity decrease from the node's own sums, as scalars.
             ys = y[rows]
-            row_w = row_weights(rows, sizes, tree_of)
             weighted = ys if row_w is None else row_w * ys
             split_ids = ids[split_nodes]
             for node, start, m, w, total, cost in zip(
@@ -500,13 +496,13 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             n_left = np.bincount(node_of[to_left], minlength=n_nodes)[split_nodes]
             child_sizes = np.concatenate([n_left, sizes[split_nodes] - n_left])
             child_ids = np.concatenate([left_ids, left_ids + 1])
-            child_trees = np.concatenate([tree_of[split_nodes]] * 2)
-            child_rows = np.concatenate([
-                rows.compress(to_left), rows.compress(~go_left & in_split)
-            ])
+            to_right = ~go_left & in_split
+            child_rows = np.concatenate([rows.compress(to_left), rows.compress(to_right)])
+            if row_w is not None:
+                row_w = np.concatenate([row_w.compress(to_left), row_w.compress(to_right)])
             depth += 1
             may_split, weights, totals = settle(
-                child_rows, child_sizes, child_ids, child_trees, depth
+                child_rows, row_w, child_sizes, child_ids, depth
             )
             if not may_split.any():
                 break
@@ -526,7 +522,11 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     block.compress(block_left & keep_left.repeat(span)),
                     block.compress(~block_left & keep_right.repeat(span)),
                 ])
-            rows = child_rows.compress(may_split.repeat(child_sizes))
+            keep = may_split.repeat(child_sizes)
+            rows = child_rows.compress(keep)
+            if row_w is not None:
+                row_w = row_w.compress(keep)
+            child_trees = np.concatenate([tree_of[split_nodes]] * 2)
             sizes, ids, tree_of, weights, totals = (
                 child_sizes[may_split], child_ids[may_split], child_trees[may_split],
                 weights[may_split], totals[may_split],
