@@ -250,14 +250,9 @@ def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification)
         right_sum /= right_cnt
         cost += right_sum
     del right_sum
-    if ws is None:  # the last slot and padding leave no row on the right
-        invalid = right_cnt < min_leaf
-    else:  # padding holds no cumulative weight: mark it by position
-        invalid = np.arange(width)[:, None, None] >= sizes[:, None] - 1
-        if min_leaf > 1:
-            invalid = invalid | (right_cnt < min_leaf)
+    invalid = np.arange(width)[:, None, None] >= sizes[:, None] - 1
     if min_leaf > 1:
-        invalid = invalid | (left_cnt < min_leaf)
+        invalid = invalid | (left_cnt < min_leaf) | (right_cnt < min_leaf)
     if ties is not None:
         invalid = invalid | ties
     np.copyto(cost, np.inf if classification else -np.inf, where=invalid)
@@ -310,15 +305,16 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     tree.
 
     ``rows`` holds, node after node, the node's row ids in ascending order,
-    and ``row_w`` their weights; every value is looked up in ``data`` by row
-    id, so trees share one copy of X and y, and ``draws`` holds tree ``t``'s
-    weight of row ``r`` at ``t * n_rows + r``. With every feature searched, ``block`` holds each
-    column's rows in ascending order of that column, tree ``t``'s offset by
-    ``t * n_rows`` so that one mask routes every tree's rows, and the
-    children's block is a stable partition of the parent's by boolean
-    masks: nothing is sorted after the fit's presort. A sqrt search reads a
-    few columns per node, so it sorts just those by their presort ranks
-    instead of partitioning every column.
+    and ``row_w`` their weights (``None`` when every row counts once, and a
+    node's weight is then its size); every value is looked up in ``data`` by
+    row id, so trees share one copy of X and y, and ``draws`` holds tree
+    ``t``'s weight of row ``r`` at ``t * n_rows + r``. With every feature
+    searched, ``block`` holds each column's rows in ascending order of that
+    column, tree ``t``'s offset by ``t * n_rows`` so that one mask routes
+    every tree's rows, and the children's block is a stable partition of
+    the parent's by boolean masks: nothing is sorted after the fit's
+    presort. A sqrt search reads a few columns per node, so it sorts just
+    those by their presort ranks instead of partitioning every column.
     All nodes of a level are searched together (``_best_splits``). Node ids
     follow creation order: level by level, each split's left child before
     its right.
@@ -389,10 +385,10 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             row_w = row_w.compress(keep)
         if partition:
             block = block.compress(may_split.repeat(sizes * n_features))
-        sizes, ids, tree_of, weights, totals = (
-            sizes[may_split], ids[may_split], tree_of[may_split], weights[may_split],
-            totals[may_split],
+        sizes, ids, tree_of, totals = (
+            sizes[may_split], ids[may_split], tree_of[may_split], totals[may_split]
         )
+        weights = sizes if row_w is None else weights[may_split]
     with np.errstate(divide="ignore", invalid="ignore"):
         while sizes.size:
             n_nodes = sizes.size
@@ -443,8 +439,8 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     np.greater_equal(xs[:-1], xs[1:], out=ties[:-1])
                     del xs
                 best[sel], column, slot = _best_splits(
-                    y.take(search), ws, m, weights[sel], totals[sel], ties, min_leaf,
-                    classification,
+                    y.take(search), ws, m, m if ws is None else weights[sel], totals[sel],
+                    ties, min_leaf, classification,
                 )
                 del ties, ws
                 # Threshold: the midpoint of the values around the split,
@@ -463,18 +459,22 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
 
             # Impurity decrease from the node's own sums, as scalars.
             ys = y[rows]
-            weighted = ys if row_w is None else row_w * ys
+            weighted = None if row_w is None else row_w * ys
             split_ids = ids[split_nodes]
+            split_m = sizes[split_nodes].tolist()
+            split_w = split_m if row_w is None else weights[split_nodes].tolist()
             for node, start, m, w, total, cost in zip(
-                split_ids.tolist(), starts[split_nodes].tolist(),
-                sizes[split_nodes].tolist(), weights[split_nodes].tolist(),
+                split_ids.tolist(), starts[split_nodes].tolist(), split_m, split_w,
                 totals[split_nodes].tolist(), best[split_nodes].tolist(),
             ):
                 if classification:
                     node_imp = 2.0 * total * (w - total) / (w * w)
                     child_imp = 2.0 * cost / w
                 else:
-                    total_sq = float(weighted[start : start + m] @ ys[start : start + m])
+                    part = ys[start : start + m]
+                    total_sq = float(
+                        part @ (part if weighted is None else weighted[start : start + m])
+                    )
                     node_imp = total_sq / w - (total / w) ** 2
                     child_imp = (total_sq - cost) / w  # cost holds the bracket
                 gain[node] = w / n_rows * max(0.0, node_imp - child_imp)
@@ -527,10 +527,11 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             if row_w is not None:
                 row_w = row_w.compress(keep)
             child_trees = np.concatenate([tree_of[split_nodes]] * 2)
-            sizes, ids, tree_of, weights, totals = (
-                child_sizes[may_split], child_ids[may_split], child_trees[may_split],
-                weights[may_split], totals[may_split],
+            sizes, ids, tree_of, totals = (
+                child_sizes[may_split], child_ids[may_split],
+                child_trees[may_split], totals[may_split],
             )
+            weights = sizes if row_w is None else weights[may_split]
 
     number = np.empty(n_made, dtype=np.intp)
     fitted = None if leaf is None else value[leaf]
