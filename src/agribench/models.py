@@ -225,8 +225,9 @@ def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification)
     and ``ws`` are overwritten.
     """
     width, n_nodes, n_columns = ys.shape
+    rows_up_to = np.arange(1.0, width + 1.0)[:, None, None]  # rows in slots 0..k
     if ws is None:
-        left_cnt = np.arange(1.0, width + 1.0)[:, None, None]
+        left_cnt = rows_up_to
     else:
         ys *= ws
         left_cnt = _slot_cumsum(ws, sizes)
@@ -250,7 +251,7 @@ def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification)
         right_sum /= right_cnt
         cost += right_sum
     del right_sum
-    invalid = np.arange(width)[:, None, None] >= sizes[:, None] - 1
+    invalid = rows_up_to >= sizes[:, None]  # the last row or padding: none right of it
     if min_leaf > 1:
         invalid = invalid | (left_cnt < min_leaf) | (right_cnt < min_leaf)
     if ties is not None:
@@ -343,7 +344,7 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
         if n_trees > 1:
             block = np.concatenate([data.root_block(c) + at for at, c in zip(offsets, counts)])
 
-    capacity = 2 * int(sizes.sum()) - n_trees  # binary trees over their rows
+    capacity = 2 * rows.size - n_trees  # binary trees over their rows
     feature = np.full(capacity, -1, dtype=np.intp)
     threshold = np.zeros(capacity)
     left = np.full(capacity, -1, dtype=np.intp)
