@@ -216,8 +216,9 @@ def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification)
     every row counts once) that row's weight, and ``ties`` (or ``None``
     when no two rows tie) marks the slots whose value equals the next
     slot's. Nodes come in decreasing ``sizes`` (rows, not weights), with
-    weight sums ``weights`` and weighted label sums ``totals``; slots at or
-    past a node's last row are never valid, so padding is never read.
+    weight sums ``weights`` and weighted label sums ``totals``. Slots at or
+    past a node's last row are invalid by position, so whatever padding
+    slots hold or sum to never reaches a chosen split.
     Returns per node the best cost (``inf`` or ``-inf`` when no split is
     valid), ``c`` and the slot before the split. Regression maximizes the
     bracket ``ls^2/lc + rs^2/rc`` over weighted sums and counts: children
