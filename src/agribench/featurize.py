@@ -18,6 +18,10 @@ Column order is fixed by the naming scheme (band-major in canonical band
 order, stat order as listed, months chronological), so assembled tables are
 independent of input row order. Rows with missing cells are dropped or
 mean-imputed according to the configured policy.
+
+The harmonic columns of yield RS and cover-crop RS lead their tables and are
+built in two phases: every row's bands are fitted, then the fits of all rows
+sharing a season window (one label year) are evaluated together.
 """
 
 import hashlib
@@ -47,9 +51,11 @@ from .harmonics import (
     InsufficientObservationsError,
     MissingMonthError,
     SeasonWindow,
+    WindowCurves,
     fit_harmonic,
     monthly_extrema,
     phenology_metrics,
+    window_curves,
 )
 from .indices import REQUIRED_BANDS, derive_index_series
 
@@ -72,6 +78,10 @@ TILLAGE_MONTHS = (4, 5, 6)
 
 # A month with less than this fraction of days present is treated as missing.
 MIN_CLIMATE_COVERAGE = 0.8
+
+# Fits of one window are evaluated in chunks of at most this many curve cells
+# (fit, window day), about 1 MiB per float64 curve array.
+_CURVE_CELLS = 1 << 17
 
 # The feature sets and the bundle files each reads; commands parse only these.
 FEATURE_SET_FILES = {
@@ -269,15 +279,81 @@ def _band_series(dataset: Dataset, unit_id: str, band: SpectralBand, cfg: TaskCo
 
 
 def _band_fit(dataset: Dataset, unit_id: str, band: SpectralBand, cfg: TaskConfig,
-              window: SeasonWindow):
+              window: SeasonWindow, designs: dict):
     """Harmonic fit of one band over the season, or ``(None, cause)``."""
     series, cause = _band_series(dataset, unit_id, band, cfg)
     if series is None:
         return None, cause
     try:
-        return fit_harmonic(series, window), None
+        return fit_harmonic(series, window, designs), None
     except (InsufficientObservationsError, DegenerateDesignError):
         return None, "insufficient_observations"
+
+
+def _curve_stat_count(cfg: TaskConfig) -> int:
+    """Harmonic cells per band leading the table: 0 when there are none."""
+    if cfg.feature_set != "RS":
+        return 0
+    if cfg.task == "yield":
+        return len(HARMONIC_STATS)
+    if cfg.task == "covercrop_class":
+        return 2 * len(COVERCROP_MONTH_OFFSETS)
+    return 0
+
+
+def _curve_stats(curves: WindowCurves, cfg: TaskConfig, year: int) -> np.ndarray:
+    """One row of harmonic cells per curve, in feature-name order.
+
+    Yield: the coefficients then the phenology. Cover crop: min and max of
+    each month, October through May.
+    """
+    if cfg.task == "yield":
+        m = phenology_metrics(curves)
+        return np.column_stack([curves.coefficients, m.peak_value, m.b30, m.a30,
+                                m.b30_int, m.a30_int])
+    return np.column_stack([
+        extremum
+        for off, month in COVERCROP_MONTH_OFFSETS
+        for extremum in monthly_extrema(curves, year + off, month)
+    ])
+
+
+def _curve_cells(dataset: Dataset, keyed: list, cfg: TaskConfig,
+                 row_causes: list[set[str]]) -> np.ndarray:
+    """The harmonic columns of every row, in two phases.
+
+    Phase 1 fits each row's bands; the bands of one row share a design
+    matrix when their in-window days are equal. A band without a fit gets a
+    NaN coefficient row and adds its cause to ``row_causes``. Phase 2
+    evaluates the fits of all rows with one label year (one season window)
+    together, in chunks of at most ``_CURVE_CELLS`` curve cells.
+    """
+    template = cfg.season_template()
+    n_bands = len(HARMONIC_BANDS)
+    coefficients = np.full((len(keyed), n_bands, 5), math.nan)
+    for i, rec in enumerate(keyed):
+        window = template.window(rec.year)
+        designs: dict = {}
+        for j, band in enumerate(HARMONIC_BANDS):
+            fit, cause = _band_fit(dataset, rec.unit_id, band, cfg, window, designs)
+            if fit is None:
+                row_causes[i].add(cause)
+            else:
+                coefficients[i, j] = fit.coefficients
+
+    years = np.array([rec.year for rec in keyed])
+    cells = np.empty((len(keyed), n_bands, _curve_stat_count(cfg)))
+    for year in np.unique(years).tolist():
+        window = template.window(year)
+        rows = np.flatnonzero(years == year)
+        fits = coefficients[rows].reshape(-1, 5)
+        stats = np.empty((len(fits), cells.shape[2]))
+        step = max(1, _CURVE_CELLS // window.n_days)
+        for lo in range(0, len(fits), step):
+            curves = window_curves(window, fits[lo:lo + step])
+            stats[lo:lo + step] = _curve_stats(curves, cfg, year)
+        cells[rows] = stats.reshape(len(rows), n_bands, -1)
+    return cells.reshape(len(keyed), -1)
 
 
 def _climate_cells(
@@ -316,35 +392,14 @@ def _climate_cells(
 def build_yield_features(
     dataset: Dataset, unit_id: str, year: int, cfg: TaskConfig
 ) -> tuple[dict[str, float], set[str]]:
-    """Harmonic + phenology features per band plus monthly GDD/PPT.
+    """The per-row cells of a yield RS row: monthly GDD and PPT.
 
-    Missing parts are returned as NaN cells together with their causes; the
+    The harmonic cells of every row come from ``_curve_cells``. Missing
+    months are returned as NaN cells together with their causes; the
     table-level missing policy decides what happens to them.
     """
-    window = cfg.season_template().window(year)
-    values: dict[str, float] = {}
-    causes: set[str] = set()
-    for band in HARMONIC_BANDS:
-        fit, cause = _band_fit(dataset, unit_id, band, cfg, window)
-        if fit is None:
-            causes.add(cause)
-            for stat in HARMONIC_STATS:
-                values[f"{band.value}_{stat}"] = math.nan
-            continue
-        metrics = phenology_metrics(fit)
-        cells = dict(zip(HARMONIC_STATS, fit.coefficients + (
-            metrics.peak_value, metrics.b30, metrics.a30,
-            metrics.b30_int, metrics.a30_int,
-        )))
-        for stat, value in cells.items():
-            values[f"{band.value}_{stat}"] = value
     months = [(year, m) for m in CLIMATE_MONTHS[cfg.crop]]
-    climate_values, climate_causes = _climate_cells(
-        dataset, unit_id, months, cfg, ("gdd", "ppt")
-    )
-    values.update(climate_values)
-    causes |= climate_causes
-    return values, causes
+    return _climate_cells(dataset, unit_id, months, cfg, ("gdd", "ppt"))
 
 
 def build_tillage_features(
@@ -374,29 +429,12 @@ def build_tillage_features(
 def build_covercrop_features(
     dataset: Dataset, unit_id: str, year: int, cfg: TaskConfig
 ) -> tuple[dict[str, float], set[str]]:
-    """Fitted-curve monthly extrema over Oct-May plus monthly tmean/ppt."""
-    window = cfg.season_template().window(year)
+    """The per-row cells of a cover-crop RS row: monthly tmean and PPT, Oct-May.
+
+    The fitted-curve monthly extrema of every row come from ``_curve_cells``.
+    """
     months = [(year + off, m) for off, m in COVERCROP_MONTH_OFFSETS]
-    values: dict[str, float] = {}
-    causes: set[str] = set()
-    for band in HARMONIC_BANDS:
-        fit, cause = _band_fit(dataset, unit_id, band, cfg, window)
-        if fit is None:
-            causes.add(cause)
-        for month_year, month in months:
-            abbr = MONTH_ABBREV[month - 1]
-            if fit is None:
-                lo = hi = math.nan
-            else:
-                lo, hi = monthly_extrema(fit, month_year, month)
-            values[f"{band.value}_{abbr}_min"] = lo
-            values[f"{band.value}_{abbr}_max"] = hi
-    climate_values, climate_causes = _climate_cells(
-        dataset, unit_id, months, cfg, ("tmean", "ppt")
-    )
-    values.update(climate_values)
-    causes |= climate_causes
-    return values, causes
+    return _climate_cells(dataset, unit_id, months, cfg, ("tmean", "ppt"))
 
 
 def build_aef_features(
@@ -427,6 +465,7 @@ _BUILDERS = {
 def build_row(
     dataset: Dataset, unit_id: str, year: int, cfg: TaskConfig
 ) -> tuple[dict[str, float], set[str]]:
+    """The cells of one row built row by row: all but the leading harmonic ones."""
     if cfg.feature_set == "AEF":
         return build_aef_features(dataset, unit_id, year, cfg.task)
     return _BUILDERS[cfg.task](dataset, unit_id, year, cfg)
@@ -455,19 +494,18 @@ def assemble_table(dataset: Dataset, cfg: TaskConfig) -> FeatureTable:
     if not keyed:
         raise FeatureAssemblyError(f"no labels for task {cfg.task!r}")
 
+    n_curve = len(HARMONIC_BANDS) * _curve_stat_count(cfg)
     rows = []
-    labels = []
-    unit_years = []
     row_causes = []
     for rec in keyed:
         values, causes = build_row(dataset, rec.unit_id, rec.year, cfg)
-        rows.append([values[name] for name in names])
-        labels.append(rec.value)
-        unit_years.append((rec.unit_id, rec.year))
+        rows.append([values[name] for name in names[n_curve:]])
         row_causes.append(causes)
-
-    matrix = np.array(rows, dtype=float)
-    label_vec = np.array(labels, dtype=float)
+    matrix = np.array(rows, dtype=float).reshape(len(keyed), len(names) - n_curve)
+    if n_curve:
+        matrix = np.hstack([_curve_cells(dataset, keyed, cfg, row_causes), matrix])
+    label_vec = np.array([rec.value for rec in keyed], dtype=float)
+    unit_years = [(rec.unit_id, rec.year) for rec in keyed]
     exclusion_log: dict[str, int] = {}
 
     incomplete = np.isnan(matrix).any(axis=1)

@@ -9,12 +9,17 @@ January 1 of the fit window's start year. The curve is globally defined, so
 evaluation and integration accept any time point, including points outside
 the fit window. Time arguments may be ``datetime.date`` or
 ``datetime.datetime``; the latter allows fractional-day resolution.
+
+Fits that share a season window are evaluated together: ``window_curves``
+puts a batch of coefficient rows on the window's daily grid once, and
+``phenology_metrics`` and fitted-curve ``monthly_extrema`` read that one
+``(fits x days)`` array.
 """
 
 import math
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
-from functools import cached_property
+from datetime import date, datetime
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +54,15 @@ class SeasonWindow:
         if (self.end - self.start).days > 400:
             raise ValueError("window longer than 400 days")
 
+    @property
+    def origin(self) -> date:
+        """January 1 of the start year: time zero of every curve fitted over the window."""
+        return date(self.start.year, 1, 1)
+
+    @property
+    def n_days(self) -> int:
+        return (self.end - self.start).days + 1
+
     def day_times(self, origin: date) -> np.ndarray:
         """Each day of the window, endpoints inclusive, in years since ``origin``.
 
@@ -56,7 +70,7 @@ class SeasonWindow:
         ``time_fraction(origin, start + timedelta(days=k))`` gives.
         """
         first = (self.start - origin).days
-        return np.arange(first, first + (self.end - self.start).days + 1) / DAYS_PER_YEAR
+        return np.arange(first, first + self.n_days) / DAYS_PER_YEAR
 
 
 @dataclass(frozen=True)
@@ -82,26 +96,51 @@ class HarmonicFit:
     def coefficients(self) -> tuple[float, float, float, float, float]:
         return (self.c, self.a1, self.b1, self.a2, self.b2)
 
-    @cached_property
-    def window_curve(self) -> np.ndarray:
-        """The fitted curve on the window's daily grid (``window.day_times``).
 
-        Element ``k`` is the value on ``window.start + k`` days. Computed once
-        per fit; phenology and every monthly extremum read slices of it.
-        """
-        values = curve_values(self, self.window.day_times(self.t_origin))
-        values.flags.writeable = False
-        return values
+class CurveColumns(NamedTuple):
+    """Coefficient arrays of several curves, one element per curve.
+
+    ``curve_values`` and the antiderivative broadcast them against time
+    arrays like the scalar coefficients of one ``HarmonicFit``.
+    """
+
+    c: np.ndarray
+    a1: np.ndarray
+    b1: np.ndarray
+    a2: np.ndarray
+    b2: np.ndarray
+
+
+@dataclass(frozen=True)
+class WindowCurves:
+    """Harmonic curves sharing one season window, on the window's daily grid.
+
+    Row ``i`` of ``coefficients`` is curve ``i``'s ``(c, a1, b1, a2, b2)``
+    and row ``i`` of ``values`` is that curve on
+    ``window.day_times(window.origin)``: element ``k`` is the value on
+    ``window.start + k`` days. A NaN coefficient row (a band without a fit)
+    gives NaN in every result derived from it.
+    """
+
+    window: SeasonWindow
+    coefficients: np.ndarray
+    values: np.ndarray
+
+    @property
+    def columns(self) -> CurveColumns:
+        return CurveColumns(*self.coefficients.T)
 
 
 @dataclass(frozen=True)
 class PhenologyMetrics:
-    peak_value: float
-    peak_date: date
-    b30: float
-    a30: float
-    b30_int: float
-    a30_int: float
+    """Peak and around-peak summary of a batch; element ``i`` is curve ``i``'s."""
+
+    peak_value: np.ndarray
+    peak_day: np.ndarray  # days after the window start, int
+    b30: np.ndarray
+    a30: np.ndarray
+    b30_int: np.ndarray
+    a30_int: np.ndarray
 
 
 def time_fraction(origin: date, when: date | datetime) -> float:
@@ -119,15 +158,18 @@ def _design_matrix(t: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(t), np.cos(w), np.sin(w), np.cos(2 * w), np.sin(2 * w)])
 
 
-def _solve_ols(t: np.ndarray, y: np.ndarray, context: str) -> np.ndarray:
-    design = _design_matrix(t)
+def _solve_ols(design: np.ndarray, y: np.ndarray, context: str) -> np.ndarray:
     solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 5:
         raise DegenerateDesignError(f"degenerate design: rank {rank} < 5 for {context}")
     return solution
 
 
-def fit_harmonic(series: ObservationSeries, window: SeasonWindow) -> HarmonicFit:
+def fit_harmonic(
+    series: ObservationSeries,
+    window: SeasonWindow,
+    designs: dict[bytes, np.ndarray] | None = None,
+) -> HarmonicFit:
     """Ordinary least-squares fit of the harmonic model to in-window samples.
 
     Parameters
@@ -136,6 +178,11 @@ def fit_harmonic(series: ObservationSeries, window: SeasonWindow) -> HarmonicFit
         Samples of one band for one unit.
     window : SeasonWindow
         Only samples dated inside the window (inclusive) enter the fit.
+    designs : dict, optional
+        Design matrices keyed by the bytes of their in-window day ordinals,
+        shared by fits over one window. A fit whose in-window days are
+        exactly those of an earlier fit reuses its design; otherwise it
+        builds one and adds it. The solve is the same either way.
 
     Returns
     -------
@@ -150,7 +197,7 @@ def fit_harmonic(series: ObservationSeries, window: SeasonWindow) -> HarmonicFit
     DegenerateDesignError
         The design matrix is rank deficient (e.g. all samples on one date).
     """
-    origin = date(window.start.year, 1, 1)
+    origin = window.origin
     lo = int(series.days.searchsorted(window.start.toordinal()))
     hi = int(series.days.searchsorted(window.end.toordinal(), side="right"))
     n_obs = hi - lo
@@ -160,9 +207,15 @@ def fit_harmonic(series: ObservationSeries, window: SeasonWindow) -> HarmonicFit
             f"{window.start}..{window.end} for band {series.band.value} "
             f"(need {MIN_FIT_SAMPLES})"
         )
-    t = (series.days[lo:hi] - origin.toordinal()) / DAYS_PER_YEAR
-    solution = _solve_ols(t, series.values[lo:hi], f"band {series.band.value}")
-    c, a1, b1, a2, b2 = (float(v) for v in solution)
+    days = series.days[lo:hi]
+    key = days.tobytes()
+    design = designs.get(key) if designs is not None else None
+    if design is None:
+        design = _design_matrix((days - origin.toordinal()) / DAYS_PER_YEAR)
+        if designs is not None:
+            designs[key] = design
+    solution = _solve_ols(design, series.values[lo:hi], f"band {series.band.value}")
+    c, a1, b1, a2, b2 = solution.tolist()
     return HarmonicFit(
         c=c, a1=a1, b1=b1, a2=a2, b2=b2,
         band=series.band, window=window, n_obs=n_obs, t_origin=origin,
@@ -173,7 +226,8 @@ def curve_values(curve, t: np.ndarray) -> np.ndarray:
     """The harmonic model at times ``t`` (fractional years since the origin).
 
     ``curve`` is anything with ``c, a1, b1, a2, b2`` attributes: a
-    ``HarmonicFit`` or a synthetic generating curve.
+    ``HarmonicFit``, a synthetic generating curve, or ``CurveColumns``,
+    whose arrays broadcast against ``t``.
     """
     w = 2.0 * np.pi * np.asarray(t, dtype=float)
     return (
@@ -190,15 +244,16 @@ def eval_harmonic(fit: HarmonicFit, when: date | datetime) -> float:
     return float(curve_values(fit, np.array(time_fraction(fit.t_origin, when))))
 
 
-def _antiderivative(fit: HarmonicFit, t: float) -> float:
+def _antiderivative(curve, t):
+    """An antiderivative of the curve at ``t``; broadcasts like ``curve_values``."""
     two_pi = 2.0 * math.pi
     four_pi = 4.0 * math.pi
     return (
-        fit.c * t
-        + fit.a1 / two_pi * math.sin(two_pi * t)
-        - fit.b1 / two_pi * math.cos(two_pi * t)
-        + fit.a2 / four_pi * math.sin(four_pi * t)
-        - fit.b2 / four_pi * math.cos(four_pi * t)
+        curve.c * t
+        + curve.a1 / two_pi * np.sin(two_pi * t)
+        - curve.b1 / two_pi * np.cos(two_pi * t)
+        + curve.a2 / four_pi * np.sin(four_pi * t)
+        - curve.b2 / four_pi * np.cos(four_pi * t)
     )
 
 
@@ -210,44 +265,56 @@ def harmonic_integral(
     t2 = time_fraction(fit.t_origin, end)
     if t1 >= t2:
         raise ValueError(f"integral start {start} must precede end {end}")
-    return _antiderivative(fit, t2) - _antiderivative(fit, t1)
+    return float(_antiderivative(fit, t2) - _antiderivative(fit, t1))
 
 
-def phenology_metrics(fit: HarmonicFit) -> PhenologyMetrics:
-    """Peak and around-peak summary of the fitted curve.
+def window_curves(window: SeasonWindow, coefficients) -> WindowCurves:
+    """Evaluate a batch of curves fitted over ``window`` on its daily grid.
 
-    The peak is the maximum of ``fit.window_curve``, the curve evaluated
-    once on the window's daily grid (earliest date wins ties). Values 30
-    days before/after the peak and the partial integrals over those 30-day
-    spans are evaluated on the global curve without clipping to the window;
-    they equal ``eval_harmonic`` and ``harmonic_integral`` at those dates.
+    ``coefficients`` is one ``(c, a1, b1, a2, b2)`` row per curve; the
+    result holds a ``(curves x window days)`` array.
     """
-    values = fit.window_curve
-    idx = int(np.argmax(values))  # first occurrence = earliest date
-    peak_date = fit.window.start + timedelta(days=idx)
-    peak_days = (peak_date - fit.t_origin).days
+    coefficients = np.asarray(coefficients, dtype=float).reshape(-1, 5)
+    rows = CurveColumns(*coefficients.T[:, :, np.newaxis])
+    values = curve_values(rows, window.day_times(window.origin))
+    return WindowCurves(window=window, coefficients=coefficients, values=values)
+
+
+def phenology_metrics(curves: WindowCurves) -> PhenologyMetrics:
+    """Peak and around-peak summary of each curve of a window's batch.
+
+    A curve's peak is the maximum of its row of ``curves.values`` (earliest
+    date wins ties). Values 30 days before/after the peak and the partial
+    integrals over those 30-day spans are evaluated on the global curve
+    without clipping to the window; they equal ``eval_harmonic`` and
+    ``harmonic_integral`` at those dates.
+    """
+    idx = curves.values.argmax(axis=1)  # first occurrence = earliest date
+    peak_value = np.take_along_axis(curves.values, idx[:, np.newaxis], axis=1)[:, 0]
+    window = curves.window
+    peak_days = (window.start - window.origin).days + idx
     t_before, t_peak, t_after = ((peak_days + d) / DAYS_PER_YEAR for d in (-30, 0, 30))
-    before, peak, after = (_antiderivative(fit, t) for t in (t_before, t_peak, t_after))
-    # Two 0-d evaluations: on numpy scalars they cost less than one 2-element array.
+    columns = curves.columns
+    before, peak, after = (_antiderivative(columns, t) for t in (t_before, t_peak, t_after))
     return PhenologyMetrics(
-        peak_value=float(values[idx]),
-        peak_date=peak_date,
-        b30=float(curve_values(fit, np.array(t_before))),
-        a30=float(curve_values(fit, np.array(t_after))),
+        peak_value=peak_value,
+        peak_day=idx,
+        b30=curve_values(columns, t_before),
+        a30=curve_values(columns, t_after),
         b30_int=peak - before,
         a30_int=after - peak,
     )
 
 
 def monthly_extrema(
-    source: ObservationSeries | HarmonicFit, year: int, month: int
-) -> tuple[float, float]:
-    """(min, max) of one band over a calendar month.
+    source: ObservationSeries | WindowCurves, year: int, month: int
+) -> tuple:
+    """(min, max) of one band, or of each curve of a batch, over a calendar month.
 
-    With an ``ObservationSeries`` the extrema are taken over the observed
-    samples dated in the month; with a ``HarmonicFit`` they are taken over
-    the slice of ``fit.window_curve`` (the curve on the window's daily grid,
-    computed once per fit) that covers the month's overlap with the window.
+    With an ``ObservationSeries`` the extrema are floats taken over the
+    observed samples dated in the month. With ``WindowCurves`` they are
+    arrays, one element per curve, taken over the columns of
+    ``curves.values`` that cover the month's overlap with the window.
     """
     first, following = month_span(year, month)
     if isinstance(source, ObservationSeries):
@@ -261,17 +328,19 @@ def monthly_extrema(
         in_month = source.values[lo:hi].tolist()
         return (min(in_month), max(in_month))
 
-    if isinstance(source, HarmonicFit):
-        window, curve = source.window, source.window_curve
+    if isinstance(source, WindowCurves):
+        window = source.window
         start = window.start.toordinal()
         lo = max(first - start, 0)
-        hi = min(following - start, len(curve))
+        hi = min(following - start, window.n_days)
         if lo >= hi:
             raise MissingMonthError(
                 f"missing month: {year}-{month:02d} does not overlap fit window "
                 f"{window.start}..{window.end}"
             )
-        in_month = curve[lo:hi]
-        return (float(in_month.min()), float(in_month.max()))
+        in_month = source.values[:, lo:hi]
+        return (in_month.min(axis=1), in_month.max(axis=1))
 
-    raise TypeError(f"source must be ObservationSeries or HarmonicFit, got {type(source).__name__}")
+    raise TypeError(
+        f"source must be ObservationSeries or WindowCurves, got {type(source).__name__}"
+    )

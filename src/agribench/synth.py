@@ -262,7 +262,7 @@ def generate(spec: SynthSpec, seed: int, out_dir: str | Path) -> dict:
         )
         for year in years:
             window = template.window(year)
-            origin = date(window.start.year, 1, 1)
+            origin = window.origin
             curves = {band: _draw_curve(seed, uid, year, band) for band in RAW_BANDS}
             days = _observation_days(spec, seed, uid, year, window)
             t = (days - origin.toordinal()) / DAYS_PER_YEAR

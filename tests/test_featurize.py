@@ -1,6 +1,7 @@
 import math
 import random
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from agribench import featurize, harmonics
 from agribench.dataset import SpectralBand, load_dataset
 from agribench.featurize import (
     FEATURE_SET_FILES,
@@ -17,14 +19,14 @@ from agribench.featurize import (
     TaskConfig,
     assemble_table,
     build_aef_features,
-    build_covercrop_features,
     build_tillage_features,
     build_yield_features,
     expected_feature_count,
     export_feature_table,
     feature_names,
 )
-from agribench.harmonics import time_fraction
+from agribench.harmonics import fit_harmonic, time_fraction
+from agribench.indices import derive_index_series
 from agribench.synth import SynthSpec, generate
 from conftest import write_bundle
 
@@ -67,6 +69,13 @@ def emb_rows(units, years):
     ]
 
 
+def table_row(dataset, cfg, unit_id, year):
+    """One assembled row as ``{feature name: value}``, with the exclusion log."""
+    table = assemble_table(dataset, cfg)
+    row = table.values[table.unit_years.index((unit_id, year))]
+    return dict(zip(table.feature_names, row.tolist())), table.exclusion_log
+
+
 @pytest.fixture
 def complete_dataset(tmp_path):
     units = [
@@ -95,14 +104,14 @@ def complete_dataset(tmp_path):
 class TestColumnContracts:
     def test_corn_yield_row_width(self, complete_dataset):
         cfg = TaskConfig(task="yield", crop="corn")
-        values, causes = build_yield_features(complete_dataset, "c1", 2020, cfg)
+        values, exclusions = table_row(complete_dataset, cfg, "c1", 2020)
         assert len(values) == 90
-        assert not causes
+        assert not exclusions
         assert len(feature_names(cfg)) == 90
 
     def test_wheat_yield_row_width(self, complete_dataset):
         cfg = TaskConfig(task="yield", crop="winter_wheat")
-        values, _ = build_yield_features(complete_dataset, "c1", 2020, cfg)
+        values, _ = table_row(complete_dataset, cfg, "c1", 2020)
         assert len(values) == 92
         assert expected_feature_count(cfg) == 92
 
@@ -115,9 +124,9 @@ class TestColumnContracts:
 
     def test_covercrop_row_width(self, complete_dataset):
         cfg = TaskConfig(task="covercrop_class")
-        values, causes = build_covercrop_features(complete_dataset, "f1", 2020, cfg)
+        values, exclusions = table_row(complete_dataset, cfg, "f1", 2020)
         assert len(values) == 144
-        assert not causes
+        assert not exclusions
 
     def test_aef_widths_and_prior_year_order(self, complete_dataset):
         values, _ = build_aef_features(complete_dataset, "c1", 2020, "yield")
@@ -148,7 +157,7 @@ class TestColumnContracts:
 class TestFeatureValues:
     def test_constant_reflectance_flattens_everything(self, complete_dataset):
         cfg = TaskConfig(task="yield", crop="corn")
-        values, _ = build_yield_features(complete_dataset, "c1", 2020, cfg)
+        values, _ = table_row(complete_dataset, cfg, "c1", 2020)
         for band in RAW:
             assert values[f"{band}_c"] == pytest.approx(0.4, abs=1e-9)
             for stat in ("a1", "b1", "a2", "b2"):
@@ -197,6 +206,44 @@ class TestFeatureValues:
         assert values["ppt_jul"] == pytest.approx(62.0)
         assert values["gdd_jun"] > 0
 
+    def test_band_missing_one_scene_gets_its_own_design(self, tmp_path, monkeypatch):
+        """NIR lacks one in-season scene, so its in-window days, and those of
+        NDVI and GCVI (derived on co-temporal scenes), differ from the other
+        bands'. The row builds two designs, and every band's coefficients
+        equal a standalone ``fit_harmonic`` bit for bit."""
+        def wavy(band, day):
+            return 0.3 + 0.1 * math.sin(day.toordinal() / 40 + len(band))
+
+        rows = obs_rows(["c1"], curve=wavy)
+        dropped = next(row for row in rows
+                       if row[1] == "NIR" and row[2].startswith("2020-06"))
+        rows.remove(dropped)
+        bundle = write_bundle(
+            tmp_path / "b",
+            units=[["c1", "county", "IL", "c1", "", "120.0"]],
+            observations=rows,
+            climate=climate_rows(["c1"]),
+            labels=[["c1", "2020", "yield", "9.0"]],
+        )
+        ds = load_dataset(bundle)
+        cfg = TaskConfig(task="yield", crop="corn")
+        built = []
+        design_matrix = harmonics._design_matrix
+        monkeypatch.setattr(harmonics, "_design_matrix",
+                            lambda t: built.append(len(t)) or design_matrix(t))
+        values, exclusions = table_row(ds, cfg, "c1", 2020)
+        monkeypatch.undo()
+        assert not exclusions
+        assert len(built) == 2 and built[0] == built[1] + 1
+
+        window = cfg.season_template().window(2020)
+        raw = {band: ds.series_for("c1", band) for band in featurize.RAW_BANDS}
+        for band in featurize.HARMONIC_BANDS:
+            series = raw[band] if band.is_raw else derive_index_series(raw, band)
+            fit = fit_harmonic(series, window)
+            stats = ("c", "a1", "b1", "a2", "b2")
+            assert tuple(values[f"{band.value}_{s}"] for s in stats) == fit.coefficients
+
     def test_covercrop_extrema_match_fine_grid_oracle(self, tmp_path):
         # Generating curves with all monthly extrema on grid days: a cosine
         # pair phase-locked to peak exactly on Jan 1 of the label year.
@@ -225,8 +272,8 @@ class TestFeatureValues:
         )
         ds = load_dataset(bundle)
         cfg = TaskConfig(task="covercrop_class")
-        values, causes = build_covercrop_features(ds, "c1", 2020, cfg)
-        assert not causes
+        values, exclusions = table_row(ds, cfg, "c1", 2020)
+        assert not exclusions
 
         month_spans = [(2019, 10), (2019, 11), (2019, 12), (2020, 1),
                        (2020, 2), (2020, 3), (2020, 4), (2020, 5)]
@@ -383,6 +430,32 @@ class TestAssembly:
         sub = table.select([0])
         assert sub.feature_names == table.feature_names
         assert sub.n_rows == 1
+
+
+def test_curve_memory_bounded_by_one_chunk(tmp_path, monkeypatch):
+    """With a chunk of one row's fits, assembly peak memory grows with the
+    rows only by per-row cells, far less than a (fits x days) curve array of
+    the added rows would take: 112 KB measured from 16 to 48 rows, against
+    about 1 MB with every fit of the window in one chunk."""
+    window = featurize.SEASON_TEMPLATES["covercrop"].window(2020)
+    row_cells = len(featurize.HARMONIC_BANDS) * window.n_days
+    monkeypatch.setattr(featurize, "_CURVE_CELLS", row_cells)
+    cfg = TaskConfig(task="covercrop_class")
+    peaks = {}
+    for counties in (4, 12):
+        spec = SynthSpec(n_counties=counties, fields_per_county=4, years=(2020,),
+                         tasks=("covercrop_class",))
+        generate(spec, seed=3, out_dir=tmp_path / str(counties))
+        dataset = load_dataset(tmp_path / str(counties))
+        tracemalloc.start()
+        try:
+            table = assemble_table(dataset, cfg)
+            peaks[table.n_rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sorted(peaks) == [16, 48]
+    # One float64 curve array of the 32 added rows' fits.
+    assert peaks[48] - peaks[16] < 32 * row_cells * 8
 
 
 class TestTaskConfig:

@@ -1,5 +1,6 @@
 import math
 from datetime import date, datetime, timedelta
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,19 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agribench.dataset import ObservationSeries, SpectralBand
+from agribench.featurize import SEASON_TEMPLATES
 from agribench.harmonics import (
+    DAYS_PER_YEAR,
     DegenerateDesignError,
     HarmonicFit,
     InsufficientObservationsError,
     MissingMonthError,
     SeasonWindow,
+    _antiderivative,
+    _design_matrix,
     _solve_ols,
+    curve_values,
     eval_harmonic,
     fit_harmonic,
     harmonic_integral,
     monthly_extrema,
     phenology_metrics,
     time_fraction,
+    window_curves,
 )
 
 B = SpectralBand
@@ -69,6 +76,28 @@ def random_fits(seed, n):
         for _ in range(n):
             yield HarmonicFit(*rng.normal(0, 0.5, 5), band=B.NDVI, window=window,
                               n_obs=6, t_origin=origin)
+
+
+def one_curve(fit):
+    """A batch of one: ``fit`` on its window's daily grid."""
+    return window_curves(fit.window, [fit.coefficients])
+
+
+def phenology_of(fit):
+    """``phenology_metrics`` of a batch of one, as scalars with the peak's date."""
+    m = phenology_metrics(one_curve(fit))
+    return SimpleNamespace(
+        peak_value=float(m.peak_value[0]),
+        peak_date=fit.window.start + timedelta(days=int(m.peak_day[0])),
+        b30=float(m.b30[0]), a30=float(m.a30[0]),
+        b30_int=float(m.b30_int[0]), a30_int=float(m.a30_int[0]),
+    )
+
+
+def fitted_extrema(fit, year, month):
+    """``monthly_extrema`` of a batch of one, as a (min, max) pair of floats."""
+    lo, hi = monthly_extrema(one_curve(fit), year, month)
+    return (float(lo[0]), float(hi[0]))
 
 
 def model_values(t, coefs):
@@ -149,9 +178,9 @@ class TestFit:
 
     def test_degenerate_design(self):
         # All samples at the same time point: rank-1 design.
-        t = np.zeros(6)
+        design = _design_matrix(np.zeros(6))
         with pytest.raises(DegenerateDesignError, match="degenerate design"):
-            _solve_ols(t, np.arange(6.0), "test")
+            _solve_ols(design, np.arange(6.0), "test")
 
     def test_ols_optimality_under_perturbation(self):
         rng = np.random.default_rng(3)
@@ -252,7 +281,7 @@ class TestPhenology:
     def test_constant_curve(self):
         fit = HarmonicFit(5.0, 0, 0, 0, 0, band=B.NDVI, window=WINDOW,
                           n_obs=6, t_origin=date(2020, 1, 1))
-        m = phenology_metrics(fit)
+        m = phenology_of(fit)
         assert m.peak_value == pytest.approx(5.0)
         assert m.peak_date == WINDOW.start  # earliest tie wins
         assert m.b30 == pytest.approx(5.0)
@@ -263,7 +292,7 @@ class TestPhenology:
     def test_cosine_peaks_at_origin(self):
         fit = HarmonicFit(0.0, 1.0, 0, 0, 0, band=B.NDVI, window=YEAR_WINDOW,
                           n_obs=6, t_origin=date(2020, 1, 1))
-        m = phenology_metrics(fit)
+        m = phenology_of(fit)
         assert m.peak_date == date(2020, 1, 1)
         assert m.peak_value == pytest.approx(1.0)
         expected_a30 = math.cos(2 * math.pi * 30 / 365.25)  # about 0.870
@@ -276,7 +305,7 @@ class TestPhenology:
             coefs = rng.normal(0, 0.5, 5)
             fit = HarmonicFit(*coefs, band=B.NDVI, window=WINDOW,
                               n_obs=6, t_origin=date(2020, 1, 1))
-            m = phenology_metrics(fit)
+            m = phenology_of(fit)
             t0 = time_fraction(fit.t_origin, fit.window.start)
             t1 = time_fraction(fit.t_origin, fit.window.end)
             fine = np.linspace(t0, t1, int((t1 - t0) * 365.25 / 0.01) + 1)
@@ -287,13 +316,13 @@ class TestPhenology:
     def test_peak_value_equals_grid_max(self):
         fit = HarmonicFit(0.3, 0.2, 0.4, -0.1, 0.05, band=B.NDVI, window=WINDOW,
                           n_obs=6, t_origin=date(2020, 1, 1))
-        m = phenology_metrics(fit)
+        m = phenology_of(fit)
         _, grid_values = daily_scan(fit, WINDOW.start, WINDOW.end)
         assert m.peak_value == max(grid_values)
 
     def test_peak_matches_daily_scan_exactly(self):
         for fit in random_fits(31, 40):
-            m = phenology_metrics(fit)
+            m = phenology_of(fit)
             days, values = daily_scan(fit, fit.window.start, fit.window.end)
             best = max(values)
             assert m.peak_value == best
@@ -301,7 +330,7 @@ class TestPhenology:
 
     def test_around_peak_values_equal_point_evaluations(self):
         for fit in random_fits(37, 200):
-            m = phenology_metrics(fit)
+            m = phenology_of(fit)
             before = m.peak_date - timedelta(days=30)
             after = m.peak_date + timedelta(days=30)
             assert m.b30 == eval_harmonic(fit, before)
@@ -316,7 +345,7 @@ class TestPhenology:
             coefs = rng.normal(0, 0.5, 5)
             fit = HarmonicFit(*coefs, band=B.NDVI, window=WINDOW,
                               n_obs=6, t_origin=date(2020, 1, 1))
-            m = phenology_metrics(fit)
+            m = phenology_of(fit)
             interior = (m.peak_date - WINDOW.start).days >= 30 and \
                        (WINDOW.end - m.peak_date).days >= 30
             if not interior:
@@ -333,42 +362,121 @@ class TestMonthlyExtrema:
 
     def test_raw_missing_month(self):
         s = series_at([date(2020, 5, 3)], [0.2])
-        from agribench.harmonics import MissingMonthError
-
         with pytest.raises(MissingMonthError, match="missing month"):
             monthly_extrema(s, 2020, 6)
 
     def test_fitted_constant(self):
         fit = HarmonicFit(1.0, 0, 0, 0, 0, band=B.NDVI, window=WINDOW,
                           n_obs=6, t_origin=date(2020, 1, 1))
-        lo, hi = monthly_extrema(fit, 2020, 7)
+        lo, hi = fitted_extrema(fit, 2020, 7)
         assert lo == pytest.approx(1.0) and hi == pytest.approx(1.0)
 
     def test_fitted_cosine_january(self):
         fit = HarmonicFit(0.0, 1.0, 0, 0, 0, band=B.NDVI, window=YEAR_WINDOW,
                           n_obs=6, t_origin=date(2020, 1, 1))
-        lo, hi = monthly_extrema(fit, 2020, 1)
+        lo, hi = fitted_extrema(fit, 2020, 1)
         assert hi == pytest.approx(1.0)  # at Jan 1
         assert lo == pytest.approx(math.cos(2 * math.pi * 30 / 365.25), abs=1e-12)
 
     def test_fitted_month_outside_window(self):
         fit = HarmonicFit(1.0, 0, 0, 0, 0, band=B.NDVI, window=WINDOW,
                           n_obs=6, t_origin=date(2020, 1, 1))
-        from agribench.harmonics import MissingMonthError
-
         with pytest.raises(MissingMonthError):
-            monthly_extrema(fit, 2020, 1)
+            monthly_extrema(one_curve(fit), 2020, 1)
 
     def test_fitted_random_matches_daily_scan(self):
         checked = partial = 0
         for fit in random_fits(29, 10):
             for year, month, first, last in window_months(fit.window):
                 _, values = daily_scan(fit, first, last)
-                assert monthly_extrema(fit, year, month) == (min(values), max(values))
+                assert fitted_extrema(fit, year, month) == (min(values), max(values))
                 checked += 1
                 partial += (last - first).days + 1 < 28
         assert checked == 10 * (7 + 8 + 11)
         assert partial == 10 * 2  # wheat's mid-month start and end
+
+
+# Each season shape of the featurizer: corn Apr-Oct, winter wheat Sep-Jul
+# (crossing a year, ending mid-month) and cover crop Oct-May (crossing a year
+# through a leap February).
+TEMPLATE_WINDOWS = tuple(SEASON_TEMPLATES[key].window(2020)
+                         for key in ("corn", "winter_wheat", "covercrop"))
+
+
+def reference_phenology(fit):
+    """Per-fit scalar reference: the curve on the window's daily grid, its
+    first-occurrence argmax, point evaluations and the antiderivative."""
+    window = fit.window
+    values = curve_values(fit, window.day_times(fit.t_origin))
+    idx = int(np.argmax(values))
+    peak_days = (window.start - fit.t_origin).days + idx
+    t_before, t_peak, t_after = ((peak_days + d) / DAYS_PER_YEAR for d in (-30, 0, 30))
+    before, peak, after = (float(_antiderivative(fit, t)) for t in (t_before, t_peak, t_after))
+    peak_date = window.start + timedelta(days=idx)
+    return (float(values[idx]), idx,
+            eval_harmonic(fit, peak_date - timedelta(days=30)),
+            eval_harmonic(fit, peak_date + timedelta(days=30)),
+            peak - before, after - peak)
+
+
+def reference_extrema(fit, first, last):
+    """Per-fit scalar reference: min and max of the grid days [first, last]."""
+    values = curve_values(fit, fit.window.day_times(fit.t_origin)).tolist()
+    in_month = values[(first - fit.window.start).days:(last - fit.window.start).days + 1]
+    return (min(in_month), max(in_month))
+
+
+class TestWindowBatch:
+    """A window's batch equals the per-fit scalar reference bit for bit; a
+    failed band (NaN coefficients) mid-batch is NaN and disturbs no other row."""
+
+    @pytest.mark.parametrize("window", TEMPLATE_WINDOWS, ids=("corn", "wheat", "covercrop"))
+    def test_batch_equals_per_fit_reference(self, window):
+        rng = np.random.default_rng(41)
+        fits = [HarmonicFit(*rng.normal(0, 0.5, 5), band=B.NDVI, window=window,
+                            n_obs=6, t_origin=window.origin) for _ in range(24)]
+        failed = 11
+        coefficients = np.array([fit.coefficients for fit in fits])
+        coefficients[failed] = math.nan
+        curves = window_curves(window, coefficients)
+        assert curves.values.shape == (24, window.n_days)
+
+        m = phenology_metrics(curves)
+        got = np.column_stack([m.peak_value, m.peak_day, m.b30, m.a30, m.b30_int, m.a30_int])
+        assert np.isnan(got[failed, [0, 2, 3, 4, 5]]).all()
+        extrema = {(year, month): monthly_extrema(curves, year, month)
+                   for year, month, _, _ in window_months(window)}
+        for (lo, hi) in extrema.values():
+            assert math.isnan(lo[failed]) and math.isnan(hi[failed])
+
+        for i, fit in enumerate(fits):
+            if i == failed:
+                continue
+            assert tuple(got[i].tolist()) == reference_phenology(fit)
+            for year, month, first, last in window_months(window):
+                lo, hi = extrema[year, month]
+                assert (lo[i], hi[i]) == reference_extrema(fit, first, last)
+
+    def test_month_outside_window_rejected(self):
+        curves = window_curves(WINDOW, np.ones((3, 5)))
+        with pytest.raises(MissingMonthError, match="does not overlap"):
+            monthly_extrema(curves, 2020, 11)
+
+
+class TestDesignReuse:
+    def test_different_days_fall_back_to_own_design(self):
+        """Red and Green share a design; NIR, missing one scene, builds its own.
+        Every fit equals a standalone one bit for bit."""
+        dates = spread_dates(WINDOW, 12)
+        rng = np.random.default_rng(47)
+        series = [series_at(dates, rng.uniform(0, 1, 12), band=B.RED),
+                  series_at(dates[:5] + dates[6:], rng.uniform(0, 1, 11), band=B.NIR),
+                  series_at(dates, rng.uniform(0, 1, 12), band=B.GREEN)]
+        designs = {}
+        shared = [fit_harmonic(s, WINDOW, designs) for s in series]
+        assert len(designs) == 2
+        for s, fit in zip(series, shared):
+            assert fit.coefficients == fit_harmonic(s, WINDOW).coefficients
 
 
 @settings(max_examples=60)

@@ -1,8 +1,10 @@
-"""The benchmark's trace targets must name functions that exist in ``src/``.
+"""The benchmark's trace targets must name functions that exist in ``src/``
+and that the program still calls.
 
 ``perfbench`` reports a layer as unmeasured (``null``) when a dotted path in
 ``perfbench/layers.TARGETS`` no longer resolves, so a refactor that renames or
-moves a call site would silently drop that layer from the trace. The
+moves a call site would silently drop that layer from the trace. A target that
+still resolves but is no longer called is worse: its layer reads 0. The
 benchmark's modules are loaded read-only: no bytecode is written next to them.
 """
 
@@ -11,6 +13,9 @@ import sys
 from pathlib import Path
 
 import agribench
+from agribench.dataset import load_dataset
+from agribench.featurize import TaskConfig, assemble_table
+from agribench.synth import SynthSpec, generate
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -28,17 +33,63 @@ def _listing():
                   for p in PERFBENCH.rglob("*"))
 
 
-def test_every_trace_target_resolves_in_src(monkeypatch):
-    assert Path(agribench.__file__).resolve().is_relative_to(ROOT / "src")
-    before = _listing()
+def _load_tracing_and_layers(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     tracing = _load("tracing")
     monkeypatch.setitem(sys.modules, "tracing", tracing)  # layers imports it by name
-    layers = _load("layers")
+    return tracing, _load("layers")
+
+
+def test_every_trace_target_resolves_in_src(monkeypatch):
+    assert Path(agribench.__file__).resolve().is_relative_to(ROOT / "src")
+    before = _listing()
+    tracing, layers = _load_tracing_and_layers(monkeypatch)
 
     unresolved = [path for path, _, _ in layers.TARGETS if tracing.resolve(path) is None]
     assert unresolved == []
     for path, _, _ in layers.TARGETS:
         owner, attr = tracing.resolve(path)
         assert callable(getattr(owner, attr)), path
+    assert _listing() == before
+
+
+# Tiny RS assemblies and the harmonics targets each must reach: yield reads
+# phenology from its fits, cover crop reads fitted-curve monthly extrema.
+RS_ASSEMBLIES = {
+    "yield": (SynthSpec(n_counties=2, years=(2020,)),
+              TaskConfig(task="yield", crop="corn"),
+              {"fit_harmonic", "phenology_metrics"}),
+    "covercrop": (SynthSpec(n_counties=1, fields_per_county=2, years=(2020,),
+                            tasks=("covercrop_class",)),
+                  TaskConfig(task="covercrop_class"),
+                  {"fit_harmonic", "monthly_extrema"}),
+}
+
+
+def test_rs_assemblies_call_every_featurize_target(monkeypatch, tmp_path):
+    """Each ``agribench.featurize.*`` target is called by a tiny yield-RS or
+    cover-crop-RS assembly, and each assembly calls the harmonics targets of
+    its feature set, through the wrappers perfbench installs."""
+    before = _listing()
+    tracing, layers = _load_tracing_and_layers(monkeypatch)
+    prefix = "agribench.featurize."
+    paths = [path for path, _, _ in layers.TARGETS if path.startswith(prefix)]
+    harmonics = {path[len(prefix):] for path, name, _ in layers.TARGETS
+                 if path.startswith(prefix) and name.startswith("harmonics.")}
+    assert harmonics == {"fit_harmonic", "phenology_metrics", "monthly_extrema"}
+
+    called = {}
+    for key, (spec, cfg, expected) in RS_ASSEMBLIES.items():
+        generate(spec, seed=5, out_dir=tmp_path / key)
+        dataset = load_dataset(tmp_path / key)
+        tracer = tracing.Tracer(key)
+        undo, missing = tracing.install(tracer, [(path, path, None) for path in paths])
+        try:
+            assemble_table(dataset, cfg)
+        finally:
+            tracing.uninstall(undo)
+        assert missing == []
+        called[key] = {span.name[len(prefix):] for span in tracer.spans}
+        assert expected <= called[key], key
+    assert set().union(*called.values()) == {path[len(prefix):] for path in paths}
     assert _listing() == before
