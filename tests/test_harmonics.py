@@ -465,16 +465,19 @@ class TestWindowBatch:
 
 class TestDesignReuse:
     def test_different_days_fall_back_to_own_design(self):
-        """Red and Green share a design; NIR, missing one scene, builds its own.
-        Every fit equals a standalone one bit for bit."""
+        """Red and Green share a design. NIR, missing one scene, and Blue, with
+        one scene a day later, build their own. Every fit equals a standalone
+        one bit for bit."""
         dates = spread_dates(WINDOW, 12)
+        shifted = dates[:5] + [dates[5] + timedelta(days=1)] + dates[6:]
         rng = np.random.default_rng(47)
         series = [series_at(dates, rng.uniform(0, 1, 12), band=B.RED),
                   series_at(dates[:5] + dates[6:], rng.uniform(0, 1, 11), band=B.NIR),
+                  series_at(shifted, rng.uniform(0, 1, 12), band=B.BLUE),
                   series_at(dates, rng.uniform(0, 1, 12), band=B.GREEN)]
         designs = {}
         shared = [fit_harmonic(s, WINDOW, designs) for s in series]
-        assert len(designs) == 2
+        assert len(designs) == 3
         for s, fit in zip(series, shared):
             assert fit.coefficients == fit_harmonic(s, WINDOW).coefficients
 
