@@ -126,10 +126,6 @@ class WindowCurves:
     coefficients: np.ndarray
     values: np.ndarray
 
-    @property
-    def columns(self) -> CurveColumns:
-        return CurveColumns(*self.coefficients.T)
-
 
 @dataclass(frozen=True)
 class PhenologyMetrics:
@@ -294,7 +290,7 @@ def phenology_metrics(curves: WindowCurves) -> PhenologyMetrics:
     window = curves.window
     peak_days = (window.start - window.origin).days + idx
     t_before, t_peak, t_after = ((peak_days + d) / DAYS_PER_YEAR for d in (-30, 0, 30))
-    columns = curves.columns
+    columns = CurveColumns(*curves.coefficients.T)
     before, peak, after = (_antiderivative(columns, t) for t in (t_before, t_peak, t_after))
     return PhenologyMetrics(
         peak_value=peak_value,
@@ -308,7 +304,7 @@ def phenology_metrics(curves: WindowCurves) -> PhenologyMetrics:
 
 def monthly_extrema(
     source: ObservationSeries | WindowCurves, year: int, month: int
-) -> tuple:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(min, max) of one band, or of each curve of a batch, over a calendar month.
 
     With an ``ObservationSeries`` the extrema are floats taken over the
