@@ -28,6 +28,9 @@ class GddThresholds:
     t_cap: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_base) and math.isfinite(self.t_cap)):
+            raise ValueError(
+                f"GDD thresholds must be finite, got t_base {self.t_base}, t_cap {self.t_cap}")
         if not self.t_base < self.t_cap:
             raise ValueError(f"t_base {self.t_base} must be below t_cap {self.t_cap}")
 

@@ -19,15 +19,17 @@ order, stat order as listed, months chronological), so assembled tables are
 independent of input row order. Rows with missing cells are dropped or
 mean-imputed according to the configured policy.
 
-The harmonic columns of yield RS and cover-crop RS lead their tables and are
-built in two phases: every row's bands are fitted, then the fits of all rows
-sharing a season window (one label year) are evaluated together.
+Each feature set is a fixed tuple of column blocks (``_blocks``), and a table
+is their arrays side by side, each built over all rows at once. Blocks that
+read band series walk each unit's run of rows, so a unit's series are fetched
+and its indices derived once per table, whatever its number of label years.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import groupby
 
 import numpy as np
 
@@ -254,6 +256,12 @@ def expected_feature_count(cfg: TaskConfig) -> int:
     return len(feature_names(cfg))
 
 
+def _unit_runs(keyed: list):
+    """Each unit's id with the indices of its rows; ``keyed`` is sorted by unit."""
+    for unit_id, run in groupby(range(len(keyed)), key=lambda i: keyed[i].unit_id):
+        yield unit_id, list(run)
+
+
 def _band_series(dataset: Dataset, unit_id: str, band: SpectralBand, cfg: TaskConfig):
     """Raw series straight from the bundle; derived series from co-temporal scenes.
 
@@ -278,29 +286,6 @@ def _band_series(dataset: Dataset, unit_id: str, band: SpectralBand, cfg: TaskCo
         return None, "index_undefined"
 
 
-def _band_fit(dataset: Dataset, unit_id: str, band: SpectralBand, cfg: TaskConfig,
-              window: SeasonWindow, designs: dict):
-    """Harmonic fit of one band over the season, or ``(None, cause)``."""
-    series, cause = _band_series(dataset, unit_id, band, cfg)
-    if series is None:
-        return None, cause
-    try:
-        return fit_harmonic(series, window, designs), None
-    except (InsufficientObservationsError, DegenerateDesignError):
-        return None, "insufficient_observations"
-
-
-def _curve_stat_count(cfg: TaskConfig) -> int:
-    """Harmonic cells per band leading the table: 0 when there are none."""
-    if cfg.feature_set != "RS":
-        return 0
-    if cfg.task == "yield":
-        return len(HARMONIC_STATS)
-    if cfg.task == "covercrop_class":
-        return 2 * len(COVERCROP_MONTH_OFFSETS)
-    return 0
-
-
 def _curve_stats(curves: WindowCurves, cfg: TaskConfig, year: int) -> np.ndarray:
     """One row of harmonic cells per curve, in feature-name order.
 
@@ -322,153 +307,120 @@ def _curve_cells(dataset: Dataset, keyed: list, cfg: TaskConfig,
                  row_causes: list[set[str]]) -> np.ndarray:
     """The harmonic columns of every row, in two phases.
 
-    Phase 1 fits each row's bands; the bands of one row share a design
-    matrix when their in-window days are equal. A band without a fit gets a
-    NaN coefficient row and adds its cause to ``row_causes``. Phase 2
+    Phase 1 fits each row's bands, reading each unit's series once for all
+    its rows; the bands of one row share a design matrix when their
+    in-window days are equal. A band without a fit gets a NaN coefficient
+    row and adds its cause to ``row_causes``. Phase 2
     evaluates the fits of all rows with one label year (one season window)
     together, in chunks of at most ``_CURVE_CELLS`` curve cells.
     """
     template = cfg.season_template()
-    n_bands = len(HARMONIC_BANDS)
-    coefficients = np.full((len(keyed), n_bands, 5), math.nan)
-    for i, rec in enumerate(keyed):
-        window = template.window(rec.year)
-        designs: dict = {}
-        for j, band in enumerate(HARMONIC_BANDS):
-            fit, cause = _band_fit(dataset, rec.unit_id, band, cfg, window, designs)
-            if fit is None:
-                row_causes[i].add(cause)
-            else:
-                coefficients[i, j] = fit.coefficients
+    coefficients = np.full((len(keyed), len(HARMONIC_BANDS), 5), math.nan)
+    for unit_id, rows in _unit_runs(keyed):
+        bands = [_band_series(dataset, unit_id, band, cfg) for band in HARMONIC_BANDS]
+        for i in rows:
+            window = template.window(keyed[i].year)
+            designs: dict = {}
+            for j, (series, cause) in enumerate(bands):
+                if series is None:
+                    row_causes[i].add(cause)
+                    continue
+                try:
+                    coefficients[i, j] = fit_harmonic(series, window, designs).coefficients
+                except (InsufficientObservationsError, DegenerateDesignError):
+                    row_causes[i].add("insufficient_observations")
 
     years = np.array([rec.year for rec in keyed])
-    cells = np.empty((len(keyed), n_bands, _curve_stat_count(cfg)))
+    by_year = []
     for year in np.unique(years).tolist():
         window = template.window(year)
-        rows = np.flatnonzero(years == year)
-        fits = coefficients[rows].reshape(-1, 5)
-        stats = np.empty((len(fits), cells.shape[2]))
+        fits = coefficients[years == year]
+        flat = fits.reshape(-1, 5)
         step = max(1, _CURVE_CELLS // window.n_days)
-        for lo in range(0, len(fits), step):
-            curves = window_curves(window, fits[lo:lo + step])
-            stats[lo:lo + step] = _curve_stats(curves, cfg, year)
-        cells[rows] = stats.reshape(len(rows), n_bands, -1)
+        stats = np.vstack([_curve_stats(window_curves(window, flat[lo:lo + step]), cfg, year)
+                           for lo in range(0, len(flat), step)])
+        by_year.append(stats.reshape(len(fits), -1))
+    # by_year holds the rows year by year; put them back in table order.
+    stacked = np.vstack(by_year)
+    cells = np.empty_like(stacked)
+    cells[np.argsort(years, kind="stable")] = stacked
+    return cells
+
+
+def _climate_cells(dataset: Dataset, keyed: list, cfg: TaskConfig,
+                   row_causes: list[set[str]]) -> np.ndarray:
+    """Monthly GDD and PPT (yield) or tmean and PPT (cover crop) of every row.
+
+    A month with no days or with too low coverage is NaN in both of its cells.
+    """
+    if cfg.task == "yield":
+        thresholds = cfg.resolved_thresholds()
+        months = [(0, month) for month in CLIMATE_MONTHS[cfg.crop]]
+        metrics = (lambda days: monthly_gdd(days, thresholds, cfg.gdd_per_day), monthly_ppt)
+    else:
+        months = COVERCROP_MONTH_OFFSETS
+        metrics = (monthly_tmean, monthly_ppt)
+    cells = np.full((len(keyed), len(months), len(metrics)), math.nan)
+    for i, rec in enumerate(keyed):
+        climate = dataset.climate_for(rec.unit_id)
+        for k, (off, month) in enumerate(months):
+            year = rec.year + off
+            in_month = climate.month(year, month) if climate is not None else None
+            if in_month is None or len(in_month) == 0:
+                row_causes[i].add("missing_climate")
+            elif month_coverage(in_month, year, month) < MIN_CLIMATE_COVERAGE:
+                row_causes[i].add("low_climate_coverage")
+            else:
+                cells[i, k] = [metric(in_month) for metric in metrics]
     return cells.reshape(len(keyed), -1)
 
 
-def _climate_cells(
-    dataset: Dataset,
-    unit_id: str,
-    months: list[tuple[int, int]],
-    cfg: TaskConfig,
-    metrics: tuple[str, ...],
-) -> tuple[dict[str, float], set[str]]:
-    """Monthly climate aggregates; low-coverage months count as missing."""
-    values: dict[str, float] = {}
-    causes: set[str] = set()
-    climate = dataset.climate_for(unit_id)
-    thresholds = cfg.resolved_thresholds() if "gdd" in metrics else None
-    for year, month in months:
-        abbr = MONTH_ABBREV[month - 1]
-        in_month = climate.month(year, month) if climate is not None else None
-        ok = in_month is not None and len(in_month) > 0
-        if ok and month_coverage(in_month, year, month) < MIN_CLIMATE_COVERAGE:
-            ok = False
-            causes.add("low_climate_coverage")
-        elif not ok:
-            causes.add("missing_climate")
-        for metric in metrics:
-            if not ok:
-                values[f"{metric}_{abbr}"] = math.nan
-            elif metric == "gdd":
-                values[f"gdd_{abbr}"] = monthly_gdd(in_month, thresholds, cfg.gdd_per_day)
-            elif metric == "ppt":
-                values[f"ppt_{abbr}"] = monthly_ppt(in_month)
+def _tillage_cells(dataset: Dataset, keyed: list, cfg: TaskConfig,
+                   row_causes: list[set[str]]) -> np.ndarray:
+    """Raw-observation monthly extrema for April-June, then elevation."""
+    cells = np.full((len(keyed), len(TILLAGE_BANDS), len(TILLAGE_MONTHS), 2), math.nan)
+    for unit_id, rows in _unit_runs(keyed):
+        for j, band in enumerate(TILLAGE_BANDS):
+            series, cause = _band_series(dataset, unit_id, band, cfg)
+            for i in rows:
+                if series is None:
+                    row_causes[i].add(cause)
+                    continue
+                for k, month in enumerate(TILLAGE_MONTHS):
+                    try:
+                        cells[i, j, k] = monthly_extrema(series, keyed[i].year, month)
+                    except MissingMonthError:
+                        row_causes[i].add("missing_month")
+    elevation = [[dataset.units[rec.unit_id].elevation_m] for rec in keyed]
+    return np.hstack([cells.reshape(len(keyed), -1), elevation])
+
+
+def _embedding_cells(dataset: Dataset, keyed: list, cfg: TaskConfig,
+                     row_causes: list[set[str]]) -> np.ndarray:
+    """Label-year embeddings, prefixed by the prior year's for cover crop."""
+    offsets = (-1, 0) if cfg.task == "covercrop_class" else (0,)
+    cells = np.full((len(keyed), len(offsets), len(EMBEDDING_COLUMNS)), math.nan)
+    for i, rec in enumerate(keyed):
+        for k, off in enumerate(offsets):
+            embedding = dataset.embedding_for(rec.unit_id, rec.year + off)
+            if embedding is None:
+                row_causes[i].add("missing_embedding")
             else:
-                values[f"tmean_{abbr}"] = monthly_tmean(in_month)
-    return values, causes
+                cells[i, k] = embedding
+    return cells.reshape(len(keyed), -1)
 
 
-def build_yield_features(
-    dataset: Dataset, unit_id: str, year: int, cfg: TaskConfig
-) -> tuple[dict[str, float], set[str]]:
-    """The per-row cells of a yield RS row: monthly GDD and PPT.
+def _blocks(cfg: TaskConfig) -> tuple:
+    """The column blocks of the feature set, in ``feature_names`` order.
 
-    The harmonic cells of every row come from ``_curve_cells``. Missing
-    months are returned as NaN cells together with their causes; the
-    table-level missing policy decides what happens to them.
+    Each maps ``(dataset, keyed, cfg, row_causes)`` to a ``(rows x width)``
+    array; a missing cell is NaN and adds its cause to the row's set.
     """
-    months = [(year, m) for m in CLIMATE_MONTHS[cfg.crop]]
-    return _climate_cells(dataset, unit_id, months, cfg, ("gdd", "ppt"))
-
-
-def build_tillage_features(
-    dataset: Dataset, unit_id: str, year: int, cfg: TaskConfig
-) -> tuple[dict[str, float], set[str]]:
-    """Raw-observation monthly extrema for April-June plus elevation."""
-    values: dict[str, float] = {}
-    causes: set[str] = set()
-    for band in TILLAGE_BANDS:
-        series, cause = _band_series(dataset, unit_id, band, cfg)
-        for month in TILLAGE_MONTHS:
-            abbr = MONTH_ABBREV[month - 1]
-            lo = hi = math.nan
-            if series is not None:
-                try:
-                    lo, hi = monthly_extrema(series, year, month)
-                except MissingMonthError:
-                    causes.add("missing_month")
-            else:
-                causes.add(cause)
-            values[f"{band.value}_{abbr}_min"] = lo
-            values[f"{band.value}_{abbr}_max"] = hi
-    values["elev"] = dataset.units[unit_id].elevation_m
-    return values, causes
-
-
-def build_covercrop_features(
-    dataset: Dataset, unit_id: str, year: int, cfg: TaskConfig
-) -> tuple[dict[str, float], set[str]]:
-    """The per-row cells of a cover-crop RS row: monthly tmean and PPT, Oct-May.
-
-    The fitted-curve monthly extrema of every row come from ``_curve_cells``.
-    """
-    months = [(year + off, m) for off, m in COVERCROP_MONTH_OFFSETS]
-    return _climate_cells(dataset, unit_id, months, cfg, ("tmean", "ppt"))
-
-
-def build_aef_features(
-    dataset: Dataset, unit_id: str, year: int, task: str
-) -> tuple[dict[str, float], set[str]]:
-    """Embedding columns: label year, prefixed by prior year for cover crop."""
-    values: dict[str, float] = {}
-    causes: set[str] = set()
-    wanted = [("py_", year - 1), ("", year)] if task == "covercrop_class" else [("", year)]
-    for prefix, emb_year in wanted:
-        embedding = dataset.embedding_for(unit_id, emb_year)
-        if embedding is None:
-            embedding = np.full(len(EMBEDDING_COLUMNS), math.nan)
-            causes.add("missing_embedding")
-        for column, value in zip(EMBEDDING_COLUMNS, embedding.tolist()):
-            values[f"{prefix}{column}"] = value
-    return values, causes
-
-
-_BUILDERS = {
-    "yield": build_yield_features,
-    "tillage_ratio": build_tillage_features,
-    "tillage_class": build_tillage_features,
-    "covercrop_class": build_covercrop_features,
-}
-
-
-def build_row(
-    dataset: Dataset, unit_id: str, year: int, cfg: TaskConfig
-) -> tuple[dict[str, float], set[str]]:
-    """The cells of one row built row by row: all but the leading harmonic ones."""
     if cfg.feature_set == "AEF":
-        return build_aef_features(dataset, unit_id, year, cfg.task)
-    return _BUILDERS[cfg.task](dataset, unit_id, year, cfg)
+        return (_embedding_cells,)
+    if cfg.task in ("tillage_ratio", "tillage_class"):
+        return (_tillage_cells,)
+    return (_curve_cells, _climate_cells)
 
 
 def assemble_table(dataset: Dataset, cfg: TaskConfig) -> FeatureTable:
@@ -494,16 +446,8 @@ def assemble_table(dataset: Dataset, cfg: TaskConfig) -> FeatureTable:
     if not keyed:
         raise FeatureAssemblyError(f"no labels for task {cfg.task!r}")
 
-    n_curve = len(HARMONIC_BANDS) * _curve_stat_count(cfg)
-    rows = []
-    row_causes = []
-    for rec in keyed:
-        values, causes = build_row(dataset, rec.unit_id, rec.year, cfg)
-        rows.append([values[name] for name in names[n_curve:]])
-        row_causes.append(causes)
-    matrix = np.array(rows, dtype=float).reshape(len(keyed), len(names) - n_curve)
-    if n_curve:
-        matrix = np.hstack([_curve_cells(dataset, keyed, cfg, row_causes), matrix])
+    row_causes = [set() for _ in keyed]
+    matrix = np.hstack([block(dataset, keyed, cfg, row_causes) for block in _blocks(cfg)])
     label_vec = np.array([rec.value for rec in keyed], dtype=float)
     unit_years = [(rec.unit_id, rec.year) for rec in keyed]
     exclusion_log: dict[str, int] = {}
@@ -536,8 +480,12 @@ def assemble_table(dataset: Dataset, cfg: TaskConfig) -> FeatureTable:
         )
     if matrix.shape[1] != expected_feature_count(cfg):
         raise AssertionError("assembled width violates the feature contract")
-    if not np.isfinite(matrix).all():
-        raise AssertionError("assembled table contains non-finite values")
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0].tolist()
+        raise FeatureAssemblyError(
+            f"column {names[column]!r} is not finite for (unit_id, year) {unit_years[row]}"
+        )
 
     return FeatureTable(
         task=cfg.task,

@@ -101,6 +101,9 @@ class SynthSpec:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        for name in ("sigma_obs", "label_sigma", "label_intercept", "region_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_obs < 0 or self.label_sigma < 0:
             raise ValueError("noise sigmas must be nonnegative")
         if self.label_r2_ceiling is not None and not 0.0 < self.label_r2_ceiling <= 1.0:
@@ -119,8 +122,10 @@ class SynthSpec:
         needs_fields = {"tillage_class", "covercrop_class"} & set(self.tasks)
         if needs_fields and self.fields_per_county < 1:
             raise ValueError(f"tasks {sorted(needs_fields)} require fields_per_county >= 1")
-        for name in self.label_weights:
+        for name, weight in self.label_weights.items():
             _band_value_name(name)
+            if not math.isfinite(weight):
+                raise ValueError(f"label weight of {name} must be finite, got {weight}")
 
     def season_template(self) -> SeasonTemplate:
         if "covercrop_class" in self.tasks:

@@ -216,10 +216,31 @@ def test_bad_synth_settings_are_named_errors(tmp_path, capsys):
                               "synth.label_feature 'NDVI_c': expected <Band>_peak"),
                              ("synth.tasks=,", "tasks must be nonempty"),
                              ("synth.fields_per_county=-3",
-                              "fields_per_county must be nonnegative, got -3")):
+                              "fields_per_county must be nonnegative, got -3"),
+                             ("synth.sigma_obs=nan", "sigma_obs must be finite, got nan"),
+                             ("synth.label_sigma=nan", "label_sigma must be finite, got nan"),
+                             ("synth.label_intercept=nan",
+                              "label_intercept must be finite, got nan"),
+                             ("synth.region_offset=inf",
+                              "region_offset must be finite, got inf")):
         assert main(["synth", "--set", setting, "--set", f"out_dir={out}"]) == 1
         assert capsys.readouterr().err.startswith(f"error: synth: {message}")
         assert not out.exists()
+
+
+def test_bad_gdd_thresholds_are_named_errors(bundle, tmp_path, capsys):
+    base = [f"bundle={bundle}", "task.name=yield", "task.crop=corn", f"out_dir={tmp_path}"]
+    assert execute("featurize", None, base + ["task.gdd_base=-inf", "task.gdd_cap=inf"]) == 1
+    assert capsys.readouterr().err == (
+        "error: featurize: GDD thresholds must be finite, got t_base -inf, t_cap inf\n")
+    # Finite thresholds this wide overflow the monthly GDD sum.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        status = execute("featurize", None,
+                         base + ["task.gdd_base=-1e308", "task.gdd_cap=1e308"])
+    assert status == 1
+    assert capsys.readouterr().err.startswith(
+        "error: featurize: column 'gdd_may' is not finite for (unit_id, year) (")
+    assert not (tmp_path / "features.csv").exists()
 
 
 def test_aef_commands_do_not_read_climate(bundle, tmp_path, capsys):

@@ -221,3 +221,6 @@ class TestCoverageAndSummary:
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):
             GddThresholds(t_base=30.0, t_cap=8.0)
+        for base, cap in ((-math.inf, math.inf), (math.nan, 30.0), (8.0, math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                GddThresholds(t_base=base, t_cap=cap)

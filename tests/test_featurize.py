@@ -2,6 +2,7 @@ import math
 import random
 import tempfile
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -18,12 +19,10 @@ from agribench.featurize import (
     FeatureAssemblyError,
     TaskConfig,
     assemble_table,
-    build_aef_features,
-    build_tillage_features,
-    build_yield_features,
     expected_feature_count,
     export_feature_table,
     feature_names,
+    tillage_feature_names,
 )
 from agribench.harmonics import fit_harmonic, time_fraction
 from agribench.indices import derive_index_series
@@ -117,9 +116,9 @@ class TestColumnContracts:
 
     def test_tillage_row_width(self, complete_dataset):
         cfg = TaskConfig(task="tillage_ratio")
-        values, causes = build_tillage_features(complete_dataset, "c1", 2020, cfg)
+        values, exclusions = table_row(complete_dataset, cfg, "c1", 2020)
         assert len(values) == 67
-        assert not causes
+        assert not exclusions
         assert values["elev"] == 120.0
 
     def test_covercrop_row_width(self, complete_dataset):
@@ -129,14 +128,19 @@ class TestColumnContracts:
         assert not exclusions
 
     def test_aef_widths_and_prior_year_order(self, complete_dataset):
-        values, _ = build_aef_features(complete_dataset, "c1", 2020, "yield")
+        cfg = TaskConfig(task="yield", crop="corn", feature_set="AEF")
+        values, _ = table_row(complete_dataset, cfg, "c1", 2020)
         assert len(values) == 64
-        values, _ = build_aef_features(complete_dataset, "f1", 2020, "covercrop_class")
+        cfg = TaskConfig(task="covercrop_class", feature_set="AEF")
+        values, exclusions = table_row(complete_dataset, cfg, "f1", 2020)
         assert len(values) == 128
-        names = feature_names(TaskConfig(task="covercrop_class", feature_set="AEF"))
+        assert not exclusions
+        names = feature_names(cfg)
         assert names[0] == "py_A00" and names[64] == "A00"
-        prior = complete_dataset.embedding_for("f1", 2019)
-        assert values["py_A00"] == prior[0]
+        assert list(values) == list(names)
+        prior = complete_dataset.embedding_for("f1", 2019).tolist()
+        label_year = complete_dataset.embedding_for("f1", 2020).tolist()
+        assert list(values.values()) == prior + label_year
 
     def test_all_contract_counts(self):
         cases = [
@@ -170,7 +174,7 @@ class TestFeatureValues:
 
     def test_constant_monthly_extrema_collapse(self, complete_dataset):
         cfg = TaskConfig(task="tillage_ratio")
-        values, _ = build_tillage_features(complete_dataset, "c1", 2020, cfg)
+        values, _ = table_row(complete_dataset, cfg, "c1", 2020)
         for band in RAW + ("NDVI", "GCVI", "NDTI", "STI", "CRC"):
             for mon in ("apr", "may", "jun"):
                 assert values[f"{band}_{mon}_min"] == values[f"{band}_{mon}_max"]
@@ -192,15 +196,15 @@ class TestFeatureValues:
             labels=[["c1", "2020", "tillage_ratio", "0.5"]],
         )
         ds = load_dataset(bundle)
-        values, causes = build_tillage_features(ds, "c1", 2020, TaskConfig(task="tillage_ratio"))
-        assert not causes
+        values, exclusions = table_row(ds, TaskConfig(task="tillage_ratio"), "c1", 2020)
+        assert not exclusions
         for band in RAW + ("NDVI", "GCVI", "NDTI", "STI", "CRC"):
             for mon in ("apr", "may", "jun"):
                 assert values[f"{band}_{mon}_min"] == values[f"{band}_{mon}_max"]
 
     def test_climate_cells(self, complete_dataset):
         cfg = TaskConfig(task="yield", crop="corn")
-        values, _ = build_yield_features(complete_dataset, "c1", 2020, cfg)
+        values, _ = table_row(complete_dataset, cfg, "c1", 2020)
         # Constant 10/20 days: tmean 15, ppt 2 mm/day.
         assert values["ppt_jun"] == pytest.approx(60.0)
         assert values["ppt_jul"] == pytest.approx(62.0)
@@ -383,7 +387,7 @@ class TestAssembly:
         export_feature_table(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_undefined_index_has_its_own_cause(self, tmp_path):
+    def test_undefined_index_has_its_own_cause(self, tmp_path, monkeypatch):
         # Green is zero in every scene, so GCVI (NIR / Green) is undefined for c2.
         def green_zero(band, day):
             return 0.0 if band == "Green" else 0.4
@@ -392,13 +396,27 @@ class TestAssembly:
             tmp_path / "b",
             units=[["c1", "county", "IL", "c1", "", "120.0"],
                    ["c2", "county", "IA", "c2", "", "300.0"]],
-            observations=obs_rows(["c1"]) + obs_rows(["c2"], curve=green_zero),
+            observations=obs_rows(["c1"])
+            + obs_rows(["c2"], curve=green_zero, start=date(2019, 1, 1)),
             labels=[["c1", "2020", "tillage_ratio", "0.4"],
+                    ["c2", "2019", "tillage_ratio", "0.5"],
                     ["c2", "2020", "tillage_ratio", "0.6"]],
         )
+        failures = []
+        derive = featurize.derive_index_series
+
+        def counted(raw, band, **kwargs):
+            try:
+                return derive(raw, band, **kwargs)
+            except ValueError:
+                failures.append((next(iter(raw.values())).unit_id, band))
+                raise
+
+        monkeypatch.setattr(featurize, "derive_index_series", counted)
         table = assemble_table(load_dataset(bundle), TaskConfig(task="tillage_ratio"))
         assert table.unit_years == (("c1", 2020),)
-        assert table.exclusion_log == {"index_undefined": 1}
+        assert table.exclusion_log == {"index_undefined": 2}
+        assert failures == [("c2", B.GCVI)]
 
     def test_zero_denominator_scene_blanks_only_its_month(self, tmp_path):
         def green_zero_in_may(band, day):
@@ -410,11 +428,39 @@ class TestAssembly:
             observations=obs_rows(["c1"], curve=green_zero_in_may),
             labels=[["c1", "2020", "tillage_ratio", "0.4"]],
         )
-        values, causes = build_tillage_features(
-            load_dataset(bundle), "c1", 2020, TaskConfig(task="tillage_ratio"))
+        ds = load_dataset(bundle)
+        row_causes = [set()]
+        cells = featurize._tillage_cells(ds, ds.labels, TaskConfig(task="tillage_ratio"),
+                                         row_causes)
+        values = dict(zip(tillage_feature_names(), cells[0].tolist()))
         assert values["GCVI_apr_min"] == values["GCVI_jun_max"] == 1.0
         assert math.isnan(values["GCVI_may_min"]) and math.isnan(values["GCVI_may_max"])
-        assert causes == {"missing_month"}
+        assert row_causes == [{"missing_month"}]
+
+    @pytest.mark.parametrize("spec, cfg, derived", [
+        (SynthSpec(n_counties=3, years=(2018, 2019, 2020)),
+         TaskConfig(task="yield", crop="corn"), (B.NDVI, B.GCVI)),
+        (SynthSpec(n_counties=1, fields_per_county=3, years=(2019, 2020, 2021),
+                   tasks=("covercrop_class",)),
+         TaskConfig(task="covercrop_class"), (B.NDVI, B.GCVI)),
+        (SynthSpec(n_counties=3, years=(2019, 2020), tasks=("tillage_ratio",)),
+         TaskConfig(task="tillage_ratio"), (B.NDVI, B.GCVI, B.NDTI, B.STI, B.CRC)),
+    ], ids=["yield", "covercrop", "tillage"])
+    def test_each_unit_series_derived_once(self, tmp_path, monkeypatch, spec, cfg, derived):
+        generate(spec, seed=11, out_dir=tmp_path)
+        ds = load_dataset(tmp_path)
+        years = Counter(rec.unit_id for rec in ds.labels if rec.task == cfg.task)
+        assert min(years.values()) >= 2
+        calls = Counter()
+        derive = featurize.derive_index_series
+
+        def counted(raw, band, **kwargs):
+            calls[next(iter(raw.values())).unit_id, band] += 1
+            return derive(raw, band, **kwargs)
+
+        monkeypatch.setattr(featurize, "derive_index_series", counted)
+        assemble_table(ds, cfg)
+        assert calls == {(unit, band): 1 for unit in years for band in derived}
 
     def test_every_cell_finite(self, complete_dataset):
         for cfg in (

@@ -10,6 +10,7 @@ benchmark's modules are loaded read-only: no bytecode is written next to them.
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import agribench
@@ -53,8 +54,9 @@ def test_every_trace_target_resolves_in_src(monkeypatch):
     assert _listing() == before
 
 
-# Tiny RS assemblies and the harmonics targets each must reach: yield reads
-# phenology from its fits, cover crop reads fitted-curve monthly extrema.
+# Tiny RS assemblies and the targets each must reach: yield reads phenology
+# from its fits, cover crop reads fitted-curve monthly extrema, tillage reads
+# raw-observation monthly extrema of raw and derived bands.
 RS_ASSEMBLIES = {
     "yield": (SynthSpec(n_counties=2, years=(2020,)),
               TaskConfig(task="yield", crop="corn"),
@@ -63,13 +65,17 @@ RS_ASSEMBLIES = {
                             tasks=("covercrop_class",)),
                   TaskConfig(task="covercrop_class"),
                   {"fit_harmonic", "monthly_extrema"}),
+    "tillage": (SynthSpec(n_counties=2, years=(2020,), tasks=("tillage_ratio",)),
+                TaskConfig(task="tillage_ratio"),
+                {"derive_index_series", "monthly_extrema"}),
 }
 
 
 def test_rs_assemblies_call_every_featurize_target(monkeypatch, tmp_path):
-    """Each ``agribench.featurize.*`` target is called by a tiny yield-RS or
-    cover-crop-RS assembly, and each assembly calls the harmonics targets of
-    its feature set, through the wrappers perfbench installs."""
+    """Each ``agribench.featurize.*`` target is called by a tiny yield-RS,
+    cover-crop-RS or tillage-RS assembly, each assembly calls the targets of
+    its feature set, and an AEF assembly calls none, through the wrappers
+    perfbench installs."""
     before = _listing()
     tracing, layers = _load_tracing_and_layers(monkeypatch)
     prefix = "agribench.featurize."
@@ -78,18 +84,22 @@ def test_rs_assemblies_call_every_featurize_target(monkeypatch, tmp_path):
                  if path.startswith(prefix) and name.startswith("harmonics.")}
     assert harmonics == {"fit_harmonic", "phenology_metrics", "monthly_extrema"}
 
-    called = {}
-    for key, (spec, cfg, expected) in RS_ASSEMBLIES.items():
-        generate(spec, seed=5, out_dir=tmp_path / key)
-        dataset = load_dataset(tmp_path / key)
-        tracer = tracing.Tracer(key)
+    def called_targets(dataset, cfg):
+        tracer = tracing.Tracer(cfg.task)
         undo, missing = tracing.install(tracer, [(path, path, None) for path in paths])
         try:
             assemble_table(dataset, cfg)
         finally:
             tracing.uninstall(undo)
         assert missing == []
-        called[key] = {span.name[len(prefix):] for span in tracer.spans}
+        return {span.name[len(prefix):] for span in tracer.spans}
+
+    called = {}
+    for key, (spec, cfg, expected) in RS_ASSEMBLIES.items():
+        generate(spec, seed=5, out_dir=tmp_path / key)
+        dataset = load_dataset(tmp_path / key)
+        called[key] = called_targets(dataset, cfg)
         assert expected <= called[key], key
+        assert called_targets(dataset, replace(cfg, feature_set="AEF")) == set(), key
     assert set().union(*called.values()) == {path[len(prefix):] for path in paths}
     assert _listing() == before

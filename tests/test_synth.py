@@ -38,6 +38,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="years must not repeat"):
             SynthSpec(years=(2020, 2019, 2020))
 
+    def test_non_finite_label_weight(self):
+        # The CLI sets one weight of 1.0; other weights reach only the API.
+        with pytest.raises(ValueError, match="^label weight of NDVI_peak must be finite"):
+            SynthSpec(label_weights={"GCVI_peak": 1.0, "NDVI_peak": float("inf")})
+
 
 class TestGeneration:
     @pytest.mark.parametrize("spec", [
