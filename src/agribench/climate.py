@@ -68,7 +68,9 @@ def monthly_gdd(
     them. Missing calendar days simply contribute nothing (their absence
     shows up in ``month_coverage``). The hourly terms are summed in day, then
     hour order with a sequential cumulative sum, so the total equals the
-    literal double loop bit for bit.
+    literal double loop bit for bit. Thresholds far enough apart overflow
+    the sum to ``inf`` without a warning, and the feature table's finite
+    check names the cell.
     """
     _check_nonempty(days)
     mid = (days.tmax + days.tmin) / 2.0
@@ -76,8 +78,9 @@ def monthly_gdd(
     hourly = mid[:, None] + amp[:, None] * np.array(_HOURLY_SIN)
     terms = np.maximum(np.minimum(hourly - thresholds.t_base,
                                   thresholds.t_cap - thresholds.t_base), 0.0)
-    # Adding 0.0 turns an all-(-0.0) sum into the loop's 0.0.
-    total = 0.0 + float(np.cumsum(terms.ravel())[-1])
+    with np.errstate(over="ignore"):
+        # Adding 0.0 turns an all-(-0.0) sum into the loop's 0.0.
+        total = 0.0 + float(np.cumsum(terms.ravel())[-1])
     return total / 24.0 if gdd_per_day else total
 
 

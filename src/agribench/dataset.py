@@ -24,8 +24,18 @@ count, a cell that does not parse), then the first line any rule flags,
 each rule being one vectorized row mask. ``units.csv`` and ``labels.csv``
 are small and read row by row, their rules living in ``UnitMeta`` and
 ``LabelRecord``.
+
+A bulk file's body is first checked in chunks: an incremental UTF-8 decoder
+must accept it, with no NUL byte, or ``csv.reader`` reads it and names the
+line. ``np.loadtxt`` then reads the text columns (``unit_id``, ``band``,
+``date``) as byte strings holding each cell's UTF-8 bytes, one byte a
+character for ASCII, and unit ids and band names are matched as UTF-8
+bytes. Dates are found by arithmetic on their ten bytes, with no Python
+call per date, and rows a key already holds in time order are not sorted
+again.
 """
 
+import codecs
 import csv
 import io
 import math
@@ -309,56 +319,69 @@ def _check_unit(units: dict[str, UnitMeta], unit_id: str, filename: str, line: i
 
 
 # Every band name a bundle may use, sorted for np.searchsorted.
-_BAND_NAMES = np.array(sorted(band.value for band in SpectralBand))
+_BAND_NAMES = sorted(band.value for band in SpectralBand)
 _BAND_IS_RAW = np.array([SpectralBand(name).is_raw for name in _BAND_NAMES])
 # Parsers of the number columns of the bulk files, keyed by np.loadtxt dtype.
 _PARSERS = {"f8": _parse_number, "i8": _parse_int}
+# Bytes of the body that _read_table checks at a time.
+_CHUNK = 1 << 16
 
 
 def _text_dtype(names) -> str:
-    """A string dtype one character wider than the longest of ``names``.
+    """A byte-string dtype one byte wider than the longest of ``names`` in UTF-8.
 
-    np.loadtxt cuts text to the dtype's width; the extra character keeps a
+    np.loadtxt cuts text to the dtype's width; the extra byte keeps a
     longer unknown value (``c1x`` against ``c1``) from matching a name.
     """
-    return f"U{max(map(len, names), default=0) + 1}"
+    return f"S{max((len(name.encode()) for name in names), default=0) + 1}"
 
 
 def _read_table(path: Path, columns: list) -> np.ndarray | None:
     """The data rows of a bundle file as one structured array (one np.loadtxt call).
 
-    ``columns`` lists ``(name, dtype)`` in header order. Returns None when
+    ``columns`` lists ``(name, dtype)`` in header order; text columns are
+    byte strings holding each cell's UTF-8 bytes. Returns None when
     csv.reader must tokenize the file instead: a header other than the
     column names, no data rows, a NUL byte (numpy drops trailing NULs from
     text, so ``c1\\0`` would read as ``c1``), bytes that are not UTF-8 or a
-    row np.loadtxt refuses. np.loadtxt does no CSV quoting and, with
-    ``comments=None``, keeps ``#`` rows, so a quoted or commented cell stays
-    as written and fails a later check.
+    row np.loadtxt refuses. The body is checked one chunk at a time, with an
+    incremental UTF-8 decoder, and np.loadtxt then reads it as Latin-1, which
+    maps each byte to one character and back. np.loadtxt does no CSV quoting
+    and, with ``comments=None``, keeps ``#`` rows, so a quoted or commented
+    cell stays as written and fails a later check.
     """
     with open(path, "rb") as fh:
-        first = fh.readline()
-        body = fh.read()
-    if (first.rstrip(b"\r\n") != ",".join(name for name, _ in columns).encode()
-            or not body or body.isspace() or b"\0" in body):
+        if fh.readline().rstrip(b"\r\n") != ",".join(name for name, _ in columns).encode():
+            return None
+        utf8, blank = codecs.getincrementaldecoder("utf-8")(), True
+        try:
+            for chunk in iter(lambda: fh.read(_CHUNK), b""):
+                if b"\0" in chunk:
+                    return None
+                utf8.decode(chunk)
+                blank = blank and chunk.isspace()
+            utf8.decode(b"", final=True)
+        except UnicodeDecodeError:
+            return None
+    if blank:
         return None
-    del body
     try:
         with warnings.catch_warnings():
             # numpy before 2.0 reads "2020.5" into an integer column as 2020,
             # with only this warning; as an error it refuses the file.
             warnings.simplefilter("error", DeprecationWarning)
             return np.loadtxt(path, dtype=columns, delimiter=",", comments=None,
-                              skiprows=1, ndmin=1, encoding="utf-8")
-    except (ValueError, DeprecationWarning):  # UnicodeDecodeError included
+                              skiprows=1, ndmin=1, encoding="latin-1")
+    except (ValueError, DeprecationWarning):
         return None
 
 
 def _read_cells(path: Path, columns: list) -> tuple[list[int], dict[str, np.ndarray]]:
     """The line of each data row and the cells of each column, read by csv.reader.
 
-    Text cells stay whole in object arrays, so ``c1xyz`` is not cut to the
-    dtype's width and ``c1\\0`` keeps its NUL. Number cells are parsed row
-    by row, so the first cell that is not a number names its line.
+    Text cells stay whole ``str`` in object arrays, so ``c1xyz`` is not cut
+    to the dtype's width and ``c1\\0`` keeps its NUL. Number cells are
+    parsed row by row, so the first cell that is not a number names its line.
     """
     lines, rows = [], []
     for line, row in _read_rows(path, tuple(name for name, _ in columns)):
@@ -379,8 +402,8 @@ def _load_columns(path: Path, columns: list, build):
     line one of its rules flags. np.loadtxt tokenizes the file in one call;
     if it or ``build`` refuses those cells, csv.reader tokenizes the file
     again and ``build`` runs on its cells. Those carry the true lines
-    (np.loadtxt skips blank rows) and text as CSV reads it: unquoted, whole
-    and with NULs.
+    (np.loadtxt skips blank rows) and text as CSV reads it: unquoted, whole,
+    with NULs and as ``str``, so only they word an error.
     """
     table = _read_table(path, columns)
     if table is not None:
@@ -406,43 +429,76 @@ def _check(filename: str, lines, rules: list) -> None:
         raise BundleValidationError(filename, int(lines[row]), message(row))
 
 
-def _lookup(column: np.ndarray, names: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lookup(column: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Each cell's index in the sorted ``names`` (a valid index even for an
-    unknown cell) and the mask of cells that are one of ``names``."""
-    if not len(names):
+    unknown cell) and the mask of cells that are one of ``names``.
+
+    Byte-string cells are matched against the names' UTF-8 bytes, which sort
+    in the same order as the names, and ``str`` cells against the names.
+    """
+    if not names:
         return np.zeros(len(column), dtype=np.intp), np.zeros(len(column), dtype=bool)
-    codes = np.minimum(np.searchsorted(names, column), len(names) - 1)
-    return codes, names[codes] == column
+    keys = np.array([name.encode() for name in names] if column.dtype.kind == "S" else names)
+    codes = np.minimum(np.searchsorted(keys, column), len(keys) - 1)
+    return codes, keys[codes] == column
 
 
 def _unit_rule(column: np.ndarray, units: dict[str, UnitMeta]):
     """The sorted unit ids, each cell's index in them, and the unknown-unit rule."""
-    unit_ids = np.array(sorted(units))
+    unit_ids = sorted(units)
     codes, known = _lookup(column, unit_ids)
     return unit_ids, codes, (~known, lambda row: _unknown_unit(column[row]))
 
 
-def _iso_ordinal(text: str) -> int:
-    """The day ordinal of ``text`` written exactly ``YYYY-MM-DD``, else 0.
+# Days in each month of a common year and the days of the year before each
+# month; index 0 stands for a cell whose month is no month.
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+_DAYS_BEFORE_MONTH = np.concatenate([[0, 0], np.cumsum(_MONTH_DAYS[1:12])]).astype(np.int32)
 
-    ``date.fromisoformat`` reads other forms too from Python 3.11
-    (``20200101``, the week date ``2020-W01-1``), so the day written back
-    must equal the cell.
+
+def _iso_days(cells: np.ndarray) -> np.ndarray:
+    """Day ordinals (``date.toordinal()``) of byte-string cells written
+    exactly ``YYYY-MM-DD``, else 0.
+
+    A cell is a date when it has ASCII digits and dashes in place and only
+    NUL padding after them, a year from 1, a month from 1 to 12 and a day of
+    that month, February 29 in leap years only. Other forms that
+    ``date.fromisoformat`` reads from Python 3.11 (``20200101``, the week
+    date ``2020-W01-1``) are no dates. An ordinal counts the days of the
+    years before (leap days included), of the months before and of the month.
     """
-    try:
-        day = date.fromisoformat(text)
-    except ValueError:
-        return 0
-    return day.toordinal() if day.isoformat() == text else 0
+    if cells.dtype.itemsize < 10:
+        return np.zeros(len(cells), dtype=np.int64)
+    raw = cells[:, None].view(np.uint8)  # one row of bytes per cell
+    ok = (raw[:, 4] == ord("-")) & (raw[:, 7] == ord("-")) & ~raw[:, 10:].any(axis=1)
+    year, month, day = (np.zeros(len(cells), dtype=np.int32) for _ in range(3))
+    for value, positions in ((year, (0, 1, 2, 3)), (month, (5, 6)), (day, (8, 9))):
+        for i in positions:
+            digit = raw[:, i] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+            ok &= digit <= 9
+            value *= 10
+            value += digit
+    month[~ok | (month > 12)] = 0
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok &= (year > 0) & (month > 0) & (day > 0) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
+    year -= 1
+    days = year.astype(np.int64) * 365
+    days += year // 4 - year // 100 + year // 400
+    days += _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day
+    days[~ok] = 0
+    return days
 
 
 def _date_rule(column: np.ndarray):
     """Day ordinals of the cells (0 where a cell is no date) and the date rule.
 
-    Each distinct cell is parsed once: bundle rows share few dates.
+    ``str`` cells (csv.reader's) are encoded first; a cell that is not ten
+    ASCII characters cannot be a date and reads as empty.
     """
-    text, rows = np.unique(column, return_inverse=True)
-    days = np.array([_iso_ordinal(cell) for cell in text.tolist()], dtype=np.int64)[rows]
+    cells = column if column.dtype.kind == "S" else np.array(
+        [cell.encode() if len(cell) == 10 and cell.isascii() else b""
+         for cell in column.tolist()], dtype="S10")
+    days = _iso_days(cells)
     return days, (days == 0, lambda row: f"column 'date': not an ISO date: {column[row]!r}")
 
 
@@ -456,8 +512,15 @@ def _groups(keys: np.ndarray, times: np.ndarray):
     Returns ``(order, runs, repeats)``: ``order`` sorts the rows (stably),
     ``runs`` lists ``(key, start, stop)`` slices of the sorted rows in order
     of each key's first row in the file, and ``repeats`` flags every row
-    whose key and time an earlier row of the file has.
+    whose key and time an earlier row of the file has. ``order`` is None
+    when the rows are sorted already: each key's rows form one run, in
+    strictly increasing time, as the generator writes them.
     """
+    boundary = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(np.concatenate([[len(keys) > 0], boundary]))
+    if len(np.unique(keys[starts])) == len(starts) and (boundary | (times[1:] > times[:-1])).all():
+        stops = np.append(starts[1:], len(keys))
+        return None, list(zip(keys[starts], starts, stops)), np.zeros(len(keys), dtype=bool)
     order = np.lexsort((times, keys))
     sorted_keys, sorted_times = keys[order], times[order]
     repeats = np.zeros(len(keys), dtype=bool)
@@ -467,6 +530,11 @@ def _groups(keys: np.ndarray, times: np.ndarray):
     starts = np.searchsorted(sorted_keys, unique)
     stops = np.searchsorted(sorted_keys, unique, side="right")
     return order, [(unique[i], starts[i], stops[i]) for i in np.argsort(first)], repeats
+
+
+def _in_order(column: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """``column`` sorted by ``_groups``' order, as one contiguous array."""
+    return np.ascontiguousarray(column) if order is None else column[order]
 
 
 def _load_units(path: Path) -> dict[str, UnitMeta]:
@@ -515,10 +583,10 @@ def _load_observations(
             (_BAND_IS_RAW[band_codes] & ((values < 0.0) | (values > RAW_REFLECTANCE_MAX)),
              lambda row: _outside_raw_range(band[row])),
         ])
-        days, values = days[order], values[order]
+        days, values = _in_order(days, order), _in_order(values, order)
         series: dict[tuple[str, SpectralBand], ObservationSeries] = {}
         for key, start, stop in runs:
-            unit = str(unit_ids[key // len(_BAND_NAMES)])
+            unit = unit_ids[key // len(_BAND_NAMES)]
             spectral_band = SpectralBand(_BAND_NAMES[key % len(_BAND_NAMES)])
             series[(unit, spectral_band)] = ObservationSeries(
                 unit_id=unit, band=spectral_band,
@@ -528,7 +596,7 @@ def _load_observations(
 
     return _load_columns(path, [
         ("unit_id", _text_dtype(units)), ("band", _text_dtype(_BAND_NAMES)),
-        ("date", "U11"), ("value", "f8"),
+        ("date", "S11"), ("value", "f8"),
     ], build)
 
 
@@ -549,15 +617,15 @@ def _load_climate(path: Path, units: dict[str, UnitMeta]) -> dict[str, ClimateSe
             (tmin > tmax, lambda row: f"tmin {tmin[row]} > tmax {tmax[row]}"),
             (ppt < 0, lambda row: f"negative precipitation {ppt[row]}"),
         ])
-        days, tmin, tmax, ppt = days[order], tmin[order], tmax[order], ppt[order]
+        days, tmin, tmax, ppt = (_in_order(column, order) for column in (days, tmin, tmax, ppt))
         return {
-            str(unit_ids[code]): ClimateSeries(days[start:stop], tmin[start:stop],
-                                               tmax[start:stop], ppt[start:stop])
+            unit_ids[code]: ClimateSeries(days[start:stop], tmin[start:stop],
+                                          tmax[start:stop], ppt[start:stop])
             for code, start, stop in runs
         }
 
     return _load_columns(path, [
-        ("unit_id", _text_dtype(units)), ("date", "U11"),
+        ("unit_id", _text_dtype(units)), ("date", "S11"),
         ("tmin_c", "f8"), ("tmax_c", "f8"), ("ppt_mm", "f8"),
     ], build)
 
@@ -577,7 +645,7 @@ def _load_embeddings(
                                   f"year {years[row]}"),
             (bad.any(axis=1), lambda row: _non_finite(EMBEDDING_COLUMNS[bad[row].argmax()])),
         ])
-        return {(str(unit_ids[code]), int(year)): vector
+        return {(unit_ids[code], int(year)): vector
                 for code, year, vector in zip(unit_codes, years, matrix)}
 
     return _load_columns(path, [("unit_id", _text_dtype(units)), ("year", "i8")]

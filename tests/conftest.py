@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -5,6 +7,20 @@ import numpy as np
 import pytest
 
 from agribench.dataset import ClimateSeries, EMBEDDING_COLUMNS, ObservationSeries, SpectralBand
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def perfbench_workloads() -> dict:
+    """perfbench's workload table, loaded without writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    return module.WORKLOADS
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:

@@ -1,12 +1,17 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
 from agribench.cli import KNOWN_KEYS, ConfigError, RunConfig, execute, main, parse_config_file
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 BUNDLE_CFG = """
 # synthetic bundle for CLI tests
 out_dir={out}
@@ -233,13 +238,22 @@ def test_bad_gdd_thresholds_are_named_errors(bundle, tmp_path, capsys):
     assert execute("featurize", None, base + ["task.gdd_base=-inf", "task.gdd_cap=inf"]) == 1
     assert capsys.readouterr().err == (
         "error: featurize: GDD thresholds must be finite, got t_base -inf, t_cap inf\n")
-    # Finite thresholds this wide overflow the monthly GDD sum.
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        status = execute("featurize", None,
-                         base + ["task.gdd_base=-1e308", "task.gdd_cap=1e308"])
-    assert status == 1
-    assert capsys.readouterr().err.startswith(
-        "error: featurize: column 'gdd_may' is not finite for (unit_id, year) (")
+    assert not (tmp_path / "features.csv").exists()
+
+
+def test_overflowing_gdd_sum_is_one_named_error(bundle, tmp_path):
+    """Finite thresholds this wide overflow the monthly GDD sum. The command,
+    run as a user runs it, prints the table's finite check and no numpy
+    warning."""
+    settings = [f"bundle={bundle}", "task.name=yield", "task.crop=corn", f"out_dir={tmp_path}",
+                "task.gdd_base=-1e308", "task.gdd_cap=1e308"]
+    done = subprocess.run(
+        [sys.executable, "-m", "agribench.cli", "featurize",
+         *(arg for setting in settings for arg in ("--set", setting))],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (done.returncode, done.stderr) == (1, (
+        "error: featurize: column 'gdd_may' is not finite for (unit_id, year) ('IA005', 2019)\n"))
     assert not (tmp_path / "features.csv").exists()
 
 

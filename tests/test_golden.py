@@ -23,7 +23,6 @@ and says in its change notes which entries changed and why.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import platform
@@ -33,28 +32,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import perfbench_workloads
 
 from agribench.cli import execute
 from agribench.dataset import TASKS
 from agribench.synth import SynthSpec, generate
 
-ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 OUTPUTS = ("features.csv", "model.json", "importance.csv", "report.csv", "report.json")
 COMMANDS = ("featurize", "train", "benchmark")
 MATRIX = ("model.n_trees=20", "scheme.k=3", "n_repeats=2", "base_seed=17")
-
-
-def _workloads() -> dict:
-    """perfbench's workload table, loaded without writing bytecode beside it."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = writes
-    return module.WORKLOADS
 
 
 def bundles_and_cases() -> tuple[dict, dict]:
@@ -78,7 +65,7 @@ def bundles_and_cases() -> tuple[dict, dict]:
     cases["yield-RS-RF-sqrt"] = (
         "corn", cases["yield-RS-RF"][1] + ("model.max_features=sqrt",)
     )
-    for name, workload in _workloads().items():
+    for name, workload in perfbench_workloads().items():
         bundles[name] = (SynthSpec(**workload.synth), 1)
         cases[name] = (name, (*workload.settings, "base_seed=1"))
     return bundles, cases
