@@ -457,8 +457,8 @@ _DAYS_BEFORE_MONTH = np.concatenate([[0, 0], np.cumsum(_MONTH_DAYS[1:12])]).asty
 
 
 def _iso_days(cells: np.ndarray) -> np.ndarray:
-    """Day ordinals (``date.toordinal()``) of byte-string cells written
-    exactly ``YYYY-MM-DD``, else 0.
+    """Day ordinals (``date.toordinal()``) of byte-string cells, at least ten
+    bytes wide, written exactly ``YYYY-MM-DD``, else 0.
 
     A cell is a date when it has ASCII digits and dashes in place and only
     NUL padding after them, a year from 1, a month from 1 to 12 and a day of
@@ -467,18 +467,16 @@ def _iso_days(cells: np.ndarray) -> np.ndarray:
     date ``2020-W01-1``) are no dates. An ordinal counts the days of the
     years before (leap days included), of the months before and of the month.
     """
-    if cells.dtype.itemsize < 10:
-        return np.zeros(len(cells), dtype=np.int64)
     raw = cells[:, None].view(np.uint8)  # one row of bytes per cell
     ok = (raw[:, 4] == ord("-")) & (raw[:, 7] == ord("-")) & ~raw[:, 10:].any(axis=1)
     year, month, day = (np.zeros(len(cells), dtype=np.int32) for _ in range(3))
     for value, positions in ((year, (0, 1, 2, 3)), (month, (5, 6)), (day, (8, 9))):
         for i in positions:
-            digit = raw[:, i] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+            digit = raw[:, i] - np.uint8(ord("0"))  # any byte but a digit reads above 9
             ok &= digit <= 9
             value *= 10
             value += digit
-    month[~ok | (month > 12)] = 0
+    month[month > 12] = 0  # no month; keeps the table lookups in range
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     ok &= (year > 0) & (month > 0) & (day > 0) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
     year -= 1

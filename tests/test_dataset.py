@@ -255,7 +255,7 @@ def test_date_rule_equals_fromisoformat(cells):
     as_bytes = np.array([cell.encode() for cell in cells], dtype="S11")
     as_text = np.array(cells, dtype=object)
     for column in (as_bytes, as_text):
-        days, (refused, message) = dataset._date_rule(column)
+        days, (refused, _) = dataset._date_rule(column)
         assert days.dtype == np.int64
         assert days.tolist() == wanted
         assert refused.tolist() == [day == 0 for day in wanted]
@@ -717,9 +717,10 @@ def test_load_parses_only_the_named_files(tmp_bundle):
 
 def test_load_holds_close_to_the_size_of_its_data(tmp_path):
     """Loading the covercrop-rs-rfc bundle at seed 1 (73,050 climate and
-    17,418 observation rows) peaked at 16.6 MB with UCS-4 text columns,
-    per-date ``np.unique`` and the whole body read at once. Byte-string
-    columns and arithmetic dates hold about 7 MB."""
+    17,418 observation rows) peaked at 17.3 MB with UCS-4 text columns,
+    per-date ``np.unique`` and the whole body read at once, and at 17.7 MB
+    with only the text columns put back. Byte-string columns, arithmetic
+    dates and no sort of the time-ordered climate rows hold 6.9 MB."""
     spec = SynthSpec(**perfbench_workloads()["covercrop-rs-rfc"].synth)
     generate(spec, seed=1, out_dir=tmp_path)
     tracemalloc.start()
