@@ -39,6 +39,7 @@ import codecs
 import csv
 import io
 import math
+import unicodedata
 import warnings
 from collections.abc import Collection
 from dataclasses import dataclass, field
@@ -543,6 +544,11 @@ def _load_units(path: Path) -> dict[str, UnitMeta]:
         unit_id, level, state, county_id, ecoregion, elevation = row
         if unit_id in units:
             raise BundleValidationError(name, line, f"duplicate unit_id {unit_id!r}")
+        if any(unicodedata.category(ch) == "Cc" for ch in unit_id):
+            # The bulk loaders match ids as numpy strings, which drop trailing NULs.
+            raise BundleValidationError(
+                name, line, f"unit_id {unit_id!r} holds a control character"
+            )
         if not ecoregion:
             ecoregion = default_ecoregion(state)
         try:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import CLASSIFICATION_TASKS, Dataset, UnitMeta
 from .featurize import FeatureTable, TaskConfig, assemble_table, config_fingerprint
-from .models import ModelSpec, predict, train
+from .models import ModelSpec, boost_folds, predict, train
 from .seeding import derive_seed
 
 SCHEMES = ("group_cv", "yearly_cv", "scale_transfer", "space_transfer")
@@ -247,15 +247,27 @@ def _fit_and_score(
     repeat_seed: int,
     threads: int,
 ):
-    """Train/evaluate every fold; returns per-fold metrics and pooled pairs."""
+    """Train/evaluate every fold; returns per-fold metrics and pooled pairs.
+
+    Gradient-boosted folds are fit together in one ``boost_folds`` call;
+    random-forest folds are fit one at a time, each dropped once scored.
+    """
+    seeds = [derive_seed(repeat_seed, label) for label in plan.fold_labels]
+    if model_spec.kind == "GBT":
+        models = boost_folds(
+            model_spec, table, table.labels,
+            [(seed, train_ids) for seed, (train_ids, _) in zip(seeds, plan.folds)],
+        )
+    else:
+        models = (
+            train(replace(model_spec, seed=seed), table.select(train_ids),
+                  table.labels[train_ids], threads=threads)
+            for seed, (train_ids, _) in zip(seeds, plan.folds)
+        )
     per_fold = {}
     pooled_truth = []
     pooled_pred = []
-    for label, (train_ids, test_ids) in zip(plan.fold_labels, plan.folds):
-        if test_ids.size == 0:
-            raise SplitError(f"fold {label}: empty test set")
-        spec = replace(model_spec, seed=derive_seed(repeat_seed, label))
-        model = train(spec, table.select(train_ids), table.labels[train_ids], threads=threads)
+    for label, (_, test_ids), model in zip(plan.fold_labels, plan.folds, models):
         pred = predict(model, table.select(test_ids))
         truth = table.labels[test_ids]
         per_fold[label] = metrics_for_task(table.task, truth, pred)
@@ -281,6 +293,8 @@ def run_benchmark(
     """Run the repeated evaluation protocol and assemble the metric report."""
     if n_repeats < 1:
         raise ValueError(f"n_repeats must be at least 1, got {n_repeats}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     expected = model_task_for(task_cfg.task)
     if model_spec.task != expected:
         raise ValueError(

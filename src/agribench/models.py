@@ -24,8 +24,8 @@ Random Forests, 2001): leaf values, split statistics and impurity
 decreases are weighted sums, and ``min_samples_leaf`` counts drawn rows.
 With 0/1 labels every such sum is exact, so a classification tree is the
 tree grown on the rows repeated, bit for bit; a regression tree's sums
-round differently. Gradient boosting grows on every row once, unweighted.
-Random forest trees grow in batches sized so that one level of a batch
+round differently. Gradient boosting grows on each training row once,
+unweighted. Random forest trees grow in batches sized so that one level of a batch
 searches at most ``_BATCH_CELLS`` (drawn row, searched column) cells; the
 trees of a batch read the fit's one presorted matrix through their row
 ids, with no per-tree copy of X or y. With ``threads > 1`` batches run on
@@ -35,7 +35,12 @@ Gradient boosting fits each tree to the negative gradient of squared loss
 (regression) or logistic loss (classification) and adds it with shrinkage,
 taking each training row's leaf value from the grower; with
 mean-of-gradient leaf values the training loss is non-increasing for any
-learning rate in (0, 1].
+learning rate in (0, 1]. ``boost_folds`` boosts the folds of a
+cross-validation repeat together: round ``t`` of every fold grows in one
+grower pass (folds grouped under the same cell budget), each fold's tree a
+subset tree that reads only the fold's rows and residuals, unweighted. A
+level then pays its fixed per-call cost once for all folds, and each
+fold's model is the model ``train`` fits on the fold's rows, bit for bit.
 
 Feature importance is mean decrease in impurity: per-feature impurity
 decreases weighted by node size (drawn rows), summed within each tree,
@@ -45,7 +50,7 @@ averaged across trees, and normalized to sum one.
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -171,12 +176,18 @@ class _Presorted:
         x_sorted = self.x_flat.take(self.columns_sorted + (columns * n)[:, None])
         self.distinct = not (x_sorted[:, 1:] == x_sorted[:, :-1]).any()
 
-    def root_block(self, counts: np.ndarray | None) -> np.ndarray:
-        """Each column's sorted rows; with ``counts``, only the rows drawn."""
+    def root_block(self, counts: list) -> np.ndarray:
+        """Each column's sorted rows for the trees of ``_grow_trees``'s ``counts``.
+
+        ``[None]`` gives every row; otherwise tree ``t`` gives only the rows
+        it holds, offset by ``t * n_rows``.
+        """
         block = self.columns_sorted.ravel()
-        if counts is None:
+        if counts[0] is None:
             return block
-        return block.compress(counts[block] > 0)
+        return np.concatenate([
+            block.compress(c[block] > 0) + t * self.n_rows for t, c in enumerate(counts)
+        ])
 
     def sort_rows(self, local_rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """Sort each column of ``local_rows[slot, node]`` by ``columns[node]``.
@@ -290,36 +301,45 @@ def _size_groups(sizes: np.ndarray, n_columns: int) -> list[slice]:
     return [slice(0, cut + 1), slice(cut + 1, None)]
 
 
-def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classification):
+def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classification,
+                block=None):
     """Grow one CART tree per entry of ``counts``, all together, level by level.
 
-    ``counts[t]`` gives each row's multiplicity in tree ``t``'s sample (a
-    bootstrap). The tree holds each drawn row once, weighted by its count:
-    leaf values, node totals, split counts, impurities and the
-    ``min_leaf`` tests are all over weights, so a tree with integer labels
-    is the tree grown on the rows repeated. ``[None]`` grows one tree over
-    every row once, unweighted. ``rngs[t]`` draws tree ``t``'s candidate
-    features when ``max_features`` is ``"sqrt"``: at each level one key per
-    (node, feature) for its nodes in creation order, a node's candidates
-    being its smallest keys. Returns ``(Tree, importance, fitted)`` per
+    ``counts[t]`` picks tree ``t``'s rows. ``[None]`` grows one tree over
+    every row once, unweighted. A boolean mask grows a subset tree: the
+    masked rows once each, unweighted, bit for bit the tree ``[None]``
+    grows on ``X[mask]``. Integer counts are a bootstrap, each row's
+    multiplicity in tree ``t``'s sample. The tree holds each drawn row
+    once, weighted by its count: leaf values, node totals, split counts,
+    impurities and the ``min_leaf`` tests are all over weights, so a tree
+    with integer labels is the tree grown on the rows repeated. ``y`` is
+    one row of labels that every tree reads, or a ``(trees, rows)`` array
+    whose row ``t`` tree ``t`` reads. ``rngs[t]`` draws tree ``t``'s
+    candidate features when ``max_features`` is ``"sqrt"``: at each level
+    one key per (node, feature) for its nodes in creation order, a node's
+    candidates being its smallest keys. A split's impurity decrease is
+    weighted by its node's weight over the tree's own sample size.
+    ``block`` is the trees' ``_Presorted.root_block``, when the caller
+    keeps it across calls. Returns ``(Tree, importance, fitted)`` per
     tree; each tree comes out as if grown alone. ``fitted`` is each row's
-    leaf value for a tree over every row once, ``None`` for a bootstrap
-    tree.
+    leaf value in an unweighted tree (0 for a row outside a subset tree),
+    ``None`` for a bootstrap tree.
 
     ``rows`` holds, node after node, the node's row ids in ascending order,
     and ``row_w`` their weights (``None`` when every row counts once, and a
     node's weight is then its size); every value is looked up in ``data`` by
-    row id, so trees share one copy of X and y, and ``draws`` holds tree
-    ``t``'s weight of row ``r`` at ``t * n_rows + r``. With every feature
-    searched, ``block`` holds each column's rows in ascending order of that
-    column, tree ``t``'s offset by ``t * n_rows`` so that one mask routes
-    every tree's rows, and the children's block is a stable partition of
-    the parent's by boolean masks: nothing is sorted after the fit's
-    presort. A sqrt search reads a few columns per node, so it sorts just
-    those by their presort ranks instead of partitioning every column.
-    All nodes of a level are searched together (``_best_splits``). Node ids
-    follow creation order: level by level, each split's left child before
-    its right.
+    row id, so trees share one copy of X, and ``draws`` holds tree ``t``'s
+    weight of row ``r`` at ``t * n_rows + r``. ``keys`` are the rows offset
+    that way by their tree, kept beside ``rows`` where trees must be told
+    apart. With every feature searched, ``block`` holds each column's rows
+    in ascending order of that column, tree ``t``'s offset by ``t *
+    n_rows`` so that one mask routes every tree's rows, and the children's
+    block is a stable partition of the parent's by boolean masks: nothing
+    is sorted after the fit's presort. A sqrt search reads a few columns
+    per node, so it sorts just those by their presort ranks instead of
+    partitioning every column. All nodes of a level are searched together
+    (``_best_splits``). Node ids follow creation order: level by level,
+    each split's left child before its right.
     """
     n_features, n_rows = data.n_features, data.n_rows
     n_candidates = _n_searched(max_features, n_features)
@@ -329,33 +349,39 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     may_tie = not data.distinct
     x_flat = data.x_flat
     n_trees = len(counts)
-    # Block entries of tree t are t * n_rows + its row ids.
-    offsets = range(0, n_trees * n_rows, n_rows)
-    if counts[0] is None:
-        rows, sizes, draws, row_w = data.row_ids, np.array([n_rows]), None, None
-        leaf = np.empty(n_rows, dtype=np.intp)  # each row's deepest node so far
+    labels = y.ravel()
+    per_tree = y.ndim == 2  # tree t's label of row r is at t * n_rows + r
+    every_row = counts[0] is None
+    bootstrap = not every_row and counts[0].dtype != bool
+    draws = row_w = None
+    if every_row:
+        rows, sizes = data.row_ids, np.array([n_rows])
     else:
         drawn = [np.flatnonzero(c) for c in counts]
         rows, sizes = np.concatenate(drawn), np.array([r.size for r in drawn])
+    if bootstrap:
         draws = np.concatenate(counts).astype(float)
         row_w = np.concatenate([c[r] for c, r in zip(counts, drawn)]).astype(float)
-        leaf = None
-    if partition:
-        block = data.root_block(counts[0])
-        if n_trees > 1:
-            block = np.concatenate([data.root_block(c) + at for at, c in zip(offsets, counts)])
+    sample_size = np.full(n_trees, n_rows) if bootstrap else sizes
+    if partition and block is None:
+        block = data.root_block(counts)
 
     capacity = 2 * rows.size - n_trees  # binary trees over their rows
     feature = np.full(capacity, -1, dtype=np.intp)
     threshold = np.zeros(capacity)
     left = np.full(capacity, -1, dtype=np.intp)
-    value = np.zeros(capacity)
+    value = np.zeros(capacity + 1)
     gain = np.zeros(capacity)
+    # Each (tree, row)'s deepest node so far; a row outside a subset tree
+    # keeps the last entry of value, 0.
+    leaf = None if bootstrap else np.full(n_trees * n_rows, capacity)
+    keyed = n_trees > 1 and (per_tree or partition or leaf is not None)
+    keys = rows + np.arange(0, n_trees * n_rows, n_rows).repeat(sizes) if keyed else rows
 
-    def settle(rows, row_w, sizes, ids, depth):
+    def settle(rows, keys, row_w, sizes, ids, depth):
         """Set leaf values; returns which nodes may split, their weights and
         their weighted label sums."""
-        ys = y[rows]
+        ys = labels[keys if per_tree else rows]
         starts = sizes.cumsum() - sizes
         if row_w is None:
             weights, weighted = sizes, ys
@@ -372,17 +398,18 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
         ])
         value[ids] = totals / weights
         if leaf is not None:
-            leaf[rows] = ids.repeat(sizes)
+            leaf[keys] = ids.repeat(sizes)
         return may_split, weights, totals
 
     ids = np.arange(n_trees)
     tree_of = ids
     n_made = n_trees
     depth = 0
-    may_split, weights, totals = settle(rows, row_w, sizes, ids, depth)
+    may_split, weights, totals = settle(rows, keys, row_w, sizes, ids, depth)
     if not may_split.all():
         keep = may_split.repeat(sizes)
         rows = rows.compress(keep)
+        keys = keys.compress(keep) if keyed else rows
         if row_w is not None:
             row_w = row_w.compress(keep)
         if partition:
@@ -398,12 +425,12 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             columns = None  # every node searches every column
             if not partition:
                 # Each tree draws for its nodes in creation (id) order.
-                per_tree = np.bincount(tree_of, minlength=n_trees).tolist()
-                keys = np.empty((n_nodes, n_features))
-                keys[np.argsort(ids)] = np.concatenate([
-                    rngs[t].random((k, n_features)) for t, k in enumerate(per_tree) if k
+                per_tree_nodes = np.bincount(tree_of, minlength=n_trees).tolist()
+                priority = np.empty((n_nodes, n_features))
+                priority[np.argsort(ids)] = np.concatenate([
+                    rngs[t].random((k, n_features)) for t, k in enumerate(per_tree_nodes) if k
                 ])
-                columns = np.sort(np.argsort(keys, axis=1)[:, :n_candidates], axis=1)
+                columns = np.sort(np.argsort(priority, axis=1)[:, :n_candidates], axis=1)
             best = np.empty(n_nodes)
             chosen = np.empty(n_nodes, dtype=np.intp)
             cut = np.empty(n_nodes)
@@ -414,37 +441,44 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 # Slot k of node j holds its row k; later slots repeat its
                 # last row (padding, never a valid split).
                 slot_row = np.minimum(np.arange(int(m[0]))[:, None], m - 1)
-                ws = None
                 if partition:
                     searched = data.all_columns
-                    if depth == 0 and draws is None:  # every row, once
+                    if depth == 0 and every_row:
                         search = data.columns_sorted.T[:, None, :]
                     else:
                         # Column f of node j starts at starts[j] * n_features + f * m[j].
                         first = (starts[sel] * n_features)[:, None] + searched * m[:, None]
                         search = block.take(first + slot_row[:, :, None])
-                        if draws is not None:
-                            ws = draws.take(search)
-                        if n_trees > 1:
-                            search -= (tree_of[sel] * n_rows)[:, None]
+                    # Block entries are keys: look up the weights and a
+                    # tree's own labels, then turn them into row ids.
+                    ws = None if draws is None else draws.take(search)
+                    ys = labels.take(search) if per_tree else None
+                    if n_trees > 1:
+                        search -= (tree_of[sel] * n_rows)[:, None]
                 else:
                     searched = columns[sel]
                     local = rows.take(starts[sel] + slot_row)
                     local[slot_row < np.arange(m[0])[:, None]] = n_rows
                     search = data.sort_rows(local, searched)
-                    if draws is not None:
-                        ws = draws.take(search + (tree_of[sel] * n_rows)[:, None])
+                    entries = search
+                    if n_trees > 1 and (per_tree or draws is not None):
+                        entries = search + (tree_of[sel] * n_rows)[:, None]
+                    ws = None if draws is None else draws.take(entries)
+                    ys = labels.take(entries) if per_tree else None
+                    del entries
                 ties = None
                 if may_tie:
                     xs = x_flat.take(search + searched * n_rows)
                     ties = np.zeros(xs.shape, dtype=bool)
                     np.greater_equal(xs[:-1], xs[1:], out=ties[:-1])
                     del xs
+                if ys is None:
+                    ys = labels.take(search)
                 best[sel], column, slot = _best_splits(
-                    y.take(search), ws, m, m if ws is None else weights[sel], totals[sel],
-                    ties, min_leaf, classification,
+                    ys, ws, m, m if ws is None else weights[sel], totals[sel], ties, min_leaf,
+                    classification,
                 )
-                del ties, ws
+                del ties, ws, ys
                 # Threshold: the midpoint of the values around the split,
                 # or the lower one when the midpoint rounds up to the upper.
                 nodes = np.arange(sel.size)
@@ -460,14 +494,15 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 break
 
             # Impurity decrease from the node's own sums, as scalars.
-            ys = y[rows]
+            ys = labels[keys if per_tree else rows]
             weighted = None if row_w is None else row_w * ys
             split_ids = ids[split_nodes]
             split_m = sizes[split_nodes].tolist()
             split_w = split_m if row_w is None else weights[split_nodes].tolist()
-            for node, start, m, w, total, cost in zip(
+            for node, start, m, w, total, cost, n_sample in zip(
                 split_ids.tolist(), starts[split_nodes].tolist(), split_m, split_w,
                 totals[split_nodes].tolist(), best[split_nodes].tolist(),
+                sample_size[tree_of[split_nodes]].tolist(),
             ):
                 if classification:
                     node_imp = 2.0 * total * (w - total) / (w * w)
@@ -479,7 +514,7 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     )
                     node_imp = total_sq / w - (total / w) ** 2
                     child_imp = (total_sq - cost) / w  # cost holds the bracket
-                gain[node] = w / n_rows * max(0.0, node_imp - child_imp)
+                gain[node] = w / n_sample * max(0.0, node_imp - child_imp)
             feature[split_ids] = chosen[split_nodes]
             threshold[split_ids] = cut[split_nodes]
             value[split_ids] = 0.0
@@ -500,11 +535,14 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             child_ids = np.concatenate([left_ids, left_ids + 1])
             to_right = ~go_left & in_split
             child_rows = np.concatenate([rows.compress(to_left), rows.compress(to_right)])
+            child_keys = child_rows
+            if keyed:
+                child_keys = np.concatenate([keys.compress(to_left), keys.compress(to_right)])
             if row_w is not None:
                 row_w = np.concatenate([row_w.compress(to_left), row_w.compress(to_right)])
             depth += 1
             may_split, weights, totals = settle(
-                child_rows, row_w, child_sizes, child_ids, depth
+                child_rows, child_keys, row_w, child_sizes, child_ids, depth
             )
             if not may_split.any():
                 break
@@ -517,7 +555,7 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 keep_right = np.zeros(n_nodes, dtype=bool)
                 keep_right[split_nodes] = may_split[n_split:]
                 row_left = np.zeros(n_trees * n_rows, dtype=bool)
-                row_left[rows + (tree_of * n_rows)[node_of]] = go_left
+                row_left[keys] = go_left
                 block_left = row_left.take(block)
                 span = sizes * n_features
                 block = np.concatenate([
@@ -526,6 +564,7 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 ])
             keep = may_split.repeat(child_sizes)
             rows = child_rows.compress(keep)
+            keys = child_keys.compress(keep) if keyed else rows
             if row_w is not None:
                 row_w = row_w.compress(keep)
             child_trees = np.concatenate([tree_of[split_nodes]] * 2)
@@ -536,24 +575,26 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             weights = sizes if row_w is None else weights[may_split]
 
     number = np.empty(n_made, dtype=np.intp)
-    fitted = None if leaf is None else value[leaf]
+    left_of = left[:n_made].tolist()
+    fitted = [None] * n_trees if leaf is None else value[leaf].reshape(n_trees, n_rows)
     return [
-        (*_renumber(root, feature, threshold, left, value, gain, number, n_features), fitted)
+        (*_renumber(root, feature, threshold, left, left_of, value, gain, number, n_features),
+         fitted[root])
         for root in range(n_trees)
     ]
 
 
-def _renumber(root, feature, threshold, left, value, gain, number, n_features):
+def _renumber(root, feature, threshold, left, left_of, value, gain, number, n_features):
     """One tree's arrays, numbered as a depth-first grower popping left first.
 
     That grower numbers a split node's children (``left``, ``left + 1`` in
     creation order) when it pops the node, so the numbers follow the split
     nodes' pre-order; importance is summed in that order too, which fixes
-    its rounding. ``number`` is scratch space over all node ids.
+    its rounding. ``left_of`` is ``left`` as a list, shared by every tree
+    of the call, and ``number`` is scratch space over all node ids.
     """
     order = []
     stack = [root]
-    left_of = left.tolist()
     while stack:
         node = stack.pop()
         child = left_of[node]
@@ -635,39 +676,74 @@ def _sigmoid(scores: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-scores))
 
 
-def _train_gbt(spec: ModelSpec, X: np.ndarray, y: np.ndarray):
+def _fold_groups(data: _Presorted, masks: list, max_features: str) -> list[slice]:
+    """Consecutive folds whose roots search at most ``_BATCH_CELLS`` cells
+    together (at least one fold a group)."""
+    searched = _n_searched(max_features, data.n_features)
+    groups, start, cells = [], 0, 0
+    for i, mask in enumerate(masks):
+        fold_cells = searched * (data.n_rows if mask is None else int(np.count_nonzero(mask)))
+        if i > start and cells + fold_cells > _BATCH_CELLS:
+            groups.append(slice(start, i))
+            start, cells = i, 0
+        cells += fold_cells
+    groups.append(slice(start, len(masks)))
+    return groups
+
+
+def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds: list):
+    """Gradient boosting of one model per fold, every fold's round grown together.
+
+    ``masks[i]`` marks fold ``i``'s rows of ``data`` (``[None]``: one fold
+    of every row) and ``seeds[i]`` its spec seed. Round ``t`` grows each
+    group of folds (``_fold_groups``) in one ``_grow_trees`` call: fold
+    ``i``'s tree is a subset tree on its rows, fit to its own row of
+    residuals, so each fold boosts as if alone on ``X[masks[i]]``. Scores,
+    residuals and fitted values are ``(folds, rows)`` arrays; a row outside
+    a fold keeps the fold's base score. Returns ``(trees, raw importance,
+    base score)`` per fold.
+    """
     classification = spec.task == "classification"
     max_depth = spec.resolved_max_depth()
     max_features = spec.resolved_max_features()
-    rng = np.random.default_rng(derive_seed(spec.seed, "gbt"))
-    data = _Presorted(X)
+    bases = []
+    for mask in masks:
+        fold_y = y if mask is None else y[mask]
+        if classification:
+            p = min(max(float(fold_y.mean()), 1e-12), 1.0 - 1e-12)
+            bases.append(math.log(p / (1.0 - p)))
+        else:
+            bases.append(float(fold_y.mean()))
+    scores = np.repeat(np.array(bases)[:, None], data.n_rows, axis=1)
+    rngs = [np.random.default_rng(derive_seed(seed, "gbt")) for seed in seeds]
+    partition = _n_searched(max_features, data.n_features) == data.n_features
+    # Each group's root block is built once and read by every round.
+    groups = [
+        (at, masks[at], rngs[at], data.root_block(masks[at]) if partition else None)
+        for at in _fold_groups(data, masks, max_features)
+    ]
 
-    if classification:
-        p = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
-        base = math.log(p / (1.0 - p))
-    else:
-        base = float(y.mean())
-    scores = np.full(X.shape[0], base)
-
-    trees = []
-    accs = []
+    trees = [[] for _ in masks]
+    accs = [[] for _ in masks]
+    fitted = np.empty_like(scores)
     for _ in range(spec.n_trees):
         residual = y - _sigmoid(scores) if classification else y - scores
-        # Trees are fit to the gradient with the regression criterion.
-        [(tree, acc, fitted)] = _grow_trees(
-            data, residual, [None], [rng], max_depth, spec.min_samples_leaf,
-            max_features, False,
-        )
-        trees.append(tree)
-        accs.append(acc)
-        scores = scores + spec.learning_rate * fitted  # equals tree.apply(X)
-    return trees, np.stack(accs).mean(axis=0), base
+        for at, counts, group_rngs, block in groups:
+            # Trees are fit to the gradient with the regression criterion.
+            grown = _grow_trees(
+                data, residual[at], counts, group_rngs, max_depth, spec.min_samples_leaf,
+                max_features, False, block,
+            )
+            for i, (tree, acc, fold_fitted) in enumerate(grown, start=at.start):
+                trees[i].append(tree)
+                accs[i].append(acc)
+                fitted[i] = fold_fitted
+        scores = scores + spec.learning_rate * fitted  # equals tree.apply(X) on fold rows
+    return [(t, np.stack(a).mean(axis=0), base) for t, a, base in zip(trees, accs, bases)]
 
 
-def train(spec: ModelSpec, X, y, threads: int = 1) -> TrainedModel:
-    """Fit the configured ensemble; deterministic for a fixed spec seed."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+def _checked(spec: ModelSpec, X, y) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """The feature matrix, its column names and the labels, validated."""
     matrix, names = _as_matrix(X)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != matrix.shape[0]:
@@ -680,23 +756,66 @@ def train(spec: ModelSpec, X, y, threads: int = 1) -> TrainedModel:
     _require_finite(y, "labels")
     if spec.task == "classification" and not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("classification labels must be 0 or 1")
-
-    if spec.kind == "RF":
-        trees, raw_importance, base = _train_rf(spec, matrix, y, threads)
-    else:
-        trees, raw_importance, base = _train_gbt(spec, matrix, y)
-
-    total = raw_importance.sum()
-    importance = raw_importance / total if total > 0 else np.zeros_like(raw_importance)
     if names is None:
         names = tuple(f"x{i}" for i in range(matrix.shape[1]))
+    return matrix, tuple(names), y
+
+
+def _model(spec, names, trees, raw_importance, base) -> TrainedModel:
+    total = raw_importance.sum()
+    importance = raw_importance / total if total > 0 else np.zeros_like(raw_importance)
     return TrainedModel(
-        spec=spec,
-        feature_names=tuple(names),
-        trees=trees,
-        importance=importance,
-        base_score=base,
+        spec=spec, feature_names=names, trees=trees, importance=importance, base_score=base,
     )
+
+
+def train(spec: ModelSpec, X, y, threads: int = 1) -> TrainedModel:
+    """Fit the configured ensemble; deterministic for a fixed spec seed."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    matrix, names, y = _checked(spec, X, y)
+    if spec.kind == "RF":
+        fitted = _train_rf(spec, matrix, y, threads)
+    else:
+        [fitted] = _boost(spec, _Presorted(matrix), y, [None], [spec.seed])
+    return _model(spec, names, *fitted)
+
+
+def boost_folds(spec: ModelSpec, X, y, folds) -> list[TrainedModel]:
+    """Gradient-boosted models, one per ``(seed, rows)`` fold, boosted together.
+
+    Fold ``i``'s model equals ``train(replace(spec, seed=seed), X[rows],
+    y[rows])`` bit for bit, where ``rows`` are strictly increasing row ids
+    of ``X``; ``X`` and ``y`` are validated whole. Rows that no fold
+    trains on are left out of the fit, so one fold is fit as ``train``
+    fits it.
+    """
+    if spec.kind != "GBT":
+        raise ValueError(f"boost_folds fits gradient boosting, not {spec.kind!r}")
+    matrix, names, y = _checked(spec, X, y)
+    if not folds:
+        raise ValueError("no folds to fit")
+    n = matrix.shape[0]
+    used = np.zeros(n, dtype=bool)
+    for _, rows in folds:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError(f"fold rows must be a 1-D integer array, got {rows.dtype} {rows.shape}")
+        if rows.size < 2:
+            raise ValueError("training requires at least 2 rows")
+        if rows[0] < 0 or rows[-1] >= n or (rows[1:] <= rows[:-1]).any():
+            raise ValueError(f"fold rows must be strictly increasing row ids below {n}")
+        used[rows] = True
+    position = used.cumsum() - 1  # each used row's index among the used rows
+    masks = [None]
+    if len(folds) > 1:
+        masks = []
+        for _, rows in folds:
+            mask = np.zeros(int(position[-1]) + 1, dtype=bool)
+            mask[position[rows]] = True
+            masks.append(mask)
+    fitted = _boost(spec, _Presorted(matrix[used]), y[used], masks, [s for s, _ in folds])
+    return [_model(replace(spec, seed=seed), names, *fit) for (seed, _), fit in zip(folds, fitted)]
 
 
 def _check_schema(model: TrainedModel, names: tuple[str, ...] | None, width: int) -> None:

@@ -126,6 +126,20 @@ def test_unknown_unit_rejected(tmp_bundle, table, rows):
         load_dataset(bundle)
 
 
+@pytest.mark.parametrize("bad_id", ["c1\x00", "c\x1f2"], ids=["nul", "unit_separator"])
+def test_control_character_in_unit_id_rejected(tmp_bundle, bad_id):
+    """Bulk loaders match ids as numpy strings, which drop a trailing NUL, so
+    ``c1\\x00`` would take ``c1``'s climate rows; units.csv rejects it."""
+    bundle = tmp_bundle(units=[UNIT_ROW, [bad_id] + UNIT_ROW[1:]],
+                        climate=[["c1", "2020-06-01", "10.0", "25.0", "1.5"]])
+    with pytest.raises(BundleValidationError) as caught:
+        load_dataset(bundle)
+    assert (caught.value.filename, caught.value.line) == ("units.csv", 3)
+    assert str(caught.value) == (
+        f"units.csv line 3: unit_id {bad_id!r} holds a control character"
+    )
+
+
 def test_reflectance_range_enforced(tmp_bundle):
     bundle = tmp_bundle(
         units=[UNIT_ROW],

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from dataclasses import replace
+from unittest import mock
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,8 +16,10 @@ from agribench.evaluate import (
     regression_metrics,
     run_benchmark,
 )
-from agribench.featurize import FeatureTable, TaskConfig
-from agribench.models import ModelSpec
+from agribench import models
+from agribench.featurize import FeatureTable, TaskConfig, assemble_table
+from agribench.models import ModelSpec, boost_folds, train
+from agribench.seeding import derive_seed
 
 
 def meta(unit_id, level="county", state="IL", county_id=None, ecoregion=None):
@@ -308,3 +313,105 @@ class TestRunBenchmark:
         lines = path.read_text().splitlines()
         assert lines[0] == "task,crop,feature_set,model,scheme,fold,seed,metric,value"
         assert lines[1].startswith("yield,corn,AEF,RF,group_cv,")
+
+
+@pytest.fixture(scope="module")
+def tillage_bundle(tmp_path_factory):
+    from agribench.dataset import load_dataset
+    from agribench.synth import SynthSpec, generate
+
+    out = tmp_path_factory.mktemp("tillage") / "bundle"
+    spec = SynthSpec(n_counties=10, fields_per_county=2, years=(2019, 2020),
+                     tasks=("tillage_class",), label_sigma=0.05)
+    generate(spec, seed=44, out_dir=out)
+    return load_dataset(out)
+
+
+def _bits(values):
+    """Float arrays as their bit patterns, so -0.0 and 0.0 differ."""
+    values = np.asarray(values)
+    return values.view(np.int64) if values.dtype == np.float64 else values
+
+
+def _assert_same_model(got, want):
+    assert got.spec == want.spec
+    assert got.feature_names == want.feature_names
+    assert len(got.trees) == len(want.trees)
+    for index, (a, b) in enumerate(zip(got.trees, want.trees)):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name))), (index, name)
+    assert np.array_equal(_bits(got.importance), _bits(want.importance))
+    assert _bits(np.float64(got.base_score)) == _bits(np.float64(want.base_score))
+
+
+class TestBoostedFolds:
+    """The folds of a repeat boosted together give each fold the model
+    ``train`` fits on that fold's rows alone, bit for bit."""
+
+    def _check(self, dataset, cfg, spec, scheme, per_pass=None, **plan_args):
+        """Fit the plan's folds together and each alone; ``per_pass`` is the
+        number of folds each grower pass grows (default: every fold)."""
+        table = assemble_table(dataset, cfg)
+        plan = build_split_plan(table, dataset.units, scheme, seed=5, **plan_args)
+        seeds = [derive_seed(5, label) for label in plan.fold_labels]
+        folds = [(seed, train_ids) for seed, (train_ids, _) in zip(seeds, plan.folds)]
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[2]))
+            return grow(*args)
+
+        grow = models._grow_trees
+        with mock.patch.object(models, "_grow_trees", spy):
+            together = boost_folds(spec, table, table.labels, folds)
+        # By default one grower pass per round grows every fold's tree.
+        per_pass = per_pass or len(folds)
+        assert calls == [per_pass] * (spec.n_trees * len(folds) // per_pass)
+        assert len(together) == len(folds)
+        for model, (seed, rows) in zip(together, folds):
+            alone = train(replace(spec, seed=seed), table.select(rows), table.labels[rows])
+            _assert_same_model(model, alone)
+        return plan
+
+    def test_regression(self, small_bundle):
+        spec = ModelSpec(kind="GBT", task="regression", n_trees=12, max_depth=3)
+        self._check(small_bundle, TestRunBenchmark.CFG, spec, "yearly_cv")
+
+    def test_classification(self, tillage_bundle):
+        spec = ModelSpec(kind="GBT", task="classification", n_trees=12, max_depth=3)
+        self._check(tillage_bundle, TaskConfig(task="tillage_class", feature_set="AEF"), spec,
+                    "group_cv", k=3)
+
+    def test_sqrt_candidates(self, small_bundle):
+        spec = ModelSpec(kind="GBT", task="regression", n_trees=12, max_depth=4,
+                         max_features="sqrt", min_samples_leaf=2)
+        self._check(small_bundle, TestRunBenchmark.CFG, spec, "yearly_cv")
+
+    def test_group_cv_folds_of_unequal_size(self, small_bundle):
+        spec = ModelSpec(kind="GBT", task="regression", n_trees=10)
+        plan = self._check(small_bundle, TestRunBenchmark.CFG, spec, "group_cv", k=4)
+        assert len({train_ids.size for train_ids, _ in plan.folds}) > 1
+
+    def test_one_fold_space_transfer(self, small_bundle):
+        spec = ModelSpec(kind="GBT", task="regression", n_trees=10, max_depth=3)
+        plan = self._check(small_bundle, TestRunBenchmark.CFG, spec, "space_transfer",
+                           direction="East->West")
+        assert len(plan.folds) == 1
+
+    def test_folds_split_over_passes_by_cell_budget(self, small_bundle, monkeypatch):
+        """With a budget below one fold's cells each fold grows in its own
+        pass, and each model is still the fold's model alone."""
+        monkeypatch.setattr(models, "_BATCH_CELLS", 1)
+        spec = ModelSpec(kind="GBT", task="regression", n_trees=5, max_depth=3)
+        self._check(small_bundle, TestRunBenchmark.CFG, spec, "yearly_cv", per_pass=1)
+
+    def test_report_bytes_independent_of_threads(self, small_bundle, tmp_path):
+        spec = ModelSpec(kind="GBT", task="regression", n_trees=15, max_depth=3)
+        written = []
+        for threads in (1, 8):
+            report = run_benchmark(small_bundle, TestRunBenchmark.CFG, spec, "group_cv", k=3,
+                                   n_repeats=2, base_seed=9, threads=threads)
+            path = tmp_path / f"report-{threads}.csv"
+            report.to_csv(path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]

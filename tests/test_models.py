@@ -18,6 +18,7 @@ from agribench.models import (
     _grow_trees,
     _Presorted,
     _sigmoid,
+    boost_folds,
     feature_importance,
     load_model,
     predict,
@@ -862,6 +863,81 @@ class TestGbtFittedValues:
         assert len(grown) == spec.n_trees
         for tree, _, fitted in grown:
             assert np.array_equal(fitted.view(np.int64), tree.apply(X).view(np.int64))
+
+
+@st.composite
+def subset_problems(draw):
+    """A small table, one to four row masks of at least two rows, and one
+    row of labels per mask."""
+    n = draw(st.integers(6, 40))
+    n_features = draw(st.integers(1, 6))
+    levels = draw(st.sampled_from([3, 1000]))
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = local.integers(0, levels, size=(n, n_features)) / levels
+    masks = []
+    for _ in range(draw(st.integers(1, 4))):
+        mask = local.random(n) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+        mask[local.choice(n, 2, replace=False)] = True
+        masks.append(mask)
+    Y = X[:, 0] + local.normal(size=(len(masks), n))
+    return X, Y, masks
+
+
+def _bits(values):
+    return np.asarray(values).view(np.int64)
+
+
+class TestSubsetTrees:
+    @settings(max_examples=50, deadline=None)
+    @given(problem=subset_problems(), max_depth=st.sampled_from([1, 3, None]),
+           min_leaf=st.integers(1, 3), max_features=st.sampled_from(["all", "sqrt"]))
+    def test_subset_tree_is_the_tree_on_its_rows(self, problem, max_depth, min_leaf,
+                                                 max_features):
+        """Trees on row masks grown together, each reading its own labels,
+        equal the trees grown alone on each mask's rows, bit for bit; each
+        fitted value is the row's leaf value, 0 outside the mask."""
+        X, Y, masks = problem
+        grown = _grow_trees(_Presorted(X), Y, masks,
+                            [np.random.default_rng(t) for t in range(len(masks))],
+                            max_depth, min_leaf, max_features, False)
+        for t, (mask, (tree, importance, fitted)) in enumerate(zip(masks, grown)):
+            [(alone, alone_importance, alone_fitted)] = _grow_trees(
+                _Presorted(X[mask]), Y[t, mask], [None], [np.random.default_rng(t)],
+                max_depth, min_leaf, max_features, False,
+            )
+            for name in ("feature", "left", "right"):
+                assert np.array_equal(getattr(tree, name), getattr(alone, name))
+            for name in ("threshold", "value"):
+                assert np.array_equal(_bits(getattr(tree, name)), _bits(getattr(alone, name)))
+            assert np.array_equal(_bits(importance), _bits(alone_importance))
+            assert np.array_equal(_bits(fitted[mask]), _bits(alone_fitted))
+            assert not fitted[~mask].any()
+
+
+class TestBoostFoldsInput:
+    X = rng.normal(size=(12, 3))
+    y = X[:, 0]
+    SPEC = ModelSpec(kind="GBT", task="regression", n_trees=3)
+
+    @pytest.mark.parametrize("spec, folds, message", [
+        (ModelSpec(kind="RF", task="regression"), [(1, np.arange(12))],
+         "boost_folds fits gradient boosting, not 'RF'"),
+        (SPEC, [], "no folds to fit"),
+        (SPEC, [(1, np.arange(12)), (2, np.array([4]))], "at least 2 rows"),
+        (SPEC, [(1, np.array([3, 1, 5]))], "strictly increasing row ids below 12"),
+        (SPEC, [(1, np.array([2, 2, 5]))], "strictly increasing row ids below 12"),
+        (SPEC, [(1, np.array([0, 12]))], "strictly increasing row ids below 12"),
+        (SPEC, [(1, np.array([0.0, 1.0]))], "1-D integer array"),
+    ], ids=["rf", "no_folds", "one_row", "unsorted", "repeated", "out_of_range", "float_ids"])
+    def test_bad_folds_rejected(self, spec, folds, message):
+        with pytest.raises(ValueError, match=message):
+            boost_folds(spec, self.X, self.y, folds)
+
+    def test_inputs_checked_as_train_checks_them(self):
+        X = self.X.copy()
+        X[5, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite features at row 5, column 1"):
+            boost_folds(self.SPEC, X, self.y, [(1, np.arange(12))])
 
 
 def _reference_sqrt_tree(X, y, rows, rng, min_leaf, classification=True):

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import agribench
 from agribench.dataset import load_dataset
+from agribench.evaluate import run_benchmark
 from agribench.featurize import TaskConfig, assemble_table
+from agribench.models import ModelSpec
 from agribench.synth import SynthSpec, generate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,4 +104,28 @@ def test_rs_assemblies_call_every_featurize_target(monkeypatch, tmp_path):
         assert expected <= called[key], key
         assert called_targets(dataset, replace(cfg, feature_set="AEF")) == set(), key
     assert set().union(*called.values()) == {path[len(prefix):] for path in paths}
+    assert _listing() == before
+
+
+def test_rf_benchmark_fits_each_fold_through_the_train_target(monkeypatch, tmp_path):
+    """perfbench times the benchmark's random-forest fits at
+    ``agribench.evaluate.train``, so a tiny RF benchmark calls that target
+    once per (repeat, fold), through the wrappers perfbench installs."""
+    before = _listing()
+    tracing, layers = _load_tracing_and_layers(monkeypatch)
+    targets = [target for target in layers.TARGETS if target[0] == "agribench.evaluate.train"]
+    assert len(targets) == 1
+    generate(SynthSpec(n_counties=6, years=(2019, 2020)), seed=5, out_dir=tmp_path / "b")
+    dataset = load_dataset(tmp_path / "b")
+    tracer = tracing.Tracer("rf")
+    undo, missing = tracing.install(tracer, targets)
+    try:
+        run_benchmark(dataset, TaskConfig(task="yield", crop="corn", feature_set="AEF"),
+                      ModelSpec(kind="RF", task="regression", n_trees=3), "group_cv", k=3,
+                      n_repeats=2, base_seed=1)
+    finally:
+        tracing.uninstall(undo)
+    assert missing == []
+    assert [span.name for span in tracer.spans] == [targets[0][1]] * 6
+    assert all(span.counts["nodes"] > 0 for span in tracer.spans)
     assert _listing() == before
