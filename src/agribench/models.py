@@ -202,6 +202,31 @@ class _Presorted:
         return self.columns_sorted.take(keys + columns * self.n_rows)
 
 
+class _Scratch:
+    """What one group of trees keeps across its grower calls.
+
+    ``root_block`` is the group's ``_Presorted.root_block`` (``None``: built
+    by each call). A level's cell-sized arrays are views of flat buffers
+    that grow to the largest level seen, so a fit allocates them once, not
+    once per level: freed and allocated again, arrays this size make the
+    allocator return their pages to the system and fault them in again.
+    """
+
+    def __init__(self, root_block: np.ndarray | None = None):
+        self.root_block = root_block
+        self._flat: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialized array on buffer ``name``; arrays never alive
+        together may share a name."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype=np.uint8)
+        return flat[:size].view(dtype).reshape(shape)
+
+
 def _slot_cumsum(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Cumulative sums down axis 0 of a ``(slot, node, column)`` array, in place.
 
@@ -219,7 +244,7 @@ def _slot_cumsum(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return values
 
 
-def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification):
+def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification, right_sum):
     """Best split of each node from its rows sorted by each searched column.
 
     ``ys[slot, node, c]`` holds the label of the node's row at that slot in
@@ -234,7 +259,8 @@ def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification)
     valid), ``c`` and the slot before the split. Regression maximizes the
     bracket ``ls^2/lc + rs^2/rc`` over weighted sums and counts: children
     SSE = sum(w*y^2) - bracket, so the bracket is the negated cost. ``ys``
-    and ``ws`` are overwritten.
+    and ``ws`` are overwritten; ``right_sum`` (``None``: a new array) is
+    the ``out`` array of the right sums.
     """
     width, n_nodes, n_columns = ys.shape
     rows_up_to = np.arange(1.0, width + 1.0)[:, None, None]  # rows in slots 0..k
@@ -245,7 +271,7 @@ def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification)
         left_cnt = _slot_cumsum(ws, sizes)
     right_cnt = weights[:, None] - left_cnt
     cost = _slot_cumsum(ys, sizes)  # the left sums, then the cost in place
-    right_sum = totals[:, None] - cost
+    right_sum = np.subtract(totals[:, None], cost, out=right_sum)
     if classification:
         # Sum of per-side pos*(cnt-pos)/cnt; weighted child Gini is 2*cost/m.
         part = right_cnt - right_sum
@@ -302,7 +328,7 @@ def _size_groups(sizes: np.ndarray, n_columns: int) -> list[slice]:
 
 
 def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classification,
-                block=None):
+                scratch=None):
     """Grow one CART tree per entry of ``counts``, all together, level by level.
 
     ``counts[t]`` picks tree ``t``'s rows. ``[None]`` grows one tree over
@@ -319,8 +345,11 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     one key per (node, feature) for its nodes in creation order, a node's
     candidates being its smallest keys. A split's impurity decrease is
     weighted by its node's weight over the tree's own sample size.
-    ``block`` is the trees' ``_Presorted.root_block``, when the caller
-    keeps it across calls. Returns ``(Tree, importance, fitted)`` per
+    ``scratch`` is the ``_Scratch`` the caller keeps for these trees across
+    calls; without one, each level allocates its own arrays, which costs
+    less for trees grown once (a random-forest batch): buffers kept for
+    the whole call raised a 30-tree forest's peak memory by a quarter.
+    Returns ``(Tree, importance, fitted)`` per
     tree; each tree comes out as if grown alone. ``fitted`` is each row's
     leaf value in an unweighted tree (0 for a row outside a subset tree),
     ``None`` for a bootstrap tree.
@@ -363,8 +392,8 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
         draws = np.concatenate(counts).astype(float)
         row_w = np.concatenate([c[r] for c, r in zip(counts, drawn)]).astype(float)
     sample_size = np.full(n_trees, n_rows) if bootstrap else sizes
-    if partition and block is None:
-        block = data.root_block(counts)
+    if partition:
+        block = data.root_block(counts) if scratch is None else scratch.root_block
 
     capacity = 2 * rows.size - n_trees  # binary trees over their rows
     feature = np.full(capacity, -1, dtype=np.intp)
@@ -377,6 +406,15 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     leaf = None if bootstrap else np.full(n_trees * n_rows, capacity)
     keyed = n_trees > 1 and (per_tree or partition or leaf is not None)
     keys = rows + np.arange(0, n_trees * n_rows, n_rows).repeat(sizes) if keyed else rows
+
+    def buffer(name, shape, dtype):
+        """An ``out`` array on the scratch buffer ``name``, or ``None`` (a
+        new array) without a scratch."""
+        return None if scratch is None else scratch.view(name, shape, dtype)
+
+    def take(values, at, name):
+        """``values.take(at)``, into ``buffer(name, ...)``."""
+        return values.take(at, out=buffer(name, at.shape, values.dtype), mode="clip")
 
     def settle(rows, keys, row_w, sizes, ids, depth):
         """Set leaf values; returns which nodes may split, their weights and
@@ -448,11 +486,15 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     else:
                         # Column f of node j starts at starts[j] * n_features + f * m[j].
                         first = (starts[sel] * n_features)[:, None] + searched * m[:, None]
-                        search = block.take(first + slot_row[:, :, None])
+                        spare = buffer("spare", (slot_row.shape[0], sel.size, n_features), np.intp)
+                        at = np.add(first, slot_row[:, :, None], out=spare)
+                        del spare
+                        search = take(block, at, "search")
+                        del at
                     # Block entries are keys: look up the weights and a
                     # tree's own labels, then turn them into row ids.
-                    ws = None if draws is None else draws.take(search)
-                    ys = labels.take(search) if per_tree else None
+                    ws = None if draws is None else take(draws, search, "ws")
+                    ys = take(labels, search, "ys") if per_tree else None
                     if n_trees > 1:
                         search -= (tree_of[sel] * n_rows)[:, None]
                 else:
@@ -463,8 +505,8 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     entries = search
                     if n_trees > 1 and (per_tree or draws is not None):
                         entries = search + (tree_of[sel] * n_rows)[:, None]
-                    ws = None if draws is None else draws.take(entries)
-                    ys = labels.take(entries) if per_tree else None
+                    ws = None if draws is None else take(draws, entries, "ws")
+                    ys = take(labels, entries, "ys") if per_tree else None
                     del entries
                 ties = None
                 if may_tie:
@@ -473,10 +515,10 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     np.greater_equal(xs[:-1], xs[1:], out=ties[:-1])
                     del xs
                 if ys is None:
-                    ys = labels.take(search)
+                    ys = take(labels, search, "ys")
                 best[sel], column, slot = _best_splits(
                     ys, ws, m, m if ws is None else weights[sel], totals[sel], ties, min_leaf,
-                    classification,
+                    classification, buffer("spare", ys.shape, float),
                 )
                 del ties, ws, ys
                 # Threshold: the midpoint of the values around the split,
@@ -558,10 +600,17 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 row_left[keys] = go_left
                 block_left = row_left.take(block)
                 span = sizes * n_features
-                block = np.concatenate([
+                halves = [
                     block.compress(block_left & keep_left.repeat(span)),
                     block.compress(~block_left & keep_right.repeat(span)),
-                ])
+                ]
+                del block_left
+                # Two buffers take turns: one holds the block being read.
+                child_shape = (halves[0].size + halves[1].size,)
+                block = np.concatenate(
+                    halves, out=buffer(f"block{depth % 2}", child_shape, np.intp)
+                )
+                del halves
             keep = may_split.repeat(child_sizes)
             rows = child_rows.compress(keep)
             keys = child_keys.compress(keep) if keyed else rows
@@ -717,9 +766,9 @@ def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds:
     scores = np.repeat(np.array(bases)[:, None], data.n_rows, axis=1)
     rngs = [np.random.default_rng(derive_seed(seed, "gbt")) for seed in seeds]
     partition = _n_searched(max_features, data.n_features) == data.n_features
-    # Each group's root block is built once and read by every round.
+    # Each group's root block and level buffers serve every round.
     groups = [
-        (at, masks[at], rngs[at], data.root_block(masks[at]) if partition else None)
+        (at, masks[at], rngs[at], _Scratch(data.root_block(masks[at]) if partition else None))
         for at in _fold_groups(data, masks, max_features)
     ]
 
@@ -728,11 +777,11 @@ def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds:
     fitted = np.empty_like(scores)
     for _ in range(spec.n_trees):
         residual = y - _sigmoid(scores) if classification else y - scores
-        for at, counts, group_rngs, block in groups:
+        for at, counts, group_rngs, scratch in groups:
             # Trees are fit to the gradient with the regression criterion.
             grown = _grow_trees(
                 data, residual[at], counts, group_rngs, max_depth, spec.min_samples_leaf,
-                max_features, False, block,
+                max_features, False, scratch,
             )
             for i, (tree, acc, fold_fitted) in enumerate(grown, start=at.start):
                 trees[i].append(tree)
@@ -800,22 +849,27 @@ def boost_folds(spec: ModelSpec, X, y, folds) -> list[TrainedModel]:
     for _, rows in folds:
         rows = np.asarray(rows)
         if rows.ndim != 1 or rows.dtype.kind not in "iu":
-            raise ValueError(f"fold rows must be a 1-D integer array, got {rows.dtype} {rows.shape}")
+            raise ValueError(
+                f"fold rows must be a 1-D integer array, got {rows.dtype} {rows.shape}"
+            )
         if rows.size < 2:
             raise ValueError("training requires at least 2 rows")
         if rows[0] < 0 or rows[-1] >= n or (rows[1:] <= rows[:-1]).any():
             raise ValueError(f"fold rows must be strictly increasing row ids below {n}")
         used[rows] = True
-    position = used.cumsum() - 1  # each used row's index among the used rows
+    seeds = [seed for seed, _ in folds]
+    picks = [np.asarray(rows) for _, rows in folds]
+    if not used.all():  # rows that no fold trains on are left out
+        position = used.cumsum() - 1
+        picks = [position[rows] for rows in picks]
+        matrix, y = matrix[used], y[used]
     masks = [None]
-    if len(folds) > 1:
-        masks = []
-        for _, rows in folds:
-            mask = np.zeros(int(position[-1]) + 1, dtype=bool)
-            mask[position[rows]] = True
-            masks.append(mask)
-    fitted = _boost(spec, _Presorted(matrix[used]), y[used], masks, [s for s, _ in folds])
-    return [_model(replace(spec, seed=seed), names, *fit) for (seed, _), fit in zip(folds, fitted)]
+    if len(picks) > 1:
+        masks = [np.zeros(y.size, dtype=bool) for _ in picks]
+        for mask, rows in zip(masks, picks):
+            mask[rows] = True
+    fitted = _boost(spec, _Presorted(matrix), y, masks, seeds)
+    return [_model(replace(spec, seed=seed), names, *fit) for seed, fit in zip(seeds, fitted)]
 
 
 def _check_schema(model: TrainedModel, names: tuple[str, ...] | None, width: int) -> None:
