@@ -25,11 +25,12 @@ decreases are weighted sums, and ``min_samples_leaf`` counts drawn rows.
 With 0/1 labels every such sum is exact, so a classification tree is the
 tree grown on the rows repeated, bit for bit; a regression tree's sums
 round differently. Gradient boosting grows on each training row once,
-unweighted. Random forest trees grow in batches sized so that one level of a batch
-searches at most ``_BATCH_CELLS`` (drawn row, searched column) cells; the
-trees of a batch read the fit's one presorted matrix through their row
-ids, with no per-tree copy of X or y. With ``threads > 1`` batches run on
-worker threads, and the results do not depend on scheduling.
+unweighted. Random forest trees grow in batches sized so that one level
+of a batch searches at most ``_BATCH_CELLS`` (drawn row, searched column)
+cells; the trees of a batch read the fit's one presorted matrix through
+their row ids, with no per-tree copy of X or y. With ``threads > 1``
+batches run on worker threads, and the results do not depend on
+scheduling.
 
 Gradient boosting fits each tree to the negative gradient of squared loss
 (regression) or logistic loss (classification) and adds it with shrinkage,
@@ -205,11 +206,12 @@ class _Presorted:
 class _Scratch:
     """What one group of trees keeps across its grower calls.
 
-    ``root_block`` is the group's ``_Presorted.root_block`` (``None``: built
-    by each call). A level's cell-sized arrays are views of flat buffers
-    that grow to the largest level seen, so a fit allocates them once, not
-    once per level: freed and allocated again, arrays this size make the
-    allocator return their pages to the system and fault them in again.
+    ``root_block`` is the group's ``_Presorted.root_block`` (``None`` for a
+    sqrt search, which reads none). A level's cell-sized arrays are views
+    of flat buffers that grow to the largest level seen, so a fit
+    allocates them once, not once per level: freed and allocated again,
+    arrays this size make the allocator return their pages to the system
+    and fault them in again.
     """
 
     def __init__(self, root_block: np.ndarray | None = None):
@@ -349,10 +351,10 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     calls; without one, each level allocates its own arrays, which costs
     less for trees grown once (a random-forest batch): buffers kept for
     the whole call raised a 30-tree forest's peak memory by a quarter.
-    Returns ``(Tree, importance, fitted)`` per
-    tree; each tree comes out as if grown alone. ``fitted`` is each row's
-    leaf value in an unweighted tree (0 for a row outside a subset tree),
-    ``None`` for a bootstrap tree.
+    Returns ``(Tree, importance, fitted)`` per tree; each tree comes out
+    as if grown alone. ``fitted`` is each row's leaf value in an
+    unweighted tree (0 for a row outside a subset tree), ``None`` for a
+    bootstrap tree.
 
     ``rows`` holds, node after node, the node's row ids in ascending order,
     and ``row_w`` their weights (``None`` when every row counts once, and a
@@ -824,10 +826,10 @@ def train(spec: ModelSpec, X, y, threads: int = 1) -> TrainedModel:
         raise ValueError(f"threads must be at least 1, got {threads}")
     matrix, names, y = _checked(spec, X, y)
     if spec.kind == "RF":
-        fitted = _train_rf(spec, matrix, y, threads)
+        grown = _train_rf(spec, matrix, y, threads)
     else:
-        [fitted] = _boost(spec, _Presorted(matrix), y, [None], [spec.seed])
-    return _model(spec, names, *fitted)
+        [grown] = _boost(spec, _Presorted(matrix), y, [None], [spec.seed])
+    return _model(spec, names, *grown)
 
 
 def boost_folds(spec: ModelSpec, X, y, folds) -> list[TrainedModel]:
@@ -846,7 +848,8 @@ def boost_folds(spec: ModelSpec, X, y, folds) -> list[TrainedModel]:
         raise ValueError("no folds to fit")
     n = matrix.shape[0]
     used = np.zeros(n, dtype=bool)
-    for _, rows in folds:
+    seeds, picks = [], []
+    for seed, rows in folds:
         rows = np.asarray(rows)
         if rows.ndim != 1 or rows.dtype.kind not in "iu":
             raise ValueError(
@@ -857,8 +860,8 @@ def boost_folds(spec: ModelSpec, X, y, folds) -> list[TrainedModel]:
         if rows[0] < 0 or rows[-1] >= n or (rows[1:] <= rows[:-1]).any():
             raise ValueError(f"fold rows must be strictly increasing row ids below {n}")
         used[rows] = True
-    seeds = [seed for seed, _ in folds]
-    picks = [np.asarray(rows) for _, rows in folds]
+        seeds.append(seed)
+        picks.append(rows)
     if not used.all():  # rows that no fold trains on are left out
         position = used.cumsum() - 1
         picks = [position[rows] for rows in picks]
@@ -868,8 +871,8 @@ def boost_folds(spec: ModelSpec, X, y, folds) -> list[TrainedModel]:
         masks = [np.zeros(y.size, dtype=bool) for _ in picks]
         for mask, rows in zip(masks, picks):
             mask[rows] = True
-    fitted = _boost(spec, _Presorted(matrix), y, masks, seeds)
-    return [_model(replace(spec, seed=seed), names, *fit) for seed, fit in zip(seeds, fitted)]
+    grown = _boost(spec, _Presorted(matrix), y, masks, seeds)
+    return [_model(replace(spec, seed=seed), names, *fit) for seed, fit in zip(seeds, grown)]
 
 
 def _check_schema(model: TrainedModel, names: tuple[str, ...] | None, width: int) -> None:
