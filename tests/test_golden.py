@@ -8,6 +8,11 @@ The matrix is the synthetic bundles' CSVs plus the ``features.csv``,
   ``base_seed=17``, on the corn (seed 41) and cover-crop (seed 43) bundles
   of acceptance criterion 6;
 - one random forest that searches ``sqrt`` features for yield;
+- the other three schemes on the corn bundle (``group_cv`` is the default):
+  RS RF yield under ``space_transfer East->West``, AEF GBT yield under
+  ``scale_transfer`` (one boosted fold that leaves rows out), and
+  ``yearly_cv`` with its pooled ``all`` rows for AEF RF yield and RS GBT
+  tillage class;
 - the three perfbench workloads' settings, on their bundles at seed 1.
 
 The bytes depend on the numpy build (``np.linalg.lstsq`` fixes the harmonic
@@ -65,6 +70,14 @@ def bundles_and_cases() -> tuple[dict, dict]:
     cases["yield-RS-RF-sqrt"] = (
         "corn", cases["yield-RS-RF"][1] + ("model.max_features=sqrt",)
     )
+    for case, base, scheme in (
+        ("yield-RS-RF-space", "yield-RS-RF",
+         ("scheme=space_transfer", "scheme.direction=East->West")),
+        ("yield-AEF-GBT-scale", "yield-AEF-GBT", ("scheme=scale_transfer",)),
+        ("yield-AEF-RF-yearly", "yield-AEF-RF", ("scheme=yearly_cv",)),
+        ("tillage_class-RS-GBT-yearly", "tillage_class-RS-GBT", ("scheme=yearly_cv",)),
+    ):
+        cases[case] = ("corn", cases[base][1] + scheme)
     for name, workload in perfbench_workloads().items():
         bundles[name] = (SynthSpec(**workload.synth), 1)
         cases[name] = (name, (*workload.settings, "base_seed=1"))
