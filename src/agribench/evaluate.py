@@ -11,13 +11,16 @@ Four schemes are supported:
                       (rows outside both ecoregions are excluded)
 
 A benchmark run repeats each scheme ``n_repeats`` times under seeds derived
-from the base seed, reports per-fold per-seed metrics, and aggregates by
-seed mean and fold mean. Yearly CV additionally reports an "all" row per
-seed computed over the pooled predictions of all folds.
+from the base seed. Each repeat's split plan yields one ``FoldRecord`` per
+fold: repeat, fold label, derived model seed, the plan's train and test row
+ids, test truth and predictions (never the model). ``report_rows`` derives
+every report row from the records: per-fold per-seed metrics, their seed
+and fold means, and for yearly CV an "all" row per seed over the pooled
+predictions of all folds. The records stay on the report, unwritten.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -197,16 +200,31 @@ def model_task_for(task: str) -> str:
     return "classification" if task in CLASSIFICATION_TASKS else "regression"
 
 
+@dataclass(frozen=True, eq=False)
+class FoldRecord:
+    """What one (repeat, fold) fit trained on and predicted; it holds no model."""
+
+    repeat: int
+    fold: str
+    seed: int  # the fold's model seed
+    train_ids: np.ndarray  # the split plan's own row arrays
+    test_ids: np.ndarray
+    truth: np.ndarray  # the test rows' labels
+    pred: np.ndarray
+
+
 @dataclass
 class MetricReport:
     """Per-fold, per-seed metric values plus their aggregates.
 
     ``rows`` hold (fold, seed, metric, value) with seed ``"mean"`` marking
-    seed-mean aggregates and fold ``"mean"`` the overall aggregate.
+    seed-mean aggregates and fold ``"mean"`` the overall aggregate. They
+    are derived from ``records``, which are kept in memory but not written.
     """
 
     context: dict
     rows: list[tuple[str, str, str, float]]
+    records: list[FoldRecord] = field(default_factory=list, repr=False)
 
     def value(self, fold: str, seed: str, metric: str) -> float:
         for f, s, m, v in self.rows:
@@ -218,65 +236,80 @@ class MetricReport:
         return self.value(AGGREGATE, AGGREGATE, metric)
 
     def to_csv(self, path) -> None:
-        header = ",".join(REPORT_COLUMNS)
         prefix = ",".join(
             str(self.context.get(key, "")) or "-"
             for key in ("task", "crop", "feature_set", "model", "scheme")
         )
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
+            fh.write(",".join(REPORT_COLUMNS) + "\n")
             for fold, seed, metric, value in self.rows:
                 fh.write(f"{prefix},{fold},{seed},{metric},{value!r}\n")
 
     def to_json(self, path) -> None:
-        payload = {
-            "context": self.context,
-            "rows": [
-                {"fold": f, "seed": s, "metric": m, "value": v}
-                for f, s, m, v in self.rows
-            ],
-        }
+        rows = [{"fold": f, "seed": s, "metric": m, "value": v} for f, s, m, v in self.rows]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
+            json.dump({"context": self.context, "rows": rows}, fh,
+                      indent=2, sort_keys=True, allow_nan=True)
 
 
-def _fit_and_score(
-    table: FeatureTable,
-    plan: SplitPlan,
-    model_spec: ModelSpec,
-    repeat_seed: int,
-    threads: int,
-):
-    """Train/evaluate every fold; returns per-fold metrics and pooled pairs.
+def fold_records(table: FeatureTable, plan: SplitPlan, model_spec: ModelSpec, repeat: int,
+                 repeat_seed: int, threads: int) -> list[FoldRecord]:
+    """Fit, predict and record every fold of one repeat's plan.
 
     Gradient-boosted folds are fit together in one ``boost_folds`` call;
-    random-forest folds are fit one at a time, each dropped once scored.
+    random-forest folds are fit one at a time, each model dropped as soon
+    as its fold is predicted.
     """
     seeds = [derive_seed(repeat_seed, label) for label in plan.fold_labels]
     if model_spec.kind == "GBT":
-        models = boost_folds(
-            model_spec, table, table.labels,
-            [(seed, train_ids) for seed, (train_ids, _) in zip(seeds, plan.folds)],
-        )
+        fits = [(seed, train_ids) for seed, (train_ids, _) in zip(seeds, plan.folds)]
+        models = boost_folds(model_spec, table, table.labels, fits)
+        preds = [predict(model, table.select(test_ids))
+                 for model, (_, test_ids) in zip(models, plan.folds)]
     else:
-        models = (
-            train(replace(model_spec, seed=seed), table.select(train_ids),
-                  table.labels[train_ids], threads=threads)
-            for seed, (train_ids, _) in zip(seeds, plan.folds)
-        )
-    per_fold = {}
-    pooled_truth = []
-    pooled_pred = []
-    for label, (_, test_ids), model in zip(plan.fold_labels, plan.folds, models):
-        pred = predict(model, table.select(test_ids))
-        truth = table.labels[test_ids]
-        per_fold[label] = metrics_for_task(table.task, truth, pred)
-        pooled_truth.append(truth)
-        pooled_pred.append(pred)
-    pooled = metrics_for_task(
-        table.task, np.concatenate(pooled_truth), np.concatenate(pooled_pred)
-    )
-    return per_fold, pooled
+        preds = [predict(train(replace(model_spec, seed=seed), table.select(train_ids),
+                               table.labels[train_ids], threads=threads), table.select(test_ids))
+                 for seed, (train_ids, test_ids) in zip(seeds, plan.folds)]
+    return [
+        FoldRecord(repeat, label, seed, train_ids, test_ids, table.labels[test_ids], pred)
+        for label, seed, (train_ids, test_ids), pred
+        in zip(plan.fold_labels, seeds, plan.folds, preds)
+    ]
+
+
+def report_rows(task: str, records: list[FoldRecord], pooled: bool):
+    """Every report row, derived from the records of all repeats.
+
+    First each record's metrics as ``(fold, repeat)`` rows in record order,
+    then each fold's mean over repeats and the mean of those fold means.
+    With ``pooled`` (yearly CV) an ``all`` row per repeat scores that
+    repeat's predictions pooled over its folds, followed by their mean.
+    """
+    scores = {(r.fold, str(r.repeat)): metrics_for_task(task, r.truth, r.pred)
+              for r in records}
+    rows = [(fold, repeat, metric, value)
+            for (fold, repeat), values in scores.items() for metric, value in values.items()]
+    names = sorted({metric for _, _, metric, _ in rows})
+    folds = dict.fromkeys(fold for fold, _ in scores)
+    repeats = dict.fromkeys(repeat for _, repeat in scores)
+
+    def mean_rows(label: str, values: list[dict[str, float]]) -> dict[str, float]:
+        means = {metric: float(np.mean([v[metric] for v in values])) for metric in names}
+        rows.extend((label, AGGREGATE, metric, means[metric]) for metric in names)
+        return means
+
+    mean_rows(AGGREGATE, [mean_rows(fold, [scores[fold, repeat] for repeat in repeats])
+                          for fold in folds])
+    if pooled:
+        pooled_scores = []
+        for repeat in repeats:
+            own = [r for r in records if str(r.repeat) == repeat]
+            pooled_scores.append(metrics_for_task(
+                task, np.concatenate([r.truth for r in own]), np.concatenate([r.pred for r in own])
+            ))
+            rows.extend(("all", repeat, metric, pooled_scores[-1][metric]) for metric in names)
+        mean_rows("all", pooled_scores)
+    return rows
 
 
 def run_benchmark(
@@ -303,47 +336,13 @@ def run_benchmark(
         )
     table = assemble_table(dataset, task_cfg)
 
-    fold_labels: tuple[str, ...] = ()
-    rows: list[tuple[str, str, str, float]] = []
-    fold_seed_values: dict[tuple[str, str], dict[str, float]] = {}
-    pooled_values: dict[str, dict[str, float]] = {}
+    records: list[FoldRecord] = []
     for i in range(1, n_repeats + 1):
         repeat_seed = derive_seed(base_seed, i)
         plan = build_split_plan(
             table, dataset.units, scheme, k=k, direction=direction, seed=repeat_seed
         )
-        fold_labels = plan.fold_labels
-        per_fold, pooled = _fit_and_score(table, plan, model_spec, repeat_seed, threads)
-        for label in plan.fold_labels:
-            for metric, value in per_fold[label].items():
-                rows.append((label, str(i), metric, value))
-            fold_seed_values[(label, str(i))] = per_fold[label]
-        if scheme == "yearly_cv":
-            pooled_values[str(i)] = pooled
-
-    metric_names = sorted({m for _, _, m, _ in rows})
-
-    # Seed-mean aggregate per fold, then the overall mean across folds.
-    fold_means: dict[str, dict[str, float]] = {}
-    for label in fold_labels:
-        fold_means[label] = {}
-        for metric in metric_names:
-            values = [fold_seed_values[(label, str(i))][metric]
-                      for i in range(1, n_repeats + 1)]
-            mean = float(np.mean(values))
-            fold_means[label][metric] = mean
-            rows.append((label, AGGREGATE, metric, mean))
-    for metric in metric_names:
-        overall = float(np.mean([fold_means[label][metric] for label in fold_labels]))
-        rows.append((AGGREGATE, AGGREGATE, metric, overall))
-    if scheme == "yearly_cv":
-        for i in range(1, n_repeats + 1):
-            for metric in metric_names:
-                rows.append(("all", str(i), metric, pooled_values[str(i)][metric]))
-        for metric in metric_names:
-            mean = float(np.mean([pooled_values[str(i)][metric]
-                                  for i in range(1, n_repeats + 1)]))
-            rows.append(("all", AGGREGATE, metric, mean))
+        records += fold_records(table, plan, model_spec, i, repeat_seed, threads)
 
     context = {
         "task": task_cfg.task,
@@ -352,7 +351,7 @@ def run_benchmark(
         "model": model_spec.kind,
         "scheme": scheme,
         "k": k if scheme == "group_cv" else None,
-        "direction": direction,
+        "direction": direction if scheme == "space_transfer" else None,
         "n_repeats": n_repeats,
         "base_seed": base_seed,
         "config_hash": config_fingerprint(task_cfg),
@@ -361,4 +360,5 @@ def run_benchmark(
         "exclusions": dict(table.exclusion_log),
         "flagged_defaults": task_cfg.flagged_defaults(),
     }
-    return MetricReport(context=context, rows=rows)
+    rows = report_rows(table.task, records, pooled=scheme == "yearly_cv")
+    return MetricReport(context, rows, records)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,16 +10,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agribench.dataset import EAST_STATES, WEST_STATES, UnitMeta
+from agribench import evaluate, models
 from agribench.evaluate import (
     SplitError,
+    SplitPlan,
     build_split_plan,
     classification_metrics,
+    metrics_for_task,
     regression_metrics,
     run_benchmark,
 )
-from agribench import models
 from agribench.featurize import FeatureTable, TaskConfig, assemble_table
-from agribench.models import ModelSpec, boost_folds, train
+from agribench.models import ModelSpec, boost_folds, predict, train
 from agribench.seeding import derive_seed
 
 
@@ -202,6 +205,16 @@ class TestSplitPlans:
         with pytest.raises(SplitError, match="both county and field"):
             build_split_plan(table, units, "scale_transfer")
 
+    @pytest.mark.parametrize("train_ids, test_ids, message", [
+        ([0, 1], [], "empty test side"),
+        ([], [0, 1], "empty train side"),
+        ([0, 1], [1, 2], "train/test overlap"),
+    ])
+    def test_plan_checks_each_fold(self, train_ids, test_ids, message):
+        fold = (np.array(train_ids, dtype=np.intp), np.array(test_ids, dtype=np.intp))
+        with pytest.raises(SplitError, match=f"^group_cv: {message}"):
+            SplitPlan("group_cv", ("fold0",), (fold,))
+
     def test_single_year_yearly_cv_rejected(self):
         units = {"c1": meta("c1"), "c2": meta("c2")}
         table = toy_table([("c1", 2020), ("c2", 2020)])
@@ -287,6 +300,66 @@ class TestRunBenchmark:
         assert report.context["task"] == "yield"
         assert report.context["flagged_defaults"]  # corn GDD default
         assert "config_hash" in report.context
+
+    @pytest.mark.parametrize("scheme, recorded", [
+        ("group_cv", None), ("yearly_cv", None), ("space_transfer", "East->West"),
+    ])
+    def test_report_context_records_only_an_applied_direction(
+            self, small_bundle, scheme, recorded):
+        report = run_benchmark(small_bundle, self.CFG, self.MODEL, scheme, k=3,
+                               direction="East->West", n_repeats=1, base_seed=1)
+        assert report.context["direction"] == recorded
+
+    def test_rf_fold_model_dropped_before_the_next_fit(self, small_bundle, monkeypatch):
+        """No random-forest fold model is alive when the next fold's fit starts."""
+        fitted, live = [], []
+
+        def spy(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in fitted))
+            model = train(*args, **kwargs)
+            fitted.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(evaluate, "train", spy)
+        run_benchmark(small_bundle, self.CFG, self.MODEL, "group_cv", k=3,
+                      n_repeats=2, base_seed=1)
+        assert live == [0] * 6
+
+    def test_records_rebuild_the_report(self, small_bundle, monkeypatch):
+        """Each (repeat, fold) record matches an independent recomputation,
+        holds its plan's own index arrays, and scores to its report rows."""
+        plans = []
+
+        def keep_plan(*args, **kwargs):
+            plans.append(build_split_plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(evaluate, "build_split_plan", keep_plan)
+        report = run_benchmark(small_bundle, self.CFG, self.MODEL, "group_cv", k=3,
+                               n_repeats=2, base_seed=1)
+        table = assemble_table(small_bundle, self.CFG)
+        records = report.records
+        assert [(r.repeat, r.fold) for r in records] == [
+            (repeat, f"fold{j}") for repeat in (1, 2) for j in range(3)]
+        for repeat, plan in zip((1, 2), plans):
+            own = [r for r in records if r.repeat == repeat]
+            covered = np.sort(np.concatenate([r.test_ids for r in own]))
+            assert np.array_equal(covered, np.arange(table.n_rows))
+            for record, (train_ids, test_ids) in zip(own, plan.folds):
+                assert record.train_ids is train_ids and record.test_ids is test_ids
+        for record in records:
+            assert np.intersect1d(record.train_ids, record.test_ids).size == 0
+            assert record.seed == derive_seed(derive_seed(1, record.repeat), record.fold)
+            assert np.array_equal(record.truth, table.labels[record.test_ids])
+            scores = metrics_for_task(table.task, record.truth, record.pred)
+            for metric, value in scores.items():
+                assert _bits(report.value(record.fold, str(record.repeat), metric)) == \
+                    _bits(value)
+        record = records[4]
+        alone = train(replace(self.MODEL, seed=record.seed), table.select(record.train_ids),
+                      table.labels[record.train_ids])
+        assert np.array_equal(_bits(predict(alone, table.select(record.test_ids))),
+                              _bits(record.pred))
 
     def test_classification_report_metric_names(self, tmp_path_factory):
         from agribench.dataset import load_dataset
