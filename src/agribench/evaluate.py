@@ -11,12 +11,11 @@ Four schemes are supported:
                       (rows outside both ecoregions are excluded)
 
 A benchmark run repeats each scheme ``n_repeats`` times under seeds derived
-from the base seed. Each repeat's split plan yields one ``FoldRecord`` per
-fold: repeat, fold label, derived model seed, the plan's train and test row
-ids, test truth and predictions (never the model). ``report_rows`` derives
-every report row from the records: per-fold per-seed metrics, their seed
-and fold means, and for yearly CV an "all" row per seed over the pooled
-predictions of all folds. The records stay on the report, unwritten.
+from the base seed. Each repeat yields one ``FoldRecord`` per fold (seed,
+the plan's train and test row ids, test truth and predictions; no model).
+``report_rows`` derives every report row from the records: per-fold
+per-seed metrics, seed and fold means, and yearly CV's "all" rows over the
+pooled predictions of each seed. Records are kept, never written out.
 """
 
 import json
@@ -224,7 +223,7 @@ class MetricReport:
 
     context: dict
     rows: list[tuple[str, str, str, float]]
-    records: list[FoldRecord] = field(default_factory=list, repr=False)
+    records: list[FoldRecord] = field(repr=False)
 
     def value(self, fold: str, seed: str, metric: str) -> float:
         for f, s, m, v in self.rows:
@@ -236,30 +235,32 @@ class MetricReport:
         return self.value(AGGREGATE, AGGREGATE, metric)
 
     def to_csv(self, path) -> None:
+        header = ",".join(REPORT_COLUMNS)
         prefix = ",".join(
             str(self.context.get(key, "")) or "-"
             for key in ("task", "crop", "feature_set", "model", "scheme")
         )
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(REPORT_COLUMNS) + "\n")
+            fh.write(header + "\n")
             for fold, seed, metric, value in self.rows:
                 fh.write(f"{prefix},{fold},{seed},{metric},{value!r}\n")
 
     def to_json(self, path) -> None:
-        rows = [{"fold": f, "seed": s, "metric": m, "value": v} for f, s, m, v in self.rows]
+        payload = {
+            "context": self.context,
+            "rows": [
+                {"fold": f, "seed": s, "metric": m, "value": v}
+                for f, s, m, v in self.rows
+            ],
+        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"context": self.context, "rows": rows}, fh,
-                      indent=2, sort_keys=True, allow_nan=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
 
 
 def fold_records(table: FeatureTable, plan: SplitPlan, model_spec: ModelSpec, repeat: int,
                  repeat_seed: int, threads: int) -> list[FoldRecord]:
-    """Fit, predict and record every fold of one repeat's plan.
-
-    Gradient-boosted folds are fit together in one ``boost_folds`` call;
-    random-forest folds are fit one at a time, each model dropped as soon
-    as its fold is predicted.
-    """
+    """Fit, predict and record every fold of one repeat's plan. Boosted folds are
+    fit together; each random-forest model is dropped once its fold is predicted."""
     seeds = [derive_seed(repeat_seed, label) for label in plan.fold_labels]
     if model_spec.kind == "GBT":
         fits = [(seed, train_ids) for seed, (train_ids, _) in zip(seeds, plan.folds)]
@@ -278,13 +279,9 @@ def fold_records(table: FeatureTable, plan: SplitPlan, model_spec: ModelSpec, re
 
 
 def report_rows(task: str, records: list[FoldRecord], pooled: bool):
-    """Every report row, derived from the records of all repeats.
-
-    First each record's metrics as ``(fold, repeat)`` rows in record order,
-    then each fold's mean over repeats and the mean of those fold means.
-    With ``pooled`` (yearly CV) an ``all`` row per repeat scores that
-    repeat's predictions pooled over its folds, followed by their mean.
-    """
+    """Every report row, from the records of all repeats: each record's metrics,
+    each fold's mean over repeats, the mean of those fold means and, with
+    ``pooled`` (yearly CV), each repeat's metrics over its pooled folds and their mean."""
     scores = {(r.fold, str(r.repeat)): metrics_for_task(task, r.truth, r.pred)
               for r in records}
     rows = [(fold, repeat, metric, value)
@@ -304,10 +301,10 @@ def report_rows(task: str, records: list[FoldRecord], pooled: bool):
         pooled_scores = []
         for repeat in repeats:
             own = [r for r in records if str(r.repeat) == repeat]
-            pooled_scores.append(metrics_for_task(
-                task, np.concatenate([r.truth for r in own]), np.concatenate([r.pred for r in own])
-            ))
-            rows.extend(("all", repeat, metric, pooled_scores[-1][metric]) for metric in names)
+            values = metrics_for_task(task, np.concatenate([r.truth for r in own]),
+                                      np.concatenate([r.pred for r in own]))
+            rows.extend(("all", repeat, metric, values[metric]) for metric in names)
+            pooled_scores.append(values)
         mean_rows("all", pooled_scores)
     return rows
 

@@ -351,10 +351,9 @@ class TestRunBenchmark:
             assert np.intersect1d(record.train_ids, record.test_ids).size == 0
             assert record.seed == derive_seed(derive_seed(1, record.repeat), record.fold)
             assert np.array_equal(record.truth, table.labels[record.test_ids])
-            scores = metrics_for_task(table.task, record.truth, record.pred)
-            for metric, value in scores.items():
-                assert _bits(report.value(record.fold, str(record.repeat), metric)) == \
-                    _bits(value)
+            for metric, value in metrics_for_task(table.task, record.truth, record.pred).items():
+                got = report.value(record.fold, str(record.repeat), metric)
+                assert _bits(got) == _bits(value), (record.repeat, record.fold, metric)
         record = records[4]
         alone = train(replace(self.MODEL, seed=record.seed), table.select(record.train_ids),
                       table.labels[record.train_ids])
