@@ -328,6 +328,34 @@ def _cmd_benchmark(cfg: RunConfig) -> int:
     return 0
 
 
+def _read_report(path: Path) -> list[dict]:
+    """A report CSV's rows, ``value`` parsed as a float.
+
+    Raises ``ValueError`` naming the file, and the line of a bad row, for a
+    missing column, a row with too few or too many cells, or a non-numeric
+    value.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or REPORT_COLUMNS  # an empty file has none
+        missing = [column for column in REPORT_COLUMNS if column not in header]
+        if missing:
+            raise ValueError(f"{path}: missing column {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if None in row:  # DictReader keeps the cells past the header under None
+                raise ValueError(f"{where}: too many cells")
+            if None in row.values():
+                raise ValueError(f"{where}: too few cells")
+            try:
+                row["value"] = float(row["value"])
+            except ValueError:
+                raise ValueError(f"{where}: value {row['value']!r} is not a number") from None
+            rows.append(row)
+    return rows
+
+
 def _cmd_report(cfg: RunConfig, paths: list[str]) -> int:
     if not paths:
         raise ConfigError("report command needs at least one report.csv path")
@@ -335,19 +363,10 @@ def _cmd_report(cfg: RunConfig, paths: list[str]) -> int:
         path = Path(raw)
         if not path.exists():
             raise ConfigError(f"report file does not exist: {path}")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            rows = []
-            for row in reader:
-                if None in row.values():
-                    raise ValueError(f"{path} line {reader.line_num}: too few cells")
-                rows.append(row)
+        rows = _read_report(path)
         if not rows:
             print(f"{path}: empty report")
             continue
-        missing = [column for column in REPORT_COLUMNS if column not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: missing column {', '.join(missing)}")
         ctx = rows[0]
         print(f"== {ctx['task']} ({ctx['crop']}) {ctx['feature_set']} "
               f"{ctx['model']} {ctx['scheme']} [{path}]")
@@ -370,9 +389,9 @@ def _cmd_report(cfg: RunConfig, paths: list[str]) -> int:
                 if not mean_rows:
                     cells.append("-".rjust(14))
                 elif metric == "RMSE" and as_percent:
-                    cells.append(f"{100 * float(mean_rows[0]):.2f}%".rjust(14))
+                    cells.append(f"{100 * mean_rows[0]:.2f}%".rjust(14))
                 else:
-                    cells.append(f"{float(mean_rows[0]):.4f}".rjust(14))
+                    cells.append(f"{mean_rows[0]:.4f}".rjust(14))
             print(fold.ljust(10) + "".join(cells))
     return 0
 

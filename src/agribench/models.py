@@ -24,24 +24,26 @@ Random Forests, 2001): leaf values, split statistics and impurity
 decreases are weighted sums, and ``min_samples_leaf`` counts drawn rows.
 With 0/1 labels every such sum is exact, so a classification tree is the
 tree grown on the rows repeated, bit for bit; a regression tree's sums
-round differently. Gradient boosting grows on each training row once,
-unweighted. Random forest trees grow in batches sized so that one level
-of a batch searches at most ``_BATCH_CELLS`` (drawn row, searched column)
-cells; the trees of a batch read the fit's one presorted matrix through
-their row ids, with no per-tree copy of X or y. With ``threads > 1``
-batches run on worker threads, and the results do not depend on
+round differently. Random forest trees grow in batches sized so that one
+level of a batch searches at most ``_BATCH_CELLS`` (drawn row, searched
+column) cells; the trees of a batch read the fit's one presorted matrix
+through their row ids, with no per-tree copy of X or y. With ``threads >
+1`` batches run on worker threads, and the results do not depend on
 scheduling.
 
 Gradient boosting fits each tree to the negative gradient of squared loss
 (regression) or logistic loss (classification) and adds it with shrinkage,
 taking each training row's leaf value from the grower; with
 mean-of-gradient leaf values the training loss is non-increasing for any
-learning rate in (0, 1]. ``boost_folds`` boosts the folds of a
-cross-validation repeat together: round ``t`` of every fold grows in one
-grower pass (folds grouped under the same cell budget), each fold's tree a
-subset tree that reads only the fold's rows and residuals, unweighted. A
-level then pays its fixed per-call cost once for all folds, and each
-fold's model is the model ``train`` fits on the fold's rows, bit for bit.
+learning rate in (0, 1]. Every boosted tree is a subset tree: it grows
+on the rows of a boolean mask, each once and unweighted, and reads only
+their residuals. ``boost_folds`` boosts the folds of a cross-validation
+repeat together: round ``t`` of every fold grows in one grower pass (folds
+grouped under the same cell budget), each fold's tree a subset tree on the
+fold's rows. A level then pays its fixed per-call cost once for all folds.
+A single ``train`` fit is the one-fold case, a mask over every training
+row, so each fold's model is the model ``train`` fits on the fold's rows,
+bit for bit.
 
 Feature importance is mean decrease in impurity: per-feature impurity
 decreases weighted by node size (drawn rows), summed within each tree,
@@ -171,21 +173,15 @@ class _Presorted:
         self.rank = np.full((self.n_features, n + 1), n)
         self.rank[columns[:, None], self.columns_sorted] = np.arange(n)
         self.x_flat = X.T.ravel()
-        self.row_ids = np.arange(n)
         self.all_columns = columns
         # No column repeats a value: rows drawn once never tie.
         x_sorted = self.x_flat.take(self.columns_sorted + (columns * n)[:, None])
         self.distinct = not (x_sorted[:, 1:] == x_sorted[:, :-1]).any()
 
     def root_block(self, counts: list) -> np.ndarray:
-        """Each column's sorted rows for the trees of ``_grow_trees``'s ``counts``.
-
-        ``[None]`` gives every row; otherwise tree ``t`` gives only the rows
-        it holds, offset by ``t * n_rows``.
-        """
+        """Each column's sorted rows for the trees of ``_grow_trees``'s ``counts``:
+        tree ``t`` gives only the rows it holds, offset by ``t * n_rows``."""
         block = self.columns_sorted.ravel()
-        if counts[0] is None:
-            return block
         return np.concatenate([
             block.compress(c[block] > 0) + t * self.n_rows for t, c in enumerate(counts)
         ])
@@ -333,44 +329,42 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 scratch=None):
     """Grow one CART tree per entry of ``counts``, all together, level by level.
 
-    ``counts[t]`` picks tree ``t``'s rows. ``[None]`` grows one tree over
-    every row once, unweighted. A boolean mask grows a subset tree: the
-    masked rows once each, unweighted, bit for bit the tree ``[None]``
-    grows on ``X[mask]``. Integer counts are a bootstrap, each row's
-    multiplicity in tree ``t``'s sample. The tree holds each drawn row
+    ``counts[t]`` picks tree ``t``'s rows. A boolean mask grows a subset
+    tree: the masked rows once each, unweighted, bit for bit the tree an
+    all-true mask grows on ``X[mask]``. Integer counts are a bootstrap, each
+    row's multiplicity in tree ``t``'s sample. The tree holds each drawn row
     once, weighted by its count: leaf values, node totals, split counts,
     impurities and the ``min_leaf`` tests are all over weights, so a tree
-    with integer labels is the tree grown on the rows repeated. ``y`` is
-    one row of labels that every tree reads, or a ``(trees, rows)`` array
-    whose row ``t`` tree ``t`` reads. ``rngs[t]`` draws tree ``t``'s
-    candidate features when ``max_features`` is ``"sqrt"``: at each level
-    one key per (node, feature) for its nodes in creation order, a node's
-    candidates being its smallest keys. A split's impurity decrease is
-    weighted by its node's weight over the tree's own sample size.
-    ``scratch`` is the ``_Scratch`` the caller keeps for these trees across
-    calls; without one, each level allocates its own arrays, which costs
-    less for trees grown once (a random-forest batch): buffers kept for
-    the whole call raised a 30-tree forest's peak memory by a quarter.
-    Returns ``(Tree, importance, fitted)`` per tree; each tree comes out
-    as if grown alone. ``fitted`` is each row's leaf value in an
-    unweighted tree (0 for a row outside a subset tree), ``None`` for a
-    bootstrap tree.
+    with integer labels is the tree grown on the rows repeated. ``y`` is one
+    row of labels that every tree reads, or a ``(trees, rows)`` array whose
+    row ``t`` tree ``t`` reads. ``rngs[t]`` draws tree ``t``'s candidate
+    features when ``max_features`` is ``"sqrt"``: at each level one key per
+    (node, feature) for its nodes in creation order, a node's candidates
+    being its smallest keys. A split's impurity decrease is weighted by its
+    node's weight over the tree's own sample size. ``scratch`` is the
+    ``_Scratch`` the caller keeps for these trees across calls; without one,
+    each level allocates its own arrays, which costs less for trees grown
+    once (a random-forest batch): buffers kept for the whole call raised a
+    30-tree forest's peak memory by a quarter. Returns ``(Tree, importance,
+    fitted)`` per tree; each tree comes out as if grown alone. ``fitted`` is
+    each row's leaf value in an unweighted tree (0 for a row outside a
+    subset tree), ``None`` for a bootstrap tree.
 
     ``rows`` holds, node after node, the node's row ids in ascending order,
-    and ``row_w`` their weights (``None`` when every row counts once, and a
-    node's weight is then its size); every value is looked up in ``data`` by
-    row id, so trees share one copy of X, and ``draws`` holds tree ``t``'s
-    weight of row ``r`` at ``t * n_rows + r``. ``keys`` are the rows offset
-    that way by their tree, kept beside ``rows`` where trees must be told
-    apart. With every feature searched, ``block`` holds each column's rows
-    in ascending order of that column, tree ``t``'s offset by ``t *
-    n_rows`` so that one mask routes every tree's rows, and the children's
-    block is a stable partition of the parent's by boolean masks: nothing
-    is sorted after the fit's presort. A sqrt search reads a few columns
-    per node, so it sorts just those by their presort ranks instead of
-    partitioning every column. All nodes of a level are searched together
-    (``_best_splits``). Node ids follow creation order: level by level,
-    each split's left child before its right.
+    and ``row_w`` their weights (``None`` in subset trees, whose rows count
+    once each, and a node's weight is then its size); every value is looked
+    up in ``data`` by row id, so trees share one copy of X, and ``draws``
+    holds tree ``t``'s weight of row ``r`` at ``t * n_rows + r``. ``keys``
+    are the rows offset that way by their tree, kept beside ``rows`` where
+    trees must be told apart. With every feature searched, ``block`` holds
+    each column's rows in ascending order of that column, tree ``t``'s
+    offset by ``t * n_rows`` so that one mask routes every tree's rows, and
+    the children's block is a stable partition of the parent's by boolean
+    masks: nothing is sorted after the fit's presort. A sqrt search reads a
+    few columns per node, so it sorts just those by their presort ranks
+    instead of partitioning every column. All nodes of a level are searched
+    together (``_best_splits``). Node ids follow creation order: level by
+    level, each split's left child before its right.
     """
     n_features, n_rows = data.n_features, data.n_rows
     n_candidates = _n_searched(max_features, n_features)
@@ -382,14 +376,10 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     n_trees = len(counts)
     labels = y.ravel()
     per_tree = y.ndim == 2  # tree t's label of row r is at t * n_rows + r
-    every_row = counts[0] is None
-    bootstrap = not every_row and counts[0].dtype != bool
+    bootstrap = counts[0].dtype != bool
     draws = row_w = None
-    if every_row:
-        rows, sizes = data.row_ids, np.array([n_rows])
-    else:
-        drawn = [np.flatnonzero(c) for c in counts]
-        rows, sizes = np.concatenate(drawn), np.array([r.size for r in drawn])
+    drawn = [np.flatnonzero(c) for c in counts]
+    rows, sizes = np.concatenate(drawn), np.array([r.size for r in drawn])
     if bootstrap:
         draws = np.concatenate(counts).astype(float)
         row_w = np.concatenate([c[r] for c, r in zip(counts, drawn)]).astype(float)
@@ -483,16 +473,13 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 slot_row = np.minimum(np.arange(int(m[0]))[:, None], m - 1)
                 if partition:
                     searched = data.all_columns
-                    if depth == 0 and every_row:
-                        search = data.columns_sorted.T[:, None, :]
-                    else:
-                        # Column f of node j starts at starts[j] * n_features + f * m[j].
-                        first = (starts[sel] * n_features)[:, None] + searched * m[:, None]
-                        spare = buffer("spare", (slot_row.shape[0], sel.size, n_features), np.intp)
-                        at = np.add(first, slot_row[:, :, None], out=spare)
-                        del spare
-                        search = take(block, at, "search")
-                        del at
+                    # Column f of node j starts at starts[j] * n_features + f * m[j].
+                    first = (starts[sel] * n_features)[:, None] + searched * m[:, None]
+                    spare = buffer("spare", (slot_row.shape[0], sel.size, n_features), np.intp)
+                    at = np.add(first, slot_row[:, :, None], out=spare)
+                    del spare
+                    search = take(block, at, "search")
+                    del at
                     # Block entries are keys: look up the weights and a
                     # tree's own labels, then turn them into row ids.
                     ws = None if draws is None else take(draws, search, "ws")
@@ -733,7 +720,7 @@ def _fold_groups(data: _Presorted, masks: list, max_features: str) -> list[slice
     searched = _n_searched(max_features, data.n_features)
     groups, start, cells = [], 0, 0
     for i, mask in enumerate(masks):
-        fold_cells = searched * (data.n_rows if mask is None else int(np.count_nonzero(mask)))
+        fold_cells = searched * int(np.count_nonzero(mask))
         if i > start and cells + fold_cells > _BATCH_CELLS:
             groups.append(slice(start, i))
             start, cells = i, 0
@@ -745,8 +732,8 @@ def _fold_groups(data: _Presorted, masks: list, max_features: str) -> list[slice
 def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds: list):
     """Gradient boosting of one model per fold, every fold's round grown together.
 
-    ``masks[i]`` marks fold ``i``'s rows of ``data`` (``[None]``: one fold
-    of every row) and ``seeds[i]`` its spec seed. Round ``t`` grows each
+    ``masks[i]`` marks fold ``i``'s rows of ``data`` (``train`` passes one
+    all-true mask) and ``seeds[i]`` its spec seed. Round ``t`` grows each
     group of folds (``_fold_groups``) in one ``_grow_trees`` call: fold
     ``i``'s tree is a subset tree on its rows, fit to its own row of
     residuals, so each fold boosts as if alone on ``X[masks[i]]``. Scores,
@@ -759,7 +746,7 @@ def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds:
     max_features = spec.resolved_max_features()
     bases = []
     for mask in masks:
-        fold_y = y if mask is None else y[mask]
+        fold_y = y[mask]
         if classification:
             p = min(max(float(fold_y.mean()), 1e-12), 1.0 - 1e-12)
             bases.append(math.log(p / (1.0 - p)))
@@ -803,6 +790,8 @@ def _checked(spec: ModelSpec, X, y) -> tuple[np.ndarray, tuple[str, ...], np.nda
         )
     if matrix.shape[0] < 2:
         raise ValueError("training requires at least 2 rows")
+    if matrix.shape[1] == 0:
+        raise ValueError("training requires at least one feature column")
     _require_finite(matrix, "features")
     _require_finite(y, "labels")
     if spec.task == "classification" and not np.all(np.isin(y, (0.0, 1.0))):
@@ -828,7 +817,7 @@ def train(spec: ModelSpec, X, y, threads: int = 1) -> TrainedModel:
     if spec.kind == "RF":
         grown = _train_rf(spec, matrix, y, threads)
     else:
-        [grown] = _boost(spec, _Presorted(matrix), y, [None], [spec.seed])
+        [grown] = _boost(spec, _Presorted(matrix), y, [np.ones(y.size, dtype=bool)], [spec.seed])
     return _model(spec, names, *grown)
 
 
@@ -838,8 +827,8 @@ def boost_folds(spec: ModelSpec, X, y, folds) -> list[TrainedModel]:
     Fold ``i``'s model equals ``train(replace(spec, seed=seed), X[rows],
     y[rows])`` bit for bit, where ``rows`` are strictly increasing row ids
     of ``X``; ``X`` and ``y`` are validated whole. Rows that no fold
-    trains on are left out of the fit, so one fold is fit as ``train``
-    fits it.
+    trains on are left out of the fit, which keeps the presort and each
+    round's arrays to the rows some fold reads.
     """
     if spec.kind != "GBT":
         raise ValueError(f"boost_folds fits gradient boosting, not {spec.kind!r}")
@@ -847,8 +836,7 @@ def boost_folds(spec: ModelSpec, X, y, folds) -> list[TrainedModel]:
     if not folds:
         raise ValueError("no folds to fit")
     n = matrix.shape[0]
-    used = np.zeros(n, dtype=bool)
-    seeds, picks = [], []
+    seeds, masks = [], []
     for seed, rows in folds:
         rows = np.asarray(rows)
         if rows.ndim != 1 or rows.dtype.kind not in "iu":
@@ -859,18 +847,14 @@ def boost_folds(spec: ModelSpec, X, y, folds) -> list[TrainedModel]:
             raise ValueError("training requires at least 2 rows")
         if rows[0] < 0 or rows[-1] >= n or (rows[1:] <= rows[:-1]).any():
             raise ValueError(f"fold rows must be strictly increasing row ids below {n}")
-        used[rows] = True
+        mask = np.zeros(n, dtype=bool)
+        mask[rows] = True
         seeds.append(seed)
-        picks.append(rows)
+        masks.append(mask)
+    used = np.logical_or.reduce(masks)
     if not used.all():  # rows that no fold trains on are left out
-        position = used.cumsum() - 1
-        picks = [position[rows] for rows in picks]
+        masks = [mask[used] for mask in masks]
         matrix, y = matrix[used], y[used]
-    masks = [None]
-    if len(picks) > 1:
-        masks = [np.zeros(y.size, dtype=bool) for _ in picks]
-        for mask, rows in zip(masks, picks):
-            mask[rows] = True
     grown = _boost(spec, _Presorted(matrix), y, masks, seeds)
     return [_model(replace(spec, seed=seed), names, *fit) for seed, fit in zip(seeds, grown)]
 

@@ -103,6 +103,17 @@ class TestTrainBasics:
         with pytest.raises(ValueError, match="at least 2"):
             train(ModelSpec(kind="RF", task="regression"), np.ones((1, 2)), np.ones(1))
 
+    @pytest.mark.parametrize("fit", [
+        lambda X, y: train(ModelSpec(kind="RF", task="regression"), X, y),
+        lambda X, y: train(ModelSpec(kind="RF", task="classification"), X, y),
+        lambda X, y: train(ModelSpec(kind="GBT", task="regression"), X, y),
+        lambda X, y: boost_folds(ModelSpec(kind="GBT", task="regression"), X, y,
+                                 [(1, np.arange(6))]),
+    ], ids=["rf_regression", "rf_classification", "gbt", "boost_folds"])
+    def test_no_feature_columns_rejected(self, fit):
+        with pytest.raises(ValueError, match="training requires at least one feature column"):
+            fit(np.zeros((6, 0)), np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0]))
+
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
@@ -680,8 +691,10 @@ class TestLevelWiseGrower:
     def test_matches_depth_first_reference(self, min_leaf, max_depth, ties):
         """Float labels: a bootstrap tree is the reference grown on the drawn
         rows, weighted by their counts. Integer labels keep every sum exact,
-        so it is also the reference grown on the rows repeated."""
+        so it is also the reference grown on the rows repeated. A subset tree
+        is the reference grown on its mask's rows."""
         local = np.random.default_rng([min_leaf, max_depth or 0, ties])
+        subsets = np.random.default_rng([min_leaf, max_depth or 0, ties, 1])
         for _ in range(8):
             n = int(local.integers(6, 70))
             n_features = int(local.integers(1, 7))
@@ -701,13 +714,31 @@ class TestLevelWiseGrower:
                 samples = [(np.repeat(np.arange(n), c), None) for c in counts]
             else:
                 samples = [(np.flatnonzero(c), c) for c in counts]
-            # Gradient boosting: one tree over every row once.
-            grown += _grow_trees(data, y, [None], [None], max_depth, min_leaf, "all", False)
+            labels = [y] * 4
+            # Gradient boosting, one fit: a subset tree over an all-true mask.
+            grown += _grow_trees(data, y, [np.ones(n, dtype=bool)], [None], max_depth, min_leaf,
+                                 "all", False)
             samples.append((np.arange(n), None))
-            for (rows, weights), (tree, importance, _) in zip(samples, grown):
+            # Boosted folds: three subset trees that leave rows out, grown
+            # together, each reading its own row of labels.
+            masks = []
+            for _ in range(3):
+                mask = subsets.random(n) < 0.7
+                kept_a, kept_b, left_out = subsets.choice(n, 3, replace=False)
+                mask[[kept_a, kept_b]] = True
+                mask[left_out] = False
+                masks.append(mask)
+            if ties:
+                Y = subsets.integers(-3, 4, size=(3, n)).astype(float)
+            else:
+                Y = subsets.normal(size=(3, n)) * 10.0 ** subsets.integers(-3, 4)
+            grown += _grow_trees(data, Y, masks, [None] * 3, max_depth, min_leaf, "all", False)
+            labels += list(Y)
+            samples += [(np.flatnonzero(mask), None) for mask in masks]
+            for label, (rows, weights), (tree, importance, _) in zip(labels, samples, grown):
                 acc = np.zeros(n_features)
-                reference = _grow_tree(X, y, rows, max_depth, min_leaf, "all", False, None, acc,
-                                       weights)
+                reference = _grow_tree(X, label, rows, max_depth, min_leaf, "all", False, None,
+                                       acc, weights)
                 assert _same_tree(tree, reference)
                 assert np.array_equal(importance, acc)
 
@@ -902,7 +933,8 @@ class TestSubsetTrees:
                             max_depth, min_leaf, max_features, False)
         for t, (mask, (tree, importance, fitted)) in enumerate(zip(masks, grown)):
             [(alone, alone_importance, alone_fitted)] = _grow_trees(
-                _Presorted(X[mask]), Y[t, mask], [None], [np.random.default_rng(t)],
+                _Presorted(X[mask]), Y[t, mask], [np.ones(int(mask.sum()), dtype=bool)],
+                [np.random.default_rng(t)],
                 max_depth, min_leaf, max_features, False,
             )
             for name in ("feature", "left", "right"):
