@@ -172,10 +172,6 @@ def test_malformed_report_is_an_error_not_a_traceback(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: report: ")
 
 
-REPORT_HEADER = "task,crop,feature_set,model,scheme,fold,seed,metric,value\n"
-REPORT_ROW = "yield,corn,RS,RF,yearly_cv,2019,mean,R2,0.5\n"
-
-
 @pytest.mark.parametrize("bad_row, message", [
     ("yield,corn,RS,RF,yearly_cv,2020,mean,R2,0.5,0.7\n", "too many cells"),
     ("yield,corn,RS,RF,yearly_cv,2020,mean,RMSE,n/a\n", "value 'n/a' is not a number"),
@@ -184,7 +180,8 @@ def test_bad_report_row_rejected_before_printing(tmp_path, capsys, bad_row, mess
     """An extra cell used to be dropped silently, and a non-numeric value
     failed unnamed after the table's first rows were printed."""
     bad = tmp_path / "bad.csv"
-    bad.write_text(REPORT_HEADER + REPORT_ROW + bad_row)
+    bad.write_text("task,crop,feature_set,model,scheme,fold,seed,metric,value\n"
+                   "yield,corn,RS,RF,yearly_cv,2019,mean,R2,0.5\n" + bad_row)
     assert main(["report", str(bad)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
