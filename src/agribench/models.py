@@ -24,12 +24,12 @@ Random Forests, 2001): leaf values, split statistics and impurity
 decreases are weighted sums, and ``min_samples_leaf`` counts drawn rows.
 With 0/1 labels every such sum is exact, so a classification tree is the
 tree grown on the rows repeated, bit for bit; a regression tree's sums
-round differently. Random forest trees grow in batches sized so that one
-level of a batch searches at most ``_BATCH_CELLS`` (drawn row, searched
-column) cells; the trees of a batch read the fit's one presorted matrix
-through their row ids, with no per-tree copy of X or y. With ``threads >
-1`` batches run on worker threads, and the results do not depend on
-scheduling.
+round differently. Random forest trees grow in batches, grouped by the
+rule that groups boosted folds (``_groups``): one level of a batch
+searches at most ``_BATCH_CELLS`` (drawn row, searched column) cells. The
+trees of a batch read the fit's one presorted matrix by key (tree, row),
+with no per-tree copy of X. With ``threads > 1`` batches run on worker
+threads, and the results do not depend on scheduling.
 
 Gradient boosting fits each tree to the negative gradient of squared loss
 (regression) or logistic loss (classification) and adds it with shrinkage,
@@ -146,7 +146,7 @@ class TrainedModel:
 
 # Trees grown together search at most this many (drawn row, searched column)
 # cells per level, about 1 MiB per float64 level array; values are read from
-# the fit's one presorted matrix, never from a per-tree copy of X or y.
+# the fit's one presorted matrix, never from a per-tree copy of X.
 _BATCH_CELLS = 1 << 17
 
 
@@ -350,15 +350,16 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     each row's leaf value in an unweighted tree (0 for a row outside a
     subset tree), ``None`` for a bootstrap tree.
 
-    ``rows`` holds, node after node, the node's row ids in ascending order,
-    and ``row_w`` their weights (``None`` in subset trees, whose rows count
-    once each, and a node's weight is then its size); every value is looked
-    up in ``data`` by row id, so trees share one copy of X, and ``draws``
-    holds tree ``t``'s weight of row ``r`` at ``t * n_rows + r``. ``keys``
-    are the rows offset that way by their tree, kept beside ``rows`` where
-    trees must be told apart. With every feature searched, ``block`` holds
-    each column's rows in ascending order of that column, tree ``t``'s
-    offset by ``t * n_rows`` so that one mask routes every tree's rows, and
+    Row ``r`` of tree ``t`` has the key ``t * n_rows + r``, the grower's one
+    row id. ``keys`` holds, node after node, the node's keys in ascending
+    order, and ``row_w`` their weights (``None`` in subset trees, whose rows
+    count once each, and a node's weight is then its size). ``labels``,
+    ``draws`` (the weights) and ``leaf`` are indexed by key; ``labels`` is
+    ``y`` with a shared row tiled once per tree, at most ``_BATCH_CELLS /
+    searched columns`` floats for a forest batch. X is read from ``data``
+    at the key less its tree's offset, so trees share one copy of X. With
+    every feature searched, ``block`` holds each column's keys in ascending
+    order of that column, so that one mask routes every tree's rows, and
     the children's block is a stable partition of the parent's by boolean
     masks: nothing is sorted after the fit's presort. A sqrt search reads a
     few columns per node, so it sorts just those by their presort ranks
@@ -374,20 +375,17 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     may_tie = not data.distinct
     x_flat = data.x_flat
     n_trees = len(counts)
-    labels = y.ravel()
-    per_tree = y.ndim == 2  # tree t's label of row r is at t * n_rows + r
+    labels = np.broadcast_to(y, (n_trees, n_rows)).ravel()
     bootstrap = counts[0].dtype != bool
-    draws = row_w = None
-    drawn = [np.flatnonzero(c) for c in counts]
-    rows, sizes = np.concatenate(drawn), np.array([r.size for r in drawn])
-    if bootstrap:
-        draws = np.concatenate(counts).astype(float)
-        row_w = np.concatenate([c[r] for c, r in zip(counts, drawn)]).astype(float)
+    selected = np.concatenate(counts)
+    keys, sizes = np.flatnonzero(selected), np.array([np.count_nonzero(c) for c in counts])
+    draws = selected.astype(float) if bootstrap else None
+    row_w = None if draws is None else draws[keys]
     sample_size = np.full(n_trees, n_rows) if bootstrap else sizes
     if partition:
         block = data.root_block(counts) if scratch is None else scratch.root_block
 
-    capacity = 2 * rows.size - n_trees  # binary trees over their rows
+    capacity = 2 * keys.size - n_trees  # binary trees over their rows
     feature = np.full(capacity, -1, dtype=np.intp)
     threshold = np.zeros(capacity)
     left = np.full(capacity, -1, dtype=np.intp)
@@ -396,8 +394,6 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     # Each (tree, row)'s deepest node so far; a row outside a subset tree
     # keeps the last entry of value, 0.
     leaf = None if bootstrap else np.full(n_trees * n_rows, capacity)
-    keyed = n_trees > 1 and (per_tree or partition or leaf is not None)
-    keys = rows + np.arange(0, n_trees * n_rows, n_rows).repeat(sizes) if keyed else rows
 
     def buffer(name, shape, dtype):
         """An ``out`` array on the scratch buffer ``name``, or ``None`` (a
@@ -408,10 +404,10 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
         """``values.take(at)``, into ``buffer(name, ...)``."""
         return values.take(at, out=buffer(name, at.shape, values.dtype), mode="clip")
 
-    def settle(rows, keys, row_w, sizes, ids, depth):
+    def settle(keys, row_w, sizes, ids, depth):
         """Set leaf values; returns which nodes may split, their weights and
         their weighted label sums."""
-        ys = labels[keys if per_tree else rows]
+        ys = labels[keys]
         starts = sizes.cumsum() - sizes
         if row_w is None:
             weights, weighted = sizes, ys
@@ -435,11 +431,10 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     tree_of = ids
     n_made = n_trees
     depth = 0
-    may_split, weights, totals = settle(rows, keys, row_w, sizes, ids, depth)
+    may_split, weights, totals = settle(keys, row_w, sizes, ids, depth)
     if not may_split.all():
         keep = may_split.repeat(sizes)
-        rows = rows.compress(keep)
-        keys = keys.compress(keep) if keyed else rows
+        keys = keys.compress(keep)
         if row_w is not None:
             row_w = row_w.compress(keep)
         if partition:
@@ -480,22 +475,20 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     del spare
                     search = take(block, at, "search")
                     del at
-                    # Block entries are keys: look up the weights and a
-                    # tree's own labels, then turn them into row ids.
+                    # Block entries are keys: look up the weights and
+                    # labels, then turn them into row ids.
                     ws = None if draws is None else take(draws, search, "ws")
-                    ys = take(labels, search, "ys") if per_tree else None
+                    ys = take(labels, search, "ys")
                     if n_trees > 1:
                         search -= (tree_of[sel] * n_rows)[:, None]
                 else:
                     searched = columns[sel]
-                    local = rows.take(starts[sel] + slot_row)
+                    local = keys.take(starts[sel] + slot_row) - tree_of[sel] * n_rows
                     local[slot_row < np.arange(m[0])[:, None]] = n_rows
                     search = data.sort_rows(local, searched)
-                    entries = search
-                    if n_trees > 1 and (per_tree or draws is not None):
-                        entries = search + (tree_of[sel] * n_rows)[:, None]
+                    entries = search + (tree_of[sel] * n_rows)[:, None]
                     ws = None if draws is None else take(draws, entries, "ws")
-                    ys = take(labels, entries, "ys") if per_tree else None
+                    ys = take(labels, entries, "ys")
                     del entries
                 ties = None
                 if may_tie:
@@ -503,8 +496,6 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     ties = np.zeros(xs.shape, dtype=bool)
                     np.greater_equal(xs[:-1], xs[1:], out=ties[:-1])
                     del xs
-                if ys is None:
-                    ys = take(labels, search, "ys")
                 best[sel], column, slot = _best_splits(
                     ys, ws, m, m if ws is None else weights[sel], totals[sel], ties, min_leaf,
                     classification, buffer("spare", ys.shape, float),
@@ -525,7 +516,7 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 break
 
             # Impurity decrease from the node's own sums, as scalars.
-            ys = labels[keys if per_tree else rows]
+            ys = labels[keys]
             weighted = None if row_w is None else row_w * ys
             split_ids = ids[split_nodes]
             split_m = sizes[split_nodes].tolist()
@@ -558,23 +549,18 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
 
             # Route rows; the children come as all left ones, then all right.
             node_of = np.arange(n_nodes).repeat(sizes)
-            go_left = x_flat[chosen[node_of] * n_rows + rows] <= cut[node_of]
+            go_left = x_flat[(chosen - tree_of)[node_of] * n_rows + keys] <= cut[node_of]
             in_split = split[node_of]
             to_left = go_left & in_split
             n_left = np.bincount(node_of[to_left], minlength=n_nodes)[split_nodes]
             child_sizes = np.concatenate([n_left, sizes[split_nodes] - n_left])
             child_ids = np.concatenate([left_ids, left_ids + 1])
             to_right = ~go_left & in_split
-            child_rows = np.concatenate([rows.compress(to_left), rows.compress(to_right)])
-            child_keys = child_rows
-            if keyed:
-                child_keys = np.concatenate([keys.compress(to_left), keys.compress(to_right)])
+            child_keys = np.concatenate([keys.compress(to_left), keys.compress(to_right)])
             if row_w is not None:
                 row_w = np.concatenate([row_w.compress(to_left), row_w.compress(to_right)])
             depth += 1
-            may_split, weights, totals = settle(
-                child_rows, child_keys, row_w, child_sizes, child_ids, depth
-            )
+            may_split, weights, totals = settle(child_keys, row_w, child_sizes, child_ids, depth)
             if not may_split.any():
                 break
 
@@ -601,8 +587,7 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 )
                 del halves
             keep = may_split.repeat(child_sizes)
-            rows = child_rows.compress(keep)
-            keys = child_keys.compress(keep) if keyed else rows
+            keys = child_keys.compress(keep)
             if row_w is not None:
                 row_w = row_w.compress(keep)
             child_trees = np.concatenate([tree_of[split_nodes]] * 2)
@@ -685,12 +670,11 @@ def _train_rf(spec: ModelSpec, X: np.ndarray, y: np.ndarray, threads: int):
     max_depth = spec.resolved_max_depth()
     max_features = spec.resolved_max_features()
     data = _Presorted(X)
-    batch = max(1, _BATCH_CELLS // (n * _n_searched(max_features, X.shape[1])))
 
-    def grow(first: int):
+    def grow(at: slice):
         rngs = [
             np.random.default_rng(derive_seed(spec.seed, tree_index))
-            for tree_index in range(first, min(first + batch, spec.n_trees))
+            for tree_index in range(at.start, at.stop)
         ]
         counts = [np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs]
         return _grow_trees(
@@ -698,34 +682,32 @@ def _train_rf(spec: ModelSpec, X: np.ndarray, y: np.ndarray, threads: int):
             max_features, classification,
         )
 
-    firsts = range(0, spec.n_trees, batch)
+    groups = _groups(data, [n] * spec.n_trees, max_features)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(grow, firsts))
+            batches = list(pool.map(grow, groups))
     else:
-        batches = [grow(first) for first in firsts]
+        batches = [grow(at) for at in groups]
     results = [result for grown in batches for result in grown]
-    trees = [tree for tree, _, _ in results]
-    per_tree = np.stack([acc for _, acc, _ in results])
-    return trees, per_tree.mean(axis=0), 0.0
+    importance = sum((acc for _, acc, _ in results), np.zeros(data.n_features))
+    return [tree for tree, _, _ in results], importance / spec.n_trees, 0.0
 
 
 def _sigmoid(scores: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-scores))
 
 
-def _fold_groups(data: _Presorted, masks: list, max_features: str) -> list[slice]:
-    """Consecutive folds whose roots search at most ``_BATCH_CELLS`` cells
-    together (at least one fold a group)."""
+def _groups(data: _Presorted, rows_per_tree: list, max_features: str) -> list[slice]:
+    """Batches of consecutive trees (``rows_per_tree[t]`` root rows each) whose
+    roots search at most ``_BATCH_CELLS`` cells together, one tree at least."""
     searched = _n_searched(max_features, data.n_features)
     groups, start, cells = [], 0, 0
-    for i, mask in enumerate(masks):
-        fold_cells = searched * int(np.count_nonzero(mask))
-        if i > start and cells + fold_cells > _BATCH_CELLS:
-            groups.append(slice(start, i))
-            start, cells = i, 0
-        cells += fold_cells
-    groups.append(slice(start, len(masks)))
+    for t, rows in enumerate(rows_per_tree):
+        if t > start and cells + searched * rows > _BATCH_CELLS:
+            groups.append(slice(start, t))
+            start, cells = t, 0
+        cells += searched * rows
+    groups.append(slice(start, len(rows_per_tree)))
     return groups
 
 
@@ -734,7 +716,7 @@ def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds:
 
     ``masks[i]`` marks fold ``i``'s rows of ``data`` (``train`` passes one
     all-true mask) and ``seeds[i]`` its spec seed. Round ``t`` grows each
-    group of folds (``_fold_groups``) in one ``_grow_trees`` call: fold
+    group of folds (``_groups``) in one ``_grow_trees`` call: fold
     ``i``'s tree is a subset tree on its rows, fit to its own row of
     residuals, so each fold boosts as if alone on ``X[masks[i]]``. Scores,
     residuals and fitted values are ``(folds, rows)`` arrays; a row outside
@@ -758,11 +740,11 @@ def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds:
     # Each group's root block and level buffers serve every round.
     groups = [
         (at, masks[at], rngs[at], _Scratch(data.root_block(masks[at]) if partition else None))
-        for at in _fold_groups(data, masks, max_features)
+        for at in _groups(data, [int(np.count_nonzero(m)) for m in masks], max_features)
     ]
 
     trees = [[] for _ in masks]
-    accs = [[] for _ in masks]
+    importance = np.zeros((len(masks), data.n_features))
     fitted = np.empty_like(scores)
     for _ in range(spec.n_trees):
         residual = y - _sigmoid(scores) if classification else y - scores
@@ -774,10 +756,10 @@ def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds:
             )
             for i, (tree, acc, fold_fitted) in enumerate(grown, start=at.start):
                 trees[i].append(tree)
-                accs[i].append(acc)
+                importance[i] += acc
                 fitted[i] = fold_fitted
         scores = scores + spec.learning_rate * fitted  # equals tree.apply(X) on fold rows
-    return [(t, np.stack(a).mean(axis=0), base) for t, a, base in zip(trees, accs, bases)]
+    return list(zip(trees, importance / spec.n_trees, bases))
 
 
 def _checked(spec: ModelSpec, X, y) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
@@ -960,8 +942,6 @@ def _tree_defect(tree: Tree, n_features: int) -> str | None:
     """
     n = tree.feature.size
     lengths = [a.size for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)]
-    if any(a.ndim != 1 for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)):
-        return "arrays must be flat lists"
     if len(set(lengths)) != 1:
         return f"arrays differ in length {lengths}"
     if n == 0:
@@ -992,7 +972,15 @@ def _tree_defect(tree: Tree, n_features: int) -> str | None:
     return None
 
 
-def _finite_float(value) -> float:
+# JSON values are exactly these types, so ``type(v) in _NUMBER`` refuses
+# booleans, strings and null.
+_INTEGER, _NUMBER = (int,), (int, float)
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+def _finite_number(value) -> float:
+    if type(value) not in _NUMBER:
+        raise TypeError(f"{json.dumps(value)} is not a number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{number} is not finite")
@@ -1003,6 +991,18 @@ def _json_list(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
     return value
+
+
+def _node_array(tree: dict, name: str) -> np.ndarray:
+    """A tree's node array ``name``; ``ValueError`` names a node whose entry
+    is not an integer (feature, left, right) or a number."""
+    types = _INTEGER if name in ("feature", "left", "right") else _NUMBER
+    entries = _json_list(tree[name])
+    for node, entry in enumerate(entries):
+        if type(entry) not in types:
+            kind = "an integer" if types is _INTEGER else "a number"
+            raise ValueError(f"node {node}: {name} {json.dumps(entry)} is not {kind}")
+    return np.array(entries, dtype=np.intp if types is _INTEGER else float)
 
 
 def _name_tuple(value) -> tuple[str, ...]:
@@ -1017,8 +1017,8 @@ _MODEL_FIELDS = (
     ("spec", lambda spec: ModelSpec(**spec)),
     ("feature_names", _name_tuple),
     ("trees", _json_list),
-    ("importance", lambda values: np.array(values, dtype=float)),
-    ("base_score", _finite_float),
+    ("importance", lambda values: np.array([_finite_number(v) for v in _json_list(values)])),
+    ("base_score", _finite_number),
 )
 
 
@@ -1042,7 +1042,7 @@ def load_model(path) -> TrainedModel:
             raise ValueError(f"{path}: missing {key!r}")
         try:
             fields[key] = convert(payload[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: bad {key!r} ({exc})") from None
     spec, feature_names = fields["spec"], fields["feature_names"]
     if len(fields["trees"]) != spec.n_trees:
@@ -1050,15 +1050,11 @@ def load_model(path) -> TrainedModel:
     trees = []
     for index, t in enumerate(fields["trees"]):
         try:
-            tree = Tree(
-                feature=np.array(t["feature"], dtype=np.intp),
-                threshold=np.array(t["threshold"], dtype=float),
-                left=np.array(t["left"], dtype=np.intp),
-                right=np.array(t["right"], dtype=np.intp),
-                value=np.array(t["value"], dtype=float),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            tree = Tree(**{name: _node_array(t, name) for name in _NODE_ARRAYS})
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path}: tree {index}: malformed arrays ({exc})") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: tree {index}: {exc}") from None
         defect = _tree_defect(tree, len(feature_names))
         if defect is not None:
             raise ValueError(f"{path}: tree {index}: {defect}")
@@ -1068,6 +1064,8 @@ def load_model(path) -> TrainedModel:
         raise ValueError(
             f"{path}: {importance.size} importance values for {len(feature_names)} features"
         )
+    if (importance < 0).any():
+        raise ValueError(f"{path}: bad 'importance' ({importance.min()} is negative)")
     return TrainedModel(
         spec=spec,
         feature_names=feature_names,

@@ -303,6 +303,10 @@ class TestImportance:
             model = train(ModelSpec(kind=kind, task="regression", n_trees=10, seed=15), X, y)
             assert float(model.importance.sum()) == pytest.approx(1.0, abs=1e-12)
             assert np.all(model.importance >= 0)
+            # One feature takes every decrease, whatever order they are summed in.
+            model = train(ModelSpec(kind=kind, task="regression", n_trees=10, seed=15),
+                          X[:, :1], y)
+            assert model.importance.tolist() == [1.0]
 
     def test_top_features_query(self):
         X = rng.normal(size=(100, 5))
@@ -371,9 +375,26 @@ class TestModelFile:
          "bad 'feature_names' (expected a list of strings)"),
         (lambda p: json.dumps({**p, "trees": {"0": p["trees"][0]}}),
          "bad 'trees' (expected a list, got dict)"),
+        (lambda p: json.dumps({**p, "importance": [float("nan")] * 3}),
+         "bad 'importance' (nan is not finite)"),
+        (lambda p: json.dumps({**p, "importance": [None] * 3}),
+         "bad 'importance' (null is not a number)"),
+        (lambda p: json.dumps({**p, "importance": [-0.5, 1.0, 0.5]}),
+         "bad 'importance' (-0.5 is negative)"),
+        (lambda p: json.dumps({**p, "importance": [0.5, "0.25", 0.25]}),
+         "bad 'importance' (\"0.25\" is not a number)"),
+        (lambda p: json.dumps({**p, "base_score": "1.5"}),
+         "bad 'base_score' (\"1.5\" is not a number)"),
+        (lambda p: json.dumps({**p, "base_score": True}),
+         "bad 'base_score' (true is not a number)"),
+        (lambda p: json.dumps({**p, "base_score": 10**400}),
+         "bad 'base_score' (int too large to convert to float)"),
     ], ids=["not_json", "json_array", "no_feature_names", "spec_unknown_field",
             "spec_not_object", "null_base_score", "nan_base_score", "no_trees",
-            "feature_names_string", "feature_names_not_strings", "trees_object"])
+            "feature_names_string", "feature_names_not_strings", "trees_object",
+            "nan_importance", "null_importance", "negative_importance",
+            "string_importance", "string_base_score", "boolean_base_score",
+            "huge_base_score"])
     def test_malformed_file_named(self, tmp_path, edit, message):
         path = self._saved_rf(tmp_path)
         path.write_text(edit(json.loads(path.read_text())))
@@ -403,6 +424,13 @@ class TestModelFile:
         ("threshold", 0, float("nan"), "threshold is not finite"),
         ("value", -1, float("inf"), "value is not finite"),
         ("feature", 0, -2, "feature -2 is not a column below 3"),
+        # Entries of the wrong JSON type; each of these used to load, cast.
+        ("feature", 0, 0.5, "feature 0.5 is not an integer"),
+        ("feature", 0, True, "feature true is not an integer"),
+        ("left", 0, True, "left true is not an integer"),
+        ("right", 0, 2.0, "right 2.0 is not an integer"),
+        ("threshold", 0, "0.5", 'threshold "0.5" is not a number'),
+        ("value", -1, False, "value false is not a number"),
     ])
     def test_bad_field_rejected(self, tmp_path, field, index, value, message):
         path = self._saved_rf(tmp_path)
@@ -745,20 +773,44 @@ class TestLevelWiseGrower:
     @pytest.mark.parametrize("classification", [False, True])
     @pytest.mark.parametrize("max_features", ["all", "sqrt"])
     def test_batched_trees_equal_trees_grown_alone(self, max_features, classification):
+        """Bootstrap trees reading one label row."""
+        self._check_batched(max_features, classification, "bootstrap")
+
+    @pytest.mark.parametrize("labels", ["shared_row", "row_per_tree"])
+    @pytest.mark.parametrize("classification", [False, True])
+    @pytest.mark.parametrize("max_features", ["all", "sqrt"])
+    def test_batched_subset_trees_equal_trees_grown_alone(self, max_features, classification,
+                                                          labels):
+        """Subset trees reading one shared label row, which the grower tiles
+        per tree, or a ``(trees, rows)`` label array."""
+        self._check_batched(max_features, classification, labels)
+
+    @staticmethod
+    def _check_batched(max_features, classification, selection):
         local = np.random.default_rng(8)
         X = local.normal(size=(50, 16))
         y = X[:, 0] + local.normal(size=50)
         if classification:
             y = (y > 0).astype(float)
         data = _Presorted(X)
-        counts = [np.bincount(local.integers(0, 50, size=50), minlength=50) for _ in range(4)]
-        together = _grow_trees(data, y, counts, [np.random.default_rng(s) for s in range(4)],
+        if selection == "bootstrap":
+            counts = [np.bincount(local.integers(0, 50, size=50), minlength=50)
+                      for _ in range(4)]
+        else:
+            counts = [local.random(50) < 0.7 for _ in range(4)]
+        labels = y
+        if selection == "row_per_tree":
+            labels = np.stack([local.permutation(y) for _ in range(4)])
+        together = _grow_trees(data, labels, counts, [np.random.default_rng(s) for s in range(4)],
                                None, 1, max_features, classification)
         for s, c in enumerate(counts):
-            [alone] = _grow_trees(data, y, [c], [np.random.default_rng(s)], None, 1,
-                                  max_features, classification)
+            [alone] = _grow_trees(data, labels if labels.ndim == 1 else labels[s], [c],
+                                  [np.random.default_rng(s)], None, 1, max_features,
+                                  classification)
             assert _same_tree(alone[0], together[s][0])
             assert np.array_equal(alone[1], together[s][1])
+            if selection != "bootstrap":
+                assert np.array_equal(alone[2], together[s][2])
 
     @pytest.mark.parametrize("min_leaf", [1, 2])
     def test_sqrt_candidates_drawn_per_level(self, min_leaf):
