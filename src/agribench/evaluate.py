@@ -13,6 +13,9 @@ Four schemes are supported:
 A benchmark run repeats each scheme ``n_repeats`` times under seeds derived
 from the base seed. Each repeat yields one ``FoldRecord`` per fold (seed,
 the plan's train and test row ids, test truth and predictions; no model).
+A model that reads no seed (``ModelSpec.reads_seed``) is fit once per
+distinct plan: a repeat whose folds equal the last repeat's records that
+repeat's predictions under its own seeds.
 ``report_rows`` derives every report row from the records: per-fold
 per-seed metrics, seed and fold means, and yearly CV's "all" rows over the
 pooled predictions of each seed. Records are kept, never written out.
@@ -258,16 +261,18 @@ class MetricReport:
 
 
 def fold_records(table: FeatureTable, plan: SplitPlan, model_spec: ModelSpec, repeat: int,
-                 repeat_seed: int, threads: int) -> list[FoldRecord]:
+                 repeat_seed: int, threads: int,
+                 preds: list[np.ndarray] | None = None) -> list[FoldRecord]:
     """Fit, predict and record every fold of one repeat's plan. Boosted folds are
-    fit together; each random-forest model is dropped once its fold is predicted."""
+    fit together; each random-forest model is dropped once its fold is predicted.
+    ``preds`` (one array per fold) records those predictions and fits nothing."""
     seeds = [derive_seed(repeat_seed, label) for label in plan.fold_labels]
-    if model_spec.kind == "GBT":
+    if preds is None and model_spec.kind == "GBT":
         fits = [(seed, train_ids) for seed, (train_ids, _) in zip(seeds, plan.folds)]
         models = boost_folds(model_spec, table, table.labels, fits)
         preds = [predict(model, table.select(test_ids))
                  for model, (_, test_ids) in zip(models, plan.folds)]
-    else:
+    elif preds is None:
         preds = [predict(train(replace(model_spec, seed=seed), table.select(train_ids),
                                table.labels[train_ids], threads=threads), table.select(test_ids))
                  for seed, (train_ids, test_ids) in zip(seeds, plan.folds)]
@@ -276,6 +281,12 @@ def fold_records(table: FeatureTable, plan: SplitPlan, model_spec: ModelSpec, re
         for label, seed, (train_ids, test_ids), pred
         in zip(plan.fold_labels, seeds, plan.folds, preds)
     ]
+
+
+def _same_folds(a: SplitPlan, b: SplitPlan) -> bool:
+    return len(a.folds) == len(b.folds) and all(
+        np.array_equal(x, y) for fa, fb in zip(a.folds, b.folds) for x, y in zip(fa, fb)
+    )
 
 
 def report_rows(task: str, records: list[FoldRecord], pooled: bool):
@@ -334,12 +345,19 @@ def run_benchmark(
     table = assemble_table(dataset, task_cfg)
 
     records: list[FoldRecord] = []
+    last = None  # the previous repeat's plan
     for i in range(1, n_repeats + 1):
         repeat_seed = derive_seed(base_seed, i)
         plan = build_split_plan(
             table, dataset.units, scheme, k=k, direction=direction, seed=repeat_seed
         )
-        records += fold_records(table, plan, model_spec, i, repeat_seed, threads)
+        # A fit that reads no seed predicts the folds it predicted last
+        # repeat as it did then.
+        preds = None
+        if not model_spec.reads_seed() and last is not None and _same_folds(plan, last):
+            preds = [record.pred for record in records[-len(plan.folds):]]
+        records += fold_records(table, plan, model_spec, i, repeat_seed, threads, preds)
+        last = plan
 
     context = {
         "task": task_cfg.task,

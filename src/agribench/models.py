@@ -47,7 +47,9 @@ bit for bit.
 
 Feature importance is mean decrease in impurity: per-feature impurity
 decreases weighted by node size (drawn rows), summed within each tree,
-averaged across trees, and normalized to sum one.
+averaged across trees, and normalized to sum one. A regression node's
+decrease is ``bracket/w - (total/w)^2`` from its weight, label sum and best
+split's bracket; the sum of squared labels cancels, so none is taken.
 """
 
 import json
@@ -106,6 +108,12 @@ class ModelSpec:
         if self.kind == "RF" and self.task == "classification":
             return "sqrt"
         return "all"
+
+    def reads_seed(self) -> bool:
+        """Whether a fit draws from ``seed``: forests draw bootstraps, and a
+        sqrt search draws candidates. A boosted fit over every feature does
+        not, so its model is the same under every seed."""
+        return self.kind == "RF" or self.resolved_max_features() == "sqrt"
 
 
 @dataclass
@@ -240,6 +248,56 @@ def _slot_cumsum(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     for k, count in enumerate(live.tolist(), start=1):
         np.add(values[k - 1, :count], values[k, :count], out=values[k, :count])
     return values
+
+
+# A level of fewer nodes sums them one ``np.add.reduce`` call each: the
+# vectorized sum has a fixed cost of about 35 us on a 2-vCPU VM, as much as
+# this many calls.
+_SEGMENT_NODES = 32
+
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(values[s : s + m])`` for each segment, bit for bit.
+
+    numpy sums a contiguous float64 run as ``0.0 +`` a pairwise sum: under 8
+    values one by one; up to 128 values in 8 interleaved accumulators over
+    the first ``m - m % 8`` values, combined as ``((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7))``, then the rest one by one; above 128 values it
+    splits in two. Segments of at most 128 values are summed together in
+    that order, padded with -0.0, which adds exactly nothing. Longer
+    segments, and every segment of a level with few, call ``np.add.reduce``.
+    """
+    sums = np.empty(sizes.size)
+    if sizes.size < _SEGMENT_NODES:
+        alone = np.arange(sizes.size)
+    else:
+        alone = np.flatnonzero(sizes > 128)
+    for i, s, m in zip(alone.tolist(), starts[alone].tolist(), sizes[alone].tolist()):
+        sums[i] = np.add.reduce(values[s : s + m])
+    if alone.size == sizes.size:
+        return sums
+    together = np.flatnonzero(sizes <= 128)
+    first, m = starts[together], sizes[together]
+    head = m - m % 8  # the values the accumulators take
+    blocks = int(head.max()) // 8
+    # Columns 0 .. 8 * blocks - 1 hold the head, eight per block, and the
+    # last 7 the rest; a cell past its part reads the -0.0 appended to values.
+    lane = np.arange(8 * blocks + 7)
+    in_head = lane < 8 * blocks
+    offset = np.where(in_head, lane, lane - 8 * blocks + head[:, None])
+    end = np.where(in_head, head[:, None], m[:, None])
+    cells = np.append(values, -0.0).take(
+        np.where(offset < end, first[:, None] + offset, values.size)
+    )
+    r = np.full((together.size, 8), -0.0)
+    for b in range(blocks):
+        r += cells[:, 8 * b : 8 * b + 8]
+    total = (r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])
+    total += (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])
+    for k in range(8 * blocks, 8 * blocks + 7):
+        total += cells[:, k]
+    sums[together] = 0.0 + total
+    return sums
 
 
 def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification, right_sum):
@@ -419,9 +477,7 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
         if max_depth is not None and depth >= max_depth:
             may_split[:] = False
         # Sums in ascending row order fix the leaf values' rounding.
-        totals = np.array([
-            np.add.reduce(weighted[s : s + m]) for s, m in zip(starts.tolist(), sizes.tolist())
-        ])
+        totals = _segment_sums(weighted, starts, sizes)
         value[ids] = totals / weights
         if leaf is not None:
             leaf[keys] = ids.repeat(sizes)
@@ -515,28 +571,21 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             if n_split == 0:
                 break
 
-            # Impurity decrease from the node's own sums, as scalars.
-            ys = labels[keys]
-            weighted = None if row_w is None else row_w * ys
+            # Impurity decrease from the node's weight, label sum and best
+            # cost. For regression the cost is the bracket, children SSE =
+            # sum(w*y^2) - bracket, and the sum of squares cancels from
+            # node_imp - child_imp = bracket/w - (total/w)^2.
             split_ids = ids[split_nodes]
-            split_m = sizes[split_nodes].tolist()
-            split_w = split_m if row_w is None else weights[split_nodes].tolist()
-            for node, start, m, w, total, cost, n_sample in zip(
-                split_ids.tolist(), starts[split_nodes].tolist(), split_m, split_w,
-                totals[split_nodes].tolist(), best[split_nodes].tolist(),
-                sample_size[tree_of[split_nodes]].tolist(),
-            ):
-                if classification:
-                    node_imp = 2.0 * total * (w - total) / (w * w)
-                    child_imp = 2.0 * cost / w
-                else:
-                    part = ys[start : start + m]
-                    total_sq = float(
-                        part @ (part if weighted is None else weighted[start : start + m])
-                    )
-                    node_imp = total_sq / w - (total / w) ** 2
-                    child_imp = (total_sq - cost) / w  # cost holds the bracket
-                gain[node] = w / n_sample * max(0.0, node_imp - child_imp)
+            w = weights[split_nodes].astype(float)
+            total, cost = totals[split_nodes], best[split_nodes]
+            if classification:
+                decrease = 2.0 * total * (w - total) / (w * w) - 2.0 * cost / w
+            else:
+                mean = total / w
+                decrease = cost / w - mean * mean
+            gain[split_ids] = (
+                w / sample_size[tree_of[split_nodes]] * np.maximum(0.0, decrease)
+            )
             feature[split_ids] = chosen[split_nodes]
             threshold[split_ids] = cut[split_nodes]
             value[split_ids] = 0.0
@@ -635,8 +684,7 @@ def _renumber(root, feature, threshold, left, left_of, value, gain, number, n_fe
     new_left = np.full(at.size, -1, dtype=np.intp)
     new_left[number[split_nodes]] = pairs + 1
     importance = np.zeros(n_features)
-    for f, g in zip(feature[split_nodes].tolist(), gain[split_nodes].tolist()):
-        importance[f] += g
+    np.add.at(importance, feature[split_nodes], gain[split_nodes])
     tree = Tree(
         feature=feature[at],
         threshold=threshold[at],
@@ -1012,9 +1060,33 @@ def _name_tuple(value) -> tuple[str, ...]:
     return names
 
 
+# The JSON types of each ``spec`` field; a boolean is never a number.
+_SPEC_TYPES = {
+    "kind": ((str,), "a string"),
+    "task": ((str,), "a string"),
+    "n_trees": (_INTEGER, "an integer"),
+    "max_depth": ((int, type(None)), "an integer or null"),
+    "learning_rate": (_NUMBER, "a number"),
+    "max_features": ((str, type(None)), "a string or null"),
+    "min_samples_leaf": (_INTEGER, "an integer"),
+    "seed": (_INTEGER, "an integer"),
+}
+
+
+def _model_spec(spec) -> ModelSpec:
+    if not isinstance(spec, dict):
+        raise TypeError(f"expected an object, got {type(spec).__name__}")
+    for name, value in spec.items():
+        if name in _SPEC_TYPES:  # ModelSpec refuses any other name
+            types, kind = _SPEC_TYPES[name]
+            if type(value) not in types:
+                raise TypeError(f"{name} {json.dumps(value)} is not {kind}")
+    return ModelSpec(**spec)
+
+
 # Each field of a model file and the conversion that must accept it.
 _MODEL_FIELDS = (
-    ("spec", lambda spec: ModelSpec(**spec)),
+    ("spec", _model_spec),
     ("feature_names", _name_tuple),
     ("trees", _json_list),
     ("importance", lambda values: np.array([_finite_number(v) for v in _json_list(values)])),

@@ -487,3 +487,31 @@ class TestBoostedFolds:
             report.to_csv(path)
             written.append(path.read_bytes())
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize("max_features, fits", [("all", 1), ("sqrt", 3)])
+    def test_repeats_of_one_plan_fit_once(self, small_bundle, monkeypatch, max_features,
+                                          fits):
+        """``yearly_cv`` builds the same plan in every repeat. A boosted fit
+        over every feature reads no seed, so it is fit once and each repeat
+        records its predictions under the repeat's own seeds; a sqrt search
+        reads its seed and is fit in every repeat."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args[3])
+            return boost_folds(*args)
+
+        monkeypatch.setattr(evaluate, "boost_folds", spy)
+        spec = ModelSpec(kind="GBT", task="regression", n_trees=6, max_depth=2,
+                         max_features=max_features)
+        report = run_benchmark(small_bundle, TestRunBenchmark.CFG, spec, "yearly_cv",
+                               n_repeats=3, base_seed=4)
+        assert len(calls) == fits
+        table = assemble_table(small_bundle, TestRunBenchmark.CFG)
+        for record in report.records:
+            assert record.seed == derive_seed(derive_seed(4, record.repeat), record.fold)
+            if record.repeat == 3:
+                alone = train(replace(spec, seed=record.seed), table.select(record.train_ids),
+                              table.labels[record.train_ids])
+                assert np.array_equal(_bits(predict(alone, table.select(record.test_ids))),
+                                      _bits(record.pred))

@@ -1,6 +1,8 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -66,6 +68,24 @@ class TestSpec:
             with pytest.raises(ValueError, match="max_depth must be at least 1"):
                 ModelSpec(kind=kind, task="regression", max_depth=depth)
         assert ModelSpec(kind="RF", task="regression", max_depth=1).resolved_max_depth() == 1
+
+    @pytest.mark.parametrize("spec, reads", [
+        (ModelSpec(kind="RF", task="regression", n_trees=3), True),
+        (ModelSpec(kind="RF", task="classification", n_trees=3, max_features="all"), True),
+        (ModelSpec(kind="GBT", task="regression", n_trees=3, max_features="sqrt"), True),
+        (ModelSpec(kind="GBT", task="regression", n_trees=3), False),
+        (ModelSpec(kind="GBT", task="classification", n_trees=3), False),
+    ])
+    def test_reads_seed_says_whether_the_seed_changes_the_model(self, spec, reads):
+        local = np.random.default_rng(12)
+        X = local.normal(size=(40, 9))
+        y = X[:, 0] + local.normal(size=40)
+        if spec.task == "classification":
+            y = (y > 0).astype(float)
+        a, b = (train(replace(spec, seed=seed), X, y) for seed in (1, 2))
+        same = all(np.array_equal(getattr(s, k), getattr(t, k))
+                   for s, t in zip(a.trees, b.trees) for k in ("feature", "threshold"))
+        assert spec.reads_seed() == reads == (not same)
 
 
 class TestTrainBasics:
@@ -404,6 +424,27 @@ class TestModelFile:
             load_model(path)
         assert str(path) in str(info.value) and message in str(info.value)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("kind", 1, "kind 1 is not a string"),
+        ("task", None, "task null is not a string"),
+        ("n_trees", 1.0, "n_trees 1.0 is not an integer"),
+        ("max_depth", 2.5, "max_depth 2.5 is not an integer or null"),
+        ("learning_rate", True, "learning_rate true is not a number"),
+        ("max_features", 3, "max_features 3 is not a string or null"),
+        ("min_samples_leaf", 1.5, "min_samples_leaf 1.5 is not an integer"),
+        ("seed", "abc", 'seed "abc" is not an integer'),
+    ])
+    def test_ill_typed_spec_field_rejected(self, tmp_path, name, value, message):
+        path = self._saved_rf(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["spec"][name] = value
+        path.write_text(json.dumps(payload))
+        # Each of these used to load; "learning_rate": true moved a 5-tree
+        # GBT's predictions by 16.6.
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: bad 'spec' ({message})"
+
     def test_cycle_rejected(self, tmp_path):
         path = self._saved_rf(tmp_path)
         self._edit(path, "left", 0, 0)
@@ -607,11 +648,12 @@ def _best_split(sub: np.ndarray, ys: np.ndarray, min_leaf: int, classification: 
     if classification:
         node_imp = 2.0 * total * (count - total) / (count * count)
         child_imp = 2.0 * best / count
+        decrease = max(0.0, node_imp - child_imp)
     else:
-        total_sq = float((ws * ys) @ ys)
-        node_imp = total_sq / count - (total / count) ** 2
-        child_imp = (total_sq + best) / count  # best is the negated bracket
-    decrease = max(0.0, node_imp - child_imp)
+        # Node variance sum(w*y^2)/count - mean^2 less the children's
+        # (sum(w*y^2) - bracket)/count: the sum of squares cancels.
+        mean = total / count
+        decrease = max(0.0, -best / count - mean * mean)  # best is the negated bracket
 
     lo = float(x_sorted[split_pos, column])
     hi = float(x_sorted[split_pos + 1, column])
@@ -866,6 +908,96 @@ class TestWeightedBootstrap:
                                    acc)
             assert np.array_equal(importance, acc)
         assert _same_tree(tree, reference)
+
+
+def _exact_impurity(y, w, classification):
+    """Weighted Gini (2p(1-p)) or variance of integer labels, as a Fraction."""
+    weight = sum(w)
+    mean = Fraction(sum(wi * yi for wi, yi in zip(w, y)), weight)
+    if classification:
+        return 2 * mean * (1 - mean)
+    return Fraction(sum(wi * yi * yi for wi, yi in zip(w, y)), weight) - mean * mean
+
+
+class TestImpurityDecrease:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=bootstrap_problems(), classification=st.booleans(), weighted=st.booleans())
+    def test_each_gain_matches_exact_arithmetic(self, problem, classification, weighted):
+        """Each split's gain, w/n times the node's impurity less its children's
+        size-weighted impurity, is within a few ulps of the exact value: of
+        the node's second moment for regression, whose closed form subtracts
+        terms of that size, or of w/n for Gini. A bootstrap tree weights rows
+        by their counts; a subset tree on the drawn rows counts each once."""
+        X, y, counts = problem
+        if classification:
+            y = (y > 0).astype(float)
+        selection = counts if weighted else counts > 0
+        captured = []
+
+        def spy(*args):
+            captured.append(args)
+            return renumber(*args)
+
+        renumber = models._renumber
+        with mock.patch.object(models, "_renumber", spy):
+            _grow_trees(_Presorted(X), y, [selection], [None], None, 1, "all", classification)
+        [(_, feature, threshold, left, _, _, gain, _, _)] = captured
+        w = selection.astype(int).tolist()
+        labels = y.astype(int).tolist()
+        n_sample = X.shape[0] if weighted else int(selection.sum())
+        stack = [(0, np.flatnonzero(selection))]
+        while stack:
+            node, rows = stack.pop()
+            if left[node] < 0:
+                continue
+            go_left = X[rows, feature[node]] <= threshold[node]
+            sides = [rows[go_left], rows[~go_left]]
+            node_w = sum(w[r] for r in rows)
+            children = sum(
+                Fraction(sum(w[r] for r in side), node_w)
+                * _exact_impurity([labels[r] for r in side], [w[r] for r in side],
+                                  classification)
+                for side in sides
+            )
+            node_imp = _exact_impurity([labels[r] for r in rows], [w[r] for r in rows],
+                                       classification)
+            exact = Fraction(node_w, n_sample) * (node_imp - children)
+            moment = Fraction(sum(w[r] * labels[r] ** 2 for r in rows), node_w)
+            scale = Fraction(node_w, n_sample) * (1 if classification else max(1, moment))
+            assert abs(Fraction(gain[node]) - exact) <= 8 * Fraction(2) ** -52 * scale
+            stack += [(left[node], sides[0]), (left[node] + 1, sides[1])]
+
+
+@st.composite
+def segments(draw):
+    """One level's segment sizes, from under 8 to over 128 values, and
+    their values: magnitudes over 24 decades, and signed zeros."""
+    n_nodes = draw(st.sampled_from([1, 5, models._SEGMENT_NODES - 1, models._SEGMENT_NODES,
+                                    80]))
+    ranges = draw(st.lists(st.sampled_from([(1, 8), (8, 129), (129, 300)]),
+                           min_size=1, max_size=3, unique=True))
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = np.array([local.integers(*ranges[k]) for k in local.integers(len(ranges),
+                                                                         size=n_nodes)])
+    size = int(sizes.sum())
+    values = local.normal(size=size) * 10.0 ** local.integers(-12, 13, size=size)
+    zeros = local.random(size)
+    values[zeros < 0.1] = -0.0
+    values[zeros > 0.95] = 0.0
+    if draw(st.booleans()):
+        values[: sizes[0]] = -0.0
+    return values, sizes
+
+
+class TestSegmentSums:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=segments())
+    def test_equals_add_reduce_of_each_segment(self, problem):
+        """Bit for bit, which also flags a numpy that sums another way."""
+        values, sizes = problem
+        starts = sizes.cumsum() - sizes
+        want = [np.add.reduce(values[s : s + m]) for s, m in zip(starts, sizes)]
+        assert np.array_equal(_bits(models._segment_sums(values, starts, sizes)), _bits(want))
 
 
 class TestBatching:
