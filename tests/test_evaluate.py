@@ -498,7 +498,7 @@ class TestBoostedFolds:
         calls = []
 
         def spy(*args):
-            calls.append(args[3])
+            calls.append(args)
             return boost_folds(*args)
 
         monkeypatch.setattr(evaluate, "boost_folds", spy)

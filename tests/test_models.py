@@ -439,8 +439,8 @@ class TestModelFile:
         payload = json.loads(path.read_text())
         payload["spec"][name] = value
         path.write_text(json.dumps(payload))
-        # Each of these used to load; "learning_rate": true moved a 5-tree
-        # GBT's predictions by 16.6.
+        # Each of these used to load; with "learning_rate": true a GBT
+        # predicted with a learning rate of 1.
         with pytest.raises(ValueError) as info:
             load_model(path)
         assert str(info.value) == f"{path}: bad 'spec' ({message})"
