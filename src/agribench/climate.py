@@ -4,11 +4,13 @@ GDD accumulates hourly thermal time between a base and a cap temperature,
 with hourly temperatures interpolated sinusoidally between the daily minimum
 and maximum. The double sum over days and hours 1..24 is accumulated in
 loop order and yields degree-hours; set ``gdd_per_day`` to divide by 24 for
-conventional degree-day units. Every function takes one month of a unit's
-``ClimateSeries`` columns.
+conventional degree-day units. ``monthly_gdd`` takes one month of a unit's
+``ClimateSeries`` columns; ``monthly_ppt`` and ``monthly_tmean`` take one
+month of daily values, which may be slices of a list made once per unit.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +56,14 @@ GDD_DEFAULTS = {
 _HOURLY_SIN = tuple(math.sin(math.pi * (hour - 6) / 12.0) for hour in range(1, 25))
 
 
-def _check_nonempty(days: ClimateSeries) -> None:
+def _check_nonempty(days: Sequence) -> None:
     if not len(days):
         raise NoClimateDataError("no climate data for month")
+
+
+def daily_tmean(days: ClimateSeries) -> np.ndarray:
+    """The daily (tmin + tmax) / 2 midpoints, in deg C."""
+    return (days.tmin + days.tmax) / 2.0
 
 
 def monthly_gdd(
@@ -73,7 +80,7 @@ def monthly_gdd(
     check names the cell.
     """
     _check_nonempty(days)
-    mid = (days.tmax + days.tmin) / 2.0
+    mid = daily_tmean(days)
     amp = (days.tmax - days.tmin) / 2.0
     hourly = mid[:, None] + amp[:, None] * np.array(_HOURLY_SIN)
     terms = np.maximum(np.minimum(hourly - thresholds.t_base,
@@ -84,27 +91,24 @@ def monthly_gdd(
     return total / 24.0 if gdd_per_day else total
 
 
-def monthly_ppt(days: ClimateSeries) -> float:
-    """Sum of daily precipitation totals for one month, in mm.
+def monthly_ppt(ppt: Sequence[float]) -> float:
+    """Sum of one month's daily precipitation totals, in mm.
 
     Uses exactly rounded (compensated) summation, so the result is
-    independent of accumulation order.
+    independent of accumulation order. ``math.fsum`` reads a list about
+    twice as fast as an array.
     """
-    _check_nonempty(days)
-    return math.fsum(days.ppt)
+    _check_nonempty(ppt)
+    return math.fsum(ppt)
 
 
-def monthly_tmean(days: ClimateSeries) -> float:
-    """Mean of the daily (tmin + tmax) / 2 midpoints, in deg C."""
-    _check_nonempty(days)
-    return math.fsum((days.tmin + days.tmax) / 2.0) / len(days)
+def monthly_tmean(midpoints: Sequence[float]) -> float:
+    """Mean of one month's ``daily_tmean`` midpoints, in deg C."""
+    _check_nonempty(midpoints)
+    return math.fsum(midpoints) / len(midpoints)
 
 
-def month_coverage(days: ClimateSeries, year: int, month: int) -> float:
-    """Fraction of the month's calendar days present in ``days``.
-
-    ``days`` may hold any span of days; only those inside the month count.
-    """
+def month_coverage(present: int, year: int, month: int) -> float:
+    """Fraction of the month's calendar days that the ``present`` days make up."""
     first, following = month_span(year, month)
-    present = int(days.days.searchsorted(following)) - int(days.days.searchsorted(first))
     return present / (following - first)

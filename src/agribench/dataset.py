@@ -37,6 +37,7 @@ again.
 
 import codecs
 import csv
+import functools
 import io
 import math
 import unicodedata
@@ -119,6 +120,7 @@ class BundleValidationError(ValueError):
         super().__init__(f"{filename} line {line}: {message}")
 
 
+@functools.lru_cache(maxsize=4096)
 def month_span(year: int, month: int) -> tuple[int, int]:
     """Day ordinals of the first day of the month and of the month after it."""
     return (date(year, month, 1).toordinal(),
@@ -175,11 +177,14 @@ class ClimateSeries:
     def __len__(self) -> int:
         return len(self.days)
 
+    def __getitem__(self, rows: slice) -> "ClimateSeries":
+        """The days of a slice of positions, as views of the columns."""
+        return ClimateSeries(self.days[rows], self.tmin[rows], self.tmax[rows], self.ppt[rows])
+
     def month(self, year: int, month: int) -> "ClimateSeries":
         """The days of one calendar month (possibly none)."""
         lo, hi = self.days.searchsorted(month_span(year, month))
-        return ClimateSeries(self.days[lo:hi], self.tmin[lo:hi], self.tmax[lo:hi],
-                             self.ppt[lo:hi])
+        return self[lo:hi]
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ import numpy as np
 from .climate import (
     GDD_DEFAULTS,
     GddThresholds,
+    daily_tmean,
     month_coverage,
     monthly_gdd,
     monthly_ppt,
@@ -47,6 +48,7 @@ from .dataset import (
     Dataset,
     SpectralBand,
     TASKS,
+    month_span,
 )
 from .harmonics import (
     DegenerateDesignError,
@@ -307,28 +309,35 @@ def _curve_cells(dataset: Dataset, keyed: list, cfg: TaskConfig,
                  row_causes: list[set[str]]) -> np.ndarray:
     """The harmonic columns of every row, in two phases.
 
-    Phase 1 fits each row's bands, reading each unit's series once for all
-    its rows; the bands of one row share a design matrix when their
-    in-window days are equal. A band without a fit gets a NaN coefficient
-    row and adds its cause to ``row_causes``. Phase 2
-    evaluates the fits of all rows with one label year (one season window)
-    together, in chunks of at most ``_CURVE_CELLS`` curve cells.
+    Phase 1 fits every band of every row with one label year (one season
+    window) in a single batched ``fit_harmonic`` call, reading each unit's
+    series once for all its rows. A band without a fit gets a NaN
+    coefficient row and adds its cause to ``row_causes``. Phase 2 evaluates
+    the fits of each window together, in chunks of at most ``_CURVE_CELLS``
+    curve cells.
     """
     template = cfg.season_template()
     coefficients = np.full((len(keyed), len(HARMONIC_BANDS), 5), math.nan)
+    # label year -> the (row, band) cells of its batch, and their series
+    batches: dict[int, tuple[list, list]] = {}
     for unit_id, rows in _unit_runs(keyed):
         bands = [_band_series(dataset, unit_id, band, cfg) for band in HARMONIC_BANDS]
         for i in rows:
-            window = template.window(keyed[i].year)
-            designs: dict = {}
+            cells, batch = batches.setdefault(keyed[i].year, ([], []))
             for j, (series, cause) in enumerate(bands):
                 if series is None:
                     row_causes[i].add(cause)
-                    continue
-                try:
-                    coefficients[i, j] = fit_harmonic(series, window, designs).coefficients
-                except (InsufficientObservationsError, DegenerateDesignError):
-                    row_causes[i].add("insufficient_observations")
+                else:
+                    cells.append((i, j))
+                    batch.append(series)
+    for year, (cells, batch) in batches.items():
+        fits = fit_harmonic(batch, template.window(year))
+        coefficients[[i for i, _ in cells], [j for _, j in cells]] = fits.coefficients
+        for (i, _), error in zip(cells, fits.errors):
+            if isinstance(error, (InsufficientObservationsError, DegenerateDesignError)):
+                row_causes[i].add("insufficient_observations")
+            elif error is not None:
+                raise error
 
     years = np.array([rec.year for rec in keyed])
     by_year = []
@@ -352,26 +361,38 @@ def _climate_cells(dataset: Dataset, keyed: list, cfg: TaskConfig,
     """Monthly GDD and PPT (yield) or tmean and PPT (cover crop) of every row.
 
     A month with no days or with too low coverage is NaN in both of its cells.
+    The bounds of all of a unit's row-months come from one ``searchsorted``,
+    and the sums read list slices of the unit's daily values.
     """
     if cfg.task == "yield":
         thresholds = cfg.resolved_thresholds()
         months = [(0, month) for month in CLIMATE_MONTHS[cfg.crop]]
-        metrics = (lambda days: monthly_gdd(days, thresholds, cfg.gdd_per_day), monthly_ppt)
     else:
         months = COVERCROP_MONTH_OFFSETS
-        metrics = (monthly_tmean, monthly_ppt)
-    cells = np.full((len(keyed), len(months), len(metrics)), math.nan)
-    for i, rec in enumerate(keyed):
-        climate = dataset.climate_for(rec.unit_id)
-        for k, (off, month) in enumerate(months):
-            year = rec.year + off
-            in_month = climate.month(year, month) if climate is not None else None
-            if in_month is None or len(in_month) == 0:
+    cells = np.full((len(keyed), len(months), 2), math.nan)
+    for unit_id, rows in _unit_runs(keyed):
+        climate = dataset.climate_for(unit_id)
+        if climate is None:
+            for i in rows:
                 row_causes[i].add("missing_climate")
-            elif month_coverage(in_month, year, month) < MIN_CLIMATE_COVERAGE:
+            continue
+        row_months = [(i, k, keyed[i].year + off, month)
+                      for i in rows for k, (off, month) in enumerate(months)]
+        spans = [month_span(year, month) for _, _, year, month in row_months]
+        bounds = climate.days.searchsorted(spans).tolist()
+        ppt = climate.ppt.tolist()
+        if cfg.task != "yield":
+            midpoints = daily_tmean(climate).tolist()
+        for (i, k, year, month), (lo, hi) in zip(row_months, bounds):
+            if lo == hi:
+                row_causes[i].add("missing_climate")
+            elif month_coverage(hi - lo, year, month) < MIN_CLIMATE_COVERAGE:
                 row_causes[i].add("low_climate_coverage")
+            elif cfg.task == "yield":
+                cells[i, k] = (monthly_gdd(climate[lo:hi], thresholds, cfg.gdd_per_day),
+                               monthly_ppt(ppt[lo:hi]))
             else:
-                cells[i, k] = [metric(in_month) for metric in metrics]
+                cells[i, k] = (monthly_tmean(midpoints[lo:hi]), monthly_ppt(ppt[lo:hi]))
     return cells.reshape(len(keyed), -1)
 
 

@@ -10,13 +10,20 @@ evaluation and integration accept any time point, including points outside
 the fit window. Time arguments may be ``datetime.date`` or
 ``datetime.datetime``; the latter allows fractional-day resolution.
 
-Fits that share a season window are evaluated together: ``window_curves``
-puts a batch of coefficient rows on the window's daily grid once, and
-``phenology_metrics`` and fitted-curve ``monthly_extrema`` read that one
-``(fits x days)`` array.
+Fits that share a season window are made and evaluated together.
+``fit_harmonic`` solves a whole batch of series in one pass: the normal
+equations of every fit are summed segment by segment over the concatenated
+samples and solved by a 5x5 Cholesky vectorized over the fits. It uses
+only basic IEEE arithmetic and numpy's pairwise sums, with no BLAS or
+LAPACK call, so the coefficients do not depend on the host's OpenBLAS
+kernel or numpy's SIMD dispatch; the design's ``np.sin``/``np.cos`` still
+call the C library's. ``window_curves`` puts a batch of coefficient rows
+on the window's daily grid once, and ``phenology_metrics`` and
+fitted-curve ``monthly_extrema`` read that one ``(fits x days)`` array.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import NamedTuple
@@ -27,6 +34,13 @@ from .dataset import ObservationSeries, SpectralBand, month_span
 
 DAYS_PER_YEAR = 365.25
 MIN_FIT_SAMPLES = 6  # 5 parameters plus one degree of freedom of slack
+# A design is rank deficient when a Cholesky pivot of its Gram matrix is at
+# or below this fraction of the sample count, the largest Gram diagonal
+# (every other column is bounded by 1). Six samples on consecutive days
+# still pass (their smallest pivot is about 2e-12 of the count).
+RANK_TOLERANCE = 1e-12
+# The upper triangle of the 5x5 Gram matrix, row by row.
+_GRAM_ENTRIES = tuple((i, j) for i in range(5) for j in range(i, 5))
 
 
 class InsufficientObservationsError(ValueError):
@@ -97,6 +111,20 @@ class HarmonicFit:
         return (self.c, self.a1, self.b1, self.a2, self.b2)
 
 
+@dataclass(frozen=True)
+class HarmonicFits:
+    """Fits of a batch of series over one window; entry ``i`` is series ``i``'s.
+
+    A failed fit has a NaN coefficient row and, in ``errors``, the error a
+    single-series ``fit_harmonic`` raises for it; a good fit's error is None.
+    """
+
+    window: SeasonWindow
+    coefficients: np.ndarray  # (series x 5): c, a1, b1, a2, b2
+    n_obs: np.ndarray  # in-window samples of each series
+    errors: tuple[ValueError | None, ...]
+
+
 class CurveColumns(NamedTuple):
     """Coefficient arrays of several curves, one element per curve.
 
@@ -149,73 +177,155 @@ def time_fraction(origin: date, when: date | datetime) -> float:
     return days / DAYS_PER_YEAR
 
 
-def _design_matrix(t: np.ndarray) -> np.ndarray:
-    w = 2.0 * np.pi * t
-    return np.column_stack([np.ones_like(t), np.cos(w), np.sin(w), np.cos(2 * w), np.sin(2 * w)])
+def _design_columns(days: Sequence[np.ndarray], origin: date) -> list[np.ndarray]:
+    """The non-constant design columns cos(w), sin(w), cos(2w), sin(2w).
+
+    They are taken at the concatenated day ordinals ``days``; ``w`` is 2*pi
+    times the years since ``origin``. The angles are scaled in place, so the
+    columns' temporaries hold one array beyond them.
+    """
+    w = (np.concatenate(days) - origin.toordinal()) / DAYS_PER_YEAR
+    w *= 2.0 * np.pi
+    columns = [np.cos(w), np.sin(w)]
+    w *= 2
+    return columns + [np.cos(w), np.sin(w)]
 
 
-def _solve_ols(design: np.ndarray, y: np.ndarray, context: str) -> np.ndarray:
-    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 5:
-        raise DegenerateDesignError(f"degenerate design: rank {rank} < 5 for {context}")
-    return solution
+def _solve_normal(columns: list[np.ndarray], values: np.ndarray, counts: np.ndarray):
+    """Least-squares coefficients of a batch of fits by the normal equations.
+
+    Fit ``i`` reads the next ``counts[i]`` samples of the design ``columns``
+    (``_design_columns``) and of ``values``, which are overwritten by the
+    residuals of the first solution. Each fit's 15 Gram entries and
+    5 right-hand sides are segmented sums (``np.add.reduceat``) of products
+    of its own samples, and the 5x5 Cholesky runs over all fits at once in
+    basic IEEE operations, so a fit's bits depend neither on the rest of the
+    batch nor on the host's BLAS. One product is held at a time.
+
+    Returns ``(solution, pivot)``: the ``(fits x 5)`` coefficients, NaN where
+    the design is rank deficient, and the index of the first Cholesky pivot
+    at or below ``RANK_TOLERANCE`` times the sample count (-1 where none is).
+    """
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    columns = [None] + columns  # the constant column's products are never formed
+    n = counts.astype(float)  # the constant column's diagonal, the largest
+    gram = {(i, j): np.add.reduceat(columns[j] if i == 0 else columns[i] * columns[j], starts)
+            for i, j in _GRAM_ENTRIES if j}
+    gram[0, 0] = n
+    floor = RANK_TOLERANCE * n
+    pivot = np.full(len(counts), -1)
+    chol: dict[tuple[int, int], np.ndarray] = {}
+    for j in range(5):
+        d = gram.pop((j, j)) - sum(chol[j, k] * chol[j, k] for k in range(j))
+        pivot[~(d > floor) & (pivot < 0)] = j
+        chol[j, j] = np.sqrt(np.where(pivot < 0, d, 1.0))
+        for i in range(j + 1, 5):
+            chol[i, j] = (gram.pop((j, i)) - sum(chol[i, k] * chol[j, k] for k in range(j))) \
+                / chol[j, j]
+
+    def solve(residuals: np.ndarray) -> list[np.ndarray]:
+        """The coefficients fitting ``residuals``: forward, then back substitution."""
+        z: list[np.ndarray] = []
+        for i in range(5):
+            rhs = np.add.reduceat(residuals if i == 0 else columns[i] * residuals, starts)
+            z.append((rhs - sum(chol[i, k] * z[k] for k in range(i))) / chol[i, i])
+        x = z[:]
+        for i in reversed(range(5)):
+            x[i] = (z[i] - sum(chol[k, i] * x[k] for k in range(i + 1, 5))) / chol[i, i]
+        return x
+
+    # One step of iterative refinement: fit the residuals of the first
+    # solution and add the correction. It brings the error from the normal
+    # equations' (condition number squared) down to about that of a QR solve.
+    x = solve(values)
+    values -= np.repeat(x[0], counts)
+    for i in range(1, 5):
+        term = np.repeat(x[i], counts)
+        term *= columns[i]
+        values -= term
+    x = [a + b for a, b in zip(x, solve(values))]
+    solution = np.column_stack(x)
+    solution[pivot >= 0] = math.nan
+    return solution, pivot
 
 
 def fit_harmonic(
-    series: ObservationSeries,
-    window: SeasonWindow,
-    designs: dict[bytes, np.ndarray] | None = None,
-) -> HarmonicFit:
+    series: ObservationSeries | Sequence[ObservationSeries], window: SeasonWindow
+) -> HarmonicFit | HarmonicFits:
     """Ordinary least-squares fit of the harmonic model to in-window samples.
 
     Parameters
     ----------
-    series : ObservationSeries
-        Samples of one band for one unit.
+    series : ObservationSeries or sequence of them
+        Samples of one band for one unit, or a batch of such series, fitted
+        together in one solve. Each fit reads only its own samples, so its
+        coefficients are the same bits in any batch, alone included.
     window : SeasonWindow
         Only samples dated inside the window (inclusive) enter the fit.
-    designs : dict, optional
-        Design matrices keyed by the bytes of their in-window day ordinals,
-        shared by fits over one window. A fit whose in-window days are
-        exactly those of an earlier fit reuses its design; otherwise it
-        builds one and adds it. The solve is the same either way.
 
     Returns
     -------
-    HarmonicFit
-        Coefficients minimizing the residual sum of squares, with
-        t_origin = January 1 of the window's start year.
+    HarmonicFit or HarmonicFits
+        For one series: coefficients minimizing the residual sum of squares,
+        with t_origin = January 1 of the window's start year. For a batch:
+        every series' coefficients, and for each failed fit the error the
+        single-series call raises.
 
     Raises
     ------
     InsufficientObservationsError
-        Fewer than 6 in-window samples.
+        One series with fewer than 6 in-window samples.
     DegenerateDesignError
-        The design matrix is rank deficient (e.g. all samples on one date).
+        One series whose design matrix is rank deficient (e.g. all samples
+        on one date): a Cholesky pivot of its Gram matrix is at or below
+        ``RANK_TOLERANCE`` times the sample count.
+    ValueError
+        One series whose coefficients are not finite.
     """
-    origin = window.origin
-    lo = int(series.days.searchsorted(window.start.toordinal()))
-    hi = int(series.days.searchsorted(window.end.toordinal(), side="right"))
-    n_obs = hi - lo
-    if n_obs < MIN_FIT_SAMPLES:
-        raise InsufficientObservationsError(
-            f"insufficient observations: {n_obs} in window "
-            f"{window.start}..{window.end} for band {series.band.value} "
-            f"(need {MIN_FIT_SAMPLES})"
+    if isinstance(series, ObservationSeries):
+        fits = _fit_batch([series], window)
+        if fits.errors[0] is not None:
+            raise fits.errors[0]
+        c, a1, b1, a2, b2 = fits.coefficients[0].tolist()
+        return HarmonicFit(
+            c=c, a1=a1, b1=b1, a2=a2, b2=b2,
+            band=series.band, window=window, n_obs=int(fits.n_obs[0]), t_origin=window.origin,
         )
-    days = series.days[lo:hi]
-    key = days.tobytes()
-    design = designs.get(key) if designs is not None else None
-    if design is None:
-        design = _design_matrix((days - origin.toordinal()) / DAYS_PER_YEAR)
-        if designs is not None:
-            designs[key] = design
-    solution = _solve_ols(design, series.values[lo:hi], f"band {series.band.value}")
-    c, a1, b1, a2, b2 = solution.tolist()
-    return HarmonicFit(
-        c=c, a1=a1, b1=b1, a2=a2, b2=b2,
-        band=series.band, window=window, n_obs=n_obs, t_origin=origin,
-    )
+    return _fit_batch(series, window)
+
+
+def _fit_batch(batch: Sequence[ObservationSeries], window: SeasonWindow) -> HarmonicFits:
+    """The fits of ``fit_harmonic`` for a batch; see there."""
+    bounds = (window.start.toordinal(), window.end.toordinal() + 1)
+    spans = [s.days.searchsorted(bounds).tolist() for s in batch]
+    n_obs = np.array([hi - lo for lo, hi in spans], dtype=np.int64)
+    enough = n_obs >= MIN_FIT_SAMPLES
+    coefficients = np.full((len(batch), 5), math.nan)
+    pivot = np.full(len(batch), -1)
+    if enough.any():
+        fitted = [(s, lo, hi) for s, (lo, hi), ok in zip(batch, spans, enough.tolist()) if ok]
+        columns = _design_columns([s.days[lo:hi] for s, lo, hi in fitted], window.origin)
+        values = np.concatenate([s.values[lo:hi] for s, lo, hi in fitted])
+        coefficients[enough], pivot[enough] = _solve_normal(columns, values, n_obs[enough])
+    errors: list[ValueError | None] = [None] * len(batch)
+    finite = np.isfinite(coefficients).all(axis=1)
+    for i in np.flatnonzero(~finite).tolist():
+        band = batch[i].band.value
+        if not enough[i]:
+            errors[i] = InsufficientObservationsError(
+                f"insufficient observations: {n_obs[i]} in window "
+                f"{window.start}..{window.end} for band {band} "
+                f"(need {MIN_FIT_SAMPLES})"
+            )
+        elif pivot[i] >= 0:
+            errors[i] = DegenerateDesignError(
+                f"degenerate design: Gram pivot {pivot[i]} at or below "
+                f"{RANK_TOLERANCE:g} of the sample count for band {band}"
+            )
+        else:
+            errors[i] = ValueError(f"non-finite harmonic coefficient for band {band}")
+    return HarmonicFits(window=window, coefficients=coefficients, n_obs=n_obs,
+                        errors=tuple(errors))
 
 
 def curve_values(curve, t: np.ndarray) -> np.ndarray:

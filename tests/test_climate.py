@@ -12,6 +12,7 @@ from agribench.climate import (
     GddThresholds,
     NoClimateDataError,
     _HOURLY_SIN,
+    daily_tmean,
     month_coverage,
     monthly_gdd,
     monthly_ppt,
@@ -139,11 +140,11 @@ class TestMonthlyGdd:
 class TestMonthlyPpt:
     def test_simple_sum(self):
         days = make_month(2020, 6, 10, 20, ppt=2.0, n_days=10)
-        assert monthly_ppt(days) == 20.0
+        assert monthly_ppt(days.ppt.tolist()) == 20.0
 
     def test_all_zero(self):
         days = make_month(2020, 6, 10, 20, ppt=0.0)
-        assert monthly_ppt(days) == 0.0
+        assert monthly_ppt(days.ppt.tolist()) == 0.0
 
     def test_matches_compensated_resummation(self):
         rng = np.random.default_rng(43)
@@ -156,24 +157,24 @@ class TestMonthlyPpt:
             ]
             shuffled = list(days)
             rng.shuffle(shuffled)
-            assert monthly_ppt(climate_series(days)) == math.fsum(r[3] for r in shuffled)
+            assert monthly_ppt(climate_series(days).ppt.tolist()) == math.fsum(r[3] for r in shuffled)
 
     def test_empty_rejected(self):
         with pytest.raises(NoClimateDataError):
-            monthly_ppt(climate_series([]))
+            monthly_ppt([])
 
 
 class TestMonthlyTmean:
     def test_one_day(self):
         days = climate_series([(date(2020, 6, 1), 10, 20, 0)])
-        assert monthly_tmean(days) == 15.0
+        assert monthly_tmean(daily_tmean(days).tolist()) == 15.0
 
     def test_two_days(self):
         days = climate_series([
             (date(2020, 6, 1), 10, 20, 0),
             (date(2020, 6, 2), 20, 30, 0),
         ])
-        assert monthly_tmean(days) == 20.0
+        assert monthly_tmean(daily_tmean(days).tolist()) == 20.0
 
     def test_matches_independent_mean(self):
         rng = np.random.default_rng(47)
@@ -185,38 +186,29 @@ class TestMonthlyTmean:
                  tmin, tmin + float(rng.uniform(0, 12)), 0.0)
             )
         oracle = np.mean([(r[1] + r[2]) / 2 for r in days])
-        assert monthly_tmean(climate_series(days)) == pytest.approx(float(oracle), rel=1e-12)
+        assert monthly_tmean(daily_tmean(climate_series(days)).tolist()) == pytest.approx(float(oracle), rel=1e-12)
 
 
 class TestCoverageAndSummary:
     def test_full_coverage(self):
         days = make_month(2020, 6, 10, 20)
-        assert month_coverage(days, 2020, 6) == 1.0
+        assert month_coverage(len(days), 2020, 6) == 1.0
 
     def test_partial_coverage(self):
         days = make_month(2020, 6, 10, 20, n_days=15)
-        assert month_coverage(days, 2020, 6) == pytest.approx(0.5)
+        assert month_coverage(len(days), 2020, 6) == pytest.approx(0.5)
 
-    def test_full_series_same_as_month_slice(self):
-        rng = np.random.default_rng(11)
-        rows = []
-        for month in (5, 6, 7):
-            series = make_month(2020, month, 10, 20)
-            keep = rng.random(len(series)) < 0.7
-            rows += [(date.fromordinal(int(d)), 10.0, 20.0, 0.0) for d in series.days[keep]]
-        full = climate_series(rows)
-        for month in (4, 5, 6, 7, 8):
-            assert month_coverage(full, 2020, month) == month_coverage(
-                full.month(2020, month), 2020, month
-            )
-        assert month_coverage(full, 2020, 6) == len(full.month(2020, 6)) / 30
+    def test_coverage_divides_by_calendar_days(self):
+        for year, month, days in ((2020, 2, 29), (2021, 2, 28), (2020, 6, 30), (2020, 12, 31)):
+            assert month_coverage(days, year, month) == 1.0
+            assert month_coverage(7, year, month) == 7 / days
 
     def test_summary_record(self):
         days = make_month(2020, 6, 20, 20, ppt=1.0)
         assert monthly_gdd(days, GDD_SOYBEAN) == 30 * 24 * 12.0
-        assert monthly_ppt(days) == 30.0
-        assert monthly_tmean(days) == 20.0
-        assert month_coverage(days, 2020, 6) == 1.0
+        assert monthly_ppt(days.ppt.tolist()) == 30.0
+        assert monthly_tmean(daily_tmean(days).tolist()) == 20.0
+        assert month_coverage(len(days), 2020, 6) == 1.0
 
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):

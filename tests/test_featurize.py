@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from agribench import featurize, harmonics
+from agribench import featurize
 from agribench.dataset import SpectralBand, load_dataset
 from agribench.featurize import (
     FEATURE_SET_FILES,
@@ -210,11 +210,11 @@ class TestFeatureValues:
         assert values["ppt_jul"] == pytest.approx(62.0)
         assert values["gdd_jun"] > 0
 
-    def test_band_missing_one_scene_gets_its_own_design(self, tmp_path, monkeypatch):
+    def test_band_missing_one_scene_equals_single_fits(self, tmp_path, monkeypatch):
         """NIR lacks one in-season scene, so its in-window days, and those of
         NDVI and GCVI (derived on co-temporal scenes), differ from the other
-        bands'. The row builds two designs, and every band's coefficients
-        equal a standalone ``fit_harmonic`` bit for bit."""
+        bands'. The row's eight bands are fitted in one batch, and every
+        band's coefficients equal a standalone ``fit_harmonic`` bit for bit."""
         def wavy(band, day):
             return 0.3 + 0.1 * math.sin(day.toordinal() / 40 + len(band))
 
@@ -231,22 +231,25 @@ class TestFeatureValues:
         )
         ds = load_dataset(bundle)
         cfg = TaskConfig(task="yield", crop="corn")
-        built = []
-        design_matrix = harmonics._design_matrix
-        monkeypatch.setattr(harmonics, "_design_matrix",
-                            lambda t: built.append(len(t)) or design_matrix(t))
+        batches = []
+        monkeypatch.setattr(featurize, "fit_harmonic",
+                            lambda batch, window: batches.append(len(batch))
+                            or fit_harmonic(batch, window))
         values, exclusions = table_row(ds, cfg, "c1", 2020)
         monkeypatch.undo()
         assert not exclusions
-        assert len(built) == 2 and built[0] == built[1] + 1
+        assert batches == [len(featurize.HARMONIC_BANDS)]
 
         window = cfg.season_template().window(2020)
         raw = {band: ds.series_for("c1", band) for band in featurize.RAW_BANDS}
+        n_obs = {}
         for band in featurize.HARMONIC_BANDS:
             series = raw[band] if band.is_raw else derive_index_series(raw, band)
             fit = fit_harmonic(series, window)
+            n_obs[band] = fit.n_obs
             stats = ("c", "a1", "b1", "a2", "b2")
             assert tuple(values[f"{band.value}_{s}"] for s in stats) == fit.coefficients
+        assert n_obs[B.NIR] == n_obs[B.NDVI] == n_obs[B.GCVI] == n_obs[B.RED] - 1
 
     def test_covercrop_extrema_match_fine_grid_oracle(self, tmp_path):
         # Generating curves with all monthly extrema on grid days: a cosine
@@ -480,9 +483,10 @@ class TestAssembly:
 
 def test_curve_memory_bounded_by_one_chunk(tmp_path, monkeypatch):
     """With a chunk of one row's fits, assembly peak memory grows with the
-    rows only by per-row cells, far less than a (fits x days) curve array of
-    the added rows would take: 112 KB measured from 16 to 48 rows, against
-    about 1 MB with every fit of the window in one chunk."""
+    rows only by per-row cells, less than a (fits x days) curve array of the
+    added rows would take: 420 KB measured from 16 to 48 rows, most of it the
+    window's batched fit (about 48 bytes per in-window sample), against about
+    1 MB with every fit of the window in one chunk."""
     window = featurize.SEASON_TEMPLATES["covercrop"].window(2020)
     row_cells = len(featurize.HARMONIC_BANDS) * window.n_days
     monkeypatch.setattr(featurize, "_CURVE_CELLS", row_cells)

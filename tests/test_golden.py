@@ -15,9 +15,13 @@ The matrix is the synthetic bundles' CSVs plus the ``features.csv``,
   tillage class;
 - the three perfbench workloads' settings, on their bundles at seed 1.
 
-The bytes depend on the numpy build (``np.linalg.lstsq`` fixes the harmonic
-features' bits), so the manifest records the Python version, the numpy
-version and the machine, and the test skips on any other environment.
+The bytes depend on the numpy build, so the manifest records the Python
+version, the numpy version and the machine, and the test skips on any other
+environment. They may also depend on the CPU: the RS features do not follow
+OpenBLAS's kernel or numpy's SIMD dispatch (``test_host_independence.py``),
+but ``np.sin``/``np.cos`` follow the C library's FMA code paths, and the
+embeddings and gradient-boosted classifiers still go through BLAS and
+``np.exp``.
 
 A change that alters output bytes on purpose rewrites the manifest with
 

@@ -16,9 +16,8 @@ from agribench.harmonics import (
     InsufficientObservationsError,
     MissingMonthError,
     SeasonWindow,
+    HarmonicFits,
     _antiderivative,
-    _design_matrix,
-    _solve_ols,
     curve_values,
     eval_harmonic,
     fit_harmonic,
@@ -37,6 +36,17 @@ YEAR_WINDOW = SeasonWindow(start=date(2020, 1, 1), end=date(2020, 12, 31))
 def series_at(dates, values, band=B.NDVI, unit="u1"):
     days = np.array([d.toordinal() for d in dates], dtype=np.int64)
     return ObservationSeries(unit_id=unit, band=band, days=days, values=np.asarray(values, float))
+
+
+def same_day_series(n, band=B.NDVI, day=date(2020, 6, 1)):
+    """``n`` samples on one day: a rank-1 design. ``ObservationSeries``
+    rejects repeated days, so this one is built without its checks."""
+    series = object.__new__(ObservationSeries)
+    fields = {"unit_id": "u1", "band": band,
+              "days": np.full(n, day.toordinal(), dtype=np.int64), "values": np.arange(float(n))}
+    for name, value in fields.items():
+        object.__setattr__(series, name, value)
+    return series
 
 
 def spread_dates(window, n):
@@ -178,9 +188,8 @@ class TestFit:
 
     def test_degenerate_design(self):
         # All samples at the same time point: rank-1 design.
-        design = _design_matrix(np.zeros(6))
         with pytest.raises(DegenerateDesignError, match="degenerate design"):
-            _solve_ols(design, np.arange(6.0), "test")
+            fit_harmonic(same_day_series(6), WINDOW)
 
     def test_ols_optimality_under_perturbation(self):
         rng = np.random.default_rng(3)
@@ -463,10 +472,10 @@ class TestWindowBatch:
             monthly_extrema(curves, 2020, 11)
 
 
-class TestDesignReuse:
-    def test_different_days_fall_back_to_own_design(self):
-        """Red and Green share a design. NIR, missing one scene, and Blue, with
-        one scene a day later, build their own. Every fit equals a standalone
+class TestBatch:
+    def test_series_with_different_days_equal_single_fits(self):
+        """Red and Green sample the same days, NIR misses one scene and Blue
+        has one scene a day later. Every fit of the batch equals a standalone
         one bit for bit."""
         dates = spread_dates(WINDOW, 12)
         shifted = dates[:5] + [dates[5] + timedelta(days=1)] + dates[6:]
@@ -475,11 +484,48 @@ class TestDesignReuse:
                   series_at(dates[:5] + dates[6:], rng.uniform(0, 1, 11), band=B.NIR),
                   series_at(shifted, rng.uniform(0, 1, 12), band=B.BLUE),
                   series_at(dates, rng.uniform(0, 1, 12), band=B.GREEN)]
-        designs = {}
-        shared = [fit_harmonic(s, WINDOW, designs) for s in series]
-        assert len(designs) == 3
-        for s, fit in zip(series, shared):
-            assert fit.coefficients == fit_harmonic(s, WINDOW).coefficients
+        fits = fit_harmonic(series, WINDOW)
+        assert isinstance(fits, HarmonicFits) and fits.errors == (None,) * 4
+        for s, row in zip(series, fits.coefficients.tolist()):
+            assert tuple(row) == fit_harmonic(s, WINDOW).coefficients
+
+    def test_batch_with_failures_equals_single_fits(self):
+        """Good fits with different in-window days (and out-of-window
+        samples), one series with 5 in-window samples and one with every
+        sample on one date: each good row equals the single-series fit bit for
+        bit, in this order and reversed, and each failure carries the error
+        the single-series call raises."""
+        rng = np.random.default_rng(53)
+        series = []
+        for k in range(6):
+            n = int(rng.integers(8, 30))
+            offsets = np.sort(rng.choice(np.arange(-20, 234), size=n, replace=False))
+            dates = [WINDOW.start + timedelta(days=int(d)) for d in offsets]
+            series.append(series_at(dates, rng.uniform(0.1, 1.2, n)))
+        series.insert(2, series_at(spread_dates(WINDOW, 5) + [date(2020, 12, 1)],
+                                   [0.5] * 6, band=B.RED))
+        series.insert(5, same_day_series(7, band=B.BLUE))
+        for batch in (series, series[::-1]):
+            fits = fit_harmonic(batch, WINDOW)
+            assert fits.coefficients.shape == (8, 5)
+            for s, row, error in zip(batch, fits.coefficients.tolist(), fits.errors):
+                try:
+                    single = fit_harmonic(s, WINDOW)
+                except ValueError as raised:
+                    assert type(error) is type(raised) and str(error) == str(raised)
+                    assert all(math.isnan(v) for v in row)
+                else:
+                    assert error is None and tuple(row) == single.coefficients
+            errors = {s.band: type(e) for s, e in zip(batch, fits.errors) if e}
+            assert errors == {B.RED: InsufficientObservationsError,
+                              B.BLUE: DegenerateDesignError}
+            first, last = WINDOW.start.toordinal(), WINDOW.end.toordinal()
+            assert fits.n_obs.tolist() == [sum(first <= d <= last for d in s.days.tolist())
+                                           for s in batch]
+
+    def test_empty_batch(self):
+        fits = fit_harmonic([], WINDOW)
+        assert fits.coefficients.shape == (0, 5) and fits.errors == ()
 
 
 @settings(max_examples=60)
