@@ -119,7 +119,6 @@ class HarmonicFits:
     single-series ``fit_harmonic`` raises for it; a good fit's error is None.
     """
 
-    window: SeasonWindow
     coefficients: np.ndarray  # (series x 5): c, a1, b1, a2, b2
     n_obs: np.ndarray  # in-window samples of each series
     errors: tuple[ValueError | None, ...]
@@ -324,8 +323,7 @@ def _fit_batch(batch: Sequence[ObservationSeries], window: SeasonWindow) -> Harm
             )
         else:
             errors[i] = ValueError(f"non-finite harmonic coefficient for band {band}")
-    return HarmonicFits(window=window, coefficients=coefficients, n_obs=n_obs,
-                        errors=tuple(errors))
+    return HarmonicFits(coefficients=coefficients, n_obs=n_obs, errors=tuple(errors))
 
 
 def curve_values(curve, t: np.ndarray) -> np.ndarray:

@@ -157,7 +157,8 @@ class TestMonthlyPpt:
             ]
             shuffled = list(days)
             rng.shuffle(shuffled)
-            assert monthly_ppt(climate_series(days).ppt.tolist()) == math.fsum(r[3] for r in shuffled)
+            ppt = climate_series(days).ppt.tolist()
+            assert monthly_ppt(ppt) == math.fsum(r[3] for r in shuffled)
 
     def test_empty_rejected(self):
         with pytest.raises(NoClimateDataError):
@@ -186,7 +187,8 @@ class TestMonthlyTmean:
                  tmin, tmin + float(rng.uniform(0, 12)), 0.0)
             )
         oracle = np.mean([(r[1] + r[2]) / 2 for r in days])
-        assert monthly_tmean(daily_tmean(climate_series(days)).tolist()) == pytest.approx(float(oracle), rel=1e-12)
+        midpoints = daily_tmean(climate_series(days)).tolist()
+        assert monthly_tmean(midpoints) == pytest.approx(float(oracle), rel=1e-12)
 
 
 class TestCoverageAndSummary:
