@@ -138,6 +138,22 @@ def test_identical_configs_identical_outputs(bundle, tmp_path):
            (tmp_path / "b" / "report.json").read_bytes()
 
 
+def test_cold_and_warm_bundle_give_identical_outputs(bundle, tmp_path):
+    """The first commands on a bundle tokenize its files and cache the
+    tokens; the same commands on the warm bundle write the same bytes."""
+    cold = shutil.copytree(bundle, tmp_path / "bundle",
+                           ignore=shutil.ignore_patterns(".agribench_cache"))
+    args = [f"bundle={cold}", "task.name=yield", "task.crop=corn", "task.feature_set=RS",
+            "model.n_trees=4", "scheme=group_cv", "scheme.k=3", "n_repeats=1"]
+    for run in ("cold", "warm"):
+        for command in ("featurize", "benchmark"):
+            assert execute(command, None, args + [f"out_dir={tmp_path / run}"]) == 0
+        cached = sorted(entry.name.split(".")[0] for entry in (cold / ".agribench_cache").iterdir())
+        assert cached == ["climate", "observations"]
+    for name in ("report.csv", "report.json", "features.csv"):
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
 def test_report_command_summarizes(bundle, tmp_path, capsys):
     out = tmp_path / "bm"
     execute("benchmark", None, [

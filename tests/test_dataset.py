@@ -1,5 +1,6 @@
 import calendar
 import io
+import shutil
 import string
 import tempfile
 import tracemalloc
@@ -584,7 +585,9 @@ def _write(tmp, unit_ids, tables):
 @given(bundle_rows())
 def test_one_call_parse_equals_row_reader(rows):
     """``load_dataset`` returns what the row-wise readers return, and a valid
-    non-empty file never needs the csv.reader pass."""
+    non-empty file never needs the csv.reader pass. The bundle is loaded
+    twice: the second load reads every bulk file's tokens from the cache
+    (np.loadtxt is not called) and returns the same bits."""
     unit_ids, tables = rows
     with tempfile.TemporaryDirectory() as tmp:
         bundle = _write(tmp, unit_ids, tables)
@@ -595,14 +598,20 @@ def test_one_call_parse_equals_row_reader(rows):
             read_again.append(path.stem)
             return read_cells(path, columns)
 
-        with mock.patch.object(dataset, "_read_cells", record):
-            loaded = load_dataset(bundle)
+        loads, tokenized = [], []
+        for _ in ("cold", "warm"):
+            with mock.patch.object(dataset, "_read_cells", record), \
+                    mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+                loads.append(load_dataset(bundle))
+            tokenized.append(loadtxt.call_count)
+        assert tokenized[1] == 0
         assert set(read_again) <= {table for table in BULK_TABLES if not tables[table]}
         units = _load_units(bundle / "units.csv")
         for table in BULK_TABLES:
             reference, arrays = REFERENCE[table]
-            assert arrays(getattr(loaded, table)) == \
-                arrays(reference(bundle / f"{table}.csv", units))
+            expected = arrays(reference(bundle / f"{table}.csv", units))
+            for loaded in loads:
+                assert arrays(getattr(loaded, table)) == expected
 
 
 FRESH_DAY = "2030-01-01"  # after every day bundle_rows draws
@@ -700,12 +709,123 @@ def planted_bundles(draw):
 @settings(max_examples=150, deadline=None)
 @given(planted_bundles())
 def test_planted_bad_row_names_its_line(planted):
+    """The cold load and the warm one, which reads the tokens np.loadtxt
+    accepted from the cache, raise the same error."""
     unit_ids, tables, filename, line, message = planted
     with tempfile.TemporaryDirectory() as tmp:
         bundle = _write(tmp, unit_ids, tables)
-        with pytest.raises(BundleValidationError) as info:
-            load_dataset(bundle)
-    assert str(info.value) == f"{filename} line {line}: {message}"
+        for _ in ("cold", "warm"):
+            with pytest.raises(BundleValidationError) as info:
+                load_dataset(bundle)
+            assert str(info.value) == f"{filename} line {line}: {message}"
+
+
+CACHE_BUNDLE = dict(
+    units=[UNIT_ROW],
+    observations=[OBS_DAY, ["c1", "NDVI", "2020-06-11", "0.75"]],
+    climate=[CLIMATE_DAY, ["c1", "2020-06-02", "11.0", "26.0", "0.0"]],
+    embeddings=[EMB_PREFIX + ["0.01"] * 64],
+)
+
+
+def _bulk_arrays(ds):
+    return [arrays(getattr(ds, table)) for table, (_, arrays) in sorted(REFERENCE.items())]
+
+
+def _entries(bundle, filename):
+    return sorted(p.name for p in (bundle / ".agribench_cache").glob(f"{filename}.*"))
+
+
+def _tokenized_load(bundle):
+    """The load and the number of files np.loadtxt tokenized for it."""
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        return load_dataset(bundle), loadtxt.call_count
+
+
+def test_cache_holds_one_entry_per_file(tmp_bundle):
+    """The first load tokenizes the three bulk files and caches each once; the
+    next reads them back. One edited byte is a miss that replaces the
+    file's entry."""
+    bundle = tmp_bundle(**CACHE_BUNDLE)
+    cold, tokenized = _tokenized_load(bundle)
+    assert tokenized == 3
+    assert [len(_entries(bundle, f"{table}.csv")) for table in BULK_TABLES] == [1, 1, 1]
+    warm, tokenized = _tokenized_load(bundle)
+    assert tokenized == 0 and _bulk_arrays(warm) == _bulk_arrays(cold)
+
+    before = _entries(bundle, "climate.csv")
+    path = bundle / "climate.csv"
+    path.write_bytes(path.read_bytes().replace(b"11.0", b"12.0"))
+    edited, tokenized = _tokenized_load(bundle)
+    assert tokenized == 1
+    assert edited.climate_for("c1").tmin.tolist() == [10.0, 12.0]
+    after = _entries(bundle, "climate.csv")
+    assert len(after) == 1 and after != before
+    assert _bulk_arrays(_tokenized_load(bundle)[0]) == _bulk_arrays(edited)
+
+
+def _truncate(entry):
+    entry.write_bytes(entry.read_bytes()[:-9])
+
+
+def _wrong_dtype(entry):
+    """The entry's bytes, declared as raw records of the same width."""
+    table = np.load(entry)
+    np.save(entry, table.view(np.dtype((np.void, table.dtype.itemsize))))
+
+
+def _two_dimensional(entry):
+    """The entry's bytes, declared as one column of rows."""
+    np.save(entry, np.load(entry)[:, None])
+
+
+def _claims_more_rows(entry):
+    """The entry's bytes under a header that declares a trillion rows."""
+    table = np.load(entry)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": np.lib.format.dtype_to_descr(table.dtype), "fortran_order": False,
+        "shape": (10**12,)})
+    entry.write_bytes(header.getvalue() + table.tobytes())
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda entry: entry.write_bytes(b""),
+    _truncate,
+    lambda entry: entry.write_bytes(entry.read_bytes() + b"\0" * 8),
+    lambda entry: entry.write_bytes(b"PK\x03\x04 not an array" * 9),
+    _wrong_dtype,
+    _two_dimensional,
+    _claims_more_rows,
+], ids=["zero_bytes", "truncated", "padded", "garbage", "wrong_dtype", "two_dimensional",
+        "claims_more_rows"])
+def test_broken_cache_entry_is_a_miss_and_rewritten(tmp_bundle, spoil):
+    bundle = tmp_bundle(**CACHE_BUNDLE)
+    cold = load_dataset(bundle)
+    (name,) = _entries(bundle, "climate.csv")
+    entry = bundle / ".agribench_cache" / name
+    good = entry.read_bytes()
+    spoil(entry)
+    reloaded, tokenized = _tokenized_load(bundle)
+    assert tokenized == 1
+    assert _bulk_arrays(reloaded) == _bulk_arrays(cold)
+    assert _entries(bundle, "climate.csv") == [name] and entry.read_bytes() == good
+
+
+def test_unwritable_cache_loads_and_writes_nothing(tmp_bundle):
+    """A file where the cache directory belongs refuses every write: each
+    load tokenizes every file, returns what a cached load returns and
+    leaves the bundle as it was."""
+    bundle = tmp_bundle(**CACHE_BUNDLE)
+    expected = _bulk_arrays(load_dataset(bundle))
+    shutil.rmtree(bundle / ".agribench_cache")
+    (bundle / ".agribench_cache").write_bytes(b"not a directory")
+    listing = sorted(p.name for p in bundle.iterdir())
+    for _ in ("first", "second"):
+        loaded, tokenized = _tokenized_load(bundle)
+        assert tokenized == 3 and _bulk_arrays(loaded) == expected
+    assert sorted(p.name for p in bundle.iterdir()) == listing
+    assert (bundle / ".agribench_cache").read_bytes() == b"not a directory"
 
 
 def test_load_parses_only_the_named_files(tmp_bundle):
@@ -734,16 +854,23 @@ def test_load_holds_close_to_the_size_of_its_data(tmp_path):
     17,418 observation rows) peaked at 17.3 MB with UCS-4 text columns,
     per-date ``np.unique`` and the whole body read at once, and at 17.7 MB
     with only the text columns put back. Byte-string columns, arithmetic
-    dates and no sort of the time-ordered climate rows hold 6.9 MB."""
+    dates and no sort of the time-ordered climate rows hold 8.1 MB
+    (numpy 2.4). The warm load reads the cached tokens in place of
+    np.loadtxt's and may peak no higher than the cold load, which writes
+    them: 6.9 MB."""
     spec = SynthSpec(**perfbench_workloads()["covercrop-rs-rfc"].synth)
     generate(spec, seed=1, out_dir=tmp_path)
-    tracemalloc.start()
-    try:
-        load_dataset(tmp_path, FEATURE_SET_FILES["RS"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10_000_000
+    peaks = []
+    for _ in ("cold", "warm"):
+        tracemalloc.start()
+        try:
+            load_dataset(tmp_path, FEATURE_SET_FILES["RS"])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / ".agribench_cache").is_dir()
+    assert peaks[0] <= 10_000_000
+    assert peaks[1] <= peaks[0]
 
 
 @given(st.integers(1900, 2100), st.integers(1, 12))

@@ -120,6 +120,17 @@ def test_zero_denominator_drops_only_that_scene():
         derive_index_series({B.NIR: nir, B.GREEN: all_zero}, B.GCVI)
 
 
+def test_overflowing_index_fails_the_series_checks():
+    """Derived series keep ``ObservationSeries``' own checks (only the
+    loader's series skip them): a ratio that overflows to inf is refused."""
+    start = date(2020, 5, 1)
+    nir = make_series(B.NIR, start, [0.6, 0.6])
+    green = make_series(B.GREEN, start, [0.2, 5e-324])  # the smallest subnormal
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        derive_index_series({B.NIR: nir, B.GREEN: green}, B.GCVI)
+    assert str(info.value) == "non-finite observation value"
+
+
 def test_empty_intersection_errors():
     nir = make_series(B.NIR, date(2020, 5, 1), [0.5, 0.6])
     red = make_series(B.RED, date(2020, 7, 1), [0.1, 0.2])
