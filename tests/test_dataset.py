@@ -598,19 +598,15 @@ def test_one_call_parse_equals_row_reader(rows):
             read_again.append(path.stem)
             return read_cells(path, columns)
 
-        loads, tokenized = [], []
-        for _ in ("cold", "warm"):
-            with mock.patch.object(dataset, "_read_cells", record), \
-                    mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-                loads.append(load_dataset(bundle))
-            tokenized.append(loadtxt.call_count)
-        assert tokenized[1] == 0
+        with mock.patch.object(dataset, "_read_cells", record):
+            (cold, _), (warm, tokenized) = _tokenized_load(bundle), _tokenized_load(bundle)
+        assert tokenized == 0
         assert set(read_again) <= {table for table in BULK_TABLES if not tables[table]}
         units = _load_units(bundle / "units.csv")
         for table in BULK_TABLES:
             reference, arrays = REFERENCE[table]
             expected = arrays(reference(bundle / f"{table}.csv", units))
-            for loaded in loads:
+            for loaded in (cold, warm):
                 assert arrays(getattr(loaded, table)) == expected
 
 
@@ -854,10 +850,9 @@ def test_load_holds_close_to_the_size_of_its_data(tmp_path):
     17,418 observation rows) peaked at 17.3 MB with UCS-4 text columns,
     per-date ``np.unique`` and the whole body read at once, and at 17.7 MB
     with only the text columns put back. Byte-string columns, arithmetic
-    dates and no sort of the time-ordered climate rows hold 8.1 MB
-    (numpy 2.4). The warm load reads the cached tokens in place of
-    np.loadtxt's and may peak no higher than the cold load, which writes
-    them: 6.9 MB."""
+    dates and no sort of the time-ordered climate rows hold 6.9 MB. The
+    warm load reads the cached tokens in place of np.loadtxt's and may
+    peak no higher than the cold load, which writes them (6.9 and 7.0 MB)."""
     spec = SynthSpec(**perfbench_workloads()["covercrop-rs-rfc"].synth)
     generate(spec, seed=1, out_dir=tmp_path)
     peaks = []
