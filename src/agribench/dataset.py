@@ -538,12 +538,16 @@ def _lookup(column: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarra
 
     Byte-string cells are matched against the names' UTF-8 bytes, which sort
     in the same order as the names, and ``str`` cells against the names.
+    Bulk files hold each unit's rows together, so each run of equal cells
+    is matched once, at its head.
     """
     if not names:
         return np.zeros(len(column), dtype=np.intp), np.zeros(len(column), dtype=bool)
     keys = np.array([name.encode() for name in names] if column.dtype.kind == "S" else names)
-    codes = np.minimum(np.searchsorted(keys, column), len(keys) - 1)
-    return codes, keys[codes] == column
+    heads = np.flatnonzero(np.concatenate([[len(column) > 0], column[1:] != column[:-1]]))
+    lengths = np.diff(np.append(heads, len(column)))
+    codes = np.minimum(np.searchsorted(keys, column[heads]), len(keys) - 1)
+    return codes.repeat(lengths), (keys[codes] == column[heads]).repeat(lengths)
 
 
 def _unit_rule(column: np.ndarray, units: dict[str, UnitMeta]):

@@ -10,7 +10,10 @@ makes training fully deterministic for a fixed seed. One level's nodes are
 searched together: one gather of their sorted rows, one cumulative sum down
 each node's slots and one feature-major argmin per node. The trees come out
 numbered, and their importances summed, as a depth-first grower that pops
-the left child first would build them.
+the left child first would build them; that numbering runs once per fit,
+over every tree of the fit together (``_number``). Prediction walks all of
+a model's trees together too, over (tree, row) pairs in blocks of rows
+(``_walk``); ``Tree.apply`` is its one-tree case.
 
 With ``max_features="sqrt"`` (the random-forest classification default) a
 tree draws, at each level and from its own generator, one key per (node,
@@ -56,6 +59,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,15 +131,46 @@ class Tree:
     value: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        while True:
-            feat = self.feature[node]
-            active = np.nonzero(feat >= 0)[0]
-            if active.size == 0:
-                return self.value[node]
-            current = node[active]
-            go_left = X[active, feat[active]] <= self.threshold[current]
-            node[active] = np.where(go_left, self.left[current], self.right[current])
+        """The value of the leaf each row of ``X`` reaches: the one-tree walk."""
+        [leaves] = _walk(self.feature, self.threshold, self.left, self.right,
+                         np.zeros(1, dtype=np.intp), X)
+        return self.value[leaves]
+
+
+def _walk(feature, threshold, left, right, roots: np.ndarray, X) -> np.ndarray:
+    """The leaf each (root, row) pair reaches, as a ``(roots, rows)`` array.
+
+    The node arrays may hold several trees end to end, with children as
+    indices into them; ``roots`` lists the trees to walk. Each pass moves
+    every pair one level down. A leaf leads to itself, so a pair that has
+    reached one stays there; pairs at leaves are dropped from the passes
+    once they are at least half of them.
+    """
+    X = np.ascontiguousarray(X)
+    n_rows, n_features = X.shape
+    x_flat = X.ravel()
+    is_leaf = feature < 0
+    nodes = np.arange(feature.size)
+    feature = np.where(is_leaf, 0, feature)
+    left, right = np.where(is_leaf, nodes, left), np.where(is_leaf, nodes, right)
+    node = np.repeat(roots, n_rows)
+    at = np.tile(np.arange(0, n_rows * n_features, n_features), roots.size)  # each pair's row
+    leaves, pairs = node, None  # pairs: the pairs in the passes, None while all are
+    while True:
+        done = is_leaf.take(node)
+        walking = node.size - np.count_nonzero(done)
+        if 2 * walking <= node.size:
+            keep = np.flatnonzero(~done)
+            if pairs is None:
+                leaves, pairs = node.copy(), keep
+            else:
+                leaves[pairs] = node
+                pairs = pairs.take(keep)
+            node, at = node.take(keep), at.take(keep)
+            if not walking:
+                return leaves.reshape(roots.size, n_rows)
+        go_left = x_flat.take(at + feature.take(node)) <= threshold.take(node)
+        node = np.where(go_left, left.take(node), right.take(node))
 
 
 @dataclass
@@ -403,10 +438,11 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     ``_Scratch`` the caller keeps for these trees across calls; without one,
     each level allocates its own arrays, which costs less for trees grown
     once (a random-forest batch): buffers kept for the whole call raised a
-    30-tree forest's peak memory by a quarter. Returns ``(Tree, importance,
-    fitted)`` per tree; each tree comes out as if grown alone. ``fitted`` is
-    each row's leaf value in an unweighted tree (0 for a row outside a
-    subset tree), ``None`` for a bootstrap tree.
+    30-tree forest's peak memory by a quarter. Returns the call's nodes as
+    a ``_Grown``, in creation order; ``_number`` numbers each tree as if
+    grown alone, once per fit. ``fitted`` is each (tree, row)'s leaf value
+    in unweighted trees (0 for a row outside a subset tree), ``None`` for
+    bootstrap trees.
 
     Row ``r`` of tree ``t`` has the key ``t * n_rows + r``, the grower's one
     row id. ``keys`` holds, node after node, the node's keys in ascending
@@ -646,53 +682,92 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             )
             weights = sizes if row_w is None else weights[may_split]
 
-    number = np.empty(n_made, dtype=np.intp)
-    left_of = left[:n_made].tolist()
-    fitted = [None] * n_trees if leaf is None else value[leaf].reshape(n_trees, n_rows)
-    return [
-        (*_renumber(root, feature, threshold, left, left_of, value, gain, number, n_features),
-         fitted[root])
-        for root in range(n_trees)
-    ]
+    fitted = None if leaf is None else value[leaf].reshape(n_trees, n_rows)
+    return _Grown(feature[:n_made].copy(), threshold[:n_made].copy(), left[:n_made].copy(),
+                  value[:n_made].copy(), gain[:n_made].copy(), n_trees, fitted)
 
 
-def _renumber(root, feature, threshold, left, left_of, value, gain, number, n_features):
-    """One tree's arrays, numbered as a depth-first grower popping left first.
+class _Grown(NamedTuple):
+    """One ``_grow_trees`` call's nodes, in creation order: tree ``t``'s root
+    is node ``t``, and a split node's children are ``left`` and ``left + 1``
+    (``left`` is -1 at a leaf). ``gain`` is each split's weighted impurity
+    decrease; ``fitted`` is as ``_grow_trees`` returns it."""
 
-    That grower numbers a split node's children (``left``, ``left + 1`` in
-    creation order) when it pops the node, so the numbers follow the split
-    nodes' pre-order; importance is summed in that order too, which fixes
-    its rounding. ``left_of`` is ``left`` as a list, shared by every tree
-    of the call, and ``number`` is scratch space over all node ids.
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
+    gain: np.ndarray
+    trees: int
+    fitted: np.ndarray | None
+
+
+def _number(grown: list, n_features: int) -> tuple[list[Tree], np.ndarray]:
+    """The trees of a fit's grower calls, in call order, and each tree's importance.
+
+    Each tree is numbered as a depth-first grower popping the left child
+    first numbers it: the root is 0, and the split node of pre-order rank
+    ``k`` among its tree's split nodes has children ``2k + 1`` and ``2k + 2``.
+    Every tree of the fit is numbered together, level by level: bottom-up,
+    each node counts the split nodes under it; top-down, a left child's rank
+    follows its parent's, and a right child's follows the left subtree's.
+    A tree's importance sums its gains by feature in pre-order, which fixes
+    its rounding. Returns the trees and a ``(trees, n_features)`` array.
     """
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        child = left_of[node]
-        if child >= 0:
-            order.append(node)
-            stack.append(child + 1)
-            stack.append(child)
-    split_nodes = np.array(order, dtype=np.intp)
-    pairs = 2 * np.arange(split_nodes.size)
-    at = np.empty(2 * split_nodes.size + 1, dtype=np.intp)
-    at[0] = root
-    at[1::2] = left[split_nodes]
-    at[2::2] = left[split_nodes] + 1
-    number[at] = np.arange(at.size)
-    new_left = np.full(at.size, -1, dtype=np.intp)
-    new_left[number[split_nodes]] = pairs + 1
-    importance = np.zeros(n_features)
-    np.add.at(importance, feature[split_nodes], gain[split_nodes])
-    tree = Tree(
-        feature=feature[at],
-        threshold=threshold[at],
-        left=new_left,
-        right=np.where(new_left >= 0, new_left + 1, -1),
-        value=value[at],
+    sizes = [g.left.size for g in grown]
+    first = np.cumsum(sizes) - sizes  # each call's first node
+    left = np.concatenate([g.left for g in grown])
+    left = np.where(left >= 0, left + np.repeat(first, sizes), -1)
+    roots = np.concatenate([np.arange(g.trees) + f for g, f in zip(grown, first.tolist())])
+    levels, frontier = [], roots
+    while frontier.size:
+        split = frontier.compress(left[frontier] >= 0)
+        levels.append(split)
+        frontier = np.concatenate([left[split], left[split] + 1])
+    below = np.zeros(left.size, dtype=np.intp)  # split nodes in each node's subtree
+    for split in reversed(levels):
+        child = left[split]
+        below[split] = 1 + below[child] + below[child + 1]
+    rank = np.zeros(left.size, dtype=np.intp)  # pre-order rank among the tree's splits
+    number = np.zeros(left.size, dtype=np.intp)  # the node's index in its tree
+    tree = np.empty(left.size, dtype=np.intp)
+    tree[roots] = np.arange(roots.size)
+    for split in levels:
+        child, r = left[split], rank[split]
+        rank[child], rank[child + 1] = r + 1, r + 1 + below[child]
+        number[child], number[child + 1] = 2 * r + 1, 2 * r + 2
+        tree[child] = tree[child + 1] = tree[split]
+    splits = np.concatenate(levels)
+    n_splits = below[roots]
+    ends = (2 * n_splits + 1).cumsum()  # each tree's last position, plus one
+    position = ends - (2 * n_splits + 1)  # each tree's first
+    at = np.empty(left.size, dtype=np.intp)  # the node at each position
+    at[position[tree] + number] = np.arange(left.size)
+    new_left = np.full(left.size, -1, dtype=np.intp)
+    new_left[position[tree[splits]] + number[splits]] = 2 * rank[splits] + 1
+    new_right = np.where(new_left >= 0, new_left + 1, -1)
+    feature, threshold, value, gain = (
+        np.concatenate([getattr(g, name) for g in grown])
+        for name in ("feature", "threshold", "value", "gain")
     )
-    return tree, importance
+    f, t, v = feature[at], threshold[at], value[at]
+    trees = [
+        Tree(feature=f[a:b], threshold=t[a:b], left=new_left[a:b], right=new_right[a:b],
+             value=v[a:b])
+        for a, b in zip(position.tolist(), ends.tolist())
+    ]
+    # Split nodes by (tree, pre-order rank).
+    in_order = np.empty(splits.size, dtype=np.intp)
+    in_order[(n_splits.cumsum() - n_splits)[tree[splits]] + rank[splits]] = splits
+    importance = np.zeros((roots.size, n_features))
+    np.add.at(importance, (tree[in_order], feature[in_order]), gain[in_order])
+    return trees, importance
+
+
+def _in_order_sum(rows: np.ndarray) -> np.ndarray:
+    """``rows[0] + rows[1] + ...`` added in row order, as a loop adds them
+    (``np.sum`` may add pairwise)."""
+    return np.add.accumulate(rows, axis=0)[-1]
 
 
 def _as_matrix(X) -> tuple[np.ndarray, tuple[str, ...] | None]:
@@ -736,9 +811,8 @@ def _train_rf(spec: ModelSpec, X: np.ndarray, y: np.ndarray, threads: int):
             batches = list(pool.map(grow, groups))
     else:
         batches = [grow(at) for at in groups]
-    results = [result for grown in batches for result in grown]
-    importance = sum((acc for _, acc, _ in results), np.zeros(data.n_features))
-    return [tree for tree, _, _ in results], importance / spec.n_trees, 0.0
+    trees, importance = _number(batches, data.n_features)
+    return trees, _in_order_sum(importance) / spec.n_trees, 0.0
 
 
 def _sigmoid(scores: np.ndarray) -> np.ndarray:
@@ -791,23 +865,25 @@ def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds:
         for at in _groups(data, [int(np.count_nonzero(m)) for m in masks], max_features)
     ]
 
-    trees = [[] for _ in masks]
-    importance = np.zeros((len(masks), data.n_features))
+    grown = []
     fitted = np.empty_like(scores)
     for _ in range(spec.n_trees):
         residual = y - _sigmoid(scores) if classification else y - scores
         for at, counts, group_rngs, scratch in groups:
             # Trees are fit to the gradient with the regression criterion.
-            grown = _grow_trees(
+            grown.append(_grow_trees(
                 data, residual[at], counts, group_rngs, max_depth, spec.min_samples_leaf,
                 max_features, False, scratch,
-            )
-            for i, (tree, acc, fold_fitted) in enumerate(grown, start=at.start):
-                trees[i].append(tree)
-                importance[i] += acc
-                fitted[i] = fold_fitted
+            ))
+            fitted[at] = grown[-1].fitted
         scores = scores + spec.learning_rate * fitted  # equals tree.apply(X) on fold rows
-    return list(zip(trees, importance / spec.n_trees, bases))
+    # Tree t * folds + i is fold i's tree of round t.
+    n_folds = len(masks)
+    trees, importance = _number(grown, data.n_features)
+    importance = _in_order_sum(importance.reshape(spec.n_trees, n_folds, -1))
+    return [
+        (trees[i::n_folds], importance[i] / spec.n_trees, bases[i]) for i in range(n_folds)
+    ]
 
 
 def _checked(spec: ModelSpec, X, y) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
@@ -912,15 +988,34 @@ def predict_scores(model: TrainedModel, X) -> np.ndarray:
     matrix, names = _as_matrix(X)
     _check_schema(model, names, matrix.shape[1])
     _require_finite(matrix, "features")
-    if model.spec.kind == "RF":
-        outputs = np.stack([tree.apply(matrix) for tree in model.trees])
-        if model.spec.task == "classification":
-            votes = (outputs > 0.5).astype(float)
-            return votes.mean(axis=0)
-        return outputs.mean(axis=0)
-    scores = np.full(matrix.shape[0], model.base_score)
-    for tree in model.trees:
-        scores = scores + model.spec.learning_rate * tree.apply(matrix)
+    trees = model.trees
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.cumsum(sizes) - sizes
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in trees]) for name in _NODE_ARRAYS
+    )
+    offset = np.repeat(roots, sizes)
+    left = np.where(left >= 0, left + offset, -1)
+    right = np.where(right >= 0, right + offset, -1)
+    n_rows = matrix.shape[0]
+    scores = np.empty(n_rows)
+    # Blocks of rows keep a block's (tree, row) arrays within the cell
+    # budget. The last block takes a single leftover row, so a block has two
+    # rows or more unless X has one: numpy adds down axis 0 of a one-column
+    # array pairwise, but of a wider one row by row, as for all of X at once.
+    step = max(2, _BATCH_CELLS // len(trees))
+    stops = list(range(step, n_rows - 1, step)) + [n_rows]
+    for start, stop in zip([0] + stops[:-1], stops):
+        outputs = value[_walk(feature, threshold, left, right, roots, matrix[start:stop])]
+        if model.spec.kind == "RF":
+            if model.spec.task == "classification":
+                outputs = (outputs > 0.5).astype(float)
+            scores[start:stop] = outputs.mean(axis=0)
+        else:
+            # ((base + lr * out_0) + lr * out_1) + ..., added in tree order.
+            outputs *= model.spec.learning_rate
+            outputs[0] += model.base_score
+            scores[start:stop] = np.add.accumulate(outputs, axis=0)[-1]
     return scores
 
 
@@ -976,7 +1071,8 @@ def save_model(model: TrainedModel, path) -> None:
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        # The same bytes as json.dump, which streams through the pure-Python encoder.
+        fh.write(json.dumps(payload))
 
 
 def _tree_defect(tree: Tree, n_features: int) -> str | None:

@@ -610,6 +610,35 @@ def test_one_call_parse_equals_row_reader(rows):
                 assert arrays(getattr(loaded, table)) == expected
 
 
+def _per_cell_lookup(column, names):
+    """The per-cell match that ``dataset._lookup`` replaced, kept as it was."""
+    if not names:
+        return np.zeros(len(column), dtype=np.intp), np.zeros(len(column), dtype=bool)
+    keys = np.array([name.encode() for name in names] if column.dtype.kind == "S" else names)
+    codes = np.minimum(np.searchsorted(keys, column), len(keys) - 1)
+    return codes, keys[codes] == column
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.lists(st.sampled_from(UNIT_IDS), max_size=4, unique=True),
+       runs=st.lists(st.tuples(st.sampled_from(UNIT_IDS + ("c", "c1y", "zz", "")),
+                               st.integers(1, 4)), max_size=12))
+def test_lookup_equals_per_cell_match(names, runs):
+    """Matching each run of equal cells once gives every cell's code and mask
+    as matching the cells one by one: for byte-string cells (np.loadtxt's)
+    and ``str`` cells (the row reader's), an empty column, unknown ids and
+    ``c1`` against ``c1x``."""
+    names = sorted(names)
+    cells = [cell for cell, length in runs for _ in range(length)]
+    for column in (np.array([cell.encode() for cell in cells], dtype=bytes),
+                   np.array(cells, dtype=object)):
+        codes, known = dataset._lookup(column, names)
+        want_codes, want_known = _per_cell_lookup(column, names)
+        assert codes.dtype == want_codes.dtype and known.dtype == bool
+        assert codes.tolist() == want_codes.tolist()
+        assert known.tolist() == want_known.tolist()
+
+
 FRESH_DAY = "2030-01-01"  # after every day bundle_rows draws
 ZEROS = ["0.5"] * EMBEDDING_DIM
 

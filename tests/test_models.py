@@ -752,6 +752,88 @@ def _same_tree(a: Tree, b: Tree) -> bool:
                for k in ("feature", "threshold", "left", "right", "value"))
 
 
+def _grow(data, *args):
+    """One ``_grow_trees`` call's trees, numbered, as ``(tree, importance,
+    fitted)`` per tree (``fitted`` ``None`` for a bootstrap tree)."""
+    grown = _grow_trees(data, *args)
+    trees, importance = models._number([grown], data.n_features)
+    return list(zip(trees, importance, [None] * grown.trees if grown.fitted is None
+                    else grown.fitted))
+
+
+# Reference: the per-tree numbering that ``models._number`` replaced, kept as
+# it was.
+
+def _renumber(root, feature, threshold, left, left_of, value, gain, number, n_features):
+    """One tree's arrays, numbered as a depth-first grower popping left first.
+
+    That grower numbers a split node's children (``left``, ``left + 1`` in
+    creation order) when it pops the node, so the numbers follow the split
+    nodes' pre-order; importance is summed in that order too, which fixes
+    its rounding. ``left_of`` is ``left`` as a list, shared by every tree
+    of the call, and ``number`` is scratch space over all node ids.
+    """
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        child = left_of[node]
+        if child >= 0:
+            order.append(node)
+            stack.append(child + 1)
+            stack.append(child)
+    split_nodes = np.array(order, dtype=np.intp)
+    pairs = 2 * np.arange(split_nodes.size)
+    at = np.empty(2 * split_nodes.size + 1, dtype=np.intp)
+    at[0] = root
+    at[1::2] = left[split_nodes]
+    at[2::2] = left[split_nodes] + 1
+    number[at] = np.arange(at.size)
+    new_left = np.full(at.size, -1, dtype=np.intp)
+    new_left[number[split_nodes]] = pairs + 1
+    importance = np.zeros(n_features)
+    np.add.at(importance, feature[split_nodes], gain[split_nodes])
+    tree = Tree(
+        feature=feature[at],
+        threshold=threshold[at],
+        left=new_left,
+        right=np.where(new_left >= 0, new_left + 1, -1),
+        value=value[at],
+    )
+    return tree, importance
+
+
+def _captured_calls(run):
+    """The grower calls that ``run()`` hands ``models._number``, which it
+    must call once."""
+    captured = []
+    number = models._number
+
+    def spy(grown, n_features):
+        captured.append(list(grown))
+        return number(grown, n_features)
+
+    with mock.patch.object(models, "_number", spy):
+        run()
+    [grown] = captured
+    return grown
+
+
+def _renumbered(grown, n_features):
+    """Every tree of a fit's grower calls, numbered one tree at a time by the
+    reference, and each tree's importance."""
+    results = []
+    for call in grown:
+        number = np.empty(call.left.size, dtype=np.intp)
+        left_of = call.left.tolist()
+        results += [
+            _renumber(root, call.feature, call.threshold, call.left, left_of, call.value,
+                      call.gain, number, n_features)
+            for root in range(call.trees)
+        ]
+    return results
+
+
 class TestLevelWiseGrower:
     """The level-wise grower builds the reference grower's trees bit for bit."""
 
@@ -779,15 +861,15 @@ class TestLevelWiseGrower:
             data = _Presorted(X)
             # Random forest: three bootstrap trees grown together.
             counts = [np.bincount(local.integers(0, n, size=n), minlength=n) for _ in range(3)]
-            grown = _grow_trees(data, y, counts, [None] * 3, max_depth, min_leaf, "all", False)
+            grown = _grow(data, y, counts, [None] * 3, max_depth, min_leaf, "all", False)
             if ties:
                 samples = [(np.repeat(np.arange(n), c), None) for c in counts]
             else:
                 samples = [(np.flatnonzero(c), c) for c in counts]
             labels = [y] * 4
             # Gradient boosting, one fit: a subset tree over an all-true mask.
-            grown += _grow_trees(data, y, [np.ones(n, dtype=bool)], [None], max_depth, min_leaf,
-                                 "all", False)
+            grown += _grow(data, y, [np.ones(n, dtype=bool)], [None], max_depth, min_leaf,
+                           "all", False)
             samples.append((np.arange(n), None))
             # Boosted folds: three subset trees that leave rows out, grown
             # together, each reading its own row of labels.
@@ -802,7 +884,7 @@ class TestLevelWiseGrower:
                 Y = subsets.integers(-3, 4, size=(3, n)).astype(float)
             else:
                 Y = subsets.normal(size=(3, n)) * 10.0 ** subsets.integers(-3, 4)
-            grown += _grow_trees(data, Y, masks, [None] * 3, max_depth, min_leaf, "all", False)
+            grown += _grow(data, Y, masks, [None] * 3, max_depth, min_leaf, "all", False)
             labels += list(Y)
             samples += [(np.flatnonzero(mask), None) for mask in masks]
             for label, (rows, weights), (tree, importance, _) in zip(labels, samples, grown):
@@ -843,12 +925,11 @@ class TestLevelWiseGrower:
         labels = y
         if selection == "row_per_tree":
             labels = np.stack([local.permutation(y) for _ in range(4)])
-        together = _grow_trees(data, labels, counts, [np.random.default_rng(s) for s in range(4)],
-                               None, 1, max_features, classification)
+        together = _grow(data, labels, counts, [np.random.default_rng(s) for s in range(4)],
+                         None, 1, max_features, classification)
         for s, c in enumerate(counts):
-            [alone] = _grow_trees(data, labels if labels.ndim == 1 else labels[s], [c],
-                                  [np.random.default_rng(s)], None, 1, max_features,
-                                  classification)
+            [alone] = _grow(data, labels if labels.ndim == 1 else labels[s], [c],
+                            [np.random.default_rng(s)], None, 1, max_features, classification)
             assert _same_tree(alone[0], together[s][0])
             assert np.array_equal(alone[1], together[s][1])
             if selection != "bootstrap":
@@ -864,8 +945,8 @@ class TestLevelWiseGrower:
             X = local.normal(size=(n, n_features))
             y = (X[:, 0] + local.normal(size=n) > 0).astype(float)
             counts = np.bincount(local.integers(0, n, size=n), minlength=n)
-            [(tree, _, _)] = _grow_trees(_Presorted(X), y, [counts], [np.random.default_rng(7)],
-                                         None, min_leaf, "sqrt", True)
+            [(tree, _, _)] = _grow(_Presorted(X), y, [counts], [np.random.default_rng(7)],
+                                   None, min_leaf, "sqrt", True)
             reference = _reference_sqrt_tree(X, y, np.repeat(np.arange(n), counts),
                                              np.random.default_rng(7), min_leaf)
             assert _same_tree(tree, reference)
@@ -894,7 +975,7 @@ class TestWeightedBootstrap:
         X, y, counts = problem
         if classification:
             y = (y > 0).astype(float)
-        [(tree, importance, _)] = _grow_trees(
+        [(tree, importance, _)] = _grow(
             _Presorted(X), y, [counts], [np.random.default_rng(7)], None, min_leaf,
             max_features, classification,
         )
@@ -932,16 +1013,10 @@ class TestImpurityDecrease:
         if classification:
             y = (y > 0).astype(float)
         selection = counts if weighted else counts > 0
-        captured = []
-
-        def spy(*args):
-            captured.append(args)
-            return renumber(*args)
-
-        renumber = models._renumber
-        with mock.patch.object(models, "_renumber", spy):
-            _grow_trees(_Presorted(X), y, [selection], [None], None, 1, "all", classification)
-        [(_, feature, threshold, left, _, _, gain, _, _)] = captured
+        [grown] = _captured_calls(
+            lambda: _grow(_Presorted(X), y, [selection], [None], None, 1, "all",
+                          classification))
+        feature, threshold, left, gain = grown.feature, grown.threshold, grown.left, grown.gain
         w = selection.astype(int).tolist()
         labels = y.astype(int).tolist()
         n_sample = X.shape[0] if weighted else int(selection.sum())
@@ -1039,6 +1114,151 @@ class TestBatching:
         assert peak < 8 * 8 * models._BATCH_CELLS
 
 
+class TestForestNumbering:
+    """A fit numbers all of its trees in one pass, bit for bit as the
+    reference numbers them one tree at a time."""
+
+    @pytest.mark.parametrize("cells", [1, 1 << 30])  # one tree per pass; every tree in one pass
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("max_features", ["all", "sqrt"])
+    def test_forest_batches(self, monkeypatch, max_features, task, cells):
+        monkeypatch.setattr(models, "_BATCH_CELLS", cells)
+        local = np.random.default_rng(41)
+        X = local.normal(size=(45, 9))
+        y = X[:, 0] + local.normal(size=45)
+        if task == "classification":
+            y = (y > 0).astype(float)
+        spec = ModelSpec(kind="RF", task=task, n_trees=7, max_features=max_features, seed=2)
+        model = None
+
+        def fit():
+            nonlocal model
+            model = train(spec, X, y)
+
+        grown = _captured_calls(fit)
+        assert len(grown) == (spec.n_trees if cells == 1 else 1)
+        reference = _renumbered(grown, X.shape[1])
+        self._check(grown, X.shape[1], reference)
+        raw = sum((acc for _, acc in reference), np.zeros(X.shape[1])) / spec.n_trees
+        assert all(_same_tree(a, b) for a, (b, _) in zip(model.trees, reference, strict=True))
+        assert np.array_equal(_bits(model.importance), _bits(raw / raw.sum()))
+
+    @pytest.mark.parametrize("cells", [1, 1 << 30])  # one fold per pass; every fold in one pass
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_boosted_fold_groups(self, monkeypatch, task, cells):
+        monkeypatch.setattr(models, "_BATCH_CELLS", cells)
+        local = np.random.default_rng(43)
+        X = local.normal(size=(40, 6))
+        y = X[:, 0] + local.normal(size=40)
+        if task == "classification":
+            y = (y > 0).astype(float)
+        spec = ModelSpec(kind="GBT", task=task, n_trees=6, max_depth=3)
+        folds = [(seed, np.flatnonzero(np.arange(40) % 3 != seed)) for seed in range(3)]
+        models_ = None
+
+        def fit():
+            nonlocal models_
+            models_ = boost_folds(spec, X, y, folds)
+
+        grown = _captured_calls(fit)
+        assert len(grown) == spec.n_trees * (3 if cells == 1 else 1)
+        reference = _renumbered(grown, X.shape[1])
+        self._check(grown, X.shape[1], reference)
+        for i, model in enumerate(models_):
+            # Fold i's tree of round t is the fit's tree t * folds + i.
+            mine = reference[i::3]
+            assert all(_same_tree(a, b) for a, (b, _) in zip(model.trees, mine, strict=True))
+            raw = np.zeros(X.shape[1])
+            for _, acc in mine:
+                raw += acc
+            raw /= spec.n_trees
+            assert np.array_equal(_bits(model.importance), _bits(raw / raw.sum()))
+
+    @staticmethod
+    def _check(grown, n_features, reference):
+        trees, importance = models._number(grown, n_features)
+        assert len(trees) == len(reference) == importance.shape[0]
+        for tree, acc, (want, want_acc) in zip(trees, importance, reference):
+            assert _same_tree(tree, want)
+            assert np.array_equal(_bits(tree.threshold), _bits(want.threshold))
+            assert np.array_equal(_bits(tree.value), _bits(want.value))
+            assert np.array_equal(_bits(acc), _bits(want_acc))
+
+
+def _reference_apply(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """The per-tree walk that the forest walk replaced, kept as it was."""
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    while True:
+        feat = tree.feature[node]
+        active = np.nonzero(feat >= 0)[0]
+        if active.size == 0:
+            return tree.value[node]
+        current = node[active]
+        go_left = X[active, feat[active]] <= tree.threshold[current]
+        node[active] = np.where(go_left, tree.left[current], tree.right[current])
+
+
+class TestForestWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(trees=st.lists(st.one_of(sound_trees(), sound_trees(max_nodes=1)),
+                          min_size=1, max_size=5),
+           kind=st.sampled_from(["RF", "GBT"]), task=st.sampled_from(["regression",
+                                                                      "classification"]),
+           n_rows=st.sampled_from([0, 1, 2, 3, 9, 40]), cells=st.sampled_from([1, 7, 1 << 17]),
+           seed=st.integers(0, 99))
+    def test_walk_equals_per_tree_reference(self, trees, kind, task, n_rows, cells, seed):
+        """Bit for bit: each tree's ``apply``, and the ensemble output as
+        the trees' outputs stacked and reduced, in blocks of any size."""
+        local = np.random.default_rng(seed)
+        X = local.normal(scale=1e6, size=(n_rows, 3))
+        X[local.random(X.shape) < 0.2] = 0.0
+        model = _model_of(trees)
+        model.spec = ModelSpec(kind=kind, task=task, n_trees=len(trees), learning_rate=0.3)
+        model.base_score = float(local.normal())
+        outputs = np.stack([_reference_apply(tree, X) for tree in trees])
+        for tree, out in zip(trees, outputs):
+            assert np.array_equal(_bits(tree.apply(X)), _bits(out))
+        if kind == "RF":
+            want = ((outputs > 0.5).astype(float) if task == "classification"
+                    else outputs).mean(axis=0)
+        else:
+            want = np.full(n_rows, model.base_score)
+            for out in outputs:
+                want = want + model.spec.learning_rate * out
+        with mock.patch.object(models, "_BATCH_CELLS", cells):
+            assert np.array_equal(_bits(predict_scores(model, X)), _bits(want))
+
+    def test_trained_forest(self):
+        """Deep trees of a trained forest, one row and many, against the reference."""
+        local = np.random.default_rng(44)
+        X = local.normal(size=(70, 4))
+        y = X[:, 0] + local.normal(size=70)
+        model = train(ModelSpec(kind="RF", task="regression", n_trees=30, seed=3), X, y)
+        for n_rows in (1, 2, 3, 50):
+            probe = local.normal(size=(n_rows, 4))
+            want = np.stack([_reference_apply(tree, probe) for tree in model.trees]).mean(axis=0)
+            for cells in (1, 31, 1 << 17):
+                with mock.patch.object(models, "_BATCH_CELLS", cells):
+                    assert np.array_equal(_bits(predict_scores(model, probe)), _bits(want))
+
+    def test_predict_holds_one_block_of_pairs(self):
+        """200 trees on 20,000 rows: the walk holds (tree, row) arrays for one
+        block of rows at a time, never one array of all 4,000,000 outputs (the
+        per-tree walk held two, a 64 MB peak). Measured: 9.0 MB."""
+        local = np.random.default_rng(45)
+        X = local.normal(size=(60, 4))
+        y = X[:, 0] + local.normal(size=60)
+        model = train(ModelSpec(kind="RF", task="regression", n_trees=200, seed=1), X, y)
+        probe = local.normal(size=(20_000, 4))
+        tracemalloc.start()
+        try:
+            predict_scores(model, probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(model.trees) * probe.shape[0] / 2
+
+
 @st.composite
 def gbt_problems(draw):
     """A small table, with tied values when drawn from few levels."""
@@ -1063,21 +1283,19 @@ class TestGbtFittedValues:
         X, y = problem
         if classification:
             y = (y > np.median(y)).astype(float)
-        grown = []
-
-        def spy(*args):
-            result = _grow_trees(*args)
-            grown.extend(result)
-            return result
-
         spec = ModelSpec(kind="GBT", task="classification" if classification else "regression",
                          n_trees=4, max_depth=max_depth, min_samples_leaf=min_leaf,
                          max_features=max_features, seed=3)
-        with mock.patch.object(models, "_grow_trees", spy):
-            train(spec, X, y)
-        assert len(grown) == spec.n_trees
-        for tree, _, fitted in grown:
-            assert np.array_equal(fitted.view(np.int64), tree.apply(X).view(np.int64))
+        model = None
+
+        def fit():
+            nonlocal model
+            model = train(spec, X, y)
+
+        grown = _captured_calls(fit)
+        assert len(grown) == len(model.trees) == spec.n_trees
+        for call, tree in zip(grown, model.trees):
+            assert np.array_equal(call.fitted[0].view(np.int64), tree.apply(X).view(np.int64))
 
 
 @st.composite
@@ -1112,11 +1330,11 @@ class TestSubsetTrees:
         equal the trees grown alone on each mask's rows, bit for bit; each
         fitted value is the row's leaf value, 0 outside the mask."""
         X, Y, masks = problem
-        grown = _grow_trees(_Presorted(X), Y, masks,
-                            [np.random.default_rng(t) for t in range(len(masks))],
-                            max_depth, min_leaf, max_features, False)
+        grown = _grow(_Presorted(X), Y, masks,
+                      [np.random.default_rng(t) for t in range(len(masks))],
+                      max_depth, min_leaf, max_features, False)
         for t, (mask, (tree, importance, fitted)) in enumerate(zip(masks, grown)):
-            [(alone, alone_importance, alone_fitted)] = _grow_trees(
+            [(alone, alone_importance, alone_fitted)] = _grow(
                 _Presorted(X[mask]), Y[t, mask], [np.ones(int(mask.sum()), dtype=bool)],
                 [np.random.default_rng(t)],
                 max_depth, min_leaf, max_features, False,
