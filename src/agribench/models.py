@@ -438,11 +438,11 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     ``_Scratch`` the caller keeps for these trees across calls; without one,
     each level allocates its own arrays, which costs less for trees grown
     once (a random-forest batch): buffers kept for the whole call raised a
-    30-tree forest's peak memory by a quarter. Returns the call's nodes as
-    a ``_Grown``, in creation order; ``_number`` numbers each tree as if
-    grown alone, once per fit. ``fitted`` is each (tree, row)'s leaf value
-    in unweighted trees (0 for a row outside a subset tree), ``None`` for
-    bootstrap trees.
+    30-tree forest's peak memory by a quarter. Returns ``(nodes, fitted)``:
+    the call's nodes as a ``_Grown``, in creation order, which ``_number``
+    numbers once per fit, each tree as if grown alone; and each (tree,
+    row)'s leaf value in unweighted trees (0 for a row outside a subset
+    tree), ``None`` for bootstrap trees.
 
     Row ``r`` of tree ``t`` has the key ``t * n_rows + r``, the grower's one
     row id. ``keys`` holds, node after node, the node's keys in ascending
@@ -682,16 +682,16 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             )
             weights = sizes if row_w is None else weights[may_split]
 
-    fitted = None if leaf is None else value[leaf].reshape(n_trees, n_rows)
-    return _Grown(feature[:n_made].copy(), threshold[:n_made].copy(), left[:n_made].copy(),
-                  value[:n_made].copy(), gain[:n_made].copy(), n_trees, fitted)
+    nodes = _Grown(feature[:n_made].copy(), threshold[:n_made].copy(), left[:n_made].copy(),
+                   value[:n_made].copy(), gain[:n_made].copy(), n_trees)
+    return nodes, None if leaf is None else value[leaf].reshape(n_trees, n_rows)
 
 
 class _Grown(NamedTuple):
     """One ``_grow_trees`` call's nodes, in creation order: tree ``t``'s root
     is node ``t``, and a split node's children are ``left`` and ``left + 1``
     (``left`` is -1 at a leaf). ``gain`` is each split's weighted impurity
-    decrease; ``fitted`` is as ``_grow_trees`` returns it."""
+    decrease."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -699,7 +699,6 @@ class _Grown(NamedTuple):
     value: np.ndarray
     gain: np.ndarray
     trees: int
-    fitted: np.ndarray | None
 
 
 def _number(grown: list, n_features: int) -> tuple[list[Tree], np.ndarray]:
@@ -811,7 +810,7 @@ def _train_rf(spec: ModelSpec, X: np.ndarray, y: np.ndarray, threads: int):
             batches = list(pool.map(grow, groups))
     else:
         batches = [grow(at) for at in groups]
-    trees, importance = _number(batches, data.n_features)
+    trees, importance = _number([nodes for nodes, _ in batches], data.n_features)
     return trees, _in_order_sum(importance) / spec.n_trees, 0.0
 
 
@@ -871,11 +870,11 @@ def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds:
         residual = y - _sigmoid(scores) if classification else y - scores
         for at, counts, group_rngs, scratch in groups:
             # Trees are fit to the gradient with the regression criterion.
-            grown.append(_grow_trees(
+            nodes, fitted[at] = _grow_trees(
                 data, residual[at], counts, group_rngs, max_depth, spec.min_samples_leaf,
                 max_features, False, scratch,
-            ))
-            fitted[at] = grown[-1].fitted
+            )
+            grown.append(nodes)
         scores = scores + spec.learning_rate * fitted  # equals tree.apply(X) on fold rows
     # Tree t * folds + i is fold i's tree of round t.
     n_folds = len(masks)

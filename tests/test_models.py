@@ -755,10 +755,9 @@ def _same_tree(a: Tree, b: Tree) -> bool:
 def _grow(data, *args):
     """One ``_grow_trees`` call's trees, numbered, as ``(tree, importance,
     fitted)`` per tree (``fitted`` ``None`` for a bootstrap tree)."""
-    grown = _grow_trees(data, *args)
-    trees, importance = models._number([grown], data.n_features)
-    return list(zip(trees, importance, [None] * grown.trees if grown.fitted is None
-                    else grown.fitted))
+    nodes, fitted = _grow_trees(data, *args)
+    trees, importance = models._number([nodes], data.n_features)
+    return list(zip(trees, importance, [None] * nodes.trees if fitted is None else fitted))
 
 
 # Reference: the per-tree numbering that ``models._number`` replaced, kept as
@@ -1286,16 +1285,19 @@ class TestGbtFittedValues:
         spec = ModelSpec(kind="GBT", task="classification" if classification else "regression",
                          n_trees=4, max_depth=max_depth, min_samples_leaf=min_leaf,
                          max_features=max_features, seed=3)
-        model = None
+        fitted = []
 
-        def fit():
-            nonlocal model
+        def spy(*args):
+            nodes, values = grow(*args)
+            fitted.append(values)
+            return nodes, values
+
+        grow = models._grow_trees
+        with mock.patch.object(models, "_grow_trees", spy):
             model = train(spec, X, y)
-
-        grown = _captured_calls(fit)
-        assert len(grown) == len(model.trees) == spec.n_trees
-        for call, tree in zip(grown, model.trees):
-            assert np.array_equal(call.fitted[0].view(np.int64), tree.apply(X).view(np.int64))
+        assert len(fitted) == len(model.trees) == spec.n_trees
+        for values, tree in zip(fitted, model.trees):
+            assert np.array_equal(values[0].view(np.int64), tree.apply(X).view(np.int64))
 
 
 @st.composite
