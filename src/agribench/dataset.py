@@ -538,8 +538,14 @@ def _lookup(column: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarra
 
     Byte-string cells are matched against the names' UTF-8 bytes, which sort
     in the same order as the names, and ``str`` cells against the names.
-    Bulk files hold each unit's rows together, so each run of equal cells
-    is matched once, at its head.
+
+    Each run of equal cells is matched once, at its head. That pays where a
+    file holds each unit's rows together, as ``synth`` writes them: a
+    73,050-cell climate column in 50 runs is matched about 5x faster than
+    cell by cell. The format does not require that order. Where ids change
+    row by row, every cell heads a run, and finding the runs, gathering
+    their heads and repeating the results make the match about 25% slower
+    than cell by cell (about 5% of a warm load of such a bundle).
     """
     if not names:
         return np.zeros(len(column), dtype=np.intp), np.zeros(len(column), dtype=bool)

@@ -155,14 +155,14 @@ def _walk(feature, threshold, left, right, roots: np.ndarray, X) -> np.ndarray:
     left, right = np.where(is_leaf, nodes, left), np.where(is_leaf, nodes, right)
     node = np.repeat(roots, n_rows)
     at = np.tile(np.arange(0, n_rows * n_features, n_features), roots.size)  # each pair's row
-    leaves, pairs = node, None  # pairs: the pairs in the passes, None while all are
+    leaves = pairs = None  # pairs: the pairs in the passes, None while all are
     while True:
         done = is_leaf.take(node)
         walking = node.size - np.count_nonzero(done)
         if 2 * walking <= node.size:
             keep = np.flatnonzero(~done)
             if pairs is None:
-                leaves, pairs = node.copy(), keep
+                leaves, pairs = node, keep
             else:
                 leaves[pairs] = node
                 pairs = pairs.take(keep)
@@ -712,12 +712,18 @@ def _number(grown: list, n_features: int) -> tuple[list[Tree], np.ndarray]:
     follows its parent's, and a right child's follows the left subtree's.
     A tree's importance sums its gains by feature in pre-order, which fixes
     its rounding. Returns the trees and a ``(trees, n_features)`` array.
+
+    Empties ``grown``: each node field is joined when it is needed, its
+    parts let go, and each work array dropped once spent, so a large fit
+    does not hold its nodes once per work array.
     """
     sizes = [g.left.size for g in grown]
     first = np.cumsum(sizes) - sizes  # each call's first node
-    left = np.concatenate([g.left for g in grown])
-    left = np.where(left >= 0, left + np.repeat(first, sizes), -1)
     roots = np.concatenate([np.arange(g.trees) + f for g, f in zip(grown, first.tolist())])
+    parts = dict(zip(_Grown._fields, zip(*grown)))  # each field's arrays, call by call
+    grown.clear()
+    left = np.concatenate(parts.pop("left"))
+    np.add(left, np.repeat(first, sizes), out=left, where=left >= 0)
     levels, frontier = [], roots
     while frontier.size:
         split = frontier.compress(left[frontier] >= 0)
@@ -736,31 +742,43 @@ def _number(grown: list, n_features: int) -> tuple[list[Tree], np.ndarray]:
         rank[child], rank[child + 1] = r + 1, r + 1 + below[child]
         number[child], number[child + 1] = 2 * r + 1, 2 * r + 2
         tree[child] = tree[child + 1] = tree[split]
-    splits = np.concatenate(levels)
     n_splits = below[roots]
+    del left, below
+    splits = np.concatenate(levels)
+    del levels
+    split_tree, split_rank = tree[splits], rank[splits]
+    del rank
     ends = (2 * n_splits + 1).cumsum()  # each tree's last position, plus one
     position = ends - (2 * n_splits + 1)  # each tree's first
-    at = np.empty(left.size, dtype=np.intp)  # the node at each position
-    at[position[tree] + number] = np.arange(left.size)
-    new_left = np.full(left.size, -1, dtype=np.intp)
-    new_left[position[tree[splits]] + number[splits]] = 2 * rank[splits] + 1
+    number += position[tree]  # each node's position in the fit's trees end to end
+    del tree
+    new_left = np.full(number.size, -1, dtype=np.intp)
+    new_left[number[splits]] = 2 * split_rank + 1
     new_right = np.where(new_left >= 0, new_left + 1, -1)
-    feature, threshold, value, gain = (
-        np.concatenate([getattr(g, name) for g in grown])
-        for name in ("feature", "threshold", "value", "gain")
-    )
-    f, t, v = feature[at], threshold[at], value[at]
-    trees = [
+    # Split nodes by (tree, pre-order rank).
+    in_order = np.empty(splits.size, dtype=np.intp)
+    in_order[(n_splits.cumsum() - n_splits)[split_tree] + split_rank] = splits
+    del splits, split_tree, split_rank
+    feature = np.concatenate(parts.pop("feature"))
+    importance = np.zeros((roots.size, n_features))
+    np.add.at(importance, (np.repeat(np.arange(roots.size), n_splits), feature[in_order]),
+              np.concatenate(parts.pop("gain"))[in_order])
+    del in_order
+
+    def placed(values: np.ndarray) -> np.ndarray:
+        out = np.empty_like(values)
+        out[number] = values
+        return out
+
+    f = placed(feature)
+    del feature
+    t = placed(np.concatenate(parts.pop("threshold")))
+    v = placed(np.concatenate(parts.pop("value")))
+    return [
         Tree(feature=f[a:b], threshold=t[a:b], left=new_left[a:b], right=new_right[a:b],
              value=v[a:b])
         for a, b in zip(position.tolist(), ends.tolist())
-    ]
-    # Split nodes by (tree, pre-order rank).
-    in_order = np.empty(splits.size, dtype=np.intp)
-    in_order[(n_splits.cumsum() - n_splits)[tree[splits]] + rank[splits]] = splits
-    importance = np.zeros((roots.size, n_features))
-    np.add.at(importance, (tree[in_order], feature[in_order]), gain[in_order])
-    return trees, importance
+    ], importance
 
 
 def _in_order_sum(rows: np.ndarray) -> np.ndarray:
@@ -802,7 +820,7 @@ def _train_rf(spec: ModelSpec, X: np.ndarray, y: np.ndarray, threads: int):
         return _grow_trees(
             data, y, counts, rngs, max_depth, spec.min_samples_leaf,
             max_features, classification,
-        )
+        )[0]
 
     groups = _groups(data, [n] * spec.n_trees, max_features)
     if threads > 1:
@@ -810,7 +828,7 @@ def _train_rf(spec: ModelSpec, X: np.ndarray, y: np.ndarray, threads: int):
             batches = list(pool.map(grow, groups))
     else:
         batches = [grow(at) for at in groups]
-    trees, importance = _number([nodes for nodes, _ in batches], data.n_features)
+    trees, importance = _number(batches, data.n_features)
     return trees, _in_order_sum(importance) / spec.n_trees, 0.0
 
 
@@ -1011,10 +1029,9 @@ def predict_scores(model: TrainedModel, X) -> np.ndarray:
                 outputs = (outputs > 0.5).astype(float)
             scores[start:stop] = outputs.mean(axis=0)
         else:
-            # ((base + lr * out_0) + lr * out_1) + ..., added in tree order.
             outputs *= model.spec.learning_rate
             outputs[0] += model.base_score
-            scores[start:stop] = np.add.accumulate(outputs, axis=0)[-1]
+            scores[start:stop] = _in_order_sum(outputs)
     return scores
 
 
