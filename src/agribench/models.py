@@ -8,7 +8,8 @@ thresholds are midpoints between consecutive distinct sorted values, and
 ties break to the lowest feature index, then the lowest threshold, which
 makes training fully deterministic for a fixed seed. One level's nodes are
 searched together: one gather of their sorted rows, one cumulative sum down
-each node's slots and one feature-major argmin per node. The trees come out
+each node's slots and one feature-major argmin per node, in which a node's
+last row and its padding cost NaN and are skipped. The trees come out
 numbered, and their importances summed, as a depth-first grower that pops
 the left child first would build them; that numbering runs once per fit,
 over every tree of the fit together (``_number``). Prediction walks all of
@@ -338,66 +339,83 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> 
 def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification, right_sum):
     """Best split of each node from its rows sorted by each searched column.
 
-    ``ys[slot, node, c]`` holds the label of the node's row at that slot in
-    the order of its ``c``-th searched column, ``ws`` (or ``None`` when
-    every row counts once) that row's weight, and ``ties`` (or ``None``
-    when no two rows tie) marks the slots whose value equals the next
-    slot's. Nodes come in decreasing ``sizes`` (rows, not weights), with
-    weight sums ``weights`` and weighted label sums ``totals``. Slots at or
-    past a node's last row are invalid by position, so whatever padding
-    slots hold or sum to never reaches a chosen split.
+    ``ys[slot, node, c]`` holds the weighted label (label times weight) of
+    the node's row at that slot in the order of its ``c``-th searched
+    column, ``ws`` (or ``None`` when every row counts once) that row's
+    weight, and ``ties`` (or ``None`` when no two rows tie) marks the slots
+    whose value equals the next slot's. Nodes come in decreasing ``sizes``
+    (rows, not weights), with weight sums ``weights`` and weighted label
+    sums ``totals``. Slots at or past a node's last row are invalid by
+    position: their right counts are NaN, so their costs come out NaN
+    without a pass of their own, and the reductions (``np.fmax`` or
+    ``np.fmin``) skip them; whatever padding slots hold or sum to never
+    reaches a chosen split. Slots that tie or leave a side under
+    ``min_leaf`` are set to NaN too.
     Returns per node the best cost (``inf`` or ``-inf`` when no split is
     valid), ``c`` and the slot before the split. Regression maximizes the
     bracket ``ls^2/lc + rs^2/rc`` over weighted sums and counts: children
     SSE = sum(w*y^2) - bracket, so the bracket is the negated cost. ``ys``
-    and ``ws`` are overwritten; ``right_sum`` (``None``: a new array) is
-    the ``out`` array of the right sums.
+    and ``ws`` are overwritten (with weights, the left counts' buffer takes
+    the right counts once the left side's cost is done); ``right_sum``
+    (``None``: a new array) is the ``out`` array of the right sums.
     """
     width, n_nodes, n_columns = ys.shape
     rows_up_to = np.arange(1.0, width + 1.0)[:, None, None]  # rows in slots 0..k
-    if ws is None:
-        left_cnt = rows_up_to
-    else:
-        ys *= ws
-        left_cnt = _slot_cumsum(ws, sizes)
-    right_cnt = weights[:, None] - left_cnt
+    # Weight less the left count is the right count; none is right of the
+    # last row or of padding.
+    right_base = np.where(rows_up_to < sizes[:, None], weights[:, None], np.nan)
     cost = _slot_cumsum(ys, sizes)  # the left sums, then the cost in place
     right_sum = np.subtract(totals[:, None], cost, out=right_sum)
+    if ws is None:
+        left_cnt = rows_up_to
+        right_cnt = right_base - left_cnt
+    else:
+        left_cnt = _slot_cumsum(ws, sizes)
+    if min_leaf > 1:
+        short = left_cnt < min_leaf  # before the right counts take its buffer
+    # The left side first: with weights, its counts' buffer then takes the
+    # right counts.
     if classification:
         # Sum of per-side pos*(cnt-pos)/cnt; weighted child Gini is 2*cost/m.
-        part = right_cnt - right_sum
-        right_sum *= part
-        right_sum /= right_cnt
-        np.subtract(left_cnt, cost, out=part)
+        part = left_cnt - cost
         cost *= part
-        del part
-        cost /= left_cnt
-        cost += right_sum
     else:
         cost *= cost
-        cost /= left_cnt
+    cost /= left_cnt
+    if ws is not None:
+        right_cnt = np.subtract(right_base, left_cnt, out=left_cnt)
+    del left_cnt
+    if classification:
+        np.subtract(right_cnt, right_sum, out=part)
+        right_sum *= part
+        del part
+    else:
         right_sum *= right_sum
-        right_sum /= right_cnt
-        cost += right_sum
+    right_sum /= right_cnt
+    cost += right_sum
     del right_sum
-    invalid = rows_up_to >= sizes[:, None]  # the last row or padding: none right of it
     if min_leaf > 1:
-        invalid = invalid | (left_cnt < min_leaf) | (right_cnt < min_leaf)
+        np.copyto(cost, np.nan, where=short | (right_cnt < min_leaf))
     if ties is not None:
-        invalid = invalid | ties
-    np.copyto(cost, np.inf if classification else -np.inf, where=invalid)
-    del invalid
+        np.copyto(cost, np.nan, where=ties)
+    del right_cnt
     # Feature-major order: ties go to the lowest feature, then the lowest
-    # threshold.
+    # threshold. A column with no valid slot reduces to the initial value,
+    # the worst cost, so it never wins; in the chosen column, NaN slots are
+    # made the worst cost before the slot is picked.
     nodes = np.arange(n_nodes)
     if classification:
-        per_column = cost.min(axis=0)
+        per_column = np.fmin.reduce(cost, axis=0, initial=np.inf)
         column = per_column.argmin(axis=1)
-        slot = cost[:, nodes, column].argmin(axis=0)
+        chosen = cost[:, nodes, column]
+        np.fmin(chosen, np.inf, out=chosen)
+        slot = chosen.argmin(axis=0)
     else:
-        per_column = cost.max(axis=0)
+        per_column = np.fmax.reduce(cost, axis=0, initial=-np.inf)
         column = per_column.argmax(axis=1)
-        slot = cost[:, nodes, column].argmax(axis=0)
+        chosen = cost[:, nodes, column]
+        np.fmax(chosen, -np.inf, out=chosen)
+        slot = chosen.argmax(axis=0)
     return per_column[nodes, column], column, slot
 
 
@@ -448,14 +466,19 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     row id. ``keys`` holds, node after node, the node's keys in ascending
     order, and ``row_w`` their weights (``None`` in subset trees, whose rows
     count once each, and a node's weight is then its size). ``labels``,
-    ``draws`` (the weights) and ``leaf`` are indexed by key; ``labels`` is
+    ``draws`` (the weights), ``weighted_labels`` (their product, which the
+    split search gathers) and ``leaf`` are indexed by key; ``labels`` is
     ``y`` with a shared row tiled once per tree, at most ``_BATCH_CELLS /
     searched columns`` floats for a forest batch. X is read from ``data``
-    at the key less its tree's offset, so trees share one copy of X. With
-    every feature searched, ``block`` holds each column's keys in ascending
-    order of that column, so that one mask routes every tree's rows, and
-    the children's block is a stable partition of the parent's by boolean
-    masks: nothing is sorted after the fit's presort. A sqrt search reads a
+    at the key less its tree's offset, so trees share one copy of X; a
+    level subtracts the offset only where it reads X (the tie check and
+    each node's two threshold values). With every feature searched,
+    ``block`` holds each column's keys in ascending order of that column,
+    and the children's block is a stable partition of the parent's: each
+    key of the level gets one route code (0 dropped, 1 to a kept left
+    child, 2 to a kept right child), one ``take`` reads it for every block
+    entry, and each half is written straight into the child buffer, so
+    nothing is sorted after the fit's presort. A sqrt search reads a
     few columns per node, so it sorts just those by their presort ranks
     instead of partitioning every column. All nodes of a level are searched
     together (``_best_splits``). Node ids follow creation order: level by
@@ -475,9 +498,12 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
     keys, sizes = np.flatnonzero(selected), np.array([np.count_nonzero(c) for c in counts])
     draws = selected.astype(float) if bootstrap else None
     row_w = None if draws is None else draws[keys]
+    # What the split search sums: each key's label times its weight.
+    weighted_labels = labels if draws is None else labels * draws
     sample_size = np.full(n_trees, n_rows) if bootstrap else sizes
     if partition:
         block = data.root_block(counts) if scratch is None else scratch.root_block
+        column_at = data.all_columns * n_rows  # where each column starts in x_flat
 
     capacity = 2 * keys.size - n_trees  # binary trees over their rows
     feature = np.full(capacity, -1, dtype=np.intp)
@@ -567,12 +593,11 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     del spare
                     search = take(block, at, "search")
                     del at
-                    # Block entries are keys: look up the weights and
-                    # labels, then turn them into row ids.
+                    # Block entries are keys: X is read at the key less its
+                    # tree's offset.
                     ws = None if draws is None else take(draws, search, "ws")
-                    ys = take(labels, search, "ys")
-                    if n_trees > 1:
-                        search -= (tree_of[sel] * n_rows)[:, None]
+                    ys = take(weighted_labels, search, "ys")
+                    x_at = column_at - (tree_of[sel] * n_rows)[:, None]
                 else:
                     searched = columns[sel]
                     local = keys.take(starts[sel] + slot_row) - tree_of[sel] * n_rows
@@ -580,11 +605,13 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                     search = data.sort_rows(local, searched)
                     entries = search + (tree_of[sel] * n_rows)[:, None]
                     ws = None if draws is None else take(draws, entries, "ws")
-                    ys = take(labels, entries, "ys")
+                    ys = take(weighted_labels, entries, "ys")
                     del entries
+                    x_at = searched * n_rows
+                # X at (slot, node, column) is x_flat[search + x_at[node, column]].
                 ties = None
                 if may_tie:
-                    xs = x_flat.take(search + searched * n_rows)
+                    xs = x_flat.take(search + x_at)
                     ties = np.zeros(xs.shape, dtype=bool)
                     np.greater_equal(xs[:-1], xs[1:], out=ties[:-1])
                     del xs
@@ -597,10 +624,12 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
                 # or the lower one when the midpoint rounds up to the upper.
                 nodes = np.arange(sel.size)
                 chosen[sel] = column if partition else searched[nodes, column]
-                lo = x_flat[chosen[sel] * n_rows + search[slot, nodes, column]]
-                hi = x_flat[chosen[sel] * n_rows + search[slot + 1, nodes, column]]
+                at = x_at[nodes, column]
+                lo = x_flat[at + search[slot, nodes, column]]
+                hi = x_flat[at + search[slot + 1, nodes, column]]
                 del search
-                cut[sel] = np.where((lo + hi) / 2.0 >= hi, lo, (lo + hi) / 2.0)
+                mid = (lo + hi) / 2.0
+                cut[sel] = np.where(mid >= hi, lo, mid)
             split = np.isfinite(best)
             split_nodes = np.flatnonzero(split)
             n_split = split_nodes.size
@@ -649,29 +678,31 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             if not may_split.any():
                 break
 
+            keep = may_split.repeat(child_sizes)
             if partition:
                 # Stable partition of the block, keeping only the children
-                # that may split, in the order of the node arrays.
-                keep_left = np.zeros(n_nodes, dtype=bool)
-                keep_left[split_nodes] = may_split[:n_split]
-                keep_right = np.zeros(n_nodes, dtype=bool)
-                keep_right[split_nodes] = may_split[n_split:]
-                row_left = np.zeros(n_trees * n_rows, dtype=bool)
-                row_left[keys] = go_left
-                block_left = row_left.take(block)
-                span = sizes * n_features
-                halves = [
-                    block.compress(block_left & keep_left.repeat(span)),
-                    block.compress(~block_left & keep_right.repeat(span)),
-                ]
-                del block_left
+                # that may split, in the order of the node arrays: each key
+                # of the level gets a route code, 1 if its left child is
+                # kept, 2 if its right one is, else 0 (dropped).
+                code = keep.astype(np.int8)
+                code[n_left.sum():] *= 2  # child_keys are the left ones first
+                route = np.zeros(n_trees * n_rows, dtype=np.int8)
+                route[child_keys] = code
+                del code
+                block_route = route.take(block)
+                kept_sizes = child_sizes * may_split
+                n_left_cells = int(kept_sizes[:n_split].sum()) * n_features
+                child_shape = (int(kept_sizes.sum()) * n_features,)
                 # Two buffers take turns: one holds the block being read.
-                child_shape = (halves[0].size + halves[1].size,)
-                block = np.concatenate(
-                    halves, out=buffer(f"block{depth % 2}", child_shape, np.intp)
-                )
-                del halves
-            keep = may_split.repeat(child_sizes)
+                child_block = buffer(f"block{depth % 2}", child_shape, np.intp)
+                if child_block is None:
+                    child_block = np.empty(child_shape, dtype=np.intp)
+                # ``take`` in "clip" mode writes into ``out`` unbuffered, which
+                # ``compress`` (a "raise" mode take) does not.
+                for half, out in (1, child_block[:n_left_cells]), (2, child_block[n_left_cells:]):
+                    block.take((block_route == half).nonzero()[0], out=out, mode="clip")
+                block = child_block
+                del block_route, child_block
             keys = child_keys.compress(keep)
             if row_w is not None:
                 row_w = row_w.compress(keep)

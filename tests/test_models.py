@@ -833,6 +833,10 @@ def _renumbered(grown, n_features):
     return results
 
 
+# Regression label scales, up to where label sums overflow to inf.
+_LABEL_SCALES = 10.0 ** np.array([-3, -2, -1, 0, 1, 2, 3, 150, 300, 307])
+
+
 class TestLevelWiseGrower:
     """The level-wise grower builds the reference grower's trees bit for bit."""
 
@@ -843,55 +847,68 @@ class TestLevelWiseGrower:
         """Float labels: a bootstrap tree is the reference grown on the drawn
         rows, weighted by their counts. Integer labels keep every sum exact,
         so it is also the reference grown on the rows repeated. A subset tree
-        is the reference grown on its mask's rows."""
-        local = np.random.default_rng([min_leaf, max_depth or 0, ties])
-        subsets = np.random.default_rng([min_leaf, max_depth or 0, ties, 1])
-        for _ in range(8):
-            n = int(local.integers(6, 70))
-            n_features = int(local.integers(1, 7))
+        is the reference grown on its mask's rows. Regression labels range
+        up to 1e307, where label sums overflow to inf and the grower must
+        still stop where the reference stops; classification labels are 0/1."""
+        for classification in (False, True):
+            local = np.random.default_rng([min_leaf, max_depth or 0, ties, classification])
+            subsets = np.random.default_rng([min_leaf, max_depth or 0, ties, classification, 1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(8):
+                    self._check_problem(local, subsets, min_leaf, max_depth, ties,
+                                        classification)
+
+    @staticmethod
+    def _check_problem(local, subsets, min_leaf, max_depth, ties, classification):
+        def labels_of(local, size):
             if ties:
-                # Equal values across distinct rows; integer labels keep every
-                # sum exact, whatever order a tie block is summed in.
-                X = local.integers(0, 4, size=(n, n_features)).astype(float)
-                y = local.integers(-3, 4, size=n).astype(float)
+                # Integer labels keep every sum exact, whatever order a tie
+                # block is summed in.
+                y = local.integers(-3, 4, size=size).astype(float)
             else:
-                X = local.normal(size=(n, n_features))
-                y = local.normal(size=n) * 10.0 ** local.integers(-3, 4)
-            data = _Presorted(X)
-            # Random forest: three bootstrap trees grown together.
-            counts = [np.bincount(local.integers(0, n, size=n), minlength=n) for _ in range(3)]
-            grown = _grow(data, y, counts, [None] * 3, max_depth, min_leaf, "all", False)
-            if ties:
-                samples = [(np.repeat(np.arange(n), c), None) for c in counts]
-            else:
-                samples = [(np.flatnonzero(c), c) for c in counts]
-            labels = [y] * 4
-            # Gradient boosting, one fit: a subset tree over an all-true mask.
-            grown += _grow(data, y, [np.ones(n, dtype=bool)], [None], max_depth, min_leaf,
-                           "all", False)
-            samples.append((np.arange(n), None))
-            # Boosted folds: three subset trees that leave rows out, grown
-            # together, each reading its own row of labels.
-            masks = []
-            for _ in range(3):
-                mask = subsets.random(n) < 0.7
-                kept_a, kept_b, left_out = subsets.choice(n, 3, replace=False)
-                mask[[kept_a, kept_b]] = True
-                mask[left_out] = False
-                masks.append(mask)
-            if ties:
-                Y = subsets.integers(-3, 4, size=(3, n)).astype(float)
-            else:
-                Y = subsets.normal(size=(3, n)) * 10.0 ** subsets.integers(-3, 4)
-            grown += _grow(data, Y, masks, [None] * 3, max_depth, min_leaf, "all", False)
-            labels += list(Y)
-            samples += [(np.flatnonzero(mask), None) for mask in masks]
-            for label, (rows, weights), (tree, importance, _) in zip(labels, samples, grown):
-                acc = np.zeros(n_features)
-                reference = _grow_tree(X, label, rows, max_depth, min_leaf, "all", False, None,
-                                       acc, weights)
-                assert _same_tree(tree, reference)
-                assert np.array_equal(importance, acc)
+                y = local.normal(size=size) * local.choice(_LABEL_SCALES)
+            return (y > 0).astype(float) if classification else y
+
+        n = int(local.integers(6, 70))
+        n_features = int(local.integers(1, 7))
+        if ties:
+            # Equal values across distinct rows.
+            X = local.integers(0, 4, size=(n, n_features)).astype(float)
+        else:
+            X = local.normal(size=(n, n_features))
+        y = labels_of(local, n)
+        data = _Presorted(X)
+        # Random forest: three bootstrap trees grown together.
+        counts = [np.bincount(local.integers(0, n, size=n), minlength=n) for _ in range(3)]
+        grown = _grow(data, y, counts, [None] * 3, max_depth, min_leaf, "all", classification)
+        if ties:
+            samples = [(np.repeat(np.arange(n), c), None) for c in counts]
+        else:
+            samples = [(np.flatnonzero(c), c) for c in counts]
+        labels = [y] * 4
+        # Gradient boosting, one fit: a subset tree over an all-true mask.
+        grown += _grow(data, y, [np.ones(n, dtype=bool)], [None], max_depth, min_leaf,
+                       "all", classification)
+        samples.append((np.arange(n), None))
+        # Boosted folds: three subset trees that leave rows out, grown
+        # together, each reading its own row of labels.
+        masks = []
+        for _ in range(3):
+            mask = subsets.random(n) < 0.7
+            kept_a, kept_b, left_out = subsets.choice(n, 3, replace=False)
+            mask[[kept_a, kept_b]] = True
+            mask[left_out] = False
+            masks.append(mask)
+        Y = np.stack([labels_of(subsets, n) for _ in range(3)])
+        grown += _grow(data, Y, masks, [None] * 3, max_depth, min_leaf, "all", classification)
+        labels += list(Y)
+        samples += [(np.flatnonzero(mask), None) for mask in masks]
+        for label, (rows, weights), (tree, importance, _) in zip(labels, samples, grown):
+            acc = np.zeros(n_features)
+            reference = _grow_tree(X, label, rows, max_depth, min_leaf, "all", classification,
+                                   None, acc, weights)
+            assert _same_tree(tree, reference)
+            assert np.array_equal(importance, acc)
 
     @pytest.mark.parametrize("classification", [False, True])
     @pytest.mark.parametrize("max_features", ["all", "sqrt"])
@@ -1074,6 +1091,127 @@ class TestSegmentSums:
         assert np.array_equal(_bits(models._segment_sums(values, starts, sizes)), _bits(want))
 
 
+# Reference: the split search that NaN-marked slots replaced, kept as it was.
+# It weighs the labels itself and writes -inf or inf over every invalid slot.
+
+def _reference_best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification,
+                           right_sum):
+    width, n_nodes, n_columns = ys.shape
+    rows_up_to = np.arange(1.0, width + 1.0)[:, None, None]  # rows in slots 0..k
+    if ws is None:
+        left_cnt = rows_up_to
+    else:
+        ys *= ws
+        left_cnt = models._slot_cumsum(ws, sizes)
+    right_cnt = weights[:, None] - left_cnt
+    cost = models._slot_cumsum(ys, sizes)  # the left sums, then the cost in place
+    right_sum = np.subtract(totals[:, None], cost, out=right_sum)
+    if classification:
+        # Sum of per-side pos*(cnt-pos)/cnt; weighted child Gini is 2*cost/m.
+        part = right_cnt - right_sum
+        right_sum *= part
+        right_sum /= right_cnt
+        np.subtract(left_cnt, cost, out=part)
+        cost *= part
+        del part
+        cost /= left_cnt
+        cost += right_sum
+    else:
+        cost *= cost
+        cost /= left_cnt
+        right_sum *= right_sum
+        right_sum /= right_cnt
+        cost += right_sum
+    del right_sum
+    invalid = rows_up_to >= sizes[:, None]  # the last row or padding: none right of it
+    if min_leaf > 1:
+        invalid = invalid | (left_cnt < min_leaf) | (right_cnt < min_leaf)
+    if ties is not None:
+        invalid = invalid | ties
+    np.copyto(cost, np.inf if classification else -np.inf, where=invalid)
+    del invalid
+    # Feature-major order: ties go to the lowest feature, then the lowest
+    # threshold.
+    nodes = np.arange(n_nodes)
+    if classification:
+        per_column = cost.min(axis=0)
+        column = per_column.argmin(axis=1)
+        slot = cost[:, nodes, column].argmin(axis=0)
+    else:
+        per_column = cost.max(axis=0)
+        column = per_column.argmax(axis=1)
+        slot = cost[:, nodes, column].argmax(axis=0)
+    return per_column[nodes, column], column, slot
+
+
+@st.composite
+def padded_levels(draw):
+    """One level's split-search input as the grower builds it: nodes of
+    decreasing size, each column a random order of its node's rows, padded
+    to the widest node by repeating the node's last row. Rows carry unit
+    weights (``ws`` ``None``) or draw counts; ties are none, random slots,
+    a column that ties everywhere or a node that ties everywhere."""
+    n_nodes, n_columns = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    sizes = np.array(sorted(draw(st.lists(st.integers(2, 12), min_size=n_nodes,
+                                          max_size=n_nodes)), reverse=True))
+    classification, weighted = draw(st.booleans()), draw(st.booleans())
+    scale = draw(st.sampled_from(_LABEL_SCALES.tolist()))
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = int(sizes[0])
+    ys, ws = np.empty((2, width, n_nodes, n_columns))
+    weights, totals = np.empty(n_nodes), np.empty(n_nodes)
+    for j, m in enumerate(sizes.tolist()):
+        if classification:
+            y = (local.random(m) < 0.5).astype(float)
+        else:
+            y = local.normal(size=m) * scale
+        w = local.integers(1, 5, size=m).astype(float) if weighted else np.ones(m)
+        with np.errstate(over="ignore"):  # large labels: the sum may overflow
+            weights[j], totals[j] = w.sum(), np.add.reduce(w * y)
+        for c in range(n_columns):
+            rows = local.permutation(m)[np.minimum(np.arange(width), m - 1)]
+            ys[:, j, c], ws[:, j, c] = y[rows], w[rows]
+    ties = None
+    kind = draw(st.sampled_from(["none", "random", "column", "node"]))
+    if kind != "none":
+        ties = local.random(ys.shape) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+        if kind == "column":
+            ties[:, :, int(local.integers(n_columns))] = True
+        elif kind == "node":
+            ties[:, int(local.integers(n_nodes)), :] = True
+    if not weighted:
+        ws, weights = None, sizes
+    return ys, ws, sizes, weights, totals, ties, draw(st.integers(1, 3)), classification
+
+
+class TestBestSplits:
+    @settings(max_examples=300, deadline=None)
+    @given(level=padded_levels())
+    def test_equals_reference(self, level):
+        """NaN-marked invalid slots choose what -inf or inf marks chose: the
+        same column, slot and cost wherever the best split is finite. A node
+        without one gets a non-finite cost either way and becomes a leaf.
+        Its column and slot may then differ: where label sums overflow, the
+        reference's max or min returns a NaN cost, and the search now skips
+        NaN. Its slot still has a slot after it, which the threshold reads."""
+        ys, ws, sizes, weights, totals, ties, min_leaf, classification = level
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want_best, want_column, want_slot = _reference_best_splits(
+                ys.copy(), None if ws is None else ws.copy(), sizes, weights, totals, ties,
+                min_leaf, classification, None,
+            )
+            best, column, slot = models._best_splits(
+                ys if ws is None else ys * ws, None if ws is None else ws.copy(), sizes, weights,
+                totals, ties, min_leaf, classification, None,
+            )
+        finite = np.isfinite(want_best)
+        assert np.array_equal(np.isfinite(best), finite)
+        assert np.array_equal(_bits(best[finite]), _bits(want_best[finite]))
+        assert np.array_equal(column[finite], want_column[finite])
+        assert np.array_equal(slot[finite], want_slot[finite])
+        assert (slot < ys.shape[0] - 1).all()
+
+
 class TestBatching:
     """Batch size changes how many trees grow per pass, never the model."""
 
@@ -1111,6 +1249,25 @@ class TestBatching:
             tracemalloc.stop()
         # Eight float64 arrays of the per-level cell budget.
         assert peak < 8 * 8 * models._BATCH_CELLS
+
+    def test_all_feature_forest_holds_no_right_count_array(self):
+        """A weighted split search writes the right counts over the left
+        counts' buffer, and the block partition writes its two halves
+        straight into the child block. A 30-tree all-feature forest on
+        160 x 90 grows 9 trees per pass; ``train`` peaked at 4.93 MiB with
+        a right-count array of its own and the halves concatenated, and at
+        4.31 MiB without them."""
+        local = np.random.default_rng(0)
+        X = local.normal(size=(160, 90))
+        y = X[:, 0] + local.normal(size=160)
+        spec = ModelSpec(kind="RF", task="regression", n_trees=30, max_features="all")
+        tracemalloc.start()
+        try:
+            train(spec, X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.6 * 2**20
 
 
 class TestForestNumbering:
