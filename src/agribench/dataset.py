@@ -31,18 +31,20 @@ line. ``np.loadtxt`` then reads the text columns (``unit_id``, ``band``,
 ``date``) as byte strings holding each cell's UTF-8 bytes, one byte a
 character for ASCII, and unit ids and band names are matched as UTF-8
 bytes. Dates are found by arithmetic on their ten bytes, with no Python
-call per date, and rows a key already holds in time order are not sorted
-again.
+call per date, once per file: the table keeps each ``date`` cell as its
+day ordinal, 0 for a cell that is no date. Rows a key already holds in
+time order are not sorted again.
 
-The chunks are also hashed, and the array np.loadtxt returns is cached in
+The chunks are also hashed, and that table (dates decoded) is cached in
 ``<bundle>/.agribench_cache/<file>.<hash>.npy``, keyed by the file's bytes,
 the column dtypes, the numpy version and a format tag; each bundle file has
 at most one entry. The cache holds tokens, not validated data: the chunk
-checks and every rule still run on each load, so an edited entry has no
-more power than an edited CSV file, and an entry that does not read back
-as a 1-D array of the requested dtype is a miss. A write the OS refuses is
-skipped and the load goes on uncached. The cache is safe to delete; it
-takes about 3.9 MB for the covercrop-rs-rfc bundle.
+checks and every rule still run on each load, an ordinal outside the
+calendar reads as no date, so an edited entry has no more power than an
+edited CSV file, and an entry that does not read back as a 1-D array of
+the table's dtype is a miss. A write the OS refuses is skipped and the
+load goes on uncached. The cache is safe to delete; it takes about 3.6 MB
+for the covercrop-rs-rfc bundle.
 """
 
 import codecs
@@ -176,7 +178,7 @@ class ObservationSeries:
         """A series cut from the columns ``_load_observations`` has checked whole.
 
         Skips ``__post_init__``, whose rules the loader's whole-file masks
-        already hold: ``_iso_days`` makes the days one int64 column, each
+        already hold: ``_date_rule`` makes the days one int64 column, each
         series slices days and values by the same run, the repeats rule and
         ``_groups``' sort leave its days strictly increasing, and the finite
         and raw-range rules cover its values.
@@ -362,7 +364,11 @@ _CHUNK = 1 << 16
 # The bundle's token cache: a directory beside the CSV files, and the tag of
 # its entry format, hashed into every key so a new format never reads an old one.
 _CACHE_DIR = ".agribench_cache"
-_CACHE_FORMAT = "agribench-tokens-1"
+_CACHE_FORMAT = "agribench-tokens-2"
+# The one text column whose cells _read_table decodes (to day ordinals), and
+# the last ordinal a date can have.
+_DATE_COLUMN = "date"
+_MAX_ORDINAL = date.max.toordinal()
 
 
 def _text_dtype(names) -> str:
@@ -378,7 +384,9 @@ def _read_table(path: Path, columns: list) -> np.ndarray | None:
     """The data rows of a bundle file as one structured array (one np.loadtxt call).
 
     ``columns`` lists ``(name, dtype)`` in header order; text columns are
-    byte strings holding each cell's UTF-8 bytes. Returns None when
+    byte strings holding each cell's UTF-8 bytes, except ``date``, which
+    ``_iso_days`` decodes once into ``<i8`` day ordinals (0 for a cell that
+    is no date). Returns None when
     csv.reader must tokenize the file instead: a header other than the
     column names, no data rows, a NUL byte (numpy drops trailing NULs from
     text, so ``c1\\0`` would read as ``c1``), bytes that are not UTF-8 or a
@@ -388,9 +396,9 @@ def _read_table(path: Path, columns: list) -> np.ndarray | None:
     and, with ``comments=None``, keeps ``#`` rows, so a quoted or commented
     cell stays as written and fails a later check.
 
-    The same chunks are hashed, and the array np.loadtxt returns is kept in
+    The same chunks are hashed, and the table, dates decoded, is kept in
     the bundle's token cache under that hash (see ``_cached_tokens``), so a
-    file whose bytes have not changed is tokenized once.
+    file whose bytes have not changed is tokenized and decoded once.
     """
     dtype = np.dtype(columns)
     with open(path, "rb") as fh:
@@ -413,7 +421,9 @@ def _read_table(path: Path, columns: list) -> np.ndarray | None:
         return None
     digest.update(repr((_CACHE_FORMAT, dtype.descr, np.__version__)).encode())
     entry = path.parent / _CACHE_DIR / f"{path.name}.{digest.hexdigest()}.npy"
-    table = _cached_tokens(entry, dtype)
+    decoded = np.dtype([(name, "<i8" if name == _DATE_COLUMN else kind)
+                        for name, kind in columns])
+    table = _cached_tokens(entry, decoded)
     if table is not None:
         return table
     try:
@@ -421,10 +431,19 @@ def _read_table(path: Path, columns: list) -> np.ndarray | None:
             # numpy before 2.0 reads "2020.5" into an integer column as 2020,
             # with only this warning; as an error it refuses the file.
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
-                               skiprows=1, ndmin=1, encoding="latin-1")
+            tokens = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                                skiprows=1, ndmin=1, encoding="latin-1")
     except (ValueError, DeprecationWarning):
         return None
+    table = tokens
+    if _DATE_COLUMN in dtype.names:
+        # Dates are decoded before the table is made, so their work arrays
+        # and the two tables are never alive together.
+        days = _iso_days(tokens[_DATE_COLUMN])
+        table = np.empty(len(tokens), dtype=decoded)
+        for name in dtype.names:
+            table[name] = days if name == _DATE_COLUMN else tokens[name]
+        del tokens, days
     _cache_tokens(entry, f"{path.name}.", table)
     return table
 
@@ -435,9 +454,10 @@ def _cached_tokens(entry: Path, dtype: np.dtype) -> np.ndarray | None:
     The ``.npy`` header must declare that array, and the file must hold
     exactly its bytes, before any is read: a missing, empty, truncated,
     padded or foreign entry is a miss, and so is one whose header claims
-    more rows than the file has. The entry holds tokens, not validated data:
-    ``build`` runs every rule on them, so an edited entry can do no more than
-    an edited CSV file could.
+    more rows than the file has. The entry holds tokens with dates decoded,
+    not validated data: ``build`` runs every rule on them, and
+    ``_date_rule`` reads an ordinal outside the calendar as no date, so an
+    edited entry can do no more than an edited CSV file could.
     """
     try:
         with open(entry, "rb") as fh:
@@ -603,13 +623,16 @@ def _iso_days(cells: np.ndarray) -> np.ndarray:
 def _date_rule(column: np.ndarray):
     """Day ordinals of the cells (0 where a cell is no date) and the date rule.
 
-    ``str`` cells (csv.reader's) are encoded first; a cell that is not ten
-    ASCII characters cannot be a date and reads as empty.
+    An integer column holds the ordinals ``_read_table`` decoded; one
+    outside ``1.._MAX_ORDINAL`` (only an edited cache entry holds one) reads
+    as 0. ``str`` cells (csv.reader's) are encoded for ``_iso_days``; a cell
+    that is not ten ASCII characters cannot be a date and reads as empty.
     """
-    cells = column if column.dtype.kind == "S" else np.array(
-        [cell.encode() if len(cell) == 10 and cell.isascii() else b""
-         for cell in column.tolist()], dtype="S10")
-    days = _iso_days(cells)
+    if column.dtype.kind == "i":
+        days = np.where((column >= 1) & (column <= _MAX_ORDINAL), column, 0)
+    else:
+        days = _iso_days(np.array([cell.encode() if len(cell) == 10 and cell.isascii() else b""
+                                   for cell in column.tolist()], dtype="S10"))
     return days, (days == 0, lambda row: f"column 'date': not an ISO date: {column[row]!r}")
 
 

@@ -18,8 +18,12 @@ a model's trees together too, over (tree, row) pairs in blocks of rows
 
 With ``max_features="sqrt"`` (the random-forest classification default) a
 tree draws, at each level and from its own generator, one key per (node,
-feature) for its nodes in creation order; a node searches the features of
-its smallest keys.
+feature) for its nodes in creation order, straight into its rows of the
+level's keys; a node searches the features of its smallest keys, found by
+partition (``_smallest_keys``; a tie at the cut takes a full argsort).
+The fit's presort sorts each column with numpy's default sort and only a
+column with repeated values stably (``_Presorted``): the order is the
+stable one either way.
 
 Random forest trees are trained on bootstrap resamples whose randomness
 derives only from (seed, tree index). A tree holds each drawn row once,
@@ -208,19 +212,28 @@ class _Presorted:
     ``f``; rows with equal values keep ascending row order, and ``rank[f]``
     is the inverse (each row's position), with a padding row ``n_rows`` that
     comes last. ``x_flat`` is the matrix in column-major order.
+
+    Each column is sorted with numpy's default argsort, which may be a SIMD
+    sort and is not stable: distinct values have one sorted order, so only
+    a column whose sorted values repeat (``-0.0`` beside ``0.0`` included)
+    is sorted again, stably.
     """
 
     def __init__(self, X: np.ndarray):
         self.n_rows, self.n_features = X.shape
         n, columns = self.n_rows, np.arange(self.n_features)
-        self.columns_sorted = np.argsort(X, axis=0, kind="stable").T.copy()
+        self.x_flat = X.T.ravel()
+        x_columns = self.x_flat.reshape(self.n_features, n)
+        self.columns_sorted = np.argsort(x_columns, axis=1)
+        x_sorted = self.x_flat.take(self.columns_sorted + (columns * n)[:, None])
+        tied = (x_sorted[:, 1:] == x_sorted[:, :-1]).any(axis=1)
+        # No column repeats a value: rows drawn once never tie.
+        self.distinct = not tied.any()
+        if not self.distinct:
+            self.columns_sorted[tied] = np.argsort(x_columns[tied], axis=1, kind="stable")
         self.rank = np.full((self.n_features, n + 1), n)
         self.rank[columns[:, None], self.columns_sorted] = np.arange(n)
-        self.x_flat = X.T.ravel()
         self.all_columns = columns
-        # No column repeats a value: rows drawn once never tie.
-        x_sorted = self.x_flat.take(self.columns_sorted + (columns * n)[:, None])
-        self.distinct = not (x_sorted[:, 1:] == x_sorted[:, :-1]).any()
 
     def root_block(self, counts: list) -> np.ndarray:
         """Each column's sorted rows for the trees of ``_grow_trees``'s ``counts``:
@@ -241,6 +254,21 @@ class _Presorted:
         keys.sort(axis=0)
         keys = np.minimum(keys, self.n_rows - 1)
         return self.columns_sorted.take(keys + columns * self.n_rows)
+
+
+def _smallest_keys(keys: np.ndarray, k: int) -> np.ndarray:
+    """The columns of each row's ``k`` smallest keys, in ascending order:
+    ``np.sort(np.argsort(keys, axis=1)[:, :k], axis=1)``.
+
+    ``np.partition`` finds each row's ``k``-th smallest key, and the mask of
+    keys at or below it lists a row's columns in order. A row with more than
+    ``k`` such keys has a tie at its ``k``-th key; then the whole array
+    takes the argsort, whose pick among tied keys this keeps.
+    """
+    below = keys <= np.partition(keys, k - 1, axis=1)[:, k - 1:k]
+    if np.count_nonzero(below) != below.shape[0] * k:  # every row holds at least k
+        return np.sort(np.argsort(keys, axis=1)[:, :k], axis=1)
+    return below.nonzero()[1].reshape(-1, k)
 
 
 class _Scratch:
@@ -567,13 +595,17 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
             starts = sizes.cumsum() - sizes
             columns = None  # every node searches every column
             if not partition:
-                # Each tree draws for its nodes in creation (id) order.
+                # Each tree draws for its nodes in creation (id) order, into
+                # its rows of the keys: id order groups nodes by tree.
                 per_tree_nodes = np.bincount(tree_of, minlength=n_trees).tolist()
                 priority = np.empty((n_nodes, n_features))
-                priority[np.argsort(ids)] = np.concatenate([
-                    rngs[t].random((k, n_features)) for t, k in enumerate(per_tree_nodes) if k
-                ])
-                columns = np.sort(np.argsort(priority, axis=1)[:, :n_candidates], axis=1)
+                row = 0
+                for t, k in enumerate(per_tree_nodes):
+                    if k:
+                        rngs[t].random(out=priority[row:row + k])
+                        row += k
+                columns = np.empty((n_nodes, n_candidates), dtype=np.intp)
+                columns[np.argsort(ids)] = _smallest_keys(priority, n_candidates)
             best = np.empty(n_nodes)
             chosen = np.empty(n_nodes, dtype=np.intp)
             cut = np.empty(n_nodes)
@@ -934,6 +966,9 @@ def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds:
     ]
 
 
+_LABEL_SUM_LIMIT = 2.0 ** 512
+
+
 def _checked(spec: ModelSpec, X, y) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """The feature matrix, its column names and the labels, validated."""
     matrix, names = _as_matrix(X)
@@ -950,6 +985,17 @@ def _checked(spec: ModelSpec, X, y) -> tuple[np.ndarray, tuple[str, ...], np.nda
     _require_finite(y, "labels")
     if spec.task == "classification" and not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("classification labels must be 0 or 1")
+    if spec.task == "regression":
+        # A weighted label or residual sum of the split search is at most
+        # max|y| * 2 * rows; below 2^512 (the square root of the largest
+        # float) its square is finite. Past it every split cost can be inf,
+        # and every tree would be a single leaf.
+        largest = float(np.abs(y).max())
+        if largest * 2 * y.size >= _LABEL_SUM_LIMIT:
+            raise ValueError(
+                f"regression labels too large: max |label| {largest:.6g} times 2 x "
+                f"{y.size} rows reaches 2^512, where split costs overflow"
+            )
     if names is None:
         names = tuple(f"x{i}" for i in range(matrix.shape[1]))
     return matrix, tuple(names), y

@@ -289,6 +289,25 @@ def test_overflowing_gdd_sum_is_one_named_error(bundle, tmp_path):
     assert not (tmp_path / "features.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["RF", "GBT"])
+def test_huge_regression_labels_are_a_named_error(bundle, tmp_path, capsys, kind):
+    """Yield labels scaled by 1e160 overflow every split cost: train fitted
+    single-leaf trees without a word, and now ends with a named error."""
+    huge = tmp_path / "bundle"
+    shutil.copytree(bundle, huge, ignore=shutil.ignore_patterns(".agribench_cache"))
+    labels = huge / "labels.csv"
+    header, *rows = labels.read_text().splitlines()
+    scaled = [f"{unit},{year},{task},{float(value) * 1e160!r}" if task == "yield"
+              else ",".join((unit, year, task, value))
+              for unit, year, task, value in (row.split(",") for row in rows)]
+    labels.write_text("\n".join([header, *scaled]) + "\n")
+    assert execute("train", None, [f"bundle={huge}", "task.name=yield", "task.crop=corn",
+                                   "task.feature_set=AEF", f"model.kind={kind}",
+                                   "model.n_trees=3", f"out_dir={tmp_path}"]) == 1
+    assert capsys.readouterr().err.startswith("error: train: regression labels too large")
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_aef_commands_do_not_read_climate(bundle, tmp_path, capsys):
     broken = tmp_path / "bundle"
     shutil.copytree(bundle, broken)

@@ -1,4 +1,5 @@
 import calendar
+import hashlib
 import io
 import shutil
 import string
@@ -264,12 +265,14 @@ def date_cells(draw):
 @given(st.lists(date_cells(), max_size=20))
 def test_date_rule_equals_fromisoformat(cells):
     """The loader's arithmetic date rule gives ``_iso_ordinal`` of every cell,
-    read as np.loadtxt gives it (UTF-8 bytes, cut to 11) or as csv.reader
-    does (``str``)."""
+    read as np.loadtxt gives it (UTF-8 bytes, cut to 11, which ``_read_table``
+    decodes into the ordinals the rule then reads) or as csv.reader does
+    (``str``)."""
     wanted = [_iso_ordinal(cell) for cell in cells]
-    as_bytes = np.array([cell.encode() for cell in cells], dtype="S11")
+    decoded = dataset._iso_days(np.array([cell.encode() for cell in cells], dtype="S11"))
+    assert decoded.dtype == np.int64 and decoded.tolist() == wanted
     as_text = np.array(cells, dtype=object)
-    for column in (as_bytes, as_text):
+    for column in (decoded, as_text):
         days, (refused, _) = dataset._date_rule(column)
         assert days.dtype == np.int64
         assert days.tolist() == wanted
@@ -546,6 +549,7 @@ UNIT_IDS = ("c1", "c1x", "c10", "f", "county_17_f03", "Zürich_f1", "北京_01")
 DAYS = st.integers(date(2019, 1, 1).toordinal(), date(2021, 12, 31).toordinal())
 CELLS = st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False)
 BULK_TABLES = ("climate", "observations", "embeddings")
+DATE_TABLES = ("climate", "observations")
 
 
 @st.composite
@@ -587,7 +591,10 @@ def test_one_call_parse_equals_row_reader(rows):
     """``load_dataset`` returns what the row-wise readers return, and a valid
     non-empty file never needs the csv.reader pass. The bundle is loaded
     twice: the second load reads every bulk file's tokens from the cache
-    (np.loadtxt is not called) and returns the same bits."""
+    (np.loadtxt is not called) and returns the same bits. The cold load
+    decodes each date column once (``_iso_days``); the warm one reads the
+    decoded dates and decodes none, but for an empty file, which csv.reader
+    reads on every load."""
     unit_ids, tables = rows
     with tempfile.TemporaryDirectory() as tmp:
         bundle = _write(tmp, unit_ids, tables)
@@ -598,10 +605,15 @@ def test_one_call_parse_equals_row_reader(rows):
             read_again.append(path.stem)
             return read_cells(path, columns)
 
-        with mock.patch.object(dataset, "_read_cells", record):
-            (cold, _), (warm, tokenized) = _tokenized_load(bundle), _tokenized_load(bundle)
+        with mock.patch.object(dataset, "_read_cells", record), \
+                mock.patch.object(dataset, "_iso_days", wraps=dataset._iso_days) as iso_days:
+            cold, _ = _tokenized_load(bundle)
+            decoded_cold, iso_days.call_count = iso_days.call_count, 0
+            warm, tokenized = _tokenized_load(bundle)
         assert tokenized == 0
         assert set(read_again) <= {table for table in BULK_TABLES if not tables[table]}
+        assert decoded_cold == len(DATE_TABLES)
+        assert iso_days.call_count == sum(not tables[table] for table in DATE_TABLES)
         units = _load_units(bundle / "units.csv")
         for table in BULK_TABLES:
             reference, arrays = REFERENCE[table]
@@ -837,6 +849,77 @@ def test_broken_cache_entry_is_a_miss_and_rewritten(tmp_bundle, spoil):
     assert _entries(bundle, "climate.csv") == [name] and entry.read_bytes() == good
 
 
+# Second rows that break a rule checked after the date rule.
+BAD_SECOND_ROW = {
+    "climate": ["c1", "2020-06-02", "30.0", "26.0", "0.0"],
+    "observations": ["c1", "NIR", "2020-06-11", "1.75"],
+}
+
+
+@pytest.mark.parametrize("csv_error", [False, True], ids=["valid_csv", "csv_error"])
+@pytest.mark.parametrize("table", DATE_TABLES)
+@pytest.mark.parametrize("ordinal", [0, -1, date.max.toordinal() + 1, 2**62],
+                         ids=["zero", "negative", "after_9999", "two_to_62"])
+def test_edited_date_ordinal_is_no_date(tmp_bundle, ordinal, table, csv_error):
+    """An entry edited to hold an ordinal that no date has is read (no file
+    is tokenized) and refused by the date rule; csv.reader then reads the
+    CSV, so the load returns the CSV's true data, or the CSV's own error."""
+    tables = dict(CACHE_BUNDLE)
+    if csv_error:
+        tables[table] = [tables[table][0], BAD_SECOND_ROW[table]]
+    bundle = tmp_bundle(**tables)
+    expected = _outcome(lambda: load_dataset(bundle), _bulk_arrays)
+    assert isinstance(expected, str) == csv_error
+    (name,) = _entries(bundle, f"{table}.csv")
+    entry = bundle / ".agribench_cache" / name
+    tokens = np.load(entry)
+    tokens["date"][0] = ordinal
+    np.save(entry, tokens)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        assert _outcome(lambda: load_dataset(bundle), _bulk_arrays) == expected
+    assert loadtxt.call_count == 0
+
+
+def _tokens_1_entry(bundle, filename, columns):
+    """Write the entry a cache of format ``agribench-tokens-1`` held for
+    ``filename``: np.loadtxt's tokens, dates as bytes, under that format's key."""
+    path = bundle / filename
+    dtype = np.dtype(columns)
+    digest = hashlib.sha256(path.read_bytes())
+    digest.update(repr(("agribench-tokens-1", dtype.descr, np.__version__)).encode())
+    tokens = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                        ndmin=1, encoding="latin-1")
+    entry = bundle / ".agribench_cache" / f"{filename}.{digest.hexdigest()}.npy"
+    entry.parent.mkdir(exist_ok=True)
+    np.save(entry, tokens)
+    return entry
+
+
+def test_tokens_1_entries_are_misses_and_deleted(tmp_bundle):
+    """A cache left by format ``agribench-tokens-1`` (a bundle or checkout
+    from before dates were decoded into the cache) misses on every file:
+    each is tokenized again, the load returns the CSV's data, and the old
+    entries are deleted."""
+    bundle = tmp_bundle(**CACHE_BUNDLE)
+    unit_id = ("unit_id", dataset._text_dtype(["c1"]))
+    old = [
+        _tokens_1_entry(bundle, "climate.csv", [unit_id, ("date", "S11"), ("tmin_c", "f8"),
+                                                ("tmax_c", "f8"), ("ppt_mm", "f8")]),
+        _tokens_1_entry(bundle, "observations.csv", [
+            unit_id, ("band", dataset._text_dtype(dataset._BAND_NAMES)), ("date", "S11"),
+            ("value", "f8")]),
+        _tokens_1_entry(bundle, "embeddings.csv", [unit_id, ("year", "i8")]
+                        + [(column, "f8") for column in EMBEDDING_COLUMNS]),
+    ]
+    loaded, tokenized = _tokenized_load(bundle)
+    assert tokenized == 3
+    assert not any(entry.exists() for entry in old)
+    assert [len(_entries(bundle, f"{table}.csv")) for table in BULK_TABLES] == [1, 1, 1]
+    units = _load_units(bundle / "units.csv")
+    assert _bulk_arrays(loaded) == [arrays(reference(bundle / f"{table}.csv", units))
+                                    for table, (reference, arrays) in sorted(REFERENCE.items())]
+
+
 def test_unwritable_cache_loads_and_writes_nothing(tmp_bundle):
     """A file where the cache directory belongs refuses every write: each
     load tokenizes every file, returns what a cached load returns and
@@ -880,8 +963,9 @@ def test_load_holds_close_to_the_size_of_its_data(tmp_path):
     per-date ``np.unique`` and the whole body read at once, and at 17.7 MB
     with only the text columns put back. Byte-string columns, arithmetic
     dates and no sort of the time-ordered climate rows hold 6.9 MB. The
-    warm load reads the cached tokens in place of np.loadtxt's and may
-    peak no higher than the cold load, which writes them (6.9 and 7.0 MB)."""
+    warm load reads the cached tokens, dates decoded, in place of
+    np.loadtxt's and may peak no higher than the cold load, which decodes
+    the dates into a second table and writes it (6.7 and 7.5 MB)."""
     spec = SynthSpec(**perfbench_workloads()["covercrop-rs-rfc"].synth)
     generate(spec, seed=1, out_dir=tmp_path)
     peaks = []

@@ -1592,3 +1592,113 @@ def _reference_sqrt_tree(X, y, rows, rng, min_leaf, classification=True):
         right=np.array([c + 1 if c >= 0 else -1 for c in left], dtype=np.intp),
         value=np.array([nodes[k][3] for k in at]),
     )
+
+
+class TestLabelMagnitude:
+    """Regression labels whose split sums could square to inf are refused."""
+
+    X = np.random.default_rng(41).normal(size=(100, 5))
+    y = X[:, 0] * 3.0 + np.random.default_rng(42).normal(size=100)
+    FOLDS = [(1, np.arange(0, 100, 2)), (2, np.arange(1, 100, 2))]
+
+    @pytest.mark.parametrize("kind", ["RF", "GBT"])
+    def test_huge_labels_rejected(self, kind):
+        """Labels scaled by 1e160 grew single-leaf trees, with no error."""
+        spec = ModelSpec(kind=kind, task="regression", n_trees=3, seed=1)
+        with pytest.raises(ValueError, match="regression labels too large"):
+            train(spec, self.X, self.y * 1e160)
+        if kind == "GBT":
+            with pytest.raises(ValueError, match="regression labels too large"):
+                boost_folds(spec, self.X, self.y * 1e160, self.FOLDS)
+
+    @pytest.mark.parametrize("kind", ["RF", "GBT"])
+    def test_limit_is_two_to_the_512(self, kind):
+        """``max|y| * 2 * rows`` at 2^512 is refused; one float below it
+        fits trees that split, with no overflow anywhere."""
+        spec = ModelSpec(kind=kind, task="regression", n_trees=3, seed=1)
+        at_limit = self.y / np.abs(self.y).max() * (2.0 ** 512 / (2 * self.y.size))
+        with pytest.raises(ValueError, match="reaches 2\\^512"):
+            train(spec, self.X, at_limit)
+        below = at_limit / np.abs(at_limit).max() * np.nextafter(np.abs(at_limit).max(), 0)
+        assert np.abs(below).max() * 2 * below.size < 2.0 ** 512
+        model = train(spec, self.X, below)  # warnings are errors here
+        assert all(tree.feature.size > 1 for tree in model.trees)
+
+    @pytest.mark.parametrize("kind", ["RF", "GBT"])
+    def test_power_of_two_scale_is_exact(self, kind):
+        """Labels scaled by 2^300 fit the same splits and importance, and
+        leaf values exactly 2^300 times the unscaled fit's."""
+        spec = ModelSpec(kind=kind, task="regression", n_trees=5, seed=3)
+        scale = 2.0 ** 300
+        plain, scaled = train(spec, self.X, self.y), train(spec, self.X, self.y * scale)
+        assert np.array_equal(plain.importance, scaled.importance)
+        assert scaled.base_score == plain.base_score * scale
+        for a, b in zip(plain.trees, scaled.trees, strict=True):
+            assert np.array_equal(a.feature, b.feature)
+            assert np.array_equal(a.threshold, b.threshold)
+            assert np.array_equal(a.left, b.left)
+            assert np.array_equal(a.value * scale, b.value)
+
+
+@st.composite
+def candidate_keys(draw):
+    """A level's (node, feature) keys and a candidate count ``k``: uniform
+    draws, or coarse ones that tie often, with ties planted at some rows'
+    ``k``-th smallest key."""
+    n_nodes, n_features = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    k = draw(st.integers(1, n_features))
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        keys = local.random((n_nodes, n_features))
+    else:
+        keys = local.integers(0, draw(st.integers(1, 6)), (n_nodes, n_features)) / 8.0
+    kth = np.sort(keys, axis=1)[:, k - 1]
+    for node in draw(st.sets(st.integers(0, n_nodes - 1))):
+        for column in draw(st.sets(st.integers(0, n_features - 1), min_size=1, max_size=3)):
+            keys[node, column] = kth[node]
+    return keys, k
+
+
+class TestSmallestKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_keys())
+    def test_equals_argsort_pick(self, problem):
+        """The partition pick equals the sorted first ``k`` of each row's
+        argsort, ties at the ``k``-th key included."""
+        keys, k = problem
+        expected = np.sort(np.argsort(keys, axis=1)[:, :k], axis=1)
+        picked = models._smallest_keys(keys.copy(), k)
+        assert picked.dtype == expected.dtype
+        assert np.array_equal(picked, expected)
+
+
+@st.composite
+def presort_matrices(draw):
+    """Columns of distinct values beside tied ones: few repeated values,
+    -0.0 beside 0.0, a constant column."""
+    n_rows, n_columns = draw(st.integers(1, 300)), draw(st.integers(1, 6))
+    local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    makers = {
+        "distinct": lambda: local.normal(size=n_rows),
+        "repeated": lambda: local.integers(0, 4, n_rows).astype(float),
+        "signed_zero": lambda: local.choice([-0.0, 0.0, -1.5, 2.0], n_rows),
+        "constant": lambda: np.full(n_rows, 2.5),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=n_columns,
+                          max_size=n_columns))
+    return np.column_stack([makers[kind]() for kind in kinds])
+
+
+class TestPresort:
+    @settings(max_examples=150, deadline=None)
+    @given(presort_matrices())
+    def test_equals_stable_argsort(self, X):
+        """The presort is the stable one, whichever sort numpy runs first."""
+        n_rows, n_columns = X.shape
+        data = _Presorted(X)
+        stable = np.argsort(X, axis=0, kind="stable").T
+        assert np.array_equal(data.columns_sorted, stable)
+        rank = np.full((n_columns, n_rows + 1), n_rows)
+        rank[np.arange(n_columns)[:, None], stable] = np.arange(n_rows)
+        assert np.array_equal(data.rank, rank)
+        assert data.distinct == all(len(set(column.tolist())) == n_rows for column in X.T)
