@@ -71,13 +71,13 @@ def monthly_gdd(
 ) -> float:
     """Accumulated thermal time for one month, in degree-hours.
 
-    ``days`` holds one month's columns, as ``ClimateSeries.month`` returns
-    them. Missing calendar days simply contribute nothing (their absence
-    shows up in ``month_coverage``). The hourly terms are summed in day, then
-    hour order with a sequential cumulative sum, so the total equals the
-    literal double loop bit for bit. Thresholds far enough apart overflow
-    the sum to ``inf`` without a warning, and the feature table's finite
-    check names the cell.
+    ``days`` holds one month's columns: a unit's series sliced between the
+    ``searchsorted`` bounds of ``month_span``. Missing calendar days simply
+    contribute nothing (their absence shows up in ``month_coverage``). The
+    hourly terms are summed in day, then hour order with a sequential
+    cumulative sum, so the total equals the literal double loop bit for bit.
+    Thresholds far enough apart overflow the sum to ``inf`` without a
+    warning, and the feature table's finite check names the cell.
     """
     _check_nonempty(days)
     mid = daily_tmean(days)

@@ -211,11 +211,6 @@ class ClimateSeries:
         """The days of a slice of positions, as views of the columns."""
         return ClimateSeries(self.days[rows], self.tmin[rows], self.tmax[rows], self.ppt[rows])
 
-    def month(self, year: int, month: int) -> "ClimateSeries":
-        """The days of one calendar month (possibly none)."""
-        lo, hi = self.days.searchsorted(month_span(year, month))
-        return self[lo:hi]
-
 
 @dataclass(frozen=True)
 class UnitMeta:

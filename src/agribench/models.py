@@ -14,7 +14,8 @@ numbered, and their importances summed, as a depth-first grower that pops
 the left child first would build them; that numbering runs once per fit,
 over every tree of the fit together (``_number``). Prediction walks all of
 a model's trees together too, over (tree, row) pairs in blocks of rows
-(``_walk``); ``Tree.apply`` is its one-tree case.
+(``_walk``), and adds each row's tree outputs in tree order, so a row's
+prediction does not depend on the rows predicted with it.
 
 With ``max_features="sqrt"`` (the random-forest classification default) a
 tree draws, at each level and from its own generator, one key per (node,
@@ -134,12 +135,6 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """The value of the leaf each row of ``X`` reaches: the one-tree walk."""
-        [leaves] = _walk(self.feature, self.threshold, self.left, self.right,
-                         np.zeros(1, dtype=np.intp), X)
-        return self.value[leaves]
 
 
 def _walk(feature, threshold, left, right, roots: np.ndarray, X) -> np.ndarray:
@@ -314,54 +309,20 @@ def _slot_cumsum(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return values
 
 
-# A level of fewer nodes sums them one ``np.add.reduce`` call each: the
-# vectorized sum has a fixed cost of about 35 us on a 2-vCPU VM, as much as
-# this many calls.
-_SEGMENT_NODES = 32
+def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` of each segment of ``values``, bit for bit.
 
-
-def _segment_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(values[s : s + m])`` for each segment, bit for bit.
-
-    numpy sums a contiguous float64 run as ``0.0 +`` a pairwise sum: under 8
-    values one by one; up to 128 values in 8 interleaved accumulators over
-    the first ``m - m % 8`` values, combined as ``((r0 + r1) + (r2 + r3)) +
-    ((r4 + r5) + (r6 + r7))``, then the rest one by one; above 128 values it
-    splits in two. Segments of at most 128 values are summed together in
-    that order, padded with -0.0, which adds exactly nothing. Longer
-    segments, and every segment of a level with few, call ``np.add.reduce``.
+    The segments start at ``starts`` and run end to end. ``np.add.reduce``
+    adds a run pairwise to 0.0, while ``np.add.reduceat`` adds a segment's
+    first value to the pairwise sum of the rest; so each segment is read
+    behind a 0.0 of its own.
     """
-    sums = np.empty(sizes.size)
-    if sizes.size < _SEGMENT_NODES:
-        alone = np.arange(sizes.size)
-    else:
-        alone = np.flatnonzero(sizes > 128)
-    for i, s, m in zip(alone.tolist(), starts[alone].tolist(), sizes[alone].tolist()):
-        sums[i] = np.add.reduce(values[s : s + m])
-    if alone.size == sizes.size:
-        return sums
-    together = np.flatnonzero(sizes <= 128)
-    first, m = starts[together], sizes[together]
-    head = m - m % 8  # the values the accumulators take
-    blocks = int(head.max()) // 8
-    # Columns 0 .. 8 * blocks - 1 hold the head, eight per block, and the
-    # last 7 the rest; a cell past its part reads the -0.0 appended to values.
-    lane = np.arange(8 * blocks + 7)
-    in_head = lane < 8 * blocks
-    offset = np.where(in_head, lane, lane - 8 * blocks + head[:, None])
-    end = np.where(in_head, head[:, None], m[:, None])
-    cells = np.append(values, -0.0).take(
-        np.where(offset < end, first[:, None] + offset, values.size)
-    )
-    r = np.full((together.size, 8), -0.0)
-    for b in range(blocks):
-        r += cells[:, 8 * b : 8 * b + 8]
-    total = (r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])
-    total += (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])
-    for k in range(8 * blocks, 8 * blocks + 7):
-        total += cells[:, k]
-    sums[together] = 0.0 + total
-    return sums
+    at = starts + np.arange(starts.size)
+    padded = np.zeros(values.size + starts.size)
+    keep = np.ones(padded.size, dtype=bool)
+    keep[at] = False
+    padded[keep] = values
+    return np.add.reduceat(padded, at)
 
 
 def _best_splits(ys, ws, sizes, weights, totals, ties, min_leaf, classification, right_sum):
@@ -567,7 +528,7 @@ def _grow_trees(data, y, counts, rngs, max_depth, min_leaf, max_features, classi
         if max_depth is not None and depth >= max_depth:
             may_split[:] = False
         # Sums in ascending row order fix the leaf values' rounding.
-        totals = _segment_sums(weighted, starts, sizes)
+        totals = _segment_sums(weighted, starts)
         value[ids] = totals / weights
         if leaf is not None:
             leaf[keys] = ids.repeat(sizes)
@@ -956,7 +917,7 @@ def _boost(spec: ModelSpec, data: _Presorted, y: np.ndarray, masks: list, seeds:
                 max_features, False, scratch,
             )
             grown.append(nodes)
-        scores = scores + spec.learning_rate * fitted  # equals tree.apply(X) on fold rows
+        scores = scores + spec.learning_rate * fitted  # each fold's tree walked on its rows
     # Tree t * folds + i is fold i's tree of round t.
     n_folds = len(masks)
     trees, importance = _number(grown, data.n_features)
@@ -1094,17 +1055,15 @@ def predict_scores(model: TrainedModel, X) -> np.ndarray:
     n_rows = matrix.shape[0]
     scores = np.empty(n_rows)
     # Blocks of rows keep a block's (tree, row) arrays within the cell
-    # budget. The last block takes a single leftover row, so a block has two
-    # rows or more unless X has one: numpy adds down axis 0 of a one-column
-    # array pairwise, but of a wider one row by row, as for all of X at once.
-    step = max(2, _BATCH_CELLS // len(trees))
-    stops = list(range(step, n_rows - 1, step)) + [n_rows]
-    for start, stop in zip([0] + stops[:-1], stops):
+    # budget. Each row's outputs are added in tree order, whatever its block.
+    step = max(1, _BATCH_CELLS // len(trees))
+    for start in range(0, n_rows, step):
+        stop = start + step
         outputs = value[_walk(feature, threshold, left, right, roots, matrix[start:stop])]
         if model.spec.kind == "RF":
             if model.spec.task == "classification":
                 outputs = (outputs > 0.5).astype(float)
-            scores[start:stop] = outputs.mean(axis=0)
+            scores[start:stop] = _in_order_sum(outputs) / len(trees)
         else:
             outputs *= model.spec.learning_rate
             outputs[0] += model.base_score

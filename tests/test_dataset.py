@@ -988,19 +988,6 @@ def test_month_span_agrees_with_calendar(year, month):
     assert following - first == calendar.monthrange(year, month)[1]
 
 
-@settings(max_examples=60)
-@given(st.sets(DAYS, max_size=60), st.integers(2019, 2021), st.integers(1, 12))
-def test_climate_month_equals_per_day_filter(days, year, month):
-    days = np.array(sorted(days), dtype=np.int64)
-    values = np.arange(len(days), dtype=float)
-    series = ClimateSeries(days, values, values + 1.0, values)
-    in_month = series.month(year, month)
-    wanted = [i for i, d in enumerate(days.tolist())
-              if (date.fromordinal(d).year, date.fromordinal(d).month) == (year, month)]
-    assert in_month.days.tolist() == days[wanted].tolist()
-    assert in_month.tmin.tolist() == values[wanted].tolist()
-
-
 NEW_YEAR = date(2021, 1, 1).toordinal()
 
 

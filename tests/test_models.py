@@ -187,7 +187,7 @@ class TestPredict:
         y = rng.normal(size=60)
         model = train(ModelSpec(kind="RF", task="regression", n_trees=1, seed=4), X, y)
         probe = rng.normal(size=(20, 4))
-        assert np.array_equal(predict(model, probe), model.trees[0].apply(probe))
+        assert np.array_equal(predict(model, probe), _reference_apply(model.trees[0], probe))
 
     def test_all_trees_vote_one(self):
         X = rng.normal(size=(30, 3))
@@ -202,7 +202,7 @@ class TestPredict:
         y = rng.normal(size=80)
         model = train(ModelSpec(kind="RF", task="regression", n_trees=12, seed=5), X, y)
         probe = rng.normal(size=(25, 5))
-        expected = np.mean([tree.apply(probe) for tree in model.trees], axis=0)
+        expected = np.mean([_reference_apply(tree, probe) for tree in model.trees], axis=0)
         assert np.allclose(predict(model, probe), expected, rtol=0, atol=0)
 
     def test_tree_order_permutation_invariant(self):
@@ -258,7 +258,7 @@ class TestGbt:
         scores = np.full(X.shape[0], model.base_score)
         losses = [float(np.mean((y - scores) ** 2))]
         for tree in model.trees:
-            scores = scores + spec.learning_rate * tree.apply(X)
+            scores = scores + spec.learning_rate * _reference_apply(tree, X)
             losses.append(float(np.mean((y - scores) ** 2)))
         return losses
 
@@ -283,7 +283,7 @@ class TestGbt:
 
         losses = [logloss(scores)]
         for tree in model.trees:
-            scores = scores + spec.learning_rate * tree.apply(X)
+            scores = scores + spec.learning_rate * _reference_apply(tree, X)
             losses.append(logloss(scores))
         for a, b in zip(losses, losses[1:]):
             assert b <= a + 1e-12
@@ -1061,17 +1061,17 @@ class TestImpurityDecrease:
 
 @st.composite
 def segments(draw):
-    """One level's segment sizes, from under 8 to over 128 values, and
-    their values: magnitudes over 24 decades, and signed zeros."""
-    n_nodes = draw(st.sampled_from([1, 5, models._SEGMENT_NODES - 1, models._SEGMENT_NODES,
-                                    80]))
-    ranges = draw(st.lists(st.sampled_from([(1, 8), (8, 129), (129, 300)]),
+    """One level's segment sizes, from under 8 to either side of 8192 values
+    (a forest's root level at a few thousand rows), and their values:
+    magnitudes over 24 decades, and signed zeros."""
+    n_nodes = draw(st.sampled_from([1, 5, 31, 32, 80]))
+    ranges = draw(st.lists(st.sampled_from([(1, 8), (8, 129), (129, 300), (8_190, 8_201)]),
                            min_size=1, max_size=3, unique=True))
     local = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = np.array([local.integers(*ranges[k]) for k in local.integers(len(ranges),
                                                                          size=n_nodes)])
     size = int(sizes.sum())
-    values = local.normal(size=size) * 10.0 ** local.integers(-12, 13, size=size)
+    values = local.normal(size=size) * (10.0 ** np.arange(-12, 13))[local.integers(25, size=size)]
     zeros = local.random(size)
     values[zeros < 0.1] = -0.0
     values[zeros > 0.95] = 0.0
@@ -1088,7 +1088,7 @@ class TestSegmentSums:
         values, sizes = problem
         starts = sizes.cumsum() - sizes
         want = [np.add.reduce(values[s : s + m]) for s, m in zip(starts, sizes)]
-        assert np.array_equal(_bits(models._segment_sums(values, starts, sizes)), _bits(want))
+        assert np.array_equal(_bits(models._segment_sums(values, starts)), _bits(want))
 
 
 # Reference: the split search that NaN-marked slots replaced, kept as it was.
@@ -1373,6 +1373,14 @@ def _reference_apply(tree: Tree, X: np.ndarray) -> np.ndarray:
         node[active] = np.where(go_left, tree.left[current], tree.right[current])
 
 
+def _tree_order_sum(outputs):
+    """The trees' outputs added one after another, as a loop adds them."""
+    total = outputs[0]
+    for out in outputs[1:]:
+        total = total + out
+    return total
+
+
 class TestForestWalk:
     @settings(max_examples=80, deadline=None)
     @given(trees=st.lists(st.one_of(sound_trees(), sound_trees(max_nodes=1)),
@@ -1382,8 +1390,8 @@ class TestForestWalk:
            n_rows=st.sampled_from([0, 1, 2, 3, 9, 40]), cells=st.sampled_from([1, 7, 1 << 17]),
            seed=st.integers(0, 99))
     def test_walk_equals_per_tree_reference(self, trees, kind, task, n_rows, cells, seed):
-        """Bit for bit: each tree's ``apply``, and the ensemble output as
-        the trees' outputs stacked and reduced, in blocks of any size."""
+        """Bit for bit: each tree alone, and the ensemble output as the
+        trees' outputs added in tree order, in blocks of any size."""
         local = np.random.default_rng(seed)
         X = local.normal(scale=1e6, size=(n_rows, 3))
         X[local.random(X.shape) < 0.2] = 0.0
@@ -1391,30 +1399,54 @@ class TestForestWalk:
         model.spec = ModelSpec(kind=kind, task=task, n_trees=len(trees), learning_rate=0.3)
         model.base_score = float(local.normal())
         outputs = np.stack([_reference_apply(tree, X) for tree in trees])
-        for tree, out in zip(trees, outputs):
-            assert np.array_equal(_bits(tree.apply(X)), _bits(out))
         if kind == "RF":
-            want = ((outputs > 0.5).astype(float) if task == "classification"
-                    else outputs).mean(axis=0)
+            votes = (outputs > 0.5).astype(float) if task == "classification" else outputs
+            want = _tree_order_sum(votes) / len(trees)
         else:
             want = np.full(n_rows, model.base_score)
             for out in outputs:
                 want = want + model.spec.learning_rate * out
         with mock.patch.object(models, "_BATCH_CELLS", cells):
             assert np.array_equal(_bits(predict_scores(model, X)), _bits(want))
+            for tree, out in zip(trees, outputs):
+                alone = _model_of([tree])  # one-tree regression forest: the tree's walk
+                assert np.array_equal(_bits(predict_scores(alone, X)), _bits(out))
 
     def test_trained_forest(self):
-        """Deep trees of a trained forest, one row and many, against the reference."""
+        """Deep trees of a trained forest, one row and many, against the
+        reference: the trees' outputs added in tree order."""
         local = np.random.default_rng(44)
         X = local.normal(size=(70, 4))
         y = X[:, 0] + local.normal(size=70)
         model = train(ModelSpec(kind="RF", task="regression", n_trees=30, seed=3), X, y)
         for n_rows in (1, 2, 3, 50):
             probe = local.normal(size=(n_rows, 4))
-            want = np.stack([_reference_apply(tree, probe) for tree in model.trees]).mean(axis=0)
+            outputs = [_reference_apply(tree, probe) for tree in model.trees]
+            want = _tree_order_sum(outputs) / len(model.trees)
             for cells in (1, 31, 1 << 17):
                 with mock.patch.object(models, "_BATCH_CELLS", cells):
                     assert np.array_equal(_bits(predict_scores(model, probe)), _bits(want))
+
+    @pytest.mark.parametrize("kind, task, n_trees", [
+        ("RF", "regression", 9), ("RF", "regression", 50), ("RF", "classification", 50),
+        ("GBT", "regression", 20), ("GBT", "classification", 20),
+    ])
+    def test_row_alone_equals_row_in_batch(self, kind, task, n_trees):
+        """A row predicted alone has the bits of its row of a batch, in blocks
+        of any size. With 8 trees or more numpy sums a one-row column
+        pairwise, which a batch of rows does not."""
+        local = np.random.default_rng(46)
+        X = local.normal(size=(60, 4))
+        y = X[:, 0] + local.normal(size=60)
+        if task == "classification":
+            y = (y > 0).astype(float)
+        model = train(ModelSpec(kind=kind, task=task, n_trees=n_trees, seed=2), X, y)
+        probe = local.normal(size=(40, 4))
+        for cells in (n_trees * 7, 1 << 17):
+            with mock.patch.object(models, "_BATCH_CELLS", cells):
+                batch = predict_scores(model, probe)
+                alone = [predict_scores(model, probe[i : i + 1])[0] for i in range(40)]
+            assert np.array_equal(_bits(alone), _bits(batch))
 
     def test_predict_holds_one_block_of_pairs(self):
         """200 trees on 20,000 rows: the walk holds (tree, row) arrays for one
@@ -1454,7 +1486,7 @@ class TestGbtFittedValues:
            max_features=st.sampled_from(["all", "sqrt"]))
     def test_fitted_values_equal_apply(self, problem, classification, max_depth, min_leaf,
                                        max_features):
-        """Each round's fitted values are ``tree.apply(X)`` bit for bit."""
+        """Each round's fitted values are the tree's walk of ``X`` bit for bit."""
         X, y = problem
         if classification:
             y = (y > np.median(y)).astype(float)
@@ -1473,7 +1505,7 @@ class TestGbtFittedValues:
             model = train(spec, X, y)
         assert len(fitted) == len(model.trees) == spec.n_trees
         for values, tree in zip(fitted, model.trees):
-            assert np.array_equal(values[0].view(np.int64), tree.apply(X).view(np.int64))
+            assert np.array_equal(_bits(values[0]), _bits(_reference_apply(tree, X)))
 
 
 @st.composite
