@@ -45,6 +45,17 @@ edited CSV file, and an entry that does not read back as a 1-D array of
 the table's dtype is a miss. A write the OS refuses is skipped and the
 load goes on uncached. The cache is safe to delete; it takes about 3.6 MB
 for the covercrop-rs-rfc bundle.
+
+Each parsed file's manifest entry records the SHA-256 of its bytes (for a
+bulk file, taken from the hashed chunks; ``units.csv`` and ``labels.csv``
+are hashed as they are read) and, for a bulk file, whether its contents
+came from the token cache. ``featurize.assemble_table`` keys the same
+directory's table entries on those digests: an entry there holds a
+feature table (names, rows, labels, values, exclusion log), about 150 KB
+for covercrop-rs-rfc, and is trusted for its feature values and exclusion
+counts only; rows and labels always come from ``labels.csv``. A hit saves
+the assembly only: ``load_dataset`` still parses and checks every file it
+is asked for.
 """
 
 import codecs
@@ -312,10 +323,13 @@ def _parse_int(text: str, filename: str, line: int, column: str) -> int:
     return value
 
 
-def _read_rows(path: Path, expected_header: tuple[str, ...]):
-    """Yield (line_number, row) after checking the header row."""
+def _read_rows(path: Path, expected_header: tuple[str, ...], digest=None):
+    """Yield (line_number, row) after checking the header row; ``digest``,
+    a ``hashlib`` hash, is first updated with the file's bytes."""
     filename = path.name
     data = path.read_bytes()
+    if digest is not None:
+        digest.update(data)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -356,9 +370,10 @@ _BAND_IS_RAW = np.array([SpectralBand(name).is_raw for name in _BAND_NAMES])
 _PARSERS = {"f8": _parse_number, "i8": _parse_int}
 # Bytes of the body that _read_table checks at a time.
 _CHUNK = 1 << 16
-# The bundle's token cache: a directory beside the CSV files, and the tag of
-# its entry format, hashed into every key so a new format never reads an old one.
-_CACHE_DIR = ".agribench_cache"
+# The bundle's cache: a directory beside the CSV files (the token cache here,
+# featurize's table cache), and the tag of the token entry format, hashed into
+# every key so a new format never reads an old one.
+CACHE_DIR = ".agribench_cache"
 _CACHE_FORMAT = "agribench-tokens-2"
 # The one text column whose cells _read_table decodes (to day ordinals), and
 # the last ordinal a date can have.
@@ -375,8 +390,10 @@ def _text_dtype(names) -> str:
     return f"S{max((len(name.encode()) for name in names), default=0) + 1}"
 
 
-def _read_table(path: Path, columns: list) -> np.ndarray | None:
-    """The data rows of a bundle file as one structured array (one np.loadtxt call).
+def _read_table(path: Path, columns: list) -> tuple[np.ndarray, str, bool] | None:
+    """The data rows of a bundle file as one structured array (one np.loadtxt
+    call), the SHA-256 of the file's bytes, and whether the token cache held
+    the array.
 
     ``columns`` lists ``(name, dtype)`` in header order; text columns are
     byte strings holding each cell's UTF-8 bytes, except ``date``, which
@@ -414,13 +431,14 @@ def _read_table(path: Path, columns: list) -> np.ndarray | None:
             return None
     if blank:
         return None
+    sha256 = digest.copy().hexdigest()  # the file's bytes alone
     digest.update(repr((_CACHE_FORMAT, dtype.descr, np.__version__)).encode())
-    entry = path.parent / _CACHE_DIR / f"{path.name}.{digest.hexdigest()}.npy"
+    entry = path.parent / CACHE_DIR / f"{path.name}.{digest.hexdigest()}.npy"
     decoded = np.dtype([(name, "<i8" if name == _DATE_COLUMN else kind)
                         for name, kind in columns])
     table = _cached_tokens(entry, decoded)
     if table is not None:
-        return table
+        return table, sha256, True
     try:
         with warnings.catch_warnings():
             # numpy before 2.0 reads "2020.5" into an integer column as 2020,
@@ -439,50 +457,70 @@ def _read_table(path: Path, columns: list) -> np.ndarray | None:
         for name in dtype.names:
             table[name] = days if name == _DATE_COLUMN else tokens[name]
         del tokens, days
-    _cache_tokens(entry, f"{path.name}.", table)
-    return table
+    write_cache_entry(entry, f"{path.name}.", [table])
+    return table, sha256, False
 
 
 def _cached_tokens(entry: Path, dtype: np.dtype) -> np.ndarray | None:
     """The token cache entry ``entry`` if it holds a 1-D array of ``dtype``, else None.
 
-    The ``.npy`` header must declare that array, and the file must hold
-    exactly its bytes, before any is read: a missing, empty, truncated,
-    padded or foreign entry is a miss, and so is one whose header claims
-    more rows than the file has. The entry holds tokens with dates decoded,
-    not validated data: ``build`` runs every rule on them, and
-    ``_date_rule`` reads an ordinal outside the calendar as no date, so an
-    edited entry can do no more than an edited CSV file could.
+    A missing, empty, truncated, padded or foreign entry is a miss (see
+    ``read_cache_entry``). The entry holds tokens with dates decoded, not
+    validated data: ``build`` runs every rule on them, and ``_date_rule``
+    reads an ordinal outside the calendar as no date, so an edited entry can
+    do no more than an edited CSV file could.
     """
+    arrays = read_cache_entry(entry, 1)
+    if arrays is None or arrays[0].dtype != dtype or arrays[0].ndim != 1:
+        return None
+    return arrays[0]
+
+
+def read_cache_entry(entry: Path, count: int) -> list[np.ndarray] | None:
+    """The ``count`` arrays ``write_cache_entry`` wrote to ``entry``, or None.
+
+    Each ``.npy`` header must declare a C-order array of a dtype that holds
+    no Python object, so nothing is unpickled (as ``np.load`` with
+    ``allow_pickle=False``), and the file must hold its bytes before any is
+    read. A missing, empty, truncated or padded entry is a miss, and so is
+    one whose header claims more bytes than the file has.
+    """
+    arrays = []
     try:
         with open(entry, "rb") as fh:
-            if np.lib.format.read_magic(fh) != (1, 0):  # the version np.save writes here
-                return None
-            shape, _, stored = np.lib.format.read_array_header_1_0(fh)
-            if (stored != dtype or len(shape) != 1
-                    or os.fstat(fh.fileno()).st_size - fh.tell() != shape[0] * dtype.itemsize):
-                return None
-            return np.fromfile(fh, dtype=dtype, count=shape[0])
+            size = os.fstat(fh.fileno()).st_size
+            for _ in range(count):
+                if np.lib.format.read_magic(fh) != (1, 0):  # the version np.save writes here
+                    return None
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+                items = math.prod(shape)
+                if (fortran or dtype.hasobject or items < 0
+                        or size - fh.tell() < items * dtype.itemsize):
+                    return None
+                arrays.append(np.fromfile(fh, dtype=dtype, count=items).reshape(shape))
+            return arrays if fh.tell() == size else None
     except (OSError, ValueError):
         return None
 
 
-def _cache_tokens(entry: Path, prefix: str, table: np.ndarray) -> None:
-    """Publish ``table`` as the token cache entry ``entry``, the only one of its file.
+def write_cache_entry(entry: Path, prefix: str, arrays: list[np.ndarray]) -> None:
+    """Publish ``arrays`` as the cache entry ``entry``, the only one named ``prefix...``.
 
-    The entry is written to a temporary file (``np.save`` on a real file
-    writes the array without a copy) and renamed into place, so a reader
-    never sees half an entry; then every other file named ``prefix...`` in
-    the cache (older entries of the same bundle file) is deleted. A write
-    the OS refuses (a read-only bundle, a full disk, a file where the cache
-    directory should be) is skipped: the load goes on uncached.
+    The arrays are saved one after another to a temporary file (``np.save``
+    on a real file writes an array without a copy) that is renamed into
+    place, so a reader never sees half an entry; then every other file named
+    ``prefix...`` in the cache (older entries of the same bundle file or
+    table) is deleted. A write the OS refuses (a read-only bundle, a full
+    disk, a file where the cache directory should be) is skipped: the
+    caller goes on uncached.
     """
     try:
         entry.parent.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=entry.parent, prefix=prefix, suffix=".tmp")
         try:
             with open(fd, "wb") as fh:
-                np.save(fh, table, allow_pickle=False)
+                for array in arrays:
+                    np.save(fh, array, allow_pickle=False)
             os.replace(tmp, entry)
         except OSError:
             os.unlink(tmp)
@@ -494,21 +532,22 @@ def _cache_tokens(entry: Path, prefix: str, table: np.ndarray) -> None:
         pass
 
 
-def _read_cells(path: Path, columns: list) -> tuple[list[int], dict[str, np.ndarray]]:
-    """The line of each data row and the cells of each column, read by csv.reader.
+def _read_cells(path: Path, columns: list) -> tuple[str, list[int], dict[str, np.ndarray]]:
+    """The file's SHA-256, the line of each data row and the cells of each
+    column, read by csv.reader.
 
     Text cells stay whole ``str`` in object arrays, so ``c1xyz`` is not cut
     to the dtype's width and ``c1\\0`` keeps its NUL. Number cells are
     parsed row by row, so the first cell that is not a number names its line.
     """
-    lines, rows = [], []
-    for line, row in _read_rows(path, tuple(name for name, _ in columns)):
+    lines, rows, digest = [], [], hashlib.sha256()
+    for line, row in _read_rows(path, tuple(name for name, _ in columns), digest):
         lines.append(line)
         rows.append([_PARSERS[kind](cell, path.name, line, name) if kind in _PARSERS else cell
                      for cell, (name, kind) in zip(row, columns)])
     cells = {name: np.array([row[i] for row in rows], dtype=kind if kind in _PARSERS else object)
              for i, (name, kind) in enumerate(columns)}
-    return lines, cells
+    return digest.hexdigest(), lines, cells
 
 
 def _load_columns(path: Path, columns: list, build):
@@ -522,15 +561,21 @@ def _load_columns(path: Path, columns: list, build):
     again and ``build`` runs on its cells. Those carry the true lines
     (np.loadtxt skips blank rows) and text as CSV reads it: unquoted, whole,
     with NULs and as ``str``, so only they word an error.
+
+    Returns the contents and the file's manifest fields: the ``sha256`` of
+    its bytes, and ``token_cache``, ``hit`` when the contents were built
+    from a token cache entry, else ``miss``.
     """
-    table = _read_table(path, columns)
-    if table is not None:
+    read = _read_table(path, columns)
+    if read is not None:
+        table, sha256, hit = read
         try:
-            return build(table, range(2, len(table) + 2))
+            return (build(table, range(2, len(table) + 2)),
+                    {"sha256": sha256, "token_cache": "hit" if hit else "miss"})
         except BundleValidationError:
             pass
-    lines, cells = _read_cells(path, columns)
-    return build(cells, lines)
+    sha256, lines, cells = _read_cells(path, columns)
+    return build(cells, lines), {"sha256": sha256, "token_cache": "miss"}
 
 
 def _check(filename: str, lines, rules: list) -> None:
@@ -666,11 +711,11 @@ def _in_order(column: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     return np.ascontiguousarray(column) if order is None else column[order]
 
 
-def _load_units(path: Path) -> dict[str, UnitMeta]:
+def _load_units(path: Path, digest=None) -> dict[str, UnitMeta]:
     header = ("unit_id", "level", "state", "county_id", "ecoregion", "elevation_m")
     name = path.name
     units: dict[str, UnitMeta] = {}
-    for line, row in _read_rows(path, header):
+    for line, row in _read_rows(path, header, digest):
         unit_id, level, state, county_id, ecoregion, elevation = row
         if unit_id in units:
             raise BundleValidationError(name, line, f"duplicate unit_id {unit_id!r}")
@@ -699,7 +744,7 @@ def _load_units(path: Path) -> dict[str, UnitMeta]:
 
 def _load_observations(
     path: Path, units: dict[str, UnitMeta]
-) -> dict[tuple[str, SpectralBand], ObservationSeries]:
+) -> tuple[dict[tuple[str, SpectralBand], ObservationSeries], dict]:
     def build(cells, lines):
         unit_id, band, day = cells["unit_id"], cells["band"], cells["date"]
         unit_ids, unit_codes, unit_rule = _unit_rule(unit_id, units)
@@ -732,7 +777,7 @@ def _load_observations(
     ], build)
 
 
-def _load_climate(path: Path, units: dict[str, UnitMeta]) -> dict[str, ClimateSeries]:
+def _load_climate(path: Path, units: dict[str, UnitMeta]) -> tuple[dict[str, ClimateSeries], dict]:
     def build(cells, lines):
         unit_id, day = cells["unit_id"], cells["date"]
         tmin, tmax, ppt = cells["tmin_c"], cells["tmax_c"], cells["ppt_mm"]
@@ -764,7 +809,7 @@ def _load_climate(path: Path, units: dict[str, UnitMeta]) -> dict[str, ClimateSe
 
 def _load_embeddings(
     path: Path, units: dict[str, UnitMeta]
-) -> dict[tuple[str, int], np.ndarray]:
+) -> tuple[dict[tuple[str, int], np.ndarray], dict]:
     def build(cells, lines):
         unit_id, years = cells["unit_id"], cells["year"]
         unit_ids, unit_codes, unit_rule = _unit_rule(unit_id, units)
@@ -784,12 +829,13 @@ def _load_embeddings(
                          + [(column, "f8") for column in EMBEDDING_COLUMNS], build)
 
 
-def _load_labels(path: Path, units: dict[str, UnitMeta]) -> list[LabelRecord]:
+def _load_labels(path: Path, units: dict[str, UnitMeta]) -> tuple[list[LabelRecord], dict]:
     header = ("unit_id", "year", "task", "value")
     name = path.name
     labels: list[LabelRecord] = []
     seen: set[tuple[str, int, str]] = set()
-    for line, row in _read_rows(path, header):
+    digest = hashlib.sha256()
+    for line, row in _read_rows(path, header, digest):
         unit_id, year_text, task, value_text = row
         _check_unit(units, unit_id, name, line)
         try:
@@ -811,7 +857,7 @@ def _load_labels(path: Path, units: dict[str, UnitMeta]) -> list[LabelRecord]:
             )
         seen.add(key)
         labels.append(record)
-    return labels
+    return labels, {"sha256": digest.hexdigest()}
 
 
 BUNDLE_FILES = ("units.csv", "observations.csv", "climate.csv", "embeddings.csv", "labels.csv")
@@ -829,6 +875,10 @@ def load_dataset(bundle_dir: str | Path, files: Collection[str] = BUNDLE_FILES) 
     in-memory contents. Raises ``FileNotFoundError`` for missing files and
     ``BundleValidationError`` (with file and line) for malformed rows or
     invariant violations.
+
+    Each parsed file's ``manifest`` entry holds its ``path``, its ``rows``,
+    the ``sha256`` of its bytes and, for a bulk file, ``token_cache``
+    (``hit`` or ``miss``; see ``_load_columns``).
     """
     unknown = sorted(set(files) - set(BUNDLE_FILES))
     if unknown:
@@ -839,9 +889,14 @@ def load_dataset(bundle_dir: str | Path, files: Collection[str] = BUNDLE_FILES) 
             raise FileNotFoundError(f"missing bundle file: {bundle / filename}")
 
     def parse(filename, loader, empty):
-        return loader(bundle / filename, units) if filename in files else empty
+        if filename not in files:
+            return empty
+        contents, fields[filename] = loader(bundle / filename, units)
+        return contents
 
-    units = _load_units(bundle / "units.csv")
+    digest = hashlib.sha256()
+    units = _load_units(bundle / "units.csv", digest)
+    fields = {"units.csv": {"sha256": digest.hexdigest()}}
     observations = parse("observations.csv", _load_observations, {})
     climate = parse("climate.csv", _load_climate, {})
     embeddings = parse("embeddings.csv", _load_embeddings, {})
@@ -855,9 +910,9 @@ def load_dataset(bundle_dir: str | Path, files: Collection[str] = BUNDLE_FILES) 
         "labels.csv": len(labels),
     }
     manifest = {
-        filename: {"path": str(bundle / filename), "rows": rows[filename]}
+        filename: {"path": str(bundle / filename), "rows": rows[filename], **fields[filename]}
         for filename in BUNDLE_FILES
-        if filename == "units.csv" or filename in files
+        if filename in fields
     }
     return Dataset(
         units=units,

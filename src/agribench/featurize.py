@@ -25,11 +25,16 @@ read band series walk each unit's run of rows, so a unit's series are fetched
 and its indices derived once per table, whatever its number of label years.
 """
 
+import functools
 import hashlib
 import math
+import os
+import platform
+import sys
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 
@@ -43,12 +48,15 @@ from .climate import (
     monthly_tmean,
 )
 from .dataset import (
+    CACHE_DIR,
     EMBEDDING_COLUMNS,
     RAW_BANDS,
     Dataset,
     SpectralBand,
     TASKS,
     month_span,
+    read_cache_entry,
+    write_cache_entry,
 )
 from .harmonics import (
     DegenerateDesignError,
@@ -92,6 +100,14 @@ FEATURE_SET_FILES = {
     "RS": ("units.csv", "observations.csv", "climate.csv", "labels.csv"),
     "AEF": ("units.csv", "embeddings.csv", "labels.csv"),
 }
+
+
+# The tag of the table cache's entry format, hashed into every key, and the
+# environment variables through which the host picks numpy's and OpenBLAS's
+# kernels, whose values are hashed too.
+_TABLE_FORMAT = "agribench-table-1"
+_KERNEL_VARIABLES = ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES",
+                     "OPENBLAS_CORETYPE", "GLIBC_TUNABLES")
 
 
 class FeatureAssemblyError(ValueError):
@@ -452,6 +468,20 @@ def assemble_table(dataset: Dataset, cfg: TaskConfig) -> FeatureTable:
     log; under ``impute_mean``, missing cells are filled with the column mean
     over complete rows. ``dataset`` must have been loaded with every file of
     ``FEATURE_SET_FILES[cfg.feature_set]``.
+
+    A table is built once per content. It is kept in the bundle's cache as
+    ``<bundle>/.agribench_cache/table.<config fingerprint>.<key>.npy``, one
+    entry per configuration. The key (``_table_key``) hashes the files the
+    feature set reads, ``repr(cfg)``, the package's source and the host
+    facts a table's bits depend on. An entry holds the feature names, the
+    rows' unit ids, years and labels, the values and the exclusion log, as
+    ``.npy`` arrays one after another (about 150 KB for covercrop-rs-rfc).
+    An entry is trusted for its feature values and exclusion counts only:
+    one whose names, shapes, rows or labels differ from what this dataset
+    and ``cfg`` give, or whose values are not all finite, is a miss
+    (``_cached_table``), and the table is built and the entry written
+    again. A ``dataset`` whose manifest has no digests (one built in
+    memory) is always built.
     """
     unloaded = [f for f in FEATURE_SET_FILES[cfg.feature_set] if f not in dataset.manifest]
     if unloaded:
@@ -466,7 +496,106 @@ def assemble_table(dataset: Dataset, cfg: TaskConfig) -> FeatureTable:
     )
     if not keyed:
         raise FeatureAssemblyError(f"no labels for task {cfg.task!r}")
+    key = _table_key(dataset, cfg)
+    if key is None:
+        return _build_table(dataset, cfg, names, keyed)
+    prefix = f"table.{config_fingerprint(cfg)}."
+    entry = Path(dataset.manifest["units.csv"]["path"]).parent / CACHE_DIR / f"{prefix}{key}.npy"
+    table = _cached_table(entry, cfg, names, keyed)
+    if table is None:
+        table = _build_table(dataset, cfg, names, keyed)
+        causes = list(table.exclusion_log)
+        write_cache_entry(entry, prefix, [  # in the order _cached_table reads them
+            np.array(names), np.array([unit for unit, _ in table.unit_years]),
+            np.array([year for _, year in table.unit_years], dtype=np.int64), table.labels,
+            table.values, np.array(causes, dtype=str),
+            np.array([table.exclusion_log[c] for c in causes], dtype=np.int64),
+        ])
+    return table
 
+
+@functools.cache
+def _code_and_host() -> tuple:
+    """What a table's bits depend on beyond its inputs and configuration,
+    read once per process: the source of every module of this package, the
+    Python and numpy versions, the machine and numpy's enabled CPU features."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy before 2.0
+        from numpy.core._multiarray_umath import __cpu_features__
+    source = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source.update(path.name.encode())
+        source.update(path.read_bytes())
+    return (source.hexdigest(), sys.version, np.__version__, platform.machine(),
+            sorted(name for name, enabled in __cpu_features__.items() if enabled))
+
+
+def _table_key(dataset: Dataset, cfg: TaskConfig) -> str | None:
+    """The table cache key of ``cfg`` on ``dataset``; None when the manifest
+    lacks the digest of a file the feature set reads."""
+    digests = [dataset.manifest[f].get("sha256") for f in FEATURE_SET_FILES[cfg.feature_set]]
+    if None in digests:
+        return None
+    kernels = [os.environ.get(name) for name in _KERNEL_VARIABLES]
+    parts = (_TABLE_FORMAT, digests, repr(cfg), _code_and_host(), kernels)
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _cached_table(entry: Path, cfg: TaskConfig, names: tuple[str, ...],
+                  keyed: list) -> FeatureTable | None:
+    """The table of the cache entry ``entry``, or None (a miss).
+
+    The entry's names must be ``names`` and its values a finite float64
+    array of their width. Its rows must be label records of ``keyed``, in
+    table order, with the same labels, and its exclusion counts must fit the
+    rows it dropped (``drop``) or the cells it could have imputed
+    (``impute_mean``). The table's rows and labels are then taken from
+    ``keyed``; only the feature values and exclusion counts come from the
+    entry.
+    """
+    arrays = read_cache_entry(entry, 7)
+    if arrays is None:
+        return None
+    stored_names, unit_ids, years, labels, values, causes, counts = arrays
+    width, n = len(names), len(values)
+    if (stored_names.tolist() != list(names) or values.dtype != np.float64
+            or values.shape != (n, width) or n == 0 or not np.isfinite(values).all()
+            or unit_ids.shape != (n,) or years.shape != (n,) or labels.shape != (n,)
+            or causes.dtype.kind != "U" or counts.dtype.kind != "i"
+            or causes.ndim != 1 or counts.shape != causes.shape):
+        return None
+    position = {(rec.unit_id, rec.year): i for i, rec in enumerate(keyed)}
+    rows = [position.get(row, -1) for row in zip(unit_ids.tolist(), years.tolist())]
+    # Every row a label record's, each once and in table order.
+    if not all(a < b for a, b in zip([-1] + rows, rows)):
+        return None
+    kept = [keyed[i] for i in rows]
+    if labels.tolist() != [rec.value for rec in kept]:
+        return None
+    log = dict(zip(causes.tolist(), counts.tolist()))
+    if cfg.missing_policy == "drop":
+        dropped = len(keyed) - n  # each dropped row counts at least one cause
+        fits = all(0 < c <= dropped for c in log.values()) and sum(log.values()) >= dropped
+    else:
+        fits = (n == len(keyed) and set(log) <= {"imputed_cells"}
+                and 0 < log.get("imputed_cells", 1) <= n * width)
+    if len(log) != len(causes) or not fits:
+        return None
+    return FeatureTable(
+        task=cfg.task,
+        feature_set=cfg.feature_set,
+        feature_names=names,
+        unit_years=tuple((rec.unit_id, rec.year) for rec in kept),
+        values=values,
+        labels=np.array([rec.value for rec in kept], dtype=float),
+        exclusion_log=log,
+    )
+
+
+def _build_table(dataset: Dataset, cfg: TaskConfig, names: tuple[str, ...],
+                 keyed: list) -> FeatureTable:
+    """The table of ``assemble_table``, built from the dataset's columns."""
     row_causes = [set() for _ in keyed]
     matrix = np.hstack([block(dataset, keyed, cfg, row_causes) for block in _blocks(cfg)])
     label_vec = np.array([rec.value for rec in keyed], dtype=float)

@@ -39,6 +39,9 @@ MIN_FIT_SAMPLES = 6  # 5 parameters plus one degree of freedom of slack
 # (every other column is bounded by 1). Six samples on consecutive days
 # still pass (their smallest pivot is about 2e-12 of the count).
 RANK_TOLERANCE = 1e-12
+# In-window samples the fits of a batch are solved for at a time (about
+# 56 bytes each while they are solved).
+_FIT_SAMPLES = 1 << 11
 # The upper triangle of the 5x5 Gram matrix, row by row.
 _GRAM_ENTRIES = tuple((i, j) for i in range(5) for j in range(i, 5))
 
@@ -301,11 +304,17 @@ def _fit_batch(batch: Sequence[ObservationSeries], window: SeasonWindow) -> Harm
     enough = n_obs >= MIN_FIT_SAMPLES
     coefficients = np.full((len(batch), 5), math.nan)
     pivot = np.full(len(batch), -1)
-    if enough.any():
-        fitted = [(s, lo, hi) for s, (lo, hi), ok in zip(batch, spans, enough.tolist()) if ok]
-        columns = _design_columns([s.days[lo:hi] for s, lo, hi in fitted], window.origin)
-        values = np.concatenate([s.values[lo:hi] for s, lo, hi in fitted])
-        coefficients[enough], pivot[enough] = _solve_normal(columns, values, n_obs[enough])
+    # A chunk holds the fits whose running total of in-window samples ends
+    # in the same multiple of _FIT_SAMPLES, so fewer than _FIT_SAMPLES plus
+    # its first fit's samples; the design columns and products hold one
+    # chunk's samples at a time.
+    fitted = np.flatnonzero(enough)
+    ends = np.cumsum(n_obs[fitted]) // _FIT_SAMPLES
+    for chunk in np.split(fitted, np.flatnonzero(np.diff(ends)) + 1) if fitted.size else ():
+        parts = [(batch[i], *spans[i]) for i in chunk.tolist()]
+        columns = _design_columns([s.days[lo:hi] for s, lo, hi in parts], window.origin)
+        values = np.concatenate([s.values[lo:hi] for s, lo, hi in parts])
+        coefficients[chunk], pivot[chunk] = _solve_normal(columns, values, n_obs[chunk])
     errors: list[ValueError | None] = [None] * len(batch)
     finite = np.isfinite(coefficients).all(axis=1)
     for i in np.flatnonzero(~finite).tolist():

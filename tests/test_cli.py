@@ -6,9 +6,11 @@ import subprocess
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from agribench import featurize
 from agribench.cli import KNOWN_KEYS, ConfigError, RunConfig, execute, main, parse_config_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -140,16 +142,20 @@ def test_identical_configs_identical_outputs(bundle, tmp_path):
 
 def test_cold_and_warm_bundle_give_identical_outputs(bundle, tmp_path):
     """The first commands on a bundle tokenize its files and cache the
-    tokens; the same commands on the warm bundle write the same bytes."""
+    tokens, and the first builds the feature table and caches it; the
+    second command and the same commands on the warm bundle read the table
+    back and write the same bytes."""
     cold = shutil.copytree(bundle, tmp_path / "bundle",
                            ignore=shutil.ignore_patterns(".agribench_cache"))
     args = [f"bundle={cold}", "task.name=yield", "task.crop=corn", "task.feature_set=RS",
             "model.n_trees=4", "scheme=group_cv", "scheme.k=3", "n_repeats=1"]
-    for run in ("cold", "warm"):
-        for command in ("featurize", "benchmark"):
-            assert execute(command, None, args + [f"out_dir={tmp_path / run}"]) == 0
+    for run, built in (("cold", 1), ("warm", 0)):
+        with mock.patch.object(featurize, "_build_table", wraps=featurize._build_table) as build:
+            for command in ("featurize", "benchmark"):
+                assert execute(command, None, args + [f"out_dir={tmp_path / run}"]) == 0
+        assert build.call_count == built
         cached = sorted(entry.name.split(".")[0] for entry in (cold / ".agribench_cache").iterdir())
-        assert cached == ["climate", "observations"]
+        assert cached == ["climate", "observations", "table"]
     for name in ("report.csv", "report.json", "features.csv"):
         assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 

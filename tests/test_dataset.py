@@ -198,6 +198,10 @@ def test_load_is_deterministic(tmp_bundle):
     )
     a = load_dataset(bundle)
     b = load_dataset(bundle)
+    # Only the token cache's record differs: the first load fills the cache.
+    for manifest, outcome in ((a.manifest, "miss"), (b.manifest, "hit")):
+        bulk = ("observations.csv", "climate.csv", "embeddings.csv")
+        assert [manifest[name].pop("token_cache") for name in bulk] == [outcome] * 3
     assert a.manifest == b.manifest
     sa = a.series_for("c1", SpectralBand.NIR)
     sb = b.series_for("c1", SpectralBand.NIR)
@@ -918,6 +922,23 @@ def test_tokens_1_entries_are_misses_and_deleted(tmp_bundle):
     units = _load_units(bundle / "units.csv")
     assert _bulk_arrays(loaded) == [arrays(reference(bundle / f"{table}.csv", units))
                                     for table, (reference, arrays) in sorted(REFERENCE.items())]
+
+
+def test_manifest_holds_each_file_sha256_and_token_cache_outcome(tmp_bundle):
+    """Every parsed file's ``sha256`` is that of its bytes, on a cold and on
+    a warm load, also for ``climate.csv``, whose quoted cell np.loadtxt's
+    tokens fail and csv.reader's pass. Bulk files record whether their
+    contents came from the token cache; the quoted file never does."""
+    bundle = tmp_bundle(**dict(CACHE_BUNDLE, labels=[["c1", "2020", "yield", "9.1"]],
+                               climate=[CLIMATE_DAY, ['"c1"', "2020-06-02", "11.0", "26.0", "0.0"]]))
+    for outcome in ("miss", "hit"):
+        manifest = load_dataset(bundle).manifest
+        assert list(manifest) == list(dataset.BUNDLE_FILES)
+        for name, entry in manifest.items():
+            assert entry["sha256"] == hashlib.sha256((bundle / name).read_bytes()).hexdigest()
+        assert {name: entry.get("token_cache") for name, entry in manifest.items()} == {
+            "units.csv": None, "observations.csv": outcome, "climate.csv": "miss",
+            "embeddings.csv": outcome, "labels.csv": None}
 
 
 def test_unwritable_cache_loads_and_writes_nothing(tmp_bundle):

@@ -484,9 +484,11 @@ class TestAssembly:
 def test_curve_memory_bounded_by_one_chunk(tmp_path, monkeypatch):
     """With a chunk of one row's fits, assembly peak memory grows with the
     rows only by per-row cells, less than a (fits x days) curve array of the
-    added rows would take: 473 KB measured from 16 to 48 rows, most of it the
-    window's batched fit (about 56 bytes per in-window sample and 250 per
-    fit), against about 1 MB with every fit of the window in one chunk."""
+    added rows would take: 144 KB measured from 16 to 48 rows, the table
+    cache's entry write included, against about 1 MB with every fit of the
+    window in one chunk. The fits are solved in chunks of
+    ``harmonics._FIT_SAMPLES`` in-window samples (about 56 bytes each); with
+    the whole window's samples in one solve the growth was 481 KB."""
     window = featurize.SEASON_TEMPLATES["covercrop"].window(2020)
     row_cells = len(featurize.HARMONIC_BANDS) * window.n_days
     monkeypatch.setattr(featurize, "_CURVE_CELLS", row_cells)

@@ -4,7 +4,8 @@ The harmonic fits are summed and solved in basic IEEE operations, with no
 BLAS or LAPACK call, so neither OpenBLAS's run-time kernel nor numpy's SIMD
 dispatch reaches a feature. Subprocesses assemble a small yield and a small
 cover-crop RS table under kernel overrides and must print the parent
-process's digests. Not covered: the C library's FMA code paths, which
+process's digests, from tables they built themselves (the overrides are in
+the table cache's key). Not covered: the C library's FMA code paths, which
 ``np.sin``/``np.cos`` in the harmonic design still follow.
 
 Run as a script, this module prints the table digests of the bundles under
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from agribench.dataset import load_dataset
+from agribench.dataset import CACHE_DIR, load_dataset
 from agribench.featurize import FEATURE_SET_FILES, TaskConfig, assemble_table
 from agribench.synth import SynthSpec, generate
 
@@ -58,6 +59,12 @@ def table_digests(root: Path) -> dict[str, str]:
     return digests
 
 
+def table_entries(root: Path) -> dict[str, list[str]]:
+    """The names of each bundle's table cache entries."""
+    return {name: sorted(p.name for p in (root / name / CACHE_DIR).glob("table.*"))
+            for name in BUNDLES}
+
+
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the kernel overrides name x86-64 kernels")
 @pytest.mark.parametrize("host", OVERRIDES)
@@ -65,12 +72,18 @@ def test_rs_tables_do_not_depend_on_numpy_kernels(tmp_path, host):
     for name, (spec, _) in BUNDLES.items():
         generate(spec, seed=5, out_dir=tmp_path / name)
     here = table_digests(tmp_path)
+    before = table_entries(tmp_path)
     env = {**os.environ, **OVERRIDES[host],
            "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, __file__, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == here
+    # The overrides are in the table cache key, so the subprocess built its
+    # own tables (and replaced the entries) rather than reading this one's.
+    after = table_entries(tmp_path)
+    assert all(len(before[name]) == len(after[name]) == 1 for name in BUNDLES)
+    assert all(before[name] != after[name] for name in BUNDLES)
 
 
 @pytest.mark.parametrize("module", ["harmonics.py", "featurize.py"])
