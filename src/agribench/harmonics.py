@@ -310,7 +310,8 @@ def _fit_batch(batch: Sequence[ObservationSeries], window: SeasonWindow) -> Harm
     # chunk's samples at a time.
     fitted = np.flatnonzero(enough)
     ends = np.cumsum(n_obs[fitted]) // _FIT_SAMPLES
-    for chunk in np.split(fitted, np.flatnonzero(np.diff(ends)) + 1) if fitted.size else ():
+    chunks = np.split(fitted, np.flatnonzero(np.diff(ends)) + 1) if fitted.size else []
+    for chunk in chunks:
         parts = [(batch[i], *spans[i]) for i in chunk.tolist()]
         columns = _design_columns([s.days[lo:hi] for s, lo, hi in parts], window.origin)
         values = np.concatenate([s.values[lo:hi] for s, lo, hi in parts])
