@@ -481,7 +481,7 @@ def assemble_table(dataset: Dataset, cfg: TaskConfig) -> FeatureTable:
     and ``cfg`` give, or whose values are not all finite, is a miss
     (``_cached_table``), and the table is built and the entry written
     again. A ``dataset`` whose manifest has no digests (one built in
-    memory) is always built.
+    memory) is always built. The cache is safe to delete.
     """
     unloaded = [f for f in FEATURE_SET_FILES[cfg.feature_set] if f not in dataset.manifest]
     if unloaded:
