@@ -11,9 +11,10 @@ mandatory, "." decimal separator):
 
 Observations are long format (one row per unit/band/date), which tolerates
 the irregular revisit cadence of satellite exports. All five files must
-exist; ``load_dataset`` parses and validates in full the ones it is asked
-for. All validation errors identify the offending file and line. A loaded
-``Dataset`` is treated as immutable and may be shared across threads.
+exist; ``load_dataset`` parses the ones it is asked for, and validates in
+full each one whose bytes it has not validated before. All validation
+errors identify the offending file and line. A loaded ``Dataset`` is
+treated as immutable and may be shared across threads.
 
 The three bulk files (observations, climate, embeddings) have two
 tokenizers and one set of checks. One ``np.loadtxt`` call reads a file into
@@ -38,24 +39,31 @@ time order are not sorted again.
 The chunks are also hashed, and that table (dates decoded) is cached in
 ``<bundle>/.agribench_cache/<file>.<hash>.npy``, keyed by the file's bytes,
 the column dtypes, the numpy version and a format tag; each bundle file has
-at most one entry. The cache holds tokens, not validated data: the chunk
-checks and every rule still run on each load, an ordinal outside the
-calendar reads as no date, so an edited entry has no more power than an
-edited CSV file, and an entry that does not read back as a 1-D array of
-the table's dtype is a miss. A write the OS refuses is skipped and the
-load goes on uncached. The cache is safe to delete; it takes about 3.6 MB
-for the covercrop-rs-rfc bundle.
+at most one entry. The chunk checks run on each load. Once every rule has
+passed on a table, its entry is written with a stamp over a tag, the
+``units.csv`` digest and the package source (``_load_columns``). A load
+that reads back an entry with a matching stamp runs no rule: the file's
+contents are built, by the same rules, on the first read of their
+``Dataset`` field. An entry with no stamp or another is checked at the
+load and stamped again. An ordinal outside the calendar reads as no date,
+so an edited entry has no more power than an edited CSV file, and an entry
+that does not read back as a 1-D array of the table's dtype (then perhaps
+a stamp) is a miss. A write the OS refuses is skipped and the load goes on
+uncached. The cache is safe to delete; it takes about 3.6 MB for the
+covercrop-rs-rfc bundle.
 
-Each parsed file's manifest entry records the SHA-256 of its bytes (for a
-bulk file, taken from the hashed chunks; ``units.csv`` and ``labels.csv``
-are hashed as they are read) and, for a bulk file, whether its contents
-came from the token cache. ``featurize.assemble_table`` keys the same
-directory's table entries on those digests: an entry there holds a
-feature table (names, rows, labels, values, exclusion log), about 150 KB
-for covercrop-rs-rfc, and is trusted for its feature values and exclusion
-counts only; rows and labels always come from ``labels.csv``. A hit saves
-the assembly only: ``load_dataset`` still parses and checks every file it
-is asked for.
+Each parsed file's manifest entry records its rows (for a bulk file, the
+count of its tokens), the SHA-256 of its bytes (for a bulk file, taken
+from the hashed chunks; ``units.csv`` and ``labels.csv`` are hashed as
+they are read) and, for a bulk file, whether its tokens came from the
+token cache and whether this load or a stamp checked them.
+``featurize.assemble_table`` keys the same directory's table entries on
+those digests: an entry there holds a feature table (names, rows, labels,
+values, exclusion log), about 150 KB for covercrop-rs-rfc, and is trusted
+for its feature values and exclusion counts only; rows and labels always
+come from ``labels.csv``. So a session whose tables hit and whose token
+entries are stamped builds no bulk file's contents: it hashes the files
+and reads their tokens.
 """
 
 import codecs
@@ -66,6 +74,7 @@ import io
 import math
 import os
 import tempfile
+import threading
 import unicodedata
 import warnings
 from collections.abc import Collection
@@ -144,6 +153,18 @@ class BundleValidationError(ValueError):
         self.filename = filename
         self.line = line
         super().__init__(f"{filename} line {line}: {message}")
+
+
+class BundleChangedError(ValueError):
+    """Raised when a bulk file's bytes differ from those its load hashed.
+
+    Only a build that falls back to reading the file again can find it,
+    and it reads the file's new bytes no further.
+    """
+
+    def __init__(self, filename: str):
+        self.filename = filename
+        super().__init__(f"{filename} changed after load_dataset read it; load the bundle again")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -266,14 +287,54 @@ class LabelRecord:
             raise ValueError(f"class label must be 0 or 1, got {self.value}")
 
 
+class _Deferred:
+    """Bulk contents that ``build`` makes on the first ``get``, once, under a lock."""
+
+    def __init__(self, build):
+        self._build, self._lock = build, threading.Lock()
+
+    def get(self):
+        with self._lock:
+            if self._build is not None:
+                self._contents, self._build = self._build(), None
+        return self._contents
+
+
+class _Bulk:
+    """A ``Dataset`` field that may hold a ``_Deferred``: the first read
+    builds it and puts the contents in its place."""
+
+    def __set_name__(self, owner, name):
+        self._slot = f"_{name}"
+
+    def __get__(self, dataset, owner=None):
+        if dataset is None:  # no default value: the field is required
+            raise AttributeError(self._slot)
+        contents = dataset.__dict__[self._slot]
+        if isinstance(contents, _Deferred):
+            contents = dataset.__dict__[self._slot] = contents.get()
+        return contents
+
+    def __set__(self, dataset, contents):
+        dataset.__dict__[self._slot] = contents
+
+
 @dataclass
 class Dataset:
-    """Validated bundle contents. Treat as immutable once loaded."""
+    """Validated bundle contents. Treat as immutable once loaded.
+
+    ``observations``, ``climate`` and ``embeddings`` are built on their
+    first read when ``load_dataset`` found their file's tokens stamped (see
+    ``_load_columns``). That build runs the load's rules and fallback, once
+    even when threads read the field at the same time. Only an edited cache
+    entry can make it raise: the file's own error, or ``BundleChangedError``
+    when the file changed since the load.
+    """
 
     units: dict[str, UnitMeta]
-    observations: dict[tuple[str, SpectralBand], ObservationSeries]
-    climate: dict[str, ClimateSeries]
-    embeddings: dict[tuple[str, int], np.ndarray]  # EMBEDDING_DIM finite floats each
+    observations: dict[tuple[str, SpectralBand], ObservationSeries] = _Bulk()
+    climate: dict[str, ClimateSeries] = _Bulk()
+    embeddings: dict[tuple[str, int], np.ndarray] = _Bulk()  # EMBEDDING_DIM finite floats each
     labels: list[LabelRecord]
     manifest: dict[str, dict] = field(default_factory=dict)
 
@@ -326,10 +387,14 @@ def _parse_int(text: str, filename: str, line: int, column: str) -> int:
 def _read_rows(path: Path, expected_header: tuple[str, ...], digest=None):
     """Yield (line_number, row) after checking the header row; ``digest``,
     a ``hashlib`` hash, is first updated with the file's bytes."""
-    filename = path.name
     data = path.read_bytes()
     if digest is not None:
         digest.update(data)
+    yield from _rows(path.name, data, expected_header)
+
+
+def _rows(filename: str, data: bytes, expected_header: tuple[str, ...]):
+    """Yield (line_number, row) of the file ``filename`` holding ``data``."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -375,6 +440,8 @@ _CHUNK = 1 << 16
 # every key so a new format never reads an old one.
 CACHE_DIR = ".agribench_cache"
 _CACHE_FORMAT = "agribench-tokens-2"
+# The tag of a token entry's stamp (see _load_columns).
+_STAMP_FORMAT = "agribench-checked-1"
 # The one text column whose cells _read_table decodes (to day ordinals), and
 # the last ordinal a date can have.
 _DATE_COLUMN = "date"
@@ -390,10 +457,31 @@ def _text_dtype(names) -> str:
     return f"S{max((len(name.encode()) for name in names), default=0) + 1}"
 
 
-def _read_table(path: Path, columns: list) -> tuple[np.ndarray, str, bool] | None:
+@functools.cache
+def source_digest() -> str:
+    """The SHA-256 of the name and bytes of every module of this package,
+    read once per process: a token entry's stamp and a table cache key
+    hold it, so new code never trusts what old code checked or built."""
+    source = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source.update(path.name.encode())
+        source.update(path.read_bytes())
+    return source.hexdigest()
+
+
+def _stamp(units_sha256: str) -> np.ndarray:
+    """The stamp of a token entry whose tokens ``build`` accepted: a SHA-256
+    over its tag, the ``units.csv`` digest and the package source."""
+    parts = (_STAMP_FORMAT, units_sha256, source_digest())
+    return np.frombuffer(hashlib.sha256(repr(parts).encode()).digest(), dtype=np.uint8)
+
+
+def _read_table(path: Path, columns: list
+                ) -> tuple[np.ndarray, str, Path, list[np.ndarray] | None] | None:
     """The data rows of a bundle file as one structured array (one np.loadtxt
-    call), the SHA-256 of the file's bytes, and whether the token cache held
-    the array.
+    call), the SHA-256 of the file's bytes, the file's token cache entry and,
+    when that entry held the array, the arrays stored after it (a stamp, or
+    none); None there when np.loadtxt read the file.
 
     ``columns`` lists ``(name, dtype)`` in header order; text columns are
     byte strings holding each cell's UTF-8 bytes, except ``date``, which
@@ -408,9 +496,9 @@ def _read_table(path: Path, columns: list) -> tuple[np.ndarray, str, bool] | Non
     and, with ``comments=None``, keeps ``#`` rows, so a quoted or commented
     cell stays as written and fails a later check.
 
-    The same chunks are hashed, and the table, dates decoded, is kept in
-    the bundle's token cache under that hash (see ``_cached_tokens``), so a
-    file whose bytes have not changed is tokenized and decoded once.
+    The same chunks are hashed, and the entry is named by that hash (see
+    ``_cached_tokens``); ``_load_columns`` writes it, so a file whose bytes
+    have not changed is tokenized and decoded once.
     """
     dtype = np.dtype(columns)
     with open(path, "rb") as fh:
@@ -436,9 +524,9 @@ def _read_table(path: Path, columns: list) -> tuple[np.ndarray, str, bool] | Non
     entry = path.parent / CACHE_DIR / f"{path.name}.{digest.hexdigest()}.npy"
     decoded = np.dtype([(name, "<i8" if name == _DATE_COLUMN else kind)
                         for name, kind in columns])
-    table = _cached_tokens(entry, decoded)
-    if table is not None:
-        return table, sha256, True
+    arrays = _cached_tokens(entry, decoded)
+    if arrays is not None:
+        return arrays[0], sha256, entry, arrays[1:]
     try:
         with warnings.catch_warnings():
             # numpy before 2.0 reads "2020.5" into an integer column as 2020,
@@ -457,27 +545,29 @@ def _read_table(path: Path, columns: list) -> tuple[np.ndarray, str, bool] | Non
         for name in dtype.names:
             table[name] = days if name == _DATE_COLUMN else tokens[name]
         del tokens, days
-    write_cache_entry(entry, f"{path.name}.", [table])
-    return table, sha256, False
+    return table, sha256, entry, None
 
 
-def _cached_tokens(entry: Path, dtype: np.dtype) -> np.ndarray | None:
-    """The token cache entry ``entry`` if it holds a 1-D array of ``dtype``, else None.
+def _cached_tokens(entry: Path, dtype: np.dtype) -> list[np.ndarray] | None:
+    """The arrays of the token cache entry ``entry`` if it holds a 1-D array
+    of ``dtype``, then perhaps a stamp, else None.
 
     A missing, empty, truncated, padded or foreign entry is a miss (see
     ``read_cache_entry``). The entry holds tokens with dates decoded, not
-    validated data: ``build`` runs every rule on them, and ``_date_rule``
-    reads an ordinal outside the calendar as no date, so an edited entry can
-    do no more than an edited CSV file could.
+    validated data: ``build`` runs every rule on them, at the load or, when
+    the stamp vouches for them, on the contents' first read, and
+    ``_date_rule`` reads an ordinal outside the calendar as no date, so an
+    edited entry can do no more than an edited CSV file could.
     """
-    arrays = read_cache_entry(entry, 1)
+    arrays = read_cache_entry(entry, 1, optional=1)
     if arrays is None or arrays[0].dtype != dtype or arrays[0].ndim != 1:
         return None
-    return arrays[0]
+    return arrays
 
 
-def read_cache_entry(entry: Path, count: int) -> list[np.ndarray] | None:
-    """The ``count`` arrays ``write_cache_entry`` wrote to ``entry``, or None.
+def read_cache_entry(entry: Path, count: int, optional: int = 0) -> list[np.ndarray] | None:
+    """The arrays ``write_cache_entry`` wrote to ``entry``, ``count`` of them
+    and up to ``optional`` more, or None.
 
     Each ``.npy`` header must declare a C-order array of a dtype that holds
     no Python object, so nothing is unpickled (as ``np.load`` with
@@ -489,7 +579,7 @@ def read_cache_entry(entry: Path, count: int) -> list[np.ndarray] | None:
     try:
         with open(entry, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            for _ in range(count):
+            while len(arrays) < count or (len(arrays) < count + optional and fh.tell() < size):
                 if np.lib.format.read_magic(fh) != (1, 0):  # the version np.save writes here
                     return None
                 shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
@@ -532,26 +622,34 @@ def write_cache_entry(entry: Path, prefix: str, arrays: list[np.ndarray]) -> Non
         pass
 
 
-def _read_cells(path: Path, columns: list) -> tuple[str, list[int], dict[str, np.ndarray]]:
+def _read_cells(path: Path, columns: list, sha256: str | None = None
+                ) -> tuple[str, list[int], dict[str, np.ndarray]]:
     """The file's SHA-256, the line of each data row and the cells of each
     column, read by csv.reader.
 
     Text cells stay whole ``str`` in object arrays, so ``c1xyz`` is not cut
     to the dtype's width and ``c1\\0`` keeps its NUL. Number cells are
     parsed row by row, so the first cell that is not a number names its line.
+    With ``sha256``, the digest a load took of the file, bytes with another
+    digest raise ``BundleChangedError`` before any is parsed.
     """
-    lines, rows, digest = [], [], hashlib.sha256()
-    for line, row in _read_rows(path, tuple(name for name, _ in columns), digest):
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if sha256 not in (None, digest):
+        raise BundleChangedError(path.name)
+    lines, rows = [], []
+    for line, row in _rows(path.name, data, tuple(name for name, _ in columns)):
         lines.append(line)
         rows.append([_PARSERS[kind](cell, path.name, line, name) if kind in _PARSERS else cell
                      for cell, (name, kind) in zip(row, columns)])
     cells = {name: np.array([row[i] for row in rows], dtype=kind if kind in _PARSERS else object)
              for i, (name, kind) in enumerate(columns)}
-    return digest.hexdigest(), lines, cells
+    return digest, lines, cells
 
 
-def _load_columns(path: Path, columns: list, build):
-    """Tokenize a bulk bundle file, then check and build its contents with ``build``.
+def _load_columns(path: Path, columns: list, build, stamp: np.ndarray):
+    """Tokenize a bulk bundle file, then check and build its contents with
+    ``build`` now, or on their first read when a stamp vouches for the tokens.
 
     ``columns`` lists ``(name, np.loadtxt dtype)`` in header order.
     ``build(cells, lines)`` gets the parsed cells by column name and the
@@ -562,20 +660,52 @@ def _load_columns(path: Path, columns: list, build):
     (np.loadtxt skips blank rows) and text as CSV reads it: unquoted, whole,
     with NULs and as ``str``, so only they word an error.
 
-    Returns the contents and the file's manifest fields: the ``sha256`` of
-    its bytes, and ``token_cache``, ``hit`` when the contents were built
-    from a token cache entry, else ``miss``.
+    The tokens are written to the file's token cache entry, followed by
+    ``stamp`` (see ``_stamp``) once ``build`` has accepted them. A later
+    load that reads back that entry with an equal stamp returns a
+    ``_Deferred`` in place of the contents: ``build`` runs on the tokens at
+    the first read, as above, and csv.reader's reading must find the bytes
+    this load hashed (else ``BundleChangedError``). An entry with no stamp,
+    or another, is built now and stamped again; an edited units.csv, new
+    source or an entry ``np.save`` rewrote lands there.
+
+    Returns the contents and the file's manifest fields: its ``rows`` (the
+    tokens' count), the ``sha256`` of its bytes, ``token_cache``, ``hit``
+    when the tokens came from the token cache, else ``miss``, and
+    ``checked``, ``load`` when this load ran the rules, ``stamp`` when a
+    stamp vouched for them.
     """
     read = _read_table(path, columns)
-    if read is not None:
-        table, sha256, hit = read
+    if read is None:
+        sha256, lines, cells = _read_cells(path, columns)
+    else:
+        table, sha256, entry, stored = read
+        fields = {"rows": len(table), "sha256": sha256,
+                  "token_cache": "miss" if stored is None else "hit"}
+        if stored and stored[0].dtype == stamp.dtype and np.array_equal(stored[0], stamp):
+            return (_Deferred(lambda: _build_tokens(path, columns, build, table, sha256)),
+                    {**fields, "checked": "stamp"})
         try:
-            return (build(table, range(2, len(table) + 2)),
-                    {"sha256": sha256, "token_cache": "hit" if hit else "miss"})
+            contents = build(table, range(2, len(table) + 2))
         except BundleValidationError:
-            pass
-    sha256, lines, cells = _read_cells(path, columns)
-    return build(cells, lines), {"sha256": sha256, "token_cache": "miss"}
+            if stored is None:
+                write_cache_entry(entry, f"{path.name}.", [table])
+        else:
+            write_cache_entry(entry, f"{path.name}.", [table, stamp])
+            return contents, {**fields, "checked": "load"}
+        sha256, lines, cells = _read_cells(path, columns, sha256)
+    return build(cells, lines), {"rows": len(lines), "sha256": sha256, "token_cache": "miss",
+                                 "checked": "load"}
+
+
+def _build_tokens(path: Path, columns: list, build, table: np.ndarray, sha256: str):
+    """The contents ``build`` makes of stamped tokens, or of csv.reader's
+    cells of the file when it refuses them (only an edited entry's)."""
+    try:
+        return build(table, range(2, len(table) + 2))
+    except BundleValidationError:
+        _, lines, cells = _read_cells(path, columns, sha256)
+        return build(cells, lines)
 
 
 def _check(filename: str, lines, rules: list) -> None:
@@ -742,9 +872,7 @@ def _load_units(path: Path, digest=None) -> dict[str, UnitMeta]:
     return units
 
 
-def _load_observations(
-    path: Path, units: dict[str, UnitMeta]
-) -> tuple[dict[tuple[str, SpectralBand], ObservationSeries], dict]:
+def _load_observations(path: Path, units: dict[str, UnitMeta], stamp: np.ndarray):
     def build(cells, lines):
         unit_id, band, day = cells["unit_id"], cells["band"], cells["date"]
         unit_ids, unit_codes, unit_rule = _unit_rule(unit_id, units)
@@ -774,10 +902,10 @@ def _load_observations(
     return _load_columns(path, [
         ("unit_id", _text_dtype(units)), ("band", _text_dtype(_BAND_NAMES)),
         ("date", "S11"), ("value", "f8"),
-    ], build)
+    ], build, stamp)
 
 
-def _load_climate(path: Path, units: dict[str, UnitMeta]) -> tuple[dict[str, ClimateSeries], dict]:
+def _load_climate(path: Path, units: dict[str, UnitMeta], stamp: np.ndarray):
     def build(cells, lines):
         unit_id, day = cells["unit_id"], cells["date"]
         tmin, tmax, ppt = cells["tmin_c"], cells["tmax_c"], cells["ppt_mm"]
@@ -804,12 +932,10 @@ def _load_climate(path: Path, units: dict[str, UnitMeta]) -> tuple[dict[str, Cli
     return _load_columns(path, [
         ("unit_id", _text_dtype(units)), ("date", "S11"),
         ("tmin_c", "f8"), ("tmax_c", "f8"), ("ppt_mm", "f8"),
-    ], build)
+    ], build, stamp)
 
 
-def _load_embeddings(
-    path: Path, units: dict[str, UnitMeta]
-) -> tuple[dict[tuple[str, int], np.ndarray], dict]:
+def _load_embeddings(path: Path, units: dict[str, UnitMeta], stamp: np.ndarray):
     def build(cells, lines):
         unit_id, years = cells["unit_id"], cells["year"]
         unit_ids, unit_codes, unit_rule = _unit_rule(unit_id, units)
@@ -826,7 +952,7 @@ def _load_embeddings(
                 for code, year, vector in zip(unit_codes, years, matrix)}
 
     return _load_columns(path, [("unit_id", _text_dtype(units)), ("year", "i8")]
-                         + [(column, "f8") for column in EMBEDDING_COLUMNS], build)
+                         + [(column, "f8") for column in EMBEDDING_COLUMNS], build, stamp)
 
 
 def _load_labels(path: Path, units: dict[str, UnitMeta]) -> tuple[list[LabelRecord], dict]:
@@ -857,7 +983,7 @@ def _load_labels(path: Path, units: dict[str, UnitMeta]) -> tuple[list[LabelReco
             )
         seen.add(key)
         labels.append(record)
-    return labels, {"sha256": digest.hexdigest()}
+    return labels, {"rows": len(labels), "sha256": digest.hexdigest()}
 
 
 BUNDLE_FILES = ("units.csv", "observations.csv", "climate.csv", "embeddings.csv", "labels.csv")
@@ -878,7 +1004,9 @@ def load_dataset(bundle_dir: str | Path, files: Collection[str] = BUNDLE_FILES) 
 
     Each parsed file's ``manifest`` entry holds its ``path``, its ``rows``,
     the ``sha256`` of its bytes and, for a bulk file, ``token_cache``
-    (``hit`` or ``miss``; see ``_load_columns``).
+    (``hit`` or ``miss``) and ``checked`` (``load`` or ``stamp``; see
+    ``_load_columns``). A bulk file whose tokens a stamp vouches for is
+    built on the first read of its field of the ``Dataset``.
     """
     unknown = sorted(set(files) - set(BUNDLE_FILES))
     if unknown:
@@ -888,29 +1016,23 @@ def load_dataset(bundle_dir: str | Path, files: Collection[str] = BUNDLE_FILES) 
         if not (bundle / filename).exists():
             raise FileNotFoundError(f"missing bundle file: {bundle / filename}")
 
-    def parse(filename, loader, empty):
+    def parse(filename, loader, empty, *args):
         if filename not in files:
             return empty
-        contents, fields[filename] = loader(bundle / filename, units)
+        contents, fields[filename] = loader(bundle / filename, units, *args)
         return contents
 
     digest = hashlib.sha256()
     units = _load_units(bundle / "units.csv", digest)
-    fields = {"units.csv": {"sha256": digest.hexdigest()}}
-    observations = parse("observations.csv", _load_observations, {})
-    climate = parse("climate.csv", _load_climate, {})
-    embeddings = parse("embeddings.csv", _load_embeddings, {})
+    fields = {"units.csv": {"rows": len(units), "sha256": digest.hexdigest()}}
+    stamp = _stamp(fields["units.csv"]["sha256"])
+    observations = parse("observations.csv", _load_observations, {}, stamp)
+    climate = parse("climate.csv", _load_climate, {}, stamp)
+    embeddings = parse("embeddings.csv", _load_embeddings, {}, stamp)
     labels = parse("labels.csv", _load_labels, [])
 
-    rows = {
-        "units.csv": len(units),
-        "observations.csv": int(sum(len(s) for s in observations.values())),
-        "climate.csv": int(sum(len(c) for c in climate.values())),
-        "embeddings.csv": len(embeddings),
-        "labels.csv": len(labels),
-    }
     manifest = {
-        filename: {"path": str(bundle / filename), "rows": rows[filename], **fields[filename]}
+        filename: {"path": str(bundle / filename), **fields[filename]}
         for filename in BUNDLE_FILES
         if filename in fields
     }

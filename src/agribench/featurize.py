@@ -56,6 +56,7 @@ from .dataset import (
     TASKS,
     month_span,
     read_cache_entry,
+    source_digest,
     write_cache_entry,
 )
 from .harmonics import (
@@ -472,8 +473,10 @@ def assemble_table(dataset: Dataset, cfg: TaskConfig) -> FeatureTable:
     A table is built once per content. It is kept in the bundle's cache as
     ``<bundle>/.agribench_cache/table.<config fingerprint>.<key>.npy``, one
     entry per configuration. The key (``_table_key``) hashes the files the
-    feature set reads, ``repr(cfg)``, the package's source and the host
-    facts a table's bits depend on. An entry holds the feature names, the
+    feature set reads, ``repr(cfg)``, the package's source
+    (``dataset.source_digest``) and the host facts a table's bits depend
+    on. A hit reads the dataset's labels and manifest only, so the bulk
+    contents a stamped load deferred are never built. An entry holds the feature names, the
     rows' unit ids, years and labels, the values and the exclusion log, as
     ``.npy`` arrays one after another (about 150 KB for covercrop-rs-rfc).
     An entry is trusted for its feature values and exclusion counts only:
@@ -523,11 +526,7 @@ def _code_and_host() -> tuple:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy before 2.0
         from numpy.core._multiarray_umath import __cpu_features__
-    source = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        source.update(path.name.encode())
-        source.update(path.read_bytes())
-    return (source.hexdigest(), sys.version, np.__version__, platform.machine(),
+    return (source_digest(), sys.version, np.__version__, platform.machine(),
             sorted(name for name, enabled in __cpu_features__.items() if enabled))
 
 

@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from agribench import featurize
+from agribench import dataset, featurize
 from agribench.cli import KNOWN_KEYS, ConfigError, RunConfig, execute, main, parse_config_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -158,6 +158,24 @@ def test_cold_and_warm_bundle_give_identical_outputs(bundle, tmp_path):
         assert cached == ["climate", "observations", "table"]
     for name in ("report.csv", "report.json", "features.csv"):
         assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
+def test_commands_whose_table_hits_run_no_bulk_rule(bundle, tmp_path):
+    """The cold ``benchmark`` checks both RS bulk files as it loads them. On
+    the warm bundle the token entries are stamped and the table hits, so
+    ``featurize``, ``train`` and ``benchmark`` build no bulk file and run
+    none of their rules."""
+    cold = shutil.copytree(bundle, tmp_path / "bundle",
+                           ignore=shutil.ignore_patterns(".agribench_cache"))
+    args = [f"bundle={cold}", "task.name=yield", "task.crop=corn", "task.feature_set=RS",
+            "model.n_trees=4", "scheme=group_cv", "scheme.k=3", "n_repeats=1",
+            f"out_dir={tmp_path / 'out'}"]
+    for commands, checked in ((["benchmark"], ["climate.csv", "observations.csv"]),
+                              (["featurize", "train", "benchmark"], [])):
+        with mock.patch.object(dataset, "_check", wraps=dataset._check) as check:
+            for command in commands:
+                assert execute(command, None, args) == 0
+        assert sorted(call.args[0] for call in check.call_args_list) == checked
 
 
 def test_report_command_summarizes(bundle, tmp_path, capsys):

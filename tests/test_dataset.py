@@ -1,9 +1,13 @@
 import calendar
+import contextlib
 import hashlib
 import io
 import shutil
 import string
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
 from datetime import date
@@ -20,6 +24,7 @@ from agribench import dataset
 from agribench.dataset import (
     EMBEDDING_COLUMNS,
     EMBEDDING_DIM,
+    BundleChangedError,
     BundleValidationError,
     ClimateSeries,
     ObservationSeries,
@@ -198,10 +203,12 @@ def test_load_is_deterministic(tmp_bundle):
     )
     a = load_dataset(bundle)
     b = load_dataset(bundle)
-    # Only the token cache's record differs: the first load fills the cache.
-    for manifest, outcome in ((a.manifest, "miss"), (b.manifest, "hit")):
+    # Only the token cache's record differs: the first load fills the cache
+    # and checks the tokens, the second reads them back stamped.
+    for manifest, outcome, checked in ((a.manifest, "miss", "load"), (b.manifest, "hit", "stamp")):
         bulk = ("observations.csv", "climate.csv", "embeddings.csv")
         assert [manifest[name].pop("token_cache") for name in bulk] == [outcome] * 3
+        assert [manifest[name].pop("checked") for name in bulk] == [checked] * 3
     assert a.manifest == b.manifest
     sa = a.series_for("c1", SpectralBand.NIR)
     sb = b.series_for("c1", SpectralBand.NIR)
@@ -939,6 +946,143 @@ def test_manifest_holds_each_file_sha256_and_token_cache_outcome(tmp_bundle):
         assert {name: entry.get("token_cache") for name, entry in manifest.items()} == {
             "units.csv": None, "observations.csv": outcome, "climate.csv": "miss",
             "embeddings.csv": outcome, "labels.csv": None}
+
+
+def test_cold_and_warm_manifests_differ_only_in_cache_and_checks(tmp_bundle):
+    """A warm load reports every field a cold one does, ``rows`` included,
+    without building a bulk file: only ``token_cache`` and ``checked`` differ."""
+    bundle = tmp_bundle(**dict(CACHE_BUNDLE, labels=[["c1", "2020", "yield", "9.1"]]))
+    cold = load_dataset(bundle)
+    with mock.patch.object(dataset, "_check", wraps=dataset._check) as check:
+        warm = load_dataset(bundle)
+        manifests = [cold.manifest, warm.manifest]
+    assert check.call_count == 0
+    bulk = [f"{table}.csv" for table in BULK_TABLES]
+    for manifest, outcome, checked in zip(manifests, ("miss", "hit"), ("load", "stamp")):
+        assert [manifest[name].pop("token_cache") for name in bulk] == [outcome] * 3
+        assert [manifest[name].pop("checked") for name in bulk] == [checked] * 3
+    assert manifests[0] == manifests[1]
+    assert {name: entry["rows"] for name, entry in manifests[1].items()} == {
+        "units.csv": 1, "observations.csv": 2, "climate.csv": 2, "embeddings.csv": 1,
+        "labels.csv": 1}
+    assert _bulk_arrays(warm) == _bulk_arrays(cold)
+
+
+def _entry_arrays(bundle, filename):
+    """The path of ``filename``'s token cache entry and its arrays."""
+    (name,) = _entries(bundle, filename)
+    entry = bundle / ".agribench_cache" / name
+    return entry, dataset.read_cache_entry(entry, 1, optional=1)
+
+
+def _save_arrays(entry, arrays):
+    with open(entry, "wb") as fh:
+        for array in arrays:
+            np.save(fh, array)
+
+
+@pytest.mark.parametrize("unstamp", ["np_save", "new_source"])
+def test_unstamped_entry_is_checked_at_load_and_stamped_again(tmp_bundle, unstamp):
+    """An entry ``np.save`` rewrote (a stampless entry, as an older cache
+    holds), or one stamped under other source code, is read back, checked
+    by the load and stamped again: the next load reads it stamped."""
+    bundle = tmp_bundle(**CACHE_BUNDLE)
+    cold = load_dataset(bundle)
+    entry, (tokens, _) = _entry_arrays(bundle, "climate.csv")
+    source = contextlib.nullcontext()
+    if unstamp == "np_save":
+        np.save(entry, tokens)
+    else:
+        source = mock.patch.object(dataset, "source_digest", return_value="other source")
+    with source:
+        checked = load_dataset(bundle)
+        assert len(_entry_arrays(bundle, "climate.csv")[1]) == 2
+        restamped, tokenized = _tokenized_load(bundle)
+    assert checked.manifest["climate.csv"]["token_cache"] == "hit"
+    assert checked.manifest["climate.csv"]["checked"] == "load"
+    assert _bulk_arrays(checked) == _bulk_arrays(cold)
+    assert tokenized == 0 and restamped.manifest["climate.csv"]["checked"] == "stamp"
+
+
+def test_unit_dropped_after_a_warm_load_is_unknown(tmp_bundle):
+    """The stamp holds the ``units.csv`` digest: once a unit the climate
+    uses is dropped, the next load checks the cached tokens and names it."""
+    bundle = tmp_bundle(units=[UNIT_ROW, ["c2"] + UNIT_ROW[1:]],
+                        climate=[CLIMATE_DAY, ["c2", "2020-06-01", "11.0", "26.0", "0.0"]])
+    load_dataset(bundle)
+    assert load_dataset(bundle).manifest["climate.csv"]["checked"] == "stamp"
+    entries = _entries(bundle, "climate.csv")
+    write_bundle(bundle, units=[UNIT_ROW],
+                 climate=[CLIMATE_DAY, ["c2", "2020-06-01", "11.0", "26.0", "0.0"]])
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        with pytest.raises(BundleValidationError) as info:
+            load_dataset(bundle)
+    assert str(info.value) == "climate.csv line 3: unknown unit_id 'c2'"
+    assert loadtxt.call_count == 0
+    assert _entries(bundle, "climate.csv") == entries
+
+
+def _nan_in_stamped_entry(bundle):
+    """Make the first ``tmin_c`` token of the stamped climate entry NaN."""
+    entry, (tokens, stamp) = _entry_arrays(bundle, "climate.csv")
+    tokens["tmin_c"][0] = np.nan
+    _save_arrays(entry, [tokens, stamp])
+
+
+def test_edited_stamped_entry_builds_from_the_csv(tmp_bundle):
+    """A stamped entry edited in place is read back unchecked; its first read
+    refuses the edited token and returns the CSV's data, tokenizing nothing."""
+    bundle = tmp_bundle(**CACHE_BUNDLE)
+    cold = load_dataset(bundle)
+    _nan_in_stamped_entry(bundle)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        warm = load_dataset(bundle)
+        assert warm.manifest["climate.csv"]["checked"] == "stamp"
+        assert _climate_arrays(warm.climate) == _climate_arrays(cold.climate)
+    assert loadtxt.call_count == 0
+
+
+def test_file_changed_before_a_deferred_build_is_a_named_error(tmp_bundle):
+    """A deferred build that must read the CSV again refuses bytes other
+    than those the load hashed: each read raises, none returns the new data."""
+    bundle = tmp_bundle(**CACHE_BUNDLE)
+    load_dataset(bundle)
+    _nan_in_stamped_entry(bundle)
+    warm = load_dataset(bundle)
+    path = bundle / "climate.csv"
+    path.write_bytes(path.read_bytes().replace(b"11.0", b"12.0"))
+    for _ in ("first", "second"):
+        with pytest.raises(BundleChangedError, match=r"^climate\.csv changed after load_dataset"):
+            warm.climate
+
+
+def test_threads_reading_a_deferred_field_share_one_build(tmp_bundle):
+    """Threads reading a deferred field at once get one built mapping."""
+    bundle = tmp_bundle(**CACHE_BUNDLE)
+    load_dataset(bundle)
+    warm = load_dataset(bundle)
+    build_tokens, start = dataset._build_tokens, threading.Barrier(4)
+
+    def slow_build(*args):
+        time.sleep(0.05)  # every thread is reading by now
+        return build_tokens(*args)
+
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(dataset, "_build_tokens", side_effect=slow_build) as build:
+            readers = [threading.Thread(target=lambda: (start.wait(10), seen.append(warm.climate)))
+                       for _ in range(4)]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert build.call_count == 1
+    assert len(seen) == 4 and all(contents is warm.climate for contents in seen)
 
 
 def test_unwritable_cache_loads_and_writes_nothing(tmp_bundle):
